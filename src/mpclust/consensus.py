@@ -20,7 +20,6 @@ __all__ = [
     "update",
     "consensus_of",
     "confusion",
-    "confusion_values",
     "StopTracker",
     "should_stop",
     "save_consensus_csv",
@@ -62,15 +61,6 @@ class ConsensusState:
             pair_seen=np.zeros(npair, dtype=np.int32),
             diag=np.zeros(n, dtype=np.int32),
         )
-
-    def merge_counts(self, other: "ConsensusState") -> "ConsensusState":
-        """Elementwise addition of another accumulator (disjoint batches)."""
-        if other.n != self.n:
-            raise ValueError("cannot merge accumulators of different sizes")
-        self.pair_same += other.pair_same
-        self.pair_seen += other.pair_seen
-        self.diag += other.diag
-        return self
 
 
 def update(
@@ -131,16 +121,6 @@ def confusion(s: np.ndarray) -> np.ndarray:
     """Per-observation instability (1/N) sum_j S_ij (1 - S_ij), diagonal included."""
     s = np.asarray(s, dtype=float)
     return (s * (1.0 - s)).sum(axis=1) / s.shape[0]
-
-
-def confusion_values(state: ConsensusState) -> np.ndarray:
-    """confusion() computed straight from the condensed counters.
-
-    The diagonal term is identically zero because S(i,i) is 0 or 1.
-    """
-    s = state.pair_same / np.maximum(1, state.pair_seen)
-    g = squareform(s * (1.0 - s))
-    return g.sum(axis=1) / state.n
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,11 @@ def run(
     are identical to the sequential run.  ``collect_patches`` retains the
     per-iteration (indices, labels) log, ``collect_weight_trace`` the
     per-iteration observation weights and feature scores.
+
+    The per-observation confusion that drives the adaptive observation
+    weights and the early-stop percentile is one vector: the off-diagonal
+    S(1-S) row sums that ``update`` maintains incrementally, divided by N.
+    The dense consensus matrix is built once, for the final clustering.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -287,7 +292,7 @@ def run(
 
             if adaptive_obs:
                 if t > obs_burn:
-                    update_obs_weights(obs_state, consensus_of(state), t, hp.alpha_i)
+                    update_obs_weights(obs_state, confusion_rows / n, t, hp.alpha_i)
                 obs_idx = ee_prob_next(obs_cfg, obs_state, t, rng_obs)
                 obs_state.record(obs_idx)
             else:

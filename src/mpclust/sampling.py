@@ -17,8 +17,6 @@ from typing import Callable
 import numpy as np
 from scipy.special import fdtrc
 
-from .consensus import confusion
-
 __all__ = [
     "SamplerState",
     "EEConfig",
@@ -139,17 +137,27 @@ class EEConfig:
 
 
 def update_obs_weights(
-    state: SamplerState, s: np.ndarray, t: int, alpha_i: float
+    state: SamplerState, conf: np.ndarray, t: int, alpha_i: float
 ) -> SamplerState:
     """Blend observation weights toward count-adjusted confusion.
 
-    u_i = confusion_i * (t-1)/max(1, samplings_i); weights move by
+    ``conf`` is the per-observation confusion vector, as ``confusion(S)``
+    returns it for the current consensus S; ``run()`` passes the row sums
+    that ``consensus.update`` maintains incrementally, divided by N.
+    u_i = conf_i * (t-1)/max(1, samplings_i); weights move by
     w <- alpha w + (1-alpha) u/sum(u).  A zero uncertainty vector leaves
     the weights untouched.
     """
     if t < 2:
         raise ValueError("observation weights update needs t >= 2")
-    conf = confusion(s)
+    conf = np.asarray(conf, dtype=float)
+    if conf.shape != state.weights.shape:
+        raise ValueError(
+            f"confusion must be a vector of length {state.weights.size}, "
+            f"got shape {conf.shape}"
+        )
+    if not np.isfinite(conf).all():
+        raise ValueError("confusion must be finite")
     u = conf * (t - 1) / np.maximum(1, state.sample_counts)
     total = u.sum()
     if total > 0:

@@ -6,7 +6,6 @@ from mpclust.consensus import (
     ConsensusState,
     StopTracker,
     confusion,
-    confusion_values,
     consensus_of,
     load_consensus_binary,
     save_consensus_binary,
@@ -92,8 +91,53 @@ class TestConsensusOf:
         rows = np.zeros(25)
         for idx, labels in log:
             update(state, idx, labels, confusion_rows=rows)
-        assert np.allclose(rows / 25, confusion_values(state), atol=1e-12)
-        assert np.allclose(confusion_values(state), confusion(consensus_of(state)), atol=1e-15)
+        assert np.allclose(rows / 25, confusion(consensus_of(state)), atol=1e-12)
+
+
+@st.composite
+def _update_logs(draw):
+    """N, then a sequence of (distinct sampled indices, labels) patches."""
+    n = draw(st.integers(2, 30))
+    patch = st.lists(st.integers(0, n - 1), unique=True, max_size=n).flatmap(
+        lambda idx: st.tuples(
+            st.just(idx),
+            st.lists(st.integers(0, 3), min_size=len(idx), max_size=len(idx)),
+        )
+    )
+    return n, draw(st.lists(patch, max_size=25))
+
+
+def _assert_counters_consistent(state, rows, samplings):
+    """The incremental confusion rows and the counters agree with a recount."""
+    drift = np.abs(rows / state.n - confusion(consensus_of(state))).max()
+    assert drift <= 1e-12
+    assert (state.pair_same <= state.pair_seen).all()
+    assert np.array_equal(state.diag, samplings)
+
+
+class TestIncrementalConfusionDrift:
+    @settings(max_examples=60, deadline=None)
+    @given(_update_logs())
+    def test_random_update_sequences(self, log):
+        n, patches = log
+        state = ConsensusState.empty(n)
+        rows = np.zeros(n)
+        samplings = np.zeros(n, dtype=np.int64)
+        for idx, labels in patches:
+            update(state, np.array(idx, dtype=int), np.array(labels, dtype=int), rows)
+            samplings[idx] += 1
+            _assert_counters_consistent(state, rows, samplings)
+
+    def test_long_run(self):
+        n = 200
+        log = _random_log(n, 1000, 50, seed=17)
+        state = ConsensusState.empty(n)
+        rows = np.zeros(n)
+        samplings = np.zeros(n, dtype=np.int64)
+        for idx, labels in log:
+            update(state, idx, labels, confusion_rows=rows)
+            samplings[idx] += 1
+        _assert_counters_consistent(state, rows, samplings)
 
 
 class TestConfusion:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpclust.consensus import confusion_values
+from mpclust.consensus import ConsensusState, confusion, consensus_of, update
 from mpclust.dataio import DataMatrix
 from mpclust.metrics import ari
 from mpclust.pipeline import (
@@ -11,6 +11,7 @@ from mpclust.pipeline import (
     run,
     tune_minipatch_size,
 )
+from mpclust.sampling import EEConfig, SamplerState, update_obs_weights
 from mpclust.synthgen import SynthSpec, generate
 
 from oracles import brute_consensus
@@ -92,12 +93,10 @@ class TestRun:
         hp = HyperParams(k_final=2, seed=4, t_max=25, early_stop=False)
         res = run(data, "mpcc", hp, collect_patches=True)
         # replay the log and compare the final percentile
-        from mpclust.consensus import ConsensusState, update
-
         state = ConsensusState.empty(60)
         for idx, labels in res.patches:
             update(state, idx, labels)
-        expected = float(np.percentile(confusion_values(state), 90))
+        expected = float(np.percentile(confusion(consensus_of(state)), 90))
         assert res.trace[-1].confusion_pct == pytest.approx(expected, abs=1e-12)
 
     def test_adaptive_modes_run_and_score(self):
@@ -131,6 +130,30 @@ class TestRun:
         assert len(res.weight_trace) == res.iterations_run
         t, obs_w, feat_scores = res.weight_trace[-1]
         assert obs_w.shape == (60,) and feat_scores.shape == (50,)
+
+    def test_obs_weights_match_exact_confusion_replay(self):
+        # run() feeds the incrementally kept confusion rows to the weights;
+        # replaying its patch log with confusion of the dense consensus must
+        # reproduce every traced weight vector
+        data, _ = _blobs(gap=1.5, seed=6)
+        hp = HyperParams(k_final=2, seed=7, t_max=40, early_stop=False)
+        res = run(data, "mpacc", hp, collect_patches=True, collect_weight_trace=True)
+        assert len(res.patches) == len(res.weight_trace) == 40
+
+        n = data.n_obs
+        burn = EEConfig(frac=hp.n_frac, epochs=hp.epochs_e).burn_in(n)
+        state = ConsensusState.empty(n)
+        obs = SamplerState.uniform(n, "observations")
+        for t, ((idx, labels), (t_rec, weights, _)) in enumerate(
+            zip(res.patches, res.weight_trace), start=1
+        ):
+            if t > burn:
+                update_obs_weights(obs, confusion(consensus_of(state)), t, hp.alpha_i)
+            obs.record(idx)
+            update(state, idx, labels)
+            assert t_rec == t
+            assert np.abs(weights - obs.weights).max() <= 1e-12
+        assert np.ptp(obs.weights) > 0  # the weights did move off uniform
 
 
 class TestFinalize:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpclust.consensus import confusion
 from mpclust.sampling import (
     EEConfig,
     SamplerState,
@@ -81,19 +82,17 @@ class TestUpdateObsWeights:
     def test_zero_uncertainty_keeps_weights(self):
         state = SamplerState.uniform(4, "observations")
         before = state.weights.copy()
-        update_obs_weights(state, np.eye(4), t=3, alpha_i=0.5)
+        update_obs_weights(state, confusion(np.eye(4)), t=3, alpha_i=0.5)
         assert np.array_equal(state.weights, before)
 
     def test_derived_example(self):
         # confusions (0.2, 0.1), counts (1, 2), t=3 -> u=(0.4, 0.1) -> (0.8, 0.2)
         x = (1 - np.sqrt(0.2)) / 2  # x(1-x) == 0.2 exactly
         s = np.array([[x, x], [x, 1.0]])
-        from mpclust.consensus import confusion
-
         assert np.allclose(confusion(s), [0.2, 0.1])
         state = SamplerState.uniform(2, "observations")
         state.sample_counts[:] = [1, 2]
-        update_obs_weights(state, s, t=3, alpha_i=0.0)
+        update_obs_weights(state, confusion(s), t=3, alpha_i=0.0)
         assert np.allclose(state.weights, [0.8, 0.2])
 
     def test_ema_endpoints(self):
@@ -101,13 +100,24 @@ class TestUpdateObsWeights:
         frozen = SamplerState.uniform(3, "observations")
         frozen.sample_counts[:] = 1
         w0 = frozen.weights.copy()
-        update_obs_weights(frozen, base, t=2, alpha_i=1.0)
+        update_obs_weights(frozen, confusion(base), t=2, alpha_i=1.0)
         assert np.allclose(frozen.weights, w0)
 
     def test_requires_t_at_least_two(self):
         state = SamplerState.uniform(3, "observations")
         with pytest.raises(ValueError):
-            update_obs_weights(state, np.eye(3), t=1, alpha_i=0.5)
+            update_obs_weights(state, np.zeros(3), t=1, alpha_i=0.5)
+
+    @pytest.mark.parametrize(
+        "conf",
+        [np.eye(4), np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.array([0.1, np.nan, 0.1, 0.1])],
+    )
+    def test_rejects_non_confusion_vector(self, conf):
+        state = SamplerState.uniform(4, "observations")
+        before = state.weights.copy()
+        with pytest.raises(ValueError, match="confusion"):
+            update_obs_weights(state, conf, t=3, alpha_i=0.5)
+        assert np.array_equal(state.weights, before)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
@@ -116,7 +126,7 @@ class TestUpdateObsWeights:
         for t in range(2, 30):
             s = rng.random((10, 10))
             s = (s + s.T) / 2
-            update_obs_weights(state, s, t=t, alpha_i=0.5)
+            update_obs_weights(state, confusion(s), t=t, alpha_i=0.5)
             assert abs(state.weights.sum() - 1) < 1e-12
 
 
