@@ -12,7 +12,7 @@ from .consensus import (
 )
 from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
 from .dist import DistanceMatrix, deviation_experiment, hoeffding_bound, pairwise
-from .hclust import Dendrogram, Merge, cut_k, cut_quantile, ward_linkage
+from .hclust import Dendrogram, cut_k, cut_quantile, ward_linkage
 from .metrics import ari, f1_features, select_by_score
 from .pipeline import (
     HyperParams,
@@ -53,7 +53,6 @@ __all__ = [
     "hoeffding_bound",
     "pairwise",
     "Dendrogram",
-    "Merge",
     "cut_k",
     "cut_quantile",
     "ward_linkage",

@@ -31,28 +31,23 @@ from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
 
-# name -> (type, default); flags, env vars, and config keys share these names
-_HP_FIELDS: dict[str, tuple[type, object]] = {
-    "m_frac": (float, 0.1),
-    "n_frac": (float, 0.25),
-    "h": (float, 0.95),
-    "eta": (float, 0.05),
-    "alpha_f": (float, 0.5),
-    "tau": (float, 1.0),
-    "alpha_i": (float, 0.5),
-    "theta": (float, 0.95),
-    "epochs_e": (int, 2),
-    "t_max": (int, None),
-    "k": (int, None),
-    "final_algo": (str, "hierarchical"),
-    "seed": (int, 0),
-    "metric": (str, "manhattan"),
-    "mode": (str, "mpcc"),
+# name -> type; flags, env vars, and config keys share these names.  The
+# built-in defaults are those of HyperParams() (``k`` is its ``k_final``).
+_HP_TYPES: dict[str, type] = {
+    **dict.fromkeys(("m_frac", "n_frac", "h", "eta", "alpha_f", "tau", "alpha_i", "theta"), float),
+    **dict.fromkeys(("epochs_e", "t_max", "k", "seed"), int),
+    **dict.fromkeys(("final_algo", "metric", "mode"), str),
 }
+_DEFAULT_MODE = "mpcc"
+
+
+def _field_values(source: object) -> dict[str, object]:
+    """The HyperParams fields under their own names (all but ``k`` and ``mode``)."""
+    return {name: getattr(source, name) for name in _HP_TYPES if name not in ("k", "mode")}
 
 
 def _coerce(name: str, raw: str) -> object:
-    typ, _ = _HP_FIELDS[name]
+    typ = _HP_TYPES[name]
     if raw == "" or raw.lower() == "none":
         return None
     if typ is int:
@@ -72,7 +67,7 @@ def _load_config_file(path: str) -> dict[str, object]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in _HP_FIELDS:
+        if key not in _HP_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _coerce(key, value.strip())
     return out
@@ -80,7 +75,7 @@ def _load_config_file(path: str) -> dict[str, object]:
 
 def _env_overrides() -> dict[str, object]:
     out: dict[str, object] = {}
-    for name in _HP_FIELDS:
+    for name in _HP_TYPES:
         raw = os.environ.get(_ENV_PREFIX + name.upper())
         if raw is not None:
             out[name] = _coerce(name, raw)
@@ -91,7 +86,8 @@ def _defaults(argv: list[str] | None) -> dict[str, object]:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    merged = {name: default for name, (_, default) in _HP_FIELDS.items()}
+    hp = HyperParams()
+    merged = {**_field_values(hp), "k": hp.k_final, "mode": _DEFAULT_MODE}
     if known.config:
         merged.update(_load_config_file(known.config))
     merged.update(_env_overrides())
@@ -140,22 +136,7 @@ def _read_labels(path: Path) -> np.ndarray:
 
 
 def _hp_from_args(args: argparse.Namespace) -> HyperParams:
-    return HyperParams(
-        m_frac=args.m_frac,
-        n_frac=args.n_frac,
-        h=args.h,
-        eta=args.eta,
-        alpha_f=args.alpha_f,
-        tau=args.tau,
-        alpha_i=args.alpha_i,
-        theta=args.theta,
-        epochs_e=args.epochs_e,
-        t_max=args.t_max,
-        k_final=args.k,
-        final_algo=args.final_algo,
-        seed=args.seed,
-        metric=args.metric,
-    )
+    return HyperParams(k_final=args.k, **_field_values(args))
 
 
 def _config_snapshot(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -258,9 +239,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                         w.writerow([t, i, f"{v:.17g}"])
     timings["write"] = time.perf_counter() - t0
 
-    keys = ["mode", "m_frac", "n_frac", "h", "eta", "alpha_f", "tau", "alpha_i",
-            "theta", "epochs_e", "t_max", "k", "final_algo", "seed", "metric",
-            "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
+    keys = [*_HP_TYPES, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
             "consensus_format", "workers"]
     _write_manifest(
         out_dir,

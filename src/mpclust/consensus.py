@@ -91,18 +91,19 @@ def update(
     idx = idx[order]
     lab = lab[order]
     ii, jj = _triu_pairs(idx.size)
-    cond = _pair_index(state.n, idx[ii], idx[jj])
+    cond = _pair_index(state.n, idx, 0)[ii] + idx[jj]
 
-    if confusion_rows is not None:
-        s_old = state.pair_same[cond] / np.maximum(1, state.pair_seen[cond])
-        g_old = s_old * (1.0 - s_old)
-    state.pair_seen[cond] += 1
-    same = lab[ii] == lab[jj]
-    state.pair_same[cond[same]] += 1
+    seen = state.pair_seen[cond]
+    same_old = state.pair_same[cond]
+    same_new = same_old + (lab[ii] == lab[jj])
+    seen_new = seen + 1
+    state.pair_seen[cond] = seen_new
+    state.pair_same[cond] = same_new
     state.diag[idx] += 1
     if confusion_rows is not None:
-        s_new = state.pair_same[cond] / np.maximum(1, state.pair_seen[cond])
-        delta = s_new * (1.0 - s_new) - g_old
+        s_old = same_old / np.maximum(1, seen)
+        s_new = same_new / seen_new
+        delta = s_new * (1.0 - s_new) - s_old * (1.0 - s_old)
         per_row = np.bincount(ii, weights=delta, minlength=idx.size)
         per_row += np.bincount(jj, weights=delta, minlength=idx.size)
         confusion_rows[idx] += per_row

@@ -7,10 +7,24 @@ recurrence
     d(u, k) = ((n_i + n_k) d(i, k) + (n_j + n_k) d(j, k) - n_k d(i, j))
               / (n_i + n_j + n_k)
 
-using the nearest-neighbor-chain algorithm, which is O(n^2) and valid
-because the ward coefficients are reducible.  Merges are re-sorted by
-height and relabeled afterwards so the output order matches the classic
-smallest-merge-first sequence.
+scipy's ``"ward"`` method applies the same recurrence to squared inputs,
+so running it on ``sqrt(d)`` and squaring the heights back gives ward.D
+with scipy's O(n^2) nearest-neighbor chain in C.
+
+Ties are common (a consensus matrix is mostly ties), so the merge order
+is that of scipy's ``nn_chain``:
+
+- a chain starts at the lowest active slot;
+- a tie for the nearest neighbor goes to the chain predecessor, then to
+  the lowest slot;
+- merging slots x < y keeps the merged cluster in slot y and retires x;
+- merges are stably sorted by height, then renumbered so that merge i
+  creates node n + i.
+
+Ties are judged on scipy's floating-point values, which live on the
+square-root scale, so values that are equal in exact arithmetic can
+differ in the last bit: on 6 points at equal distance one of the five
+merge heights comes out 1.1e-16 below the others and sorts first.
 """
 
 from __future__ import annotations
@@ -18,172 +32,78 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import squareform
+from scipy.cluster.hierarchy import linkage
 
 from .dist import DistanceMatrix
 
-__all__ = ["Merge", "Dendrogram", "ward_linkage", "cut_quantile", "cut_k"]
+__all__ = ["Dendrogram", "ward_linkage", "cut_quantile", "cut_k"]
 
 
-@dataclass(frozen=True)
-class Merge:
-    """One agglomeration: node ids are leaves 0..n-1, merge i creates n+i."""
-
-    left: int
-    right: int
-    height: float
-    size: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dendrogram:
-    merges: tuple[Merge, ...]
-    leaf_count: int
+    """A scipy linkage matrix: row i merges nodes ``z[i, 0]`` and ``z[i, 1]``
+    at height ``z[i, 2]`` into node n + i of size ``z[i, 3]``; leaves are 0..n-1."""
+
+    z: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "merges", tuple(self.merges))
-        n = self.leaf_count
-        if n < 2:
-            raise ValueError("a dendrogram needs at least 2 leaves")
-        if len(self.merges) != n - 1:
-            raise ValueError(f"expected {n - 1} merges, got {len(self.merges)}")
-        used: set[int] = set()
-        for i, m in enumerate(self.merges):
-            node = n + i
-            for child in (m.left, m.right):
-                if not 0 <= child < node:
-                    raise ValueError(f"merge {i} references invalid child {child}")
-                if child in used:
-                    raise ValueError(f"node {child} used as a child twice")
-                used.add(child)
+        z = np.array(self.z, dtype=np.float64)
+        if z.ndim != 2 or z.shape[1] != 4 or z.shape[0] < 1:
+            raise ValueError(f"expected an (n-1) x 4 array of merges, got shape {z.shape}")
+        kids = z[:, :2]
+        created = z.shape[0] + 1 + np.arange(z.shape[0])[:, None]
+        if not ((kids >= 0) & (kids < created) & (kids == np.floor(kids))).all():
+            raise ValueError("a merge references a child that does not exist yet")
+        if np.unique(kids).size != kids.size:
+            raise ValueError("a node is used as a child twice")
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z)
+
+    @property
+    def leaf_count(self) -> int:
+        return self.z.shape[0] + 1
 
     def heights(self) -> np.ndarray:
-        return np.array([m.height for m in self.merges])
+        return self.z[:, 2]
 
 
 def ward_linkage(d: DistanceMatrix) -> Dendrogram:
-    """Full agglomeration of a condensed dissimilarity matrix.
-
-    Ties on the current minimum prefer the chain predecessor, then the
-    smallest slot index, so results are deterministic across platforms.
-    Heights can be non-monotone in principle; the cut operations below do
-    not rely on monotonicity.
-    """
-    n = d.n
-    work = squareform(d.condensed).astype(np.float64)
-    np.fill_diagonal(work, np.inf)
-    size = np.ones(n)
-    active = np.ones(n, dtype=bool)
-
-    raw: list[tuple[int, int, float]] = []  # (slot, slot, height)
-    chain: list[int] = []
-    while len(raw) < n - 1:
-        if not chain:
-            chain.append(int(np.argmax(active)))  # smallest active slot
-        x = chain[-1]
-        if len(chain) > 1:
-            y = chain[-2]
-            current_min = work[x, y]
-        else:
-            y = -1
-            current_min = np.inf
-        row = work[x]
-        cand = int(np.argmin(row))
-        if row[cand] < current_min:  # strict: ties keep the chain predecessor
-            y, current_min = cand, row[cand]
-
-        if len(chain) > 1 and y == chain[-2]:
-            # reciprocal nearest neighbors: merge x and y
-            chain.pop()
-            chain.pop()
-            lo, hi = (x, y) if x < y else (y, x)
-            h = float(current_min)
-            raw.append((lo, hi, h))
-            # full-row Lance-Williams update: rows are +inf at inactive
-            # slots and at lo/hi themselves, so those positions stay +inf
-            slo, shi = size[lo], size[hi]
-            merged = ((slo + size) * work[lo] + (shi + size) * work[hi] - size * h) / (
-                slo + shi + size
-            )
-            work[lo, :] = merged
-            work[:, lo] = merged
-            work[hi, :] = np.inf
-            work[:, hi] = np.inf
-            size[lo] = slo + shi
-            active[hi] = False
-        else:
-            chain.append(y)
-
-    # sort by height (stable: NN-chain emits equal-height parents after
-    # children) and relabel slots to node ids via union-find
-    order = np.argsort([h for _, _, h in raw], kind="stable")
-    parent = np.arange(2 * n - 1)
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    node_size = np.ones(2 * n - 1, dtype=int)
-    merges: list[Merge] = []
-    for new_idx, k in enumerate(order):
-        sx, sy, h = raw[k]
-        rx, ry = int(find(sx)), int(find(sy))
-        left, right = (rx, ry) if rx < ry else (ry, rx)
-        new = n + new_idx
-        node_size[new] = node_size[left] + node_size[right]
-        parent[rx] = parent[ry] = new
-        merges.append(Merge(left, right, h, int(node_size[new])))
-    return Dendrogram(tuple(merges), n)
+    """Full ward.D agglomeration of a condensed dissimilarity matrix."""
+    z = linkage(np.sqrt(d.condensed), "ward")
+    z[:, 2] **= 2
+    return Dendrogram(z)
 
 
-def _labels_from_performed(t: Dendrogram, performed: list[int]) -> np.ndarray:
-    """Connected-component labels over leaves given a set of performed merges.
-
-    Labels are assigned in order of first-leaf appearance.
-    """
+def _labels_after(t: Dendrogram, r: int) -> np.ndarray:
+    """Leaf labels once the first ``r`` merges are done, in first-leaf order."""
     n = t.leaf_count
-    parent = np.arange(n + len(t.merges))
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    for idx in performed:
-        m = t.merges[idx]
-        new = n + idx
-        parent[find(m.left)] = new
-        parent[find(m.right)] = new
-
-    labels = np.empty(n, dtype=int)
-    seen: dict[int, int] = {}
-    for leaf in range(n):
-        root = find(leaf)
-        if root not in seen:
-            seen[root] = len(seen)
-        labels[leaf] = seen[root]
-    return labels
+    parent = np.arange(2 * n - 1)
+    kids = t.z[:r, :2].astype(np.intp)
+    parent[kids[:, 0]] = parent[kids[:, 1]] = n + np.arange(r)
+    while True:  # pointer doubling: every node ends pointing at its root
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            break
+        parent = grand
+    _, first, inverse = np.unique(parent[:n], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def cut_quantile(t: Dendrogram, h: float) -> np.ndarray:
     """Cut at the type-7 ``h`` quantile of merge heights.
 
-    Exactly the merges with height <= threshold are performed (ties
-    merge); remaining connected components are the clusters.
+    The first r merges are performed, r = #(heights <= threshold) (ties
+    merge); remaining connected components are the clusters.  On a tree
+    with non-decreasing heights, as ``ward_linkage`` returns, these are
+    exactly the merges at or below the threshold.
     """
     if not 0 < h <= 1:
         raise ValueError("h must be in (0, 1]")
     heights = t.heights()
     tau = float(np.quantile(heights, h))  # numpy default == type 7
-    performed = [i for i, m in enumerate(t.merges) if m.height <= tau]
-    return _labels_from_performed(t, performed)
+    return _labels_after(t, int(np.count_nonzero(heights <= tau)))
 
 
 def cut_k(t: Dendrogram, k: int) -> np.ndarray:
@@ -191,4 +111,4 @@ def cut_k(t: Dendrogram, k: int) -> np.ndarray:
     n = t.leaf_count
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    return _labels_from_performed(t, list(range(n - k)))
+    return _labels_after(t, n - k)

@@ -60,6 +60,31 @@ def naive_ward(n: int, condensed: np.ndarray):
     return heights, partitions
 
 
+def labels_from_performed(z, performed) -> np.ndarray:
+    """Leaf labels after the listed merges of a linkage matrix, by union-find.
+
+    Row i of ``z`` merges nodes ``z[i][0]`` and ``z[i][1]`` into node n + i.
+    Labels are assigned in order of first-leaf appearance.
+    """
+    n = len(z) + 1
+    parent = list(range(2 * n - 1))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for i in performed:
+        parent[find(int(z[i][0]))] = n + i
+        parent[find(int(z[i][1]))] = n + i
+
+    seen: dict[int, int] = {}
+    labels = []
+    for leaf in range(n):
+        labels.append(seen.setdefault(find(leaf), len(seen)))
+    return np.array(labels)
+
+
 def partitions_of_labels(labels: np.ndarray) -> set[frozenset[int]]:
     groups: dict[int, set[int]] = {}
     for i, lab in enumerate(labels):

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
 from mpclust.cli import main
 from mpclust.dataio import DataMatrix, write_matrix
+from mpclust.pipeline import HyperParams
 
 
 @pytest.fixture
@@ -41,6 +44,23 @@ class TestCluster:
         assert code == 0
         lines = (out / "labels.csv").read_text().splitlines()
         assert lines[0] == "id,label" and len(lines) == 51
+
+    def test_no_flags_records_hyperparams_defaults(self, blob_csv, tmp_path, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("MPCLUST_"):
+                monkeypatch.delenv(key)
+        out = tmp_path / "out"
+        assert main(["cluster", str(blob_csv), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        hp = HyperParams()
+        off_cli = {"early_stop", "stop_q", "stop_c", "stop_patience"}
+        for field in dataclasses.fields(hp):
+            key = "k" if field.name == "k_final" else field.name
+            if field.name in off_cli:
+                assert key not in config
+            else:
+                assert config[key] == getattr(hp, field.name), key
+        assert config["mode"] == "mpcc"
 
     def test_bad_mode_usage_error(self, blob_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:

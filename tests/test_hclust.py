@@ -3,34 +3,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpclust.dist import DistanceMatrix, pairwise
-from mpclust.hclust import Dendrogram, Merge, cut_k, cut_quantile, ward_linkage
+from mpclust.hclust import Dendrogram, cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 
-from oracles import naive_ward, partitions_of_labels
+from oracles import labels_from_performed, naive_ward, partitions_of_labels
 
 
 def _chain_dendrogram(heights):
     """Leaves 0..n-1 merged one at a time at the given heights."""
     n = len(heights) + 1
-    merges = []
+    rows = []
     cur = 0
     for i, h in enumerate(heights):
-        merges.append(Merge(cur, i + 1, float(h), i + 2))
+        rows.append([cur, i + 1, float(h), i + 2])
         cur = n + i
-    return Dendrogram(tuple(merges), n)
+    return Dendrogram(np.array(rows))
+
+
+@st.composite
+def _random_trees(draw):
+    """Random merge order over 2..30 leaves; heights non-decreasing, drawn
+    from a few values so that ties are common."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    heights = np.sort(rng.integers(0, draw(st.integers(1, 4)), n - 1)).astype(float)
+    active = list(range(n))
+    size = [1] * n
+    rows = []
+    for i in range(n - 1):
+        a, b = sorted(active.pop(int(rng.integers(len(active)))) for _ in range(2))
+        size.append(size[a] + size[b])
+        rows.append([a, b, heights[i], size[-1]])
+        active.append(n + i)
+    return Dendrogram(np.array(rows))
 
 
 class TestWardLinkage:
     def test_three_point_example(self):
         dend = ward_linkage(pairwise(np.array([[0.0], [1.0], [5.0]]), "manhattan"))
-        assert dend.merges[0].height == pytest.approx(1.0)
-        assert dend.merges[1].height == pytest.approx(17.0 / 3.0)
-        assert dend.merges[0].left == 0 and dend.merges[0].right == 1
+        assert dend.z[0, 2] == pytest.approx(1.0)
+        assert dend.z[1, 2] == pytest.approx(17.0 / 3.0)
+        assert dend.z[0, 0] == 0 and dend.z[0, 1] == 1
 
     def test_two_points(self):
         dend = ward_linkage(DistanceMatrix(2, np.array([3.5])))
-        assert len(dend.merges) == 1
-        assert dend.merges[0] == Merge(0, 1, 3.5, 2)
+        assert dend.z.shape == (1, 4)
+        assert dend.z.tolist() == [[0.0, 1.0, 3.5, 2.0]]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_naive_oracle(self, seed):
@@ -55,14 +73,59 @@ class TestWardLinkage:
     def test_sizes_and_root(self):
         rng = np.random.default_rng(4)
         dend = ward_linkage(pairwise(rng.random((9, 2))))
-        assert dend.merges[-1].size == 9
-        by_node = {9 + i: m for i, m in enumerate(dend.merges)}
+        assert dend.z[-1, 3] == 9
+        by_node = {9 + i: row for i, row in enumerate(dend.z)}
 
         def size_of(node):
-            return 1 if node < 9 else size_of(by_node[node].left) + size_of(by_node[node].right)
+            if node < 9:
+                return 1
+            return size_of(int(by_node[node][0])) + size_of(int(by_node[node][1]))
 
-        for i, m in enumerate(dend.merges):
-            assert m.size == size_of(9 + i)
+        for i, row in enumerate(dend.z):
+            assert row[3] == size_of(9 + i)
+
+
+# Partitions for k = 1..n under scipy's tie order (see the hclust module
+# docstring).  A different kernel or tie policy fails here.
+_ALL_EQUAL_CUTS = [
+    [0, 0, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 1],
+    [0, 0, 0, 1, 2, 2],
+    [0, 0, 1, 2, 3, 3],
+    [0, 1, 2, 3, 4, 4],
+    [0, 1, 2, 3, 4, 5],
+]
+_CONSENSUS_CUTS = [
+    [0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 1],
+    [0, 0, 1, 2, 0, 0, 0, 1],
+    [0, 1, 2, 3, 0, 0, 1, 2],
+    [0, 1, 2, 3, 0, 4, 1, 2],
+    [0, 1, 2, 3, 0, 4, 1, 5],
+    [0, 1, 2, 3, 0, 4, 5, 6],
+    [0, 1, 2, 3, 4, 5, 6, 7],
+]
+
+
+class TestTiePolicy:
+    def test_all_equal_pinned(self):
+        dend = ward_linkage(DistanceMatrix(6, np.ones(15)))
+        assert [cut_k(dend, k).tolist() for k in range(1, 7)] == _ALL_EQUAL_CUTS
+        assert np.allclose(dend.heights(), 1.0, rtol=1e-15, atol=0)
+
+    def test_consensus_like_pinned(self):
+        # 1 - S for S averaged over three partitions of 8 points: three
+        # distinct values (1/3, 2/3, 1) over 28 pairs.  Keeping the merged
+        # cluster in the lower slot instead changes 6 of these 8 cuts.
+        parts = np.array(
+            [[1, 2, 0, 1, 0, 0, 2, 2], [2, 2, 1, 0, 2, 0, 2, 1], [2, 1, 1, 0, 2, 2, 2, 1]]
+        )
+        s = (parts[:, :, None] == parts[:, None, :]).mean(axis=0)
+        ii, jj = np.triu_indices(8, k=1)
+        dend = ward_linkage(DistanceMatrix(8, 1.0 - s[ii, jj]))
+        assert [cut_k(dend, k).tolist() for k in range(1, 9)] == _CONSENSUS_CUTS
+        expected = [1 / 3, 1 / 3, 1 / 3, 5 / 9, 41 / 45, 49 / 45, 13 / 9]
+        assert np.allclose(dend.heights(), expected, rtol=1e-14, atol=0)
 
 
 class TestCutQuantile:
@@ -128,11 +191,48 @@ class TestCutK:
         assert np.array_equal(cut_quantile(dend, 1.0), cut_k(dend, 1))
 
 
+class TestVectorizedCut:
+    @settings(max_examples=150, deadline=None)
+    @given(_random_trees(), st.floats(0.01, 1.0))
+    def test_matches_union_find_reference(self, dend, h):
+        n = dend.leaf_count
+        z = dend.z.tolist()
+        for k in range(1, n + 1):
+            labels = cut_k(dend, k)
+            assert labels.tolist() == labels_from_performed(z, range(n - k)).tolist()
+            assert len(np.unique(labels)) == k
+            first = np.unique(labels, return_index=True)[1]
+            assert (np.diff(first) > 0).all()  # label j first appears before j + 1
+        tau = np.quantile(dend.heights(), h)
+        performed = [i for i, row in enumerate(z) if row[2] <= tau]
+        assert cut_quantile(dend, h).tolist() == labels_from_performed(z, performed).tolist()
+
+
 class TestDendrogramValidation:
     def test_child_reuse_rejected(self):
         with pytest.raises(ValueError, match="twice"):
-            Dendrogram((Merge(0, 1, 1.0, 2), Merge(0, 2, 2.0, 3)), 3)
+            Dendrogram(np.array([[0, 1, 1.0, 2], [0, 2, 2.0, 3]]))
 
     def test_wrong_merge_count(self):
-        with pytest.raises(ValueError, match="merges"):
-            Dendrogram((Merge(0, 1, 1.0, 2),), 3)
+        for shape in ((0, 4), (2, 3), (4,)):
+            with pytest.raises(ValueError, match="merges"):
+                Dendrogram(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 3, 1.0, 2], [1, 2, 2.0, 3]],  # node 3 used before it is created
+            [[0, 1, 1.0, 2], [2, 5, 2.0, 3]],  # no node 5 in a 3-leaf tree
+            [[-1, 1, 1.0, 2], [2, 3, 2.0, 3]],
+            [[0, 1.5, 1.0, 2], [2, 3, 2.0, 3]],
+            [[0, np.nan, 1.0, 2], [2, 3, 2.0, 3]],
+        ],
+    )
+    def test_invalid_child_rejected(self, rows):
+        with pytest.raises(ValueError, match="child"):
+            Dendrogram(np.array(rows))
+
+    def test_read_only(self):
+        dend = _chain_dendrogram([1.0, 2.0])
+        with pytest.raises(ValueError):
+            dend.z[0, 2] = 5.0
