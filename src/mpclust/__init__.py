@@ -7,7 +7,6 @@ from .consensus import (
     StopTracker,
     confusion,
     consensus_of,
-    should_stop,
     update,
 )
 from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
@@ -41,7 +40,6 @@ __all__ = [
     "StopTracker",
     "confusion",
     "consensus_of",
-    "should_stop",
     "update",
     "DataMatrix",
     "load_matrix",

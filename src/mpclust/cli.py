@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .consensus import save_consensus_binary, save_consensus_csv
+from .consensus import save_consensus_binary
 from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
 from .dist import METRICS, deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
@@ -116,12 +116,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, digest: str, timi
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write_labels(path: Path, ids: tuple[str, ...], labels: np.ndarray) -> None:
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    """Write a CSV table: the header, then ``rows``, one line each."""
     with path.open("w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["id", "label"])
-        for name, lab in zip(ids, labels):
-            out.writerow([name, int(lab)])
+        out.writerow(header)
+        out.writerows(rows)
 
 
 def _read_labels(path: Path) -> np.ndarray:
@@ -203,40 +203,36 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     timings["run"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _write_labels(out_dir / "labels.csv", data.row_ids, result.labels)
+    _write_rows(out_dir / "labels.csv", ["id", "label"], zip(data.row_ids, result.labels.tolist()))
     if args.consensus_format == "csv":
-        save_consensus_csv(result.s, out_dir / "consensus.csv", data.row_ids)
+        write_matrix(DataMatrix(result.s, data.row_ids, data.row_ids), out_dir / "consensus.csv")
     else:
         save_consensus_binary(result.s, out_dir / "consensus.bin")
     if result.feature_scores is not None:
-        with (out_dir / "feature_scores.csv").open("w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["feature_id", "score"])
-            for name, score in zip(data.col_ids, result.feature_scores):
-                w.writerow([name, f"{score:.17g}"])
-    with (out_dir / "trace.csv").open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["iteration", "n_clusters", "confusion_pct", "high_obs", "high_feat", "seconds"])
-        for rec in result.trace:
-            w.writerow(
-                [rec.iteration, rec.n_clusters, f"{rec.confusion_pct:.17g}", rec.high_obs, rec.high_feat, f"{rec.seconds:.6f}"]
-            )
+        _write_rows(
+            out_dir / "feature_scores.csv",
+            ["feature_id", "score"],
+            ((name, f"{score:.17g}") for name, score in zip(data.col_ids, result.feature_scores)),
+        )
+    _write_rows(
+        out_dir / "trace.csv",
+        ["iteration", "n_clusters", "confusion_pct", "high_obs", "high_feat", "seconds"],
+        ((rec.iteration, rec.n_clusters, f"{rec.confusion_pct:.17g}", rec.high_obs, rec.high_feat,
+          f"{rec.seconds:.6f}") for rec in result.trace),
+    )
     if args.weight_trace and result.weight_trace is not None:
-        with (out_dir / "obs_weight_trace.csv").open("w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["iteration", "index", "value"])
-            for t, obs_w, _ in result.weight_trace:
-                for i, v in enumerate(obs_w):
-                    w.writerow([t, i, f"{v:.17g}"])
+        _write_rows(
+            out_dir / "obs_weight_trace.csv",
+            ["iteration", "index", "value"],
+            ((t, i, f"{v:.17g}") for t, obs_w, _ in result.weight_trace for i, v in enumerate(obs_w)),
+        )
         if args.mode == "impacc":
-            with (out_dir / "feature_score_trace.csv").open("w", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["iteration", "index", "value"])
-                for t, _, scores in result.weight_trace:
-                    if scores is None:
-                        continue
-                    for i, v in enumerate(scores):
-                        w.writerow([t, i, f"{v:.17g}"])
+            _write_rows(
+                out_dir / "feature_score_trace.csv",
+                ["iteration", "index", "value"],
+                ((t, i, f"{v:.17g}") for t, _, scores in result.weight_trace
+                 if scores is not None for i, v in enumerate(scores)),
+            )
     timings["write"] = time.perf_counter() - t0
 
     keys = [*_HP_TYPES, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
@@ -278,12 +274,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     timings = {"generate": time.perf_counter() - t0}
 
     write_matrix(data.matrix, out_dir / "matrix.csv")
-    _write_labels(out_dir / "labels.csv", data.matrix.row_ids, data.labels)
-    with (out_dir / "mask.csv").open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["feature_id", "is_signal"])
-        for name, flag in zip(data.matrix.col_ids, data.signal_mask):
-            w.writerow([name, int(flag)])
+    _write_rows(out_dir / "labels.csv", ["id", "label"], zip(data.matrix.row_ids, data.labels.tolist()))
+    _write_rows(
+        out_dir / "mask.csv",
+        ["feature_id", "is_signal"],
+        zip(data.matrix.col_ids, data.signal_mask.astype(int).tolist()),
+    )
 
     config = {
         "snr": args.snr, "n_obs": args.n_obs, "n_features": n_features,
@@ -338,11 +334,12 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["method", "snr", "seed", "ari", "f1", "seconds"])
-        for method, snr, seed, ari_val, f1_text, elapsed in rows:
-            w.writerow([method, f"{snr:g}", seed, f"{ari_val:.6f}", f1_text, f"{elapsed:.4f}"])
+    _write_rows(
+        out,
+        ["method", "snr", "seed", "ari", "f1", "seconds"],
+        ((method, f"{snr:g}", seed, f"{ari_val:.6f}", f1_text, f"{elapsed:.4f}")
+         for method, snr, seed, ari_val, f1_text, elapsed in rows),
+    )
     print(f"{len(rows)} rows -> {out}")
     return 0
 
@@ -357,12 +354,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     hp = _hp_from_args(args)
     result = tune_minipatch_size(data, args.mode, grid, hp)
 
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["m_frac", "n_frac", "max_confusion", "iterations"])
-        for m_frac, n_frac, conf, iters in result.cells:
-            w.writerow([f"{m_frac:g}", f"{n_frac:g}", f"{conf:.17g}", iters])
+    _write_rows(
+        Path(args.out),
+        ["m_frac", "n_frac", "max_confusion", "iterations"],
+        ((f"{m_frac:g}", f"{n_frac:g}", f"{conf:.17g}", iters) for m_frac, n_frac, conf, iters in result.cells),
+    )
     print(f"chosen m_frac={result.m_frac:g} n_frac={result.n_frac:g} "
           f"max_confusion={result.max_confusion:.6g}")
     if not result.converged:
@@ -418,14 +414,12 @@ def _cmd_hoeffding(args: argparse.Namespace) -> int:
     if not eps_grid or not m_feats:
         raise ValueError("need at least one --eps and one --m-feat value")
 
+    rows = []
+    for m_feat in m_feats:
+        table = deviation_experiment(data, args.metric, m_feat, args.trials, eps_grid, args.seed)
+        rows += [(m_feat, f"{eps:g}", f"{empirical:.17g}", f"{bound:.17g}") for eps, empirical, bound in table]
     out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["m_feat", "eps", "empirical", "bound"])
-        for m_feat in m_feats:
-            table = deviation_experiment(data, args.metric, m_feat, args.trials, eps_grid, args.seed)
-            for eps, empirical, bound in table:
-                w.writerow([m_feat, f"{eps:g}", f"{empirical:.17g}", f"{bound:.17g}"])
+    _write_rows(out, ["m_feat", "eps", "empirical", "bound"], rows)
     print(f"{len(m_feats) * len(eps_grid)} rows -> {out}")
     return 0
 

@@ -21,8 +21,6 @@ __all__ = [
     "consensus_of",
     "confusion",
     "StopTracker",
-    "should_stop",
-    "save_consensus_csv",
     "save_consensus_binary",
     "load_consensus_binary",
 ]
@@ -142,34 +140,18 @@ class StopTracker:
         return nxt, run >= self.patience
 
 
-def should_stop(tracker: StopTracker, s: np.ndarray) -> tuple[StopTracker, bool]:
-    """Feed one consensus snapshot to the tracker; True means stop now."""
-    pct = float(np.percentile(confusion(s), tracker.q))  # type-7 interpolation
-    return tracker.step(pct)
-
-
 # -- consensus matrix export ------------------------------------------------
 
 _MAGIC = b"MPCS"
 
 
-def save_consensus_csv(s: np.ndarray, path: str | Path, ids: tuple[str, ...] | None = None) -> None:
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    names = list(ids) if ids is not None else [f"obs{i}" for i in range(n)]
-    with Path(path).open("w") as fh:
-        fh.write("id," + ",".join(names) + "\n")
-        for i in range(n):
-            fh.write(names[i] + "," + ",".join(f"{x:.17g}" for x in s[i]) + "\n")
-
-
 def save_consensus_binary(s: np.ndarray, path: str | Path) -> None:
     """Compact form: magic 'MPCS', little-endian u32 N, row-major f32 values."""
-    s = np.asarray(s, dtype=np.float32)
+    values = np.ascontiguousarray(s, dtype="<f4")
     with Path(path).open("wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<I", s.shape[0]))
-        fh.write(s.astype("<f4").tobytes())
+        fh.write(struct.pack("<I", values.shape[0]))
+        fh.write(values.data)
 
 
 def load_consensus_binary(path: str | Path) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,19 +154,29 @@ def write_matrix(
     """Write a DataMatrix with 17-significant-digit values.
 
     17 digits round-trip float64 exactly, so load_matrix(write_matrix(m))
-    reproduces ``m.values`` bit for bit.
+    reproduces ``m.values`` bit for bit.  Identifiers are csv-quoted; each
+    row of values is formatted by one ``%.17g`` template, so the delimiter
+    must not be a character of a formatted number.
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        out = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+    if set(delimiter) & set("0123456789+-.e"):
+        raise ValueError(f"delimiter {delimiter!r} can occur inside a number")
+    row_text = delimiter.join(["%.17g"] * m.n_features) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+
+    def csv_line(cells: list[str]) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cells)
+        return buf.getvalue()
+
+    with Path(path).open("w", newline="") as fh:
         if header:
-            head = (["id"] if ids else []) + list(m.col_ids)
-            out.writerow(head)
-        for i in range(m.n_obs):
-            row = [f"{x:.17g}" for x in m.values[i]]
+            fh.write(csv_line((["id"] if ids else []) + list(m.col_ids)))
+        for name, row in zip(m.row_ids, m.values):
             if ids:
-                row = [m.row_ids[i]] + row
-            out.writerow(row)
+                fh.write(csv_line([name, ""])[:-1])  # the quoted id and one delimiter
+            fh.write(row_text % tuple(row.tolist()))
 
 
 def log2_plus_one(m: DataMatrix) -> DataMatrix:

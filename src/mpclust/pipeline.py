@@ -19,6 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .consensus import (
     ConsensusState,
@@ -351,7 +352,7 @@ def _mpcc_parallel(values, hp, n_count, m_count, t_max, workers, consume) -> Non
 
 def _final_labels(s: np.ndarray, hp: HyperParams) -> np.ndarray:
     if hp.k_final is None:
-        dend = ward_linkage(_dissimilarity(s))
+        dend = ward_linkage(DistanceMatrix(s.shape[0], 1 - squareform(s, checks=False)))
         labels = cut_quantile(dend, hp.h)
         if hp.final_algo == "spectral":
             k = int(labels.max()) + 1
@@ -362,20 +363,13 @@ def _final_labels(s: np.ndarray, hp: HyperParams) -> np.ndarray:
     return finalize_hierarchical(s, hp.k_final)
 
 
-def _dissimilarity(s: np.ndarray) -> DistanceMatrix:
-    n = s.shape[0]
-    d = 1.0 - s
-    ii, jj = np.triu_indices(n, k=1)
-    return DistanceMatrix(n, d[ii, jj])
-
-
 def finalize_hierarchical(s: np.ndarray, k: int) -> np.ndarray:
     """Cluster the consensus matrix: ward linkage on 1 - S, cut to k."""
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
-    return cut_k(ward_linkage(_dissimilarity(s)), k)
+    return cut_k(ward_linkage(DistanceMatrix(n, 1 - squareform(s, checks=False))), k)
 
 
 def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:

@@ -11,8 +11,7 @@ the minipatch explores the complement uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import fdtrc
@@ -104,7 +103,6 @@ class EEConfig:
     threshold: str = "quantile"  # or "mean_plus_sd"
     threshold_param: float = 0.95  # theta for quantile, tau for mean_plus_sd
     alpha: float = 0.5
-    gamma: Callable[[int], float] | None = field(default=None)
 
     def __post_init__(self) -> None:
         if not 0 < self.frac <= 1:
@@ -127,8 +125,6 @@ class EEConfig:
 
     def gamma_at(self, t: int, total: int) -> float:
         """Exploitation fraction in [0.5, 1], nondecreasing in t."""
-        if self.gamma is not None:
-            return min(1.0, max(0.5, float(self.gamma(t))))
         # linear ramp from 0.5 at the first adaptive iteration to 1.0
         # over the following burn_in-many iterations
         start = self.burn_in(total) + 1

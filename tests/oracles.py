@@ -6,6 +6,8 @@ the implementations under test.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import combinations
 
@@ -154,3 +156,21 @@ def brute_consensus(n: int, log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndar
                 v[i, j] += 1
                 v[j, i] += 1
     return v / np.maximum(1, d)
+
+
+def dense_index_dissimilarity(s: np.ndarray) -> np.ndarray:
+    """Condensed 1 - S by way of the dense matrix and its triangle indices."""
+    s = np.asarray(s, dtype=float)
+    d = 1.0 - s
+    ii, jj = np.triu_indices(s.shape[0], k=1)
+    return d[ii, jj]
+
+
+def per_cell_matrix_csv(values: np.ndarray, row_ids, col_ids, delimiter: str = ",") -> str:
+    """Matrix CSV text with every cell formatted by its own f-string, written by csv."""
+    buf = io.StringIO()
+    out = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    out.writerow(["id", *col_ids])
+    for name, row in zip(row_ids, values):
+        out.writerow([name, *(f"{x:.17g}" for x in row)])
+    return buf.getvalue()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpclust.cli import main
-from mpclust.dataio import DataMatrix, write_matrix
+from mpclust.dataio import DataMatrix, load_matrix, write_matrix
 from mpclust.pipeline import HyperParams
 
 
@@ -90,6 +90,19 @@ class TestCluster:
               "--consensus-format", "binary"])
         raw = (out / "consensus.bin").read_bytes()
         assert raw[:4] == b"MPCS"
+
+    def test_consensus_csv_quotes_ids(self, tmp_path):
+        rng = np.random.default_rng(2)
+        ids = tuple(f'r{i},"{i}"' for i in range(20))
+        m = DataMatrix(rng.normal(0, 1, (20, 6)), ids, tuple(f"c{j}" for j in range(6)))
+        path = tmp_path / "quoted.csv"
+        write_matrix(m, path)
+        out = tmp_path / "out"
+        assert main(["cluster", str(path), "--k", "2", "--seed", "1", "--out", str(out)]) == 0
+        back = load_matrix(out / "consensus.csv")
+        assert back.row_ids == ids and back.col_ids == ids
+        assert np.allclose(back.values, back.values.T) and np.all(np.diag(back.values) == 1.0)
+        assert load_matrix(out / "labels.csv").row_ids == ids
 
     def test_manifest_reproduces_run(self, blob_csv, tmp_path):
         out1 = tmp_path / "orig"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,9 @@ from mpclust.consensus import (
     consensus_of,
     load_consensus_binary,
     save_consensus_binary,
-    save_consensus_csv,
-    should_stop,
     update,
 )
+from mpclust.dataio import DataMatrix, write_matrix
 
 from oracles import brute_consensus
 
@@ -189,13 +190,6 @@ class TestStopTracker:
                 break
         assert fired_at == 9
 
-    def test_should_stop_uses_percentile(self):
-        s = np.eye(6)
-        tracker = StopTracker(patience=2)
-        tracker, stop1 = should_stop(tracker, s)
-        tracker, stop2 = should_stop(tracker, s)
-        assert not stop1 and stop2
-
     def test_run_length_capped(self):
         tracker = StopTracker(patience=3)
         for _ in range(10):
@@ -215,6 +209,13 @@ class TestExport:
         assert np.allclose(back, s, atol=1e-7)
         assert p.read_bytes()[:4] == b"MPCS"
 
+    def test_binary_bytes_match_struct_reference(self, tmp_path):
+        s = np.array([[1.0, 0.25, 1 / 3], [0.25, 1.0, -0.0], [1 / 3, 0.0, 1.0]])
+        p = tmp_path / "s.bin"
+        save_consensus_binary(s, p)
+        ref = b"MPCS" + struct.pack("<I", 3) + struct.pack("<9f", *s.ravel())
+        assert p.read_bytes() == ref
+
     def test_binary_bad_magic(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"XXXX" + b"\x00" * 8)
@@ -224,7 +225,7 @@ class TestExport:
     def test_csv_export(self, tmp_path):
         s = np.array([[1.0, 0.25], [0.25, 1.0]])
         p = tmp_path / "s.csv"
-        save_consensus_csv(s, p, ("a", "b"))
+        write_matrix(DataMatrix(s, ("a", "b"), ("a", "b")), p)
         lines = p.read_text().splitlines()
         assert lines[0] == "id,a,b"
         assert lines[1].startswith("a,1,")

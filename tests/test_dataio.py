@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpclust.dataio import (
     DataMatrix,
@@ -9,6 +9,8 @@ from mpclust.dataio import (
     rescale_unit,
     write_matrix,
 )
+
+from oracles import per_cell_matrix_csv
 
 
 def _write(tmp_path, text, name="m.csv"):
@@ -68,6 +70,47 @@ class TestRoundTrip:
         back = load_matrix(p)
         assert np.array_equal(back.values, m.values)
         assert back.row_ids == m.row_ids and back.col_ids == m.col_ids
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                1.7976931348623157e308, 1.0, -3.0, 12345678901234567.0, 0.1]
+_IDS = st.text(alphabet='ab,;"\'x\t7', min_size=1, max_size=4).filter(lambda s: s.strip() == s)
+
+
+@st.composite
+def _matrices(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 6))
+    cell = st.one_of(st.sampled_from(_EDGE_VALUES), st.integers(-10**6, 10**6).map(float),
+                     st.floats(allow_nan=False, allow_infinity=False))
+    values = np.array(draw(st.lists(cell, min_size=n * m, max_size=n * m))).reshape(n, m)
+    row_ids = draw(st.lists(_IDS, min_size=n, max_size=n, unique=True))
+    col_ids = draw(st.lists(_IDS, min_size=m, max_size=m, unique=True))
+    return DataMatrix(values, tuple(row_ids), tuple(col_ids))
+
+
+class TestRowTemplateWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices(), st.sampled_from([",", "\t", ";"]))
+    def test_matches_per_cell_reference_and_round_trips(self, tmp_path_factory, m, delimiter):
+        p = tmp_path_factory.mktemp("w") / "m.csv"
+        write_matrix(m, p, delimiter=delimiter)
+        assert p.read_bytes().decode() == per_cell_matrix_csv(m.values, m.row_ids, m.col_ids, delimiter)
+        back = load_matrix(p, delimiter=delimiter)
+        assert back.values.tobytes() == m.values.tobytes()
+        assert back.row_ids == m.row_ids and back.col_ids == m.col_ids
+
+    def test_without_header_or_ids(self, tmp_path):
+        m = DataMatrix(np.array([[-0.0, 1e308], [5e-324, 2.0]]), ("a", "b"), ("x", "y"))
+        p = tmp_path / "m.tsv"
+        write_matrix(m, p, delimiter="\t", header=False, ids=False)
+        assert p.read_text() == "-0\t1e+308\n4.9406564584124654e-324\t2\n"
+
+    @pytest.mark.parametrize("delimiter", [".", "e", "-", "1"])
+    def test_rejects_delimiter_inside_numbers(self, tmp_path, delimiter):
+        m = DataMatrix(np.array([[0.5], [-1e-3]]), ("a", "b"), ("x",))
+        with pytest.raises(ValueError, match="delimiter"):
+            write_matrix(m, tmp_path / "m.txt", delimiter=delimiter)
 
 
 class TestInvariants:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpclust.consensus import ConsensusState, confusion, consensus_of, update
 from mpclust.dataio import DataMatrix
+from mpclust.dist import DistanceMatrix
+from mpclust.hclust import cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 from mpclust.pipeline import (
     HyperParams,
+    _final_labels,
     finalize_hierarchical,
     finalize_spectral,
     run,
@@ -14,7 +18,7 @@ from mpclust.pipeline import (
 from mpclust.sampling import EEConfig, SamplerState, update_obs_weights
 from mpclust.synthgen import SynthSpec, generate
 
-from oracles import brute_consensus
+from oracles import brute_consensus, dense_index_dissimilarity
 
 
 def _blobs(n_half=30, n_feat=20, gap=8.0, seed=0):
@@ -168,6 +172,21 @@ class TestFinalize:
         s = np.eye(5)
         assert finalize_hierarchical(s, 1).max() == 0
         assert len(np.unique(finalize_hierarchical(s, 5))) == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_hierarchical_matches_dense_index_reference(self, n, seed):
+        # consensus-like S: ratios of small counts, so 1 - S is heavily tied
+        rng = np.random.default_rng(seed)
+        seen = rng.integers(1, 9, (n, n))
+        s = np.triu(rng.integers(0, 9, (n, n)) % (seen + 1) / seen, 1)
+        s = s + s.T
+        np.fill_diagonal(s, 1.0)
+        ref = ward_linkage(DistanceMatrix(n, dense_index_dissimilarity(s)))
+        for k in range(1, n + 1):
+            assert np.array_equal(finalize_hierarchical(s, k), cut_k(ref, k))
+        hp = HyperParams(h=float(rng.uniform(0.05, 1.0)))
+        assert np.array_equal(_final_labels(s, hp), cut_quantile(ref, hp.h))
 
     def test_hierarchical_k_out_of_range(self):
         with pytest.raises(ValueError):

@@ -239,10 +239,11 @@ class TestEEProbNext:
         assert state.last_high_size == 0  # equal weights: nothing above quantile
 
     def test_full_exploitation_from_high_set(self):
-        cfg = EEConfig(frac=0.5, epochs=1, gamma=lambda t: 1.0, threshold="mean_plus_sd", threshold_param=0.0)
+        cfg = EEConfig(frac=0.5, epochs=1, threshold="mean_plus_sd", threshold_param=0.0)
         state = SamplerState.uniform(8, "features")
         state.weights = np.array([0.3, 0.3, 0.3, 0.02, 0.02, 0.02, 0.02, 0.02])
-        t = cfg.burn_in(8) + 1
+        t = 2 * cfg.burn_in(8) + 1
+        assert cfg.gamma_at(t, 8) == 1.0
         idx = ee_prob_next(cfg, state, t, np.random.default_rng(1))
         # high set is {0,1,2}; gamma=1 exploits min(draw, |H|) = 3 of 4 from it
         assert set(idx) >= {0, 1, 2} or len(set(idx) & {0, 1, 2}) == 3
@@ -250,12 +251,13 @@ class TestEEProbNext:
     def test_gamma_one_large_high_set_exploits_only(self):
         # theta=0.5 puts the median cut between the two weight levels, so
         # the high set is the six heavy indices, more than the draw of 3
-        cfg = EEConfig(frac=0.25, epochs=1, gamma=lambda t: 1.0, threshold_param=0.5)
+        cfg = EEConfig(frac=0.25, epochs=1, threshold_param=0.5)
         state = SamplerState.uniform(12, "observations")
         weights = np.full(12, 0.01)
         weights[:6] = (1 - 0.06) / 6
         state.weights = weights / weights.sum()
-        t = cfg.burn_in(12) + 1
+        t = 2 * cfg.burn_in(12) + 1
+        assert cfg.gamma_at(t, 12) == 1.0
         idx = ee_prob_next(cfg, state, t, np.random.default_rng(2))
         assert state.last_high_size == 6
         assert set(idx.tolist()) <= set(range(6))
