@@ -46,15 +46,14 @@ def _field_values(source: object) -> dict[str, object]:
     return {name: getattr(source, name) for name in _HP_TYPES if name not in ("k", "mode")}
 
 
-def _coerce(name: str, raw: str) -> object:
+def _coerce(name: str, raw: str, where: str) -> object:
     typ = _HP_TYPES[name]
     if raw == "" or raw.lower() == "none":
         return None
-    if typ is int:
-        return int(raw)
-    if typ is float:
-        return float(raw)
-    return raw
+    try:
+        return typ(raw)
+    except ValueError:
+        raise ValueError(f"{where}: {name} must be {typ.__name__}, got {raw!r}") from None
 
 
 def _load_config_file(path: str) -> dict[str, object]:
@@ -69,16 +68,17 @@ def _load_config_file(path: str) -> dict[str, object]:
         key = key.strip().lower()
         if key not in _HP_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _coerce(key, value.strip())
+        out[key] = _coerce(key, value.strip(), f"{path}:{lineno}")
     return out
 
 
 def _env_overrides() -> dict[str, object]:
     out: dict[str, object] = {}
     for name in _HP_TYPES:
-        raw = os.environ.get(_ENV_PREFIX + name.upper())
+        var = _ENV_PREFIX + name.upper()
+        raw = os.environ.get(var)
         if raw is not None:
-            out[name] = _coerce(name, raw)
+            out[name] = _coerce(name, raw, var)
     return out
 
 
@@ -199,7 +199,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     hp = _hp_from_args(args)
     t0 = time.perf_counter()
-    result = run(data, args.mode, hp, workers=args.workers, collect_weight_trace=args.weight_trace)
+    result = run(data, args.mode, hp, collect_weight_trace=args.weight_trace)
     timings["run"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -236,7 +236,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     timings["write"] = time.perf_counter() - t0
 
     keys = [*_HP_TYPES, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
-            "consensus_format", "workers"]
+            "consensus_format"]
     _write_manifest(
         out_dir,
         "cluster",
@@ -440,7 +440,6 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=d["mode"])
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--consensus-format", choices=("csv", "binary"), default="csv")
-    p.add_argument("--workers", type=int, default=1, help="parallel minipatch workers (mpcc)")
     p.add_argument("--weight-trace", action="store_true",
                    help="also write per-iteration weight/score traces")
     _add_hp_flags(p, d)
@@ -508,11 +507,19 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    defaults = _defaults(argv if argv is not None else sys.argv[1:])
-    parser = _build_parser(defaults)
-    args = parser.parse_args(argv)
+    try:
+        defaults = _defaults(argv if argv is not None else sys.argv[1:])
+    except (ValueError, OSError) as exc:  # bad --config file or MPCLUST_* value
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    args = _build_parser(defaults).parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}; the consensus holds N x N pair counts, "
+              "so fewer observations need less", file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,15 +7,15 @@ adaptively (EE+Prob driven by ANOVA support frequencies) and reports
 per-feature importance scores.
 
 Randomness is derived from one root seed through per-(phase, iteration)
-substreams, so uniform-mode iterations are independent and can be
-computed by parallel workers without changing any output bit.
+substreams, so the draws of iteration t depend on the seed, t and the
+sampler state alone, never on how many random numbers earlier
+iterations or other phases consumed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -85,10 +85,7 @@ class HyperParams:
     final_algo: str = "hierarchical"
     seed: int = 0
     metric: str = "manhattan"
-    early_stop: bool = True
-    stop_q: float = 90.0
-    stop_c: float = 1e-5
-    stop_patience: int = 5
+    early_stop: bool = True  # the rule and its constants are StopTracker's
 
     def validate(self) -> None:
         for name, lo, hi in (
@@ -156,29 +153,20 @@ class RunResult:
     weight_trace: list[tuple[int, np.ndarray, np.ndarray | None]] | None = None
 
 
-def _cluster_patch(
-    values: np.ndarray, obs_idx: np.ndarray, feat_idx: np.ndarray, hp: HyperParams
-) -> np.ndarray:
-    view = values[np.ix_(obs_idx, feat_idx)]
-    dend = ward_linkage(pairwise(view, hp.metric))
-    return cut_quantile(dend, hp.h)
-
-
 def run(
     data: DataMatrix,
     mode: str,
     hp: HyperParams,
-    workers: int = 1,
     collect_patches: bool = False,
     collect_weight_trace: bool = False,
 ) -> RunResult:
     """Execute the consensus loop and final clustering.
 
-    ``workers`` > 1 parallelizes minipatch clustering in mpcc mode only
-    (adaptive modes are history-dependent and run sequentially); results
-    are identical to the sequential run.  ``collect_patches`` retains the
-    per-iteration (indices, labels) log, ``collect_weight_trace`` the
-    per-iteration observation weights and feature scores.
+    Each iteration draws a minipatch, clusters it, scores its features
+    (impacc), folds it into the consensus and checks the stop rule.
+    ``collect_patches`` retains the per-iteration (indices, labels) log,
+    ``collect_weight_trace`` the per-iteration observation weights and
+    feature scores.
 
     The per-observation confusion that drives the adaptive observation
     weights and the early-stop percentile is one vector: the off-diagonal
@@ -196,8 +184,6 @@ def run(
     if not 1 <= m_count <= m:
         raise ValueError(f"minipatch feature count {m_count} infeasible for M={m}")
     t_max = hp.resolve_t_max(n)
-    if t_max < 1:
-        raise ValueError("t_max must allow at least one iteration")
 
     obs_cfg = EEConfig(
         frac=hp.n_frac,
@@ -216,7 +202,7 @@ def run(
     obs_state = SamplerState.uniform(n, "observations")
     feat_state = SamplerState.uniform(m, "features")
     state = ConsensusState.empty(n)
-    tracker = StopTracker(q=hp.stop_q, c=hp.stop_c, patience=hp.stop_patience)
+    tracker = StopTracker()
     adaptive_obs = mode in ("mpacc", "impacc")
     adaptive_feat = mode == "impacc"
     obs_burn = obs_cfg.burn_in(n)
@@ -226,30 +212,50 @@ def run(
     wtrace: list[tuple[int, np.ndarray, np.ndarray | None]] | None = (
         [] if collect_weight_trace else None
     )
-    prev_patch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # I, F, labels
     confusion_rows = np.zeros(n)  # incremental off-diagonal S(1-S) row sums
-    iterations_run = 0
     stop_reason = "t_max"
 
-    def consume(t: int, obs_idx: np.ndarray, labels: np.ndarray, patch_seconds: float) -> bool:
-        """Fold one clustered minipatch into the state; True means stop."""
-        nonlocal tracker, stop_reason, iterations_run
+    for t in range(1, t_max + 1):
         started = time.perf_counter()
+        rng_obs = _stream(hp.seed, _PHASE_OBS, t)
+        rng_feat = _stream(hp.seed, _PHASE_FEAT, t)
+
+        if adaptive_feat:
+            feat_idx = ee_prob_next(feat_cfg, feat_state, t, rng_feat)
+            feat_state.record(feat_idx)
+        else:
+            feat_idx = draw_uniform(m, m_count, rng_feat)
+
+        if adaptive_obs:
+            if t > obs_burn:
+                update_obs_weights(obs_state, confusion_rows / n, t, hp.alpha_i)
+            obs_idx = ee_prob_next(obs_cfg, obs_state, t, rng_obs)
+            obs_state.record(obs_idx)
+        else:
+            obs_idx = draw_uniform(n, n_count, rng_obs)
+
+        view = data.values[np.ix_(obs_idx, feat_idx)]
+        labels = cut_quantile(ward_linkage(pairwise(view, hp.metric)), hp.h)
+        k_patch = int(labels.max()) + 1
+        # ANOVA needs two clusters and within-group degrees of freedom;
+        # a patch without them is sampled but scores no support
+        if adaptive_feat and k_patch >= 2 and obs_idx.size - k_patch >= 1:
+            support, _ = score_features(view, labels, hp.eta)
+            update_feature_weights(feat_state, feat_idx[support], feat_idx, hp.alpha_f)
+
         update(state, obs_idx, labels, confusion_rows)
-        pct = float(np.percentile(confusion_rows / n, hp.stop_q))
-        covered = int(state.diag.min()) > 0
-        gated = covered and (not adaptive_obs or t > obs_burn)
+        pct = float(np.percentile(confusion_rows / n, tracker.q))
         stop = False
-        if hp.early_stop and gated:
+        if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs_burn):
             tracker, stop = tracker.step(pct)
         trace.append(
             IterationRecord(
                 iteration=t,
-                n_clusters=int(labels.max()) + 1,
+                n_clusters=k_patch,
                 confusion_pct=pct,
                 high_obs=obs_state.last_high_size,
                 high_feat=feat_state.last_high_size,
-                seconds=patch_seconds + (time.perf_counter() - started),
+                seconds=time.perf_counter() - started,
             )
         )
         if patches is not None:
@@ -262,52 +268,14 @@ def run(
                     feat_state.importance().copy() if adaptive_feat else None,
                 )
             )
-        iterations_run = t
         if stop:
             stop_reason = "early_stop"
-        return stop
-
-    if mode == "mpcc" and workers > 1:
-        _mpcc_parallel(data.values, hp, n_count, m_count, t_max, workers, consume)
-    else:
-        for t in range(1, t_max + 1):
-            started = time.perf_counter()
-            rng_obs = _stream(hp.seed, _PHASE_OBS, t)
-            rng_feat = _stream(hp.seed, _PHASE_FEAT, t)
-
-            if adaptive_feat:
-                if prev_patch is not None:
-                    p_obs, p_feat, p_labels = prev_patch
-                    k_prev = int(p_labels.max()) + 1
-                    if k_prev >= 2 and p_obs.size - k_prev >= 1:
-                        view = data.values[np.ix_(p_obs, p_feat)]
-                        support, _ = score_features(view, p_labels, hp.eta)
-                        update_feature_weights(
-                            feat_state, p_feat[support], p_feat, hp.alpha_f
-                        )
-                    # single-cluster patch: scoring skipped, support deferred
-                feat_idx = ee_prob_next(feat_cfg, feat_state, t, rng_feat)
-                feat_state.record(feat_idx)
-            else:
-                feat_idx = draw_uniform(m, m_count, rng_feat)
-
-            if adaptive_obs:
-                if t > obs_burn:
-                    update_obs_weights(obs_state, confusion_rows / n, t, hp.alpha_i)
-                obs_idx = ee_prob_next(obs_cfg, obs_state, t, rng_obs)
-                obs_state.record(obs_idx)
-            else:
-                obs_idx = draw_uniform(n, n_count, rng_obs)
-
-            labels = _cluster_patch(data.values, obs_idx, feat_idx, hp)
-            prev_patch = (obs_idx, feat_idx, labels)
-            if consume(t, obs_idx, labels, time.perf_counter() - started):
-                break
+            break
 
     if int(state.diag.min()) == 0:
         missing = int((state.diag == 0).sum())
         raise RuntimeError(
-            f"{missing} observation(s) never sampled after {iterations_run} "
+            f"{missing} observation(s) never sampled after {len(trace)} "
             f"iterations; raise t_max above the burn-in length"
         )
 
@@ -318,36 +286,12 @@ def run(
         s=s,
         feature_scores=feat_state.importance() if adaptive_feat else None,
         obs_weights=obs_state.weights.copy(),
-        iterations_run=iterations_run,
+        iterations_run=len(trace),
         stop_reason=stop_reason,
         trace=trace,
         patches=patches,
         weight_trace=wtrace,
     )
-
-
-def _mpcc_parallel(values, hp, n_count, m_count, t_max, workers, consume) -> None:
-    """Compute uniform-mode minipatches in a pool, fold them in t order."""
-    n, m = values.shape
-
-    def patch(t: int) -> tuple[int, np.ndarray, np.ndarray, float]:
-        started = time.perf_counter()
-        obs_idx = draw_uniform(n, n_count, _stream(hp.seed, _PHASE_OBS, t))
-        feat_idx = draw_uniform(m, m_count, _stream(hp.seed, _PHASE_FEAT, t))
-        labels = _cluster_patch(values, obs_idx, feat_idx, hp)
-        return t, obs_idx, labels, time.perf_counter() - started
-
-    chunk = max(4 * workers, 16)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        stopped = False
-        for start in range(1, t_max + 1, chunk):
-            ts = range(start, min(start + chunk, t_max + 1))
-            for t, obs_idx, labels, elapsed in pool.map(patch, ts):
-                if stopped:
-                    break  # discard work past the stopping iteration
-                stopped = consume(t, obs_idx, labels, elapsed)
-            if stopped:
-                break
 
 
 def _final_labels(s: np.ndarray, hp: HyperParams) -> np.ndarray:

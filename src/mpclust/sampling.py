@@ -3,9 +3,10 @@
 The exploration/exploitation-plus-probabilistic scheme runs in two
 stages.  During burn-in (E epochs), the index set is reshuffled once per
 epoch and partitioned into ceil(total/draw) blocks so every index is
-visited E times.  Afterwards, a high-weight set is exploited with
-weighted draws (a growing fraction gamma of it) while the remainder of
-the minipatch explores the complement uniformly.
+visited E times (an epoch's last block is padded by wrap-around, so the
+padded indices get one more visit).  Afterwards, a high-weight set is
+exploited with weighted draws (a growing fraction gamma of it) while the
+remainder of the minipatch explores the complement uniformly.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class TestCluster:
         assert main(["cluster", str(blob_csv), "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         hp = HyperParams()
-        off_cli = {"early_stop", "stop_q", "stop_c", "stop_patience"}
+        off_cli = {"early_stop"}
         for field in dataclasses.fields(hp):
             key = "k" if field.name == "k_final" else field.name
             if field.name in off_cli:
@@ -66,6 +66,40 @@ class TestCluster:
         with pytest.raises(SystemExit) as exc:
             main(["cluster", str(blob_csv), "--mode", "bogus", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "env, config_text, expected",
+        [
+            ({"MPCLUST_SEED": "abc"}, None, "MPCLUST_SEED: seed must be int, got 'abc'"),
+            ({}, "seed = 3\nbogus = 1\n", ":2: unknown key 'bogus'"),
+            ({}, "", "No such file or directory"),  # "": --config names no file
+        ],
+        ids=["env-not-int", "config-unknown-key", "config-missing"],
+    )
+    def test_config_errors_are_usage_errors(
+        self, blob_csv, tmp_path, monkeypatch, capsys, env, config_text, expected
+    ):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        argv = ["cluster", str(blob_csv), "--out", str(tmp_path)]
+        if config_text is not None:
+            config = tmp_path / "run.cfg"
+            if config_text:
+                config.write_text(config_text)
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
+        assert "Traceback" not in err
+
+    def test_out_of_memory_reported(self, blob_csv, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.07 TiB")
+
+        monkeypatch.setattr("mpclust.cli.run", exhausted)
+        assert main(["cluster", str(blob_csv), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (Unable to allocate 1.07 TiB)")
 
     def test_missing_input_runtime_error(self, tmp_path, capsys):
         code = main(["cluster", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])

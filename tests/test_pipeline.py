@@ -61,15 +61,6 @@ class TestRun:
         assert a.iterations_run == b.iterations_run
         assert [r.confusion_pct for r in a.trace] == [r.confusion_pct for r in b.trace]
 
-    def test_parallel_matches_sequential(self):
-        data, _ = _blobs(seed=5)
-        hp = HyperParams(k_final=2, seed=13)
-        seq = run(data, "mpcc", hp)
-        par = run(data, "mpcc", hp, workers=4)
-        assert np.array_equal(seq.s, par.s)
-        assert np.array_equal(seq.labels, par.labels)
-        assert seq.iterations_run == par.iterations_run
-
     def test_bad_mode(self):
         data, _ = _blobs()
         with pytest.raises(ValueError, match="mode"):
@@ -102,6 +93,18 @@ class TestRun:
             update(state, idx, labels)
         expected = float(np.percentile(confusion(consensus_of(state)), 90))
         assert res.trace[-1].confusion_pct == pytest.approx(expected, abs=1e-12)
+
+    def test_single_patch_support_is_scored(self):
+        # one iteration over every observation: the only patch's support
+        # is all the importance there is, so it must reach the scores
+        data, _ = _blobs(n_feat=20, seed=6)
+        hp = HyperParams(k_final=2, seed=5, n_frac=1.0, t_max=1)
+        res = run(data, "impacc", hp, collect_weight_trace=True)
+        assert res.iterations_run == 1 and res.trace[0].n_clusters >= 2
+        scored = np.flatnonzero(res.feature_scores)
+        assert 1 <= scored.size <= hp.m_count(20)
+        assert (res.feature_scores[scored] == 1.0).all()  # one hit in one sampling
+        assert np.array_equal(res.weight_trace[-1][2], res.feature_scores)
 
     def test_adaptive_modes_run_and_score(self):
         spec = SynthSpec(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpclust.consensus import confusion
 from mpclust.sampling import (
@@ -319,3 +320,85 @@ class TestFeatureWeightEndpoints:
         update_feature_weights(state, np.array([0]), np.array([0, 1, 2]), alpha_f=0.0)
         imp = np.array([0.5, 0.0, 0.0, 0.0])
         assert np.allclose(state.weights, imp / imp.sum())
+
+
+def _assert_distinct_in_range(idx: np.ndarray, total: int, size: int) -> None:
+    assert idx.shape == (size,)
+    assert np.issubdtype(idx.dtype, np.integer)
+    assert len(set(idx.tolist())) == size
+    assert idx.min() >= 0 and idx.max() < total
+
+
+@st.composite
+def _weights(draw):
+    """Nonnegative weight vectors with some zeros and a positive total."""
+    w = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=40,
+    )))
+    if w.sum() <= 0:
+        w[draw(st.integers(0, w.size - 1))] = 1.0
+    return w
+
+
+class TestDrawProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(total=st.integers(1, 200), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_uniform_exact_distinct_in_range(self, total, data, seed):
+        size = data.draw(st.integers(1, total))
+        idx = draw_uniform(total, size, np.random.default_rng(seed))
+        _assert_distinct_in_range(idx, total, size)
+        assert np.array_equal(idx, np.sort(idx))
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=_weights(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_weighted_exact_distinct_in_range(self, w, data, seed):
+        size = data.draw(st.integers(1, int((w > 0).sum())))
+        idx = draw_weighted(w, size, np.random.default_rng(seed))
+        _assert_distinct_in_range(idx, w.size, size)
+        assert (w[idx] > 0).all()  # a zero weight is never drawn
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=_weights(),
+        frac=st.floats(0.01, 1.0),
+        epochs=st.integers(1, 3),
+        rule=st.sampled_from([("quantile", 0.95), ("quantile", 0.5), ("mean_plus_sd", 1.0),
+                              ("mean_plus_sd", 0.0)]),
+        t_offset=st.integers(0, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ee_prob_exact_distinct_in_range(self, w, frac, epochs, rule, t_offset, seed):
+        cfg = EEConfig(frac=frac, epochs=epochs, threshold=rule[0], threshold_param=rule[1])
+        state = SamplerState.uniform(w.size, "observations")
+        state.weights = w / w.sum()
+        rng = np.random.default_rng(seed)
+        # one draw anywhere in burn-in, then one past it, where the weights decide
+        for t in (1 + t_offset % cfg.burn_in(w.size), cfg.burn_in(w.size) + 1 + t_offset):
+            idx = ee_prob_next(cfg, state, t, rng)
+            _assert_distinct_in_range(idx, w.size, cfg.draw_count(w.size))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        total=st.integers(1, 60),
+        frac=st.floats(0.01, 1.0),
+        epochs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_burn_in_visits_every_index_epochs_times(self, total, frac, epochs, seed):
+        """Each epoch covers every index once; the padding of its last block
+        (q * draw - total wrapped-around indices) adds one more visit each."""
+        cfg = EEConfig(frac=frac, epochs=epochs)
+        state = SamplerState.uniform(total, "observations")
+        q, draw = cfg.q_blocks(total), cfg.draw_count(total)
+        rng = np.random.default_rng(seed)
+        counts = np.zeros(total, dtype=int)
+        for epoch in range(epochs):
+            visits = np.zeros(total, dtype=int)
+            for t in range(epoch * q + 1, (epoch + 1) * q + 1):
+                np.add.at(visits, ee_prob_next(cfg, state, t, rng), 1)
+            assert visits.min() == 1
+            assert np.count_nonzero(visits == 2) == q * draw - total
+            assert visits.max() <= 2
+            counts += visits
+        if total % draw == 0:
+            assert (counts == epochs).all()
