@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .consensus import save_consensus_binary
+from .consensus import save_consensus_binary, write_consensus_csv
 from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
 from .dist import METRICS, deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
@@ -95,7 +95,11 @@ def _defaults(argv: list[str] | None) -> dict[str, object]:
 
 
 def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _digest_config(config: dict) -> str:
@@ -205,7 +209,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     _write_rows(out_dir / "labels.csv", ["id", "label"], zip(data.row_ids, result.labels.tolist()))
     if args.consensus_format == "csv":
-        write_matrix(DataMatrix(result.s, data.row_ids, data.row_ids), out_dir / "consensus.csv")
+        write_consensus_csv(result.consensus, data.row_ids, out_dir / "consensus.csv")
     else:
         save_consensus_binary(result.s, out_dir / "consensus.bin")
     if result.feature_scores is not None:

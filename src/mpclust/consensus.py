@@ -8,12 +8,15 @@ halves the dominant O(N^2) memory cost.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import squareform
+
+from .dataio import _write_table
 
 __all__ = [
     "ConsensusState",
@@ -21,6 +24,7 @@ __all__ = [
     "consensus_of",
     "confusion",
     "StopTracker",
+    "write_consensus_csv",
     "save_consensus_binary",
     "load_consensus_binary",
 ]
@@ -141,6 +145,35 @@ class StopTracker:
 
 
 # -- consensus matrix export ------------------------------------------------
+
+def write_consensus_csv(state: ConsensusState, ids: Sequence[str], path: str | Path) -> None:
+    """Write S as a matrix CSV straight from the pair counters.
+
+    The bytes are those of ``write_matrix(DataMatrix(consensus_of(state),
+    ids, ids), path)``, but dense S is never built: each row is computed
+    from the condensed counters, and since S holds few distinct values
+    (ratios of small counts), each is formatted once with ``%.17g`` and
+    the cells are filled in by table lookup.
+    """
+    if len(ids) != state.n:
+        raise ValueError(f"got {len(ids)} ids for {state.n} observations")
+    _write_table(path, ids, ids, _consensus_rows(state))
+
+
+def _consensus_rows(state: ConsensusState) -> Iterator[str]:
+    """Row i of S as comma-separated ``%.17g`` text, for i = 0 .. N-1."""
+    n = state.n
+    first = _pair_index(n, np.arange(n), np.arange(n) + 1)  # condensed index of (i, i + 1)
+    above = first - np.arange(n) - 1  # condensed index of (j, i), j < i, is above[j] + i
+    text = cache("%.17g".__mod__)
+    for i in range(n):
+        pairs = np.concatenate((above[:i] + i, [0], np.arange(first[i], first[i] + n - 1 - i)))
+        row = state.pair_same[pairs] / np.maximum(1, state.pair_seen[pairs])
+        row[i] = state.diag[i] > 0  # in place of pair 0, which filled the diagonal slot
+        values, index = np.unique(row, return_inverse=True)
+        cells = np.array([text(v) for v in values.tolist()], dtype=object)
+        yield ",".join(cells[index].tolist()) + "\n"
+
 
 _MAGIC = b"MPCS"
 

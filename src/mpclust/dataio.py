@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,12 @@ def load_matrix(
 ) -> DataMatrix:
     """Read a rectangular numeric table into a DataMatrix.
 
+    Files without a quote character are parsed in bulk by numpy's C
+    reader. Any other file, or one that reader rejects, is read again
+    cell by cell with the csv module and ``float()``, so every cell
+    ``float()`` accepts (``1_0``, non-ASCII digits) still loads. ``#``
+    starts no comment, and blank lines are skipped.
+
     Parameters
     ----------
     path : str or Path
@@ -92,24 +100,82 @@ def load_matrix(
     Raises
     ------
     ValueError
-        On ragged rows, non-numeric cells (reported by row/column), or
-        duplicate identifiers.
+        On ragged rows, a header whose width differs from the rows',
+        non-numeric cells (reported by row/column), or duplicate
+        identifiers.
     """
     path = Path(path)
+    try:
+        values, row_ids, col_ids = _parse_bulk(path, delimiter, header, ids)
+    except ValueError:
+        values, row_ids, col_ids = _parse_per_cell(path, delimiter, header, ids)
+    n, m = values.shape
+    if row_ids is None:
+        row_ids = [f"row{i}" for i in range(n)]
+    if col_ids is None:
+        col_ids = [f"col{j}" for j in range(m)]
+    matrix = DataMatrix(values, tuple(row_ids), tuple(col_ids))
+    return matrix.transposed() if transpose else matrix
+
+
+_Parsed = tuple[np.ndarray, list[str] | None, list[str] | None]
+
+
+def _parse_bulk(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
+    """Parse with ``np.loadtxt``; ValueError for any file it cannot take as is.
+
+    In a file without a quote character, the csv module's rows are the
+    lines split at the delimiter, which is how ``loadtxt`` splits them,
+    and ``loadtxt`` rejects a row whose width differs from the first's.
+    The ids and the header's width are read here.
+    """
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ValueError(f"delimiter {delimiter!r} needs the csv reader")
+    names: list[str] = []
+
+    def rows(lines: Iterable[str]) -> Iterator[str]:
+        for line in lines:
+            if '"' in line:
+                raise ValueError("quoted cell")
+            name, _, rest = line.partition(delimiter)
+            names.append(name.strip())
+            yield rest if ids else line
+
+    with path.open() as fh:  # universal newlines end a line wherever csv ends a row
+        lines = (line for line in fh if line != "\n")
+        head = next(lines, "") if header else None
+        first = next(lines, "")
+        width = first.count(delimiter) + 1
+        if not first or (ids and width == 1):
+            raise ValueError("no data rows or no value column")
+        if head is not None and ('"' in head or head.count(delimiter) + 1 != width):
+            raise ValueError("quoted header or one of another width")
+        values = np.loadtxt(rows(chain([first], lines)), delimiter=delimiter, comments=None, ndmin=2)
+    if values.shape[0] != len(names):  # loadtxt skips a blank remainder such as "r1,"
+        raise ValueError("blank row")
+    col_ids = None
+    if head is not None:
+        cells = head.rstrip("\n").split(delimiter)
+        col_ids = [c.strip() for c in (cells[1:] if ids else cells)]
+    return values, names if ids else None, col_ids
+
+
+def _parse_per_cell(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
+    """The csv module and ``float()`` on every cell; errors name the row and column."""
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh, delimiter=delimiter))
-    rows = [r for r in rows if r]  # ignore trailing blank lines
+    rows = [r for r in rows if r]  # ignore blank lines
     if not rows:
         raise ValueError(f"{path}: empty file")
 
-    col_ids: list[str] | None = None
-    if header:
-        head = rows.pop(0)
-        col_ids = [c.strip() for c in (head[1:] if ids else head)]
+    head: list[str] | None = rows.pop(0) if header else None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-
     width = len(rows[0])
+    if head is not None and len(head) != width:
+        raise ValueError(f"{path}: row 1 has {width} cells but the header has {len(head)}")
+    col_ids = None if head is None else [c.strip() for c in (head[1:] if ids else head)]
+
     row_ids: list[str] = []
     data = np.empty((len(rows), width - (1 if ids else 0)), dtype=np.float64)
     for i, row in enumerate(rows):
@@ -131,17 +197,7 @@ def load_matrix(
                     f"{path}: non-numeric cell {cell!r} at row {rname!r}, "
                     f"column {cname!r}"
                 ) from None
-
-    n, m = data.shape
-    if not ids:
-        row_ids = [f"row{i}" for i in range(n)]
-    if col_ids is None:
-        col_ids = [f"col{j}" for j in range(m)]
-    if len(col_ids) != m:
-        raise ValueError(f"{path}: header has {len(col_ids)} ids for {m} columns")
-
-    matrix = DataMatrix(data, tuple(row_ids), tuple(col_ids))
-    return matrix.transposed() if transpose else matrix
+    return data, row_ids if ids else None, col_ids
 
 
 def write_matrix(
@@ -161,6 +217,24 @@ def write_matrix(
     if set(delimiter) & set("0123456789+-.e"):
         raise ValueError(f"delimiter {delimiter!r} can occur inside a number")
     row_text = delimiter.join(["%.17g"] * m.n_features) + "\n"
+    rows = (row_text % tuple(row.tolist()) for row in m.values)
+    _write_table(path, m.row_ids, m.col_ids, rows, delimiter, header, ids)
+
+
+def _write_table(
+    path: str | Path,
+    row_ids: Sequence[str],
+    col_ids: Sequence[str],
+    rows: Iterable[str],
+    delimiter: str = ",",
+    header: bool = True,
+    ids: bool = True,
+) -> None:
+    """The matrix-CSV layout around preformatted value rows.
+
+    Writes the csv-quoted header (corner cell ``id``) and, before each of
+    ``rows`` (delimited values ending in a newline), the csv-quoted row id.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
 
@@ -172,11 +246,11 @@ def write_matrix(
 
     with Path(path).open("w", newline="") as fh:
         if header:
-            fh.write(csv_line((["id"] if ids else []) + list(m.col_ids)))
-        for name, row in zip(m.row_ids, m.values):
+            fh.write(csv_line((["id"] if ids else []) + list(col_ids)))
+        for name, text in zip(row_ids, rows):
             if ids:
                 fh.write(csv_line([name, ""])[:-1])  # the quoted id and one delimiter
-            fh.write(row_text % tuple(row.tolist()))
+            fh.write(text)
 
 
 def log2_plus_one(m: DataMatrix) -> DataMatrix:

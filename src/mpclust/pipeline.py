@@ -144,6 +144,7 @@ class IterationRecord:
 class RunResult:
     labels: np.ndarray
     s: np.ndarray
+    consensus: ConsensusState  # the pair counters S is built from
     feature_scores: np.ndarray | None
     obs_weights: np.ndarray
     iterations_run: int
@@ -284,6 +285,7 @@ def run(
     return RunResult(
         labels=labels,
         s=s,
+        consensus=state,
         feature_scores=feat_state.importance() if adaptive_feat else None,
         obs_weights=obs_state.weights.copy(),
         iterations_run=len(trace),

@@ -174,3 +174,49 @@ def per_cell_matrix_csv(values: np.ndarray, row_ids, col_ids, delimiter: str = "
     for name, row in zip(row_ids, values):
         out.writerow([name, *(f"{x:.17g}" for x in row)])
     return buf.getvalue()
+
+
+def per_cell_load_matrix(path, delimiter: str = ",", header: bool = True, ids: bool = True):
+    """A matrix file read by the csv module with ``float()`` on every cell.
+
+    Returns (values, row_ids, col_ids). Blank lines are skipped, every row
+    must be as wide as the first data row and the header, and a cell
+    ``float()`` rejects is named by row and column id.
+    """
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    head = rows.pop(0) if header else None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    width = len(rows[0])
+    if head is not None and len(head) != width:
+        raise ValueError(f"{path}: row 1 has {width} cells but the header has {len(head)}")
+    col_ids = None if head is None else [c.strip() for c in (head[1:] if ids else head)]
+
+    row_ids = []
+    values = []
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: ragged row {i + 1}: expected {width} cells, got {len(row)}")
+        if ids:
+            row_ids.append(row[0].strip())
+            row = row[1:]
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                cname = col_ids[j] if col_ids else str(j)
+                rname = row_ids[i] if ids else str(i)
+                raise ValueError(
+                    f"{path}: non-numeric cell {cell!r} at row {rname!r}, column {cname!r}"
+                ) from None
+        values.append(parsed)
+    m = width - (1 if ids else 0)
+    if not ids:
+        row_ids = [f"row{i}" for i in range(len(values))]
+    if col_ids is None:
+        col_ids = [f"col{j}" for j in range(m)]
+    return np.array(values, dtype=np.float64).reshape(len(values), m), row_ids, col_ids

@@ -1,13 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mpclust.cli import main
+from mpclust.cli import _digest, main
 from mpclust.dataio import DataMatrix, load_matrix, write_matrix
-from mpclust.pipeline import HyperParams
+from mpclust.pipeline import HyperParams, run
 
 
 @pytest.fixture
@@ -137,6 +138,25 @@ class TestCluster:
         assert back.row_ids == ids and back.col_ids == ids
         assert np.allclose(back.values, back.values.T) and np.all(np.diag(back.values) == 1.0)
         assert load_matrix(out / "labels.csv").row_ids == ids
+
+    def test_consensus_csv_loads_back_to_s(self, blob_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["cluster", str(blob_csv), "--mode", "mpacc", "--k", "2", "--seed", "6",
+                     "--n-frac", "0.3", "--out", str(out)]) == 0
+        result = run(load_matrix(blob_csv), "mpacc", HyperParams(k_final=2, seed=6, n_frac=0.3))
+        assert load_matrix(out / "consensus.csv").values.tobytes() == result.s.tobytes()
+
+    def test_row_wider_than_header_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "wide_rows.csv"
+        path.write_text("id,a,b\n" + "".join(f"r{i},{i},{i % 3},\n" for i in range(6)))
+        assert main(["cluster", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "header has 3" in err and "Traceback" not in err
+
+    def test_input_digest_is_file_sha256(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(3).bytes(5 * 2**19 + 7))  # spans three chunks
+        assert _digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_manifest_reproduces_run(self, blob_csv, tmp_path):
         out1 = tmp_path / "orig"

@@ -12,6 +12,7 @@ from mpclust.consensus import (
     load_consensus_binary,
     save_consensus_binary,
     update,
+    write_consensus_csv,
 )
 from mpclust.dataio import DataMatrix, write_matrix
 
@@ -229,3 +230,40 @@ class TestExport:
         lines = p.read_text().splitlines()
         assert lines[0] == "id,a,b"
         assert lines[1].startswith("a,1,")
+
+
+@st.composite
+def _update_logs(draw):
+    """A state after random updates, with ids that may need csv quoting."""
+    n = draw(st.integers(2, 9))
+    state = ConsensusState.empty(n)
+    for _ in range(draw(st.integers(0, 12))):
+        idx = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+        labels = draw(st.lists(st.integers(0, 2), min_size=len(idx), max_size=len(idx)))
+        update(state, np.array(idx, dtype=int), np.array(labels, dtype=int))
+    ids = draw(st.lists(st.text(alphabet='ab,"\n 7', min_size=1, max_size=3),
+                        min_size=n, max_size=n, unique=True))
+    return state, tuple(ids)
+
+
+class TestConsensusCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_update_logs())
+    def test_bytes_match_dense_writer(self, tmp_path_factory, case):
+        state, ids = case
+        d = tmp_path_factory.mktemp("c")
+        write_consensus_csv(state, ids, d / "counters.csv")
+        write_matrix(DataMatrix(consensus_of(state), ids, ids), d / "dense.csv")
+        assert (d / "counters.csv").read_bytes() == (d / "dense.csv").read_bytes()
+
+    def test_unsampled_diagonal_and_unseen_pairs(self, tmp_path):
+        state = ConsensusState.empty(3)
+        update(state, np.array([0, 1]), np.array([0, 1]))
+        update(state, np.array([0, 1]), np.array([4, 4]))
+        p = tmp_path / "s.csv"
+        write_consensus_csv(state, ("a", "b", "c"), p)
+        assert p.read_text() == "id,a,b,c\na,1,0.5,0\nb,0.5,1,0\nc,0,0,0\n"
+
+    def test_id_count_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="2 ids for 3"):
+            write_consensus_csv(ConsensusState.empty(3), ("a", "b"), tmp_path / "s.csv")

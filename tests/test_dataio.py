@@ -1,7 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpclust import dataio
 from mpclust.dataio import (
     DataMatrix,
     load_matrix,
@@ -10,7 +14,7 @@ from mpclust.dataio import (
     write_matrix,
 )
 
-from oracles import per_cell_matrix_csv
+from oracles import per_cell_load_matrix, per_cell_matrix_csv
 
 
 def _write(tmp_path, text, name="m.csv"):
@@ -55,6 +59,115 @@ class TestLoadMatrix:
         p = _write(tmp_path, "1\t2\n3\t4\n", name="m.tsv")
         m = load_matrix(p, delimiter="\t", header=False, ids=False)
         assert m.n_obs == 2 and m.row_ids == ("row0", "row1")
+
+    def test_row_wider_than_header(self, tmp_path):
+        p = _write(tmp_path, "id,a,b\nr1,1,2,\nr2,3,4,\n")
+        with pytest.raises(ValueError, match="row 1 has 4 cells but the header has 3"):
+            load_matrix(p)
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        p = _write(tmp_path, "id,#a,b\n#r1,1,2\r\n\nr2,3,4")
+        m = load_matrix(p)
+        assert m.row_ids == ("#r1", "r2") and m.col_ids == ("#a", "b")
+        assert np.array_equal(m.values, [[1, 2], [3, 4]])
+
+    def test_plain_file_needs_no_per_cell_pass(self, tmp_path, monkeypatch):
+        def per_cell(*args):
+            raise AssertionError("per-cell parser called")
+
+        monkeypatch.setattr(dataio, "_parse_per_cell", per_cell)
+        p = _write(tmp_path, "id,a,b\r\nr1, 1.5 ,-0\r\n\r\nr2,5e-324,1e308\r\n")
+        m = load_matrix(p)
+        assert m.values.tobytes() == np.array([[1.5, -0.0], [5e-324, 1e308]]).tobytes()
+
+    def test_quoted_ids_load(self, tmp_path):
+        p = _write(tmp_path, 'id,"c,1",c2\n"r,""1""",1,2\nr2,3,4\n')
+        m = load_matrix(p)
+        assert m.row_ids == ('r,"1"', "r2") and m.col_ids == ("c,1", "c2")
+        assert np.array_equal(m.values, [[1, 2], [3, 4]])
+
+
+def _outcome(build):
+    """A loaded matrix as comparable bytes and ids, or the error it raised."""
+    try:
+        m = build()
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", m.values.shape, m.values.tobytes(), m.row_ids, m.col_ids
+
+
+def _same_as_per_cell(path, delimiter=",", header=True, ids=True):
+    got = _outcome(lambda: load_matrix(path, delimiter, header, ids))
+    ref = _outcome(lambda: DataMatrix(*per_cell_load_matrix(path, delimiter, header, ids)))
+    assert got == ref
+    return got
+
+
+_NUMBER_TEXT = ["0", "-0", "0.1", "1.", "+.5", " 2.25 ", "1e5", "5e-324", "-5e-324",
+                "2.2250738585072009e-308", "1.7976931348623157e+308", "12345678901234567", "1e999"]
+_ODD_TEXT = ["1_0", "\uff11", "nan", "-Infinity", "inf", "", " ", "abc", "0x10", "1e5_0", "\x0c1",
+             "1\u2028", "2\x85"]
+_NAMES = st.one_of(st.text(alphabet="ab#7", min_size=1, max_size=3),
+                   st.text(alphabet=',;\t"# ab', min_size=1, max_size=3))
+
+
+@st.composite
+def _matrix_files(draw):
+    """(file text, delimiter, header, ids): mostly well-formed, some deliberately not."""
+    delimiter = draw(st.sampled_from([",", "\t", ";"]))
+    header, ids = draw(st.booleans()), draw(st.booleans())
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.sampled_from(_NUMBER_TEXT))
+    cells = [[draw(number) for _ in range(m)] for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(st.sampled_from(_ODD_TEXT))
+    names = draw(st.lists(_NAMES, min_size=n, max_size=n, unique=draw(st.integers(0, 5)) > 0))
+    rows = [([name] if ids else []) + row for name, row in zip(names, cells)]
+    if header:
+        rows.insert(0, (["id"] if ids else []) + draw(st.lists(_NAMES, min_size=m, max_size=m, unique=True)))
+    if draw(st.booleans()):  # csv-quoted where needed, as write_matrix writes
+        buf = io.StringIO()
+        csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(rows)
+        lines = buf.getvalue().split("\n")[:-1]
+    else:
+        lines = [delimiter.join(row) for row in rows]
+    if draw(st.integers(0, 5)) == 0:  # trailing delimiter from some line on
+        start = draw(st.integers(0, len(lines) - 1))
+        lines[start:] = [line + delimiter for line in lines[start:]]
+    for filler in ("", "  "):  # a blank or a whitespace-only line
+        if draw(st.integers(0, 4)) == 0:
+            lines.insert(draw(st.integers(0, len(lines))), filler)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return text, delimiter, header, ids
+
+
+class TestBulkParserMatchesPerCell:
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_files())
+    def test_differential(self, tmp_path_factory, case):
+        text, delimiter, header, ids = case
+        p = tmp_path_factory.mktemp("d") / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        _same_as_per_cell(p, delimiter, header, ids)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("id,a,b\nr1,1_0,2\nr2,3,4\n", [[10, 2], [3, 4]]),
+        ("id,a,b\nr1,\uff11,2\nr2,3,4\n", [[1, 2], [3, 4]]),
+        ("id,a\nr1,nan\nr2,1\n", "non-finite value at row 0, column 0"),
+        ("id,a\nr1,1\nr2,-Infinity\n", "non-finite value at row 1, column 0"),
+        ("id,a,b\nr1,1,2,\nr2,3,4,\n", "row 1 has 4 cells but the header has 3"),
+        ("id,a\nr1,1\n  \nr2,2\n", "ragged row 2: expected 2 cells, got 1"),
+    ])
+    def test_pinned_cases(self, tmp_path, text, expected):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        got = _same_as_per_cell(p)
+        if isinstance(expected, str):
+            assert got[0] == "error" and expected in got[1]
+        else:
+            assert got[0] == "ok" and got[2] == np.array(expected, dtype=float).tobytes()
 
 
 class TestRoundTrip:
