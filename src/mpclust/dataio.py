@@ -100,10 +100,11 @@ def load_matrix(
     Raises
     ------
     ValueError
-        On ragged rows, a header whose width differs from the rows',
-        non-numeric cells (reported by row/column), or duplicate
-        identifiers.
+        On a delimiter of other than one character, ragged rows, a
+        header whose width differs from the rows', non-numeric cells
+        (reported by row/column), or duplicate identifiers.
     """
+    _check_delimiter(delimiter)
     path = Path(path)
     try:
         values, row_ids, col_ids = _parse_bulk(path, delimiter, header, ids)
@@ -129,7 +130,7 @@ def _parse_bulk(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
     and ``loadtxt`` rejects a row whose width differs from the first's.
     The ids and the header's width are read here.
     """
-    if len(delimiter) != 1 or delimiter in '"\r\n':
+    if delimiter in '"\r\n':
         raise ValueError(f"delimiter {delimiter!r} needs the csv reader")
     names: list[str] = []
 
@@ -212,13 +213,19 @@ def write_matrix(
     17 digits round-trip float64 exactly, so load_matrix(write_matrix(m))
     reproduces ``m.values`` bit for bit.  Identifiers are csv-quoted; each
     row of values is formatted by one ``%.17g`` template, so the delimiter
-    must not be a character of a formatted number.
+    must be one character that cannot occur in a formatted number.
     """
-    if set(delimiter) & set("0123456789+-.e"):
+    _check_delimiter(delimiter)
+    if delimiter in "0123456789+-.e":
         raise ValueError(f"delimiter {delimiter!r} can occur inside a number")
     row_text = delimiter.join(["%.17g"] * m.n_features) + "\n"
     rows = (row_text % tuple(row.tolist()) for row in m.values)
     _write_table(path, m.row_ids, m.col_ids, rows, delimiter, header, ids)
+
+
+def _check_delimiter(delimiter: str) -> None:
+    if len(delimiter) != 1:  # the csv module's TypeError would name no file or flag
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
 
 
 def _write_table(

@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.cluster.vq import ClusterError, kmeans2
+from scipy.linalg import eigh
 from scipy.spatial.distance import squareform
 
 from .consensus import (
@@ -321,8 +323,15 @@ def finalize_hierarchical(s: np.ndarray, k: int) -> np.ndarray:
 def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Normalized spectral clustering with S as the similarity matrix.
 
-    Symmetric normalized Laplacian, bottom-k eigenvectors, row
-    normalization, then k-means (k-means++ init, 10 restarts, best SSE).
+    The bottom k eigenvectors of the symmetric normalized Laplacian
+    I - D^-1/2 S D^-1/2 are the top k of the normalized affinity
+    D^-1/2 S D^-1/2, which ``scipy.linalg.eigh`` computes alone. Their
+    rows are scaled to unit length and clustered by ``kmeans2``
+    (k-means++ seeding, 100 iterations) in 10 restarts drawn from one
+    seeded stream; the restart with the lowest SSE wins.
+
+    Empty clusters: a restart in which ``kmeans2`` empties a cluster
+    raises ``ClusterError`` and is discarded; if all 10 are, ValueError.
     """
     s = np.asarray(s, dtype=float)
     n = s.shape[0]
@@ -332,59 +341,26 @@ def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     if (deg <= 0).any():
         raise ValueError("similarity matrix has an all-zero row")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = np.eye(n) - inv_sqrt[:, None] * s * inv_sqrt[None, :]
-    _, eigvecs = np.linalg.eigh(lap)
-    emb = eigvecs[:, :k]
+    affinity = s * inv_sqrt[:, None]  # a copy: S is the caller's (RunResult.s)
+    affinity *= inv_sqrt[None, :]
+    _, emb = eigh(affinity, subset_by_index=[n - k, n - 1], overwrite_a=True)
     norms = np.linalg.norm(emb, axis=1)
     emb = emb / np.where(norms > 0, norms, 1.0)[:, None]
     rng = _stream(seed, _PHASE_FINAL, 1)
-    return _kmeans(emb, k, rng, restarts=10)
-
-
-def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, restarts: int = 10) -> np.ndarray:
-    n = x.shape[0]
     best_labels: np.ndarray | None = None
     best_sse = np.inf
-    for _ in range(restarts):
-        centers = _kmeanspp(x, k, rng)
-        labels = np.zeros(n, dtype=int)
-        for _ in range(100):
-            d2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-            for c in range(k):  # re-seed empty clusters with the worst point
-                if not (new_labels == c).any():
-                    far = int(d2[np.arange(n), new_labels].argmax())
-                    new_labels[far] = c
-            if (new_labels == labels).all():
-                labels = new_labels
-                break
-            labels = new_labels
-            for c in range(k):
-                centers[c] = x[labels == c].mean(axis=0)
-        sse = float(((x - centers[labels]) ** 2).sum())
+    for _ in range(10):
+        try:
+            centers, labels = kmeans2(emb, k, iter=100, minit="++", missing="raise", rng=rng)
+        except ClusterError:
+            continue
+        sse = float(((emb - centers[labels]) ** 2).sum())
         if sse < best_sse:
             best_sse = sse
-            best_labels = labels.copy()
-    assert best_labels is not None
-    return best_labels
-
-
-def _kmeanspp(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[int(rng.integers(n))]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            centers[c] = x[int(rng.integers(n))]
-            continue
-        target = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
-        idx = min(idx, n - 1)
-        centers[c] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
-    return centers
+            best_labels = labels
+    if best_labels is None:
+        raise ValueError(f"k-means emptied a cluster in all 10 restarts for k={k}")
+    return best_labels.astype(np.int64)  # kmeans2 labels are int32; cut_k's are int64
 
 
 @dataclass(frozen=True)

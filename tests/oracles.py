@@ -166,6 +166,13 @@ def dense_index_dissimilarity(s: np.ndarray) -> np.ndarray:
     return d[ii, jj]
 
 
+def dense_laplacian_embedding(s: np.ndarray, k: int) -> np.ndarray:
+    """Bottom-k eigenvectors of I - D^-1/2 S D^-1/2 from a full dense ``eigh``."""
+    inv_sqrt = 1.0 / np.sqrt(s.sum(axis=1))
+    lap = np.eye(s.shape[0]) - inv_sqrt[:, None] * s * inv_sqrt[None, :]
+    return np.linalg.eigh(lap)[1][:, :k]
+
+
 def per_cell_matrix_csv(values: np.ndarray, row_ids, col_ids, delimiter: str = ",") -> str:
     """Matrix CSV text with every cell formatted by its own f-string, written by csv."""
     buf = io.StringIO()

@@ -8,6 +8,7 @@ import pytest
 
 from mpclust.cli import _digest, main
 from mpclust.dataio import DataMatrix, load_matrix, write_matrix
+from mpclust.metrics import ari
 from mpclust.pipeline import HyperParams, run
 
 
@@ -152,6 +153,25 @@ class TestCluster:
         assert main(["cluster", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "header has 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_of_other_than_one_character_is_an_error(self, blob_csv, tmp_path, capsys,
+                                                               delimiter):
+        argv = ["cluster", str(blob_csv), "--delimiter", delimiter, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(delimiter) in err and "Traceback" not in err
+
+    def test_spectral_final_algo(self, blob_csv, tmp_path):
+        labels = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["cluster", str(blob_csv), "--final-algo", "spectral", "--k", "2",
+                         "--seed", "5", "--out", str(out)]) == 0
+            labels.append((out / "labels.csv").read_bytes())
+        assert labels[0] == labels[1]
+        got = load_matrix(tmp_path / "a" / "labels.csv").values[:, 0]
+        assert ari(got, [0] * 25 + [1] * 25) == 1.0
 
     def test_input_digest_is_file_sha256(self, tmp_path):
         path = tmp_path / "big.bin"

@@ -80,6 +80,15 @@ class TestLoadMatrix:
         m = load_matrix(p)
         assert m.values.tobytes() == np.array([[1.5, -0.0], [5e-324, 1e308]]).tobytes()
 
+    @pytest.mark.parametrize("delimiter", [";;", ""])
+    def test_delimiter_of_other_than_one_character(self, tmp_path, delimiter):
+        p = _write(tmp_path, "id,a\nr1,1\nr2,2\n")
+        message = f"delimiter must be one character, got {delimiter!r}"
+        with pytest.raises(ValueError, match=message):
+            load_matrix(p, delimiter=delimiter)
+        with pytest.raises(ValueError, match=message):
+            write_matrix(load_matrix(p), tmp_path / "out.csv", delimiter=delimiter)
+
     def test_quoted_ids_load(self, tmp_path):
         p = _write(tmp_path, 'id,"c,1",c2\n"r,""1""",1,2\nr2,3,4\n')
         m = load_matrix(p)

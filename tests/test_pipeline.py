@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.cluster.vq import ClusterError
 
+from mpclust import pipeline
+from mpclust.cli import main
 from mpclust.consensus import ConsensusState, confusion, consensus_of, update
-from mpclust.dataio import DataMatrix
+from mpclust.dataio import DataMatrix, write_matrix
 from mpclust.dist import DistanceMatrix
 from mpclust.hclust import cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
@@ -18,7 +21,7 @@ from mpclust.pipeline import (
 from mpclust.sampling import EEConfig, SamplerState, update_obs_weights
 from mpclust.synthgen import SynthSpec, generate
 
-from oracles import brute_consensus, dense_index_dissimilarity
+from oracles import brute_consensus, dense_index_dissimilarity, dense_laplacian_embedding
 
 
 def _blobs(n_half=30, n_feat=20, gap=8.0, seed=0):
@@ -215,6 +218,75 @@ class TestFinalize:
         s[2, 2] = 0.0
         with pytest.raises(ValueError, match="zero"):
             finalize_spectral(s, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_spectral_embedding_spans_bottom_of_dense_laplacian(self, n, k, seed):
+        k = min(k, n // 2)
+        rng = np.random.default_rng(seed)
+        block = rng.permutation(np.arange(n) % k)
+        s = np.triu(rng.uniform(0.0, 0.2, (n, n)) + 0.8 * (block[:, None] == block[None, :]), 1)
+        s = s + s.T
+        np.fill_diagonal(s, 1.0)
+        affinity_eigvals = np.linalg.eigvalsh(s / np.sqrt(np.outer(s.sum(1), s.sum(1))))[::-1]
+        assume(affinity_eigvals[k - 1] - affinity_eigvals[k] > 0.05)
+        ref = dense_laplacian_embedding(s, k)
+        seen = []
+        real = pipeline.eigh
+
+        def recording_eigh(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "eigh", recording_eigh)
+            finalize_spectral(s, k, seed=seed)
+        ((_, emb),) = seen
+        assert emb.shape == (n, k)
+        assert np.abs(emb @ emb.T - ref @ ref.T).max() <= 1e-8
+
+    def test_spectral_restarts_with_an_empty_cluster_are_discarded(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        rng = np.random.default_rng(3)
+        block = rng.permutation(np.arange(30) % 3)
+        s = np.triu(rng.uniform(0.0, 0.5, (30, 30)) + 0.5 * (block[:, None] == block[None, :]), 1)
+        s = s + s.T
+        np.fill_diagonal(s, 1.0)
+        real = pipeline.kmeans2
+        calls, kept = [], []
+
+        def flaky(emb, k, **kwargs):
+            # restart 4 returns a poor partition, restart 9 scipy's; the rest raise
+            calls.append(k)
+            if len(calls) == 4:
+                labels = np.arange(len(emb)) % k
+                centers = np.array([emb[labels == c].mean(axis=0) for c in range(k)])
+            elif len(calls) == 9:
+                centers, labels = real(emb, k, **kwargs)
+            else:
+                raise ClusterError("One of the clusters is empty.")
+            kept.append((float(((emb - centers[labels]) ** 2).sum()), labels))
+            return centers, labels
+
+        monkeypatch.setattr(pipeline, "kmeans2", flaky)
+        labels = finalize_spectral(s, 3, seed=2)
+        assert len(calls) == 10 and kept[0][0] > kept[1][0]
+        assert np.array_equal(labels, kept[1][1]) and ari(labels, block) == 1.0
+
+        def empty(emb, k, **kwargs):
+            raise ClusterError("One of the clusters is empty.")
+
+        monkeypatch.setattr(pipeline, "kmeans2", empty)
+        with pytest.raises(ValueError, match="all 10 restarts for k=3"):
+            finalize_spectral(s, 3, seed=2)
+        data, _ = _blobs(n_half=15, n_feat=8)
+        write_matrix(data, tmp_path / "blobs.csv")
+        argv = ["cluster", str(tmp_path / "blobs.csv"), "--final-algo", "spectral", "--k", "2",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "k=2" in err and "Traceback" not in err
 
 
 class TestTuner:
