@@ -1,8 +1,13 @@
 """Co-clustering evidence accumulation, consensus matrix, and early stopping.
 
-Pair counts are kept as 32-bit counters in condensed upper-triangle form
-plus a diagonal vector (V(i,i) == D(i,i) == times i was sampled), which
-halves the dominant O(N^2) memory cost.
+Pair counts are kept in condensed upper-triangle form plus a diagonal
+vector (V(i,i) == D(i,i) == times i was sampled), which halves the
+dominant O(N^2) memory cost. The counters are the narrowest unsigned
+integers that hold the run's largest possible count: 16-bit whenever a
+run draws at most 65,535 minipatches (the default cap is 5,000), so 2
+bytes per counter per pair and 200 MB for both counters at N=10,000;
+32-bit beyond that. ``update`` raises ValueError, leaving the counters
+as they were, rather than let a counter wrap.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,7 @@ from .dataio import _write_table
 
 __all__ = [
     "ConsensusState",
+    "PairScratch",
     "update",
     "consensus_of",
     "confusion",
@@ -35,33 +41,73 @@ def _pair_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return n * i - i * (i + 1) // 2 + (j - i - 1)
 
 
-@lru_cache(maxsize=8)
-def _triu_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
-    ii, jj = np.triu_indices(size, k=1)
-    ii.setflags(write=False)
-    jj.setflags(write=False)
-    return ii, jj
-
-
 @dataclass
 class ConsensusState:
     """Accumulated co-cluster (V) and co-sampling (D) counts."""
 
     n: int
-    pair_same: np.ndarray  # condensed V, int32
-    pair_seen: np.ndarray  # condensed D, int32
-    diag: np.ndarray  # per-observation sampling count, int32
+    pair_same: np.ndarray  # condensed V
+    pair_seen: np.ndarray  # condensed D, never above the diag of either observation
+    diag: np.ndarray  # per-observation sampling count
 
     @classmethod
-    def empty(cls, n: int) -> "ConsensusState":
+    def empty(cls, n: int, *, max_count: int = 2**32 - 1) -> "ConsensusState":
+        """Zero counters: uint16 when ``max_count``, the most updates the
+        caller will make (``run()`` passes its t_max), is at most 65,535;
+        uint32 otherwise."""
         if n < 2:
             raise ValueError("need at least 2 observations")
         npair = n * (n - 1) // 2
+        dtype = np.uint16 if max_count <= np.iinfo(np.uint16).max else np.uint32
         return cls(
             n=n,
-            pair_same=np.zeros(npair, dtype=np.int32),
-            pair_seen=np.zeros(npair, dtype=np.int32),
-            diag=np.zeros(n, dtype=np.int32),
+            pair_same=np.zeros(npair, dtype=dtype),
+            pair_seen=np.zeros(npair, dtype=dtype),
+            diag=np.zeros(n, dtype=dtype),
+        )
+
+
+@dataclass(eq=False)
+class PairScratch:
+    """Per-pair work arrays for minipatches of one size, reused across iterations.
+
+    ``ii``/``jj`` hold the patch positions of each pair (row-major upper
+    triangle). The rest are filled through ``out=`` arguments: ``dist``
+    and ``root`` by ``pairwise`` and ``ward_linkage``, the others by
+    ``update``. A run that keeps one scratch maps these pages once instead
+    of allocating and returning each temporary in every iteration.
+    """
+
+    ii: np.ndarray
+    jj: np.ndarray
+    cond: np.ndarray  # condensed counter index of each pair; first the labels at ii
+    gather: np.ndarray  # idx or labels at jj
+    seen: np.ndarray  # counter dtype
+    same: np.ndarray  # counter dtype
+    same_label: np.ndarray  # bool
+    s_old: np.ndarray
+    s_new: np.ndarray
+    delta: np.ndarray
+    dist: np.ndarray
+    root: np.ndarray
+
+    @classmethod
+    def empty(cls, size: int, counter_dtype: np.dtype) -> "PairScratch":
+        ii, jj = np.triu_indices(size, k=1)
+        npair = ii.size
+        return cls(
+            ii=ii,
+            jj=jj,
+            cond=np.empty(npair, dtype=np.intp),
+            gather=np.empty(npair, dtype=np.intp),
+            seen=np.empty(npair, dtype=counter_dtype),
+            same=np.empty(npair, dtype=counter_dtype),
+            same_label=np.empty(npair, dtype=bool),
+            s_old=np.empty(npair),
+            s_new=np.empty(npair),
+            delta=np.empty(npair),
+            dist=np.empty(npair),
+            root=np.empty(npair),
         )
 
 
@@ -70,6 +116,8 @@ def update(
     sampled: np.ndarray,
     labels: np.ndarray,
     confusion_rows: np.ndarray | None = None,
+    *,
+    scratch: PairScratch | None = None,
 ) -> ConsensusState:
     """Record one minipatch: every sampled pair co-sampled, same-label pairs co-clustered.
 
@@ -77,6 +125,12 @@ def update(
     off-diagonal row sums of S(1-S) are maintained incrementally, which
     lets callers track the confusion vector in O(patch^2) per iteration
     instead of recomputing over all N^2 pairs.
+
+    ``scratch`` is a ``PairScratch`` for this patch size and counter
+    dtype; without one, fresh work arrays are allocated for this call.
+
+    Raises ValueError, with every counter unchanged, if a sampled
+    observation's count is already the largest its dtype holds.
     """
     idx = np.asarray(sampled, dtype=np.intp)
     lab = np.asarray(labels)
@@ -88,26 +142,48 @@ def update(
         raise ValueError(f"sampled index out of range 0..{state.n - 1}")
     if np.unique(idx).size != idx.size:
         raise ValueError("sampled indices must be distinct")
+    limit = np.iinfo(state.diag.dtype).max
+    if state.diag[idx].max() >= limit:  # pair_seen never exceeds diag
+        raise ValueError(
+            f"an observation was already sampled {limit} times, the most "
+            f"{state.diag.dtype} counters hold; use ConsensusState.empty(n, max_count=...)"
+        )
+    buf = PairScratch.empty(idx.size, state.pair_seen.dtype) if scratch is None else scratch
+    if buf.ii.size != idx.size * (idx.size - 1) // 2 or buf.seen.dtype != state.pair_seen.dtype:
+        raise ValueError(
+            f"scratch is for other patches than {idx.size} observations "
+            f"with {state.pair_seen.dtype} counters"
+        )
 
     order = np.argsort(idx)
     idx = idx[order]
-    lab = lab[order]
-    ii, jj = _triu_pairs(idx.size)
-    cond = _pair_index(state.n, idx, 0)[ii] + idx[jj]
+    _, lab = np.unique(lab[order], return_inverse=True)  # any labels as intp codes
+    # np.take's default mode="raise" writes through a fresh copy of ``out``;
+    # every index is in range (checked above), so "clip" never clips
+    np.take(lab, buf.ii, out=buf.cond, mode="clip")
+    np.take(lab, buf.jj, out=buf.gather, mode="clip")
+    np.equal(buf.cond, buf.gather, out=buf.same_label)
+    np.take(_pair_index(state.n, idx, 0), buf.ii, out=buf.cond, mode="clip")
+    np.take(idx, buf.jj, out=buf.gather, mode="clip")
+    cond = np.add(buf.cond, buf.gather, out=buf.cond)
 
-    seen = state.pair_seen[cond]
-    same_old = state.pair_same[cond]
-    same_new = same_old + (lab[ii] == lab[jj])
-    seen_new = seen + 1
-    state.pair_seen[cond] = seen_new
-    state.pair_same[cond] = same_new
+    seen = np.take(state.pair_seen, cond, out=buf.seen, mode="clip")
+    same = np.take(state.pair_same, cond, out=buf.same, mode="clip")
+    if confusion_rows is not None:
+        s_old = np.divide(same, np.maximum(seen, 1, out=buf.s_old), out=buf.s_old)
+    np.add(seen, 1, out=seen)
+    np.add(same, buf.same_label, out=same)
+    state.pair_seen[cond] = seen
+    state.pair_same[cond] = same
     state.diag[idx] += 1
     if confusion_rows is not None:
-        s_old = same_old / np.maximum(1, seen)
-        s_new = same_new / seen_new
-        delta = s_new * (1.0 - s_new) - s_old * (1.0 - s_old)
-        per_row = np.bincount(ii, weights=delta, minlength=idx.size)
-        per_row += np.bincount(jj, weights=delta, minlength=idx.size)
+        # delta = s_new (1 - s_new) - s_old (1 - s_old), operation for operation
+        s_new = np.divide(same, seen, out=buf.s_new)
+        delta = np.multiply(s_new, np.subtract(1.0, s_new, out=buf.delta), out=buf.delta)
+        np.multiply(s_old, np.subtract(1.0, s_old, out=s_new), out=s_old)
+        np.subtract(delta, s_old, out=delta)
+        per_row = np.bincount(buf.ii, weights=delta, minlength=idx.size)
+        per_row += np.bincount(buf.jj, weights=delta, minlength=idx.size)
         confusion_rows[idx] += per_row
     return state
 

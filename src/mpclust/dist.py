@@ -37,21 +37,29 @@ class DistanceMatrix:
         expected = self.n * (self.n - 1) // 2
         if c.shape != (expected,):
             raise ValueError(f"condensed length {c.shape} != n(n-1)/2 = {expected}")
-        if not np.all(np.isfinite(c)) or c.min() < 0:
+        # two reductions, no temporary: NaN fails the first, +inf the second
+        if not (c.min() >= 0 and c.max() < np.inf):
             raise ValueError("distances must be finite and nonnegative")
 
 
-def pairwise(values: np.ndarray | DataMatrix, metric: str = "manhattan") -> DistanceMatrix:
+def pairwise(
+    values: np.ndarray | DataMatrix,
+    metric: str = "manhattan",
+    *,
+    out: np.ndarray | None = None,
+) -> DistanceMatrix:
     """Condensed pairwise distances over the rows of a matrix view.
 
     manhattan sums |x_ij - x_i'j|; sq_euclidean sums squared differences.
+    ``out``, a float64 array of length n(n-1)/2, receives the distances
+    instead of a fresh array.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
     x = values.values if isinstance(values, DataMatrix) else np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
         raise ValueError("need a 2-D view with >= 2 rows and >= 1 column")
-    return DistanceMatrix(x.shape[0], pdist(x, _SCIPY_NAMES[metric]))
+    return DistanceMatrix(x.shape[0], pdist(x, _SCIPY_NAMES[metric], out=out))
 
 
 def hoeffding_bound(m_feat: int, m_total: int, eps: float) -> float:

@@ -67,9 +67,13 @@ class Dendrogram:
         return self.z[:, 2]
 
 
-def ward_linkage(d: DistanceMatrix) -> Dendrogram:
-    """Full ward.D agglomeration of a condensed dissimilarity matrix."""
-    z = linkage(np.sqrt(d.condensed), "ward")
+def ward_linkage(d: DistanceMatrix, *, out: np.ndarray | None = None) -> Dendrogram:
+    """Full ward.D agglomeration of a condensed dissimilarity matrix.
+
+    ``out``, a float64 array shaped like ``d.condensed``, receives the
+    square roots scipy reads instead of a fresh array.
+    """
+    z = linkage(np.sqrt(d.condensed, out=out), "ward")
     z[:, 2] **= 2
     return Dendrogram(z)
 

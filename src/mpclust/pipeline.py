@@ -25,6 +25,7 @@ from scipy.spatial.distance import squareform
 
 from .consensus import (
     ConsensusState,
+    PairScratch,
     StopTracker,
     confusion,
     consensus_of,
@@ -175,6 +176,11 @@ def run(
     weights and the early-stop percentile is one vector: the off-diagonal
     S(1-S) row sums that ``update`` maintains incrementally, divided by N.
     The dense consensus matrix is built once, for the final clustering.
+
+    Every patch has ``n_count`` observations, so the per-pair temporaries
+    of ``pairwise``, ``ward_linkage`` and ``update`` live in one
+    ``PairScratch`` for the whole loop, released before the final
+    clustering.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -204,7 +210,8 @@ def run(
     )
     obs_state = SamplerState.uniform(n, "observations")
     feat_state = SamplerState.uniform(m, "features")
-    state = ConsensusState.empty(n)
+    state = ConsensusState.empty(n, max_count=t_max)
+    scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
     tracker = StopTracker()
     adaptive_obs = mode in ("mpacc", "impacc")
     adaptive_feat = mode == "impacc"
@@ -238,7 +245,8 @@ def run(
             obs_idx = draw_uniform(n, n_count, rng_obs)
 
         view = data.values[np.ix_(obs_idx, feat_idx)]
-        labels = cut_quantile(ward_linkage(pairwise(view, hp.metric)), hp.h)
+        dist = pairwise(view, hp.metric, out=scratch.dist)
+        labels = cut_quantile(ward_linkage(dist, out=scratch.root), hp.h)
         k_patch = int(labels.max()) + 1
         # ANOVA needs two clusters and within-group degrees of freedom;
         # a patch without them is sampled but scores no support
@@ -246,7 +254,7 @@ def run(
             support, _ = score_features(view, labels, hp.eta)
             update_feature_weights(feat_state, feat_idx[support], feat_idx, hp.alpha_f)
 
-        update(state, obs_idx, labels, confusion_rows)
+        update(state, obs_idx, labels, confusion_rows, scratch=scratch)
         pct = float(np.percentile(confusion_rows / n, tracker.q))
         stop = False
         if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs_burn):
@@ -274,6 +282,7 @@ def run(
         if stop:
             stop_reason = "early_stop"
             break
+    del scratch, dist
 
     if int(state.diag.min()) == 0:
         missing = int((state.diag == 0).sum())

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpclust.consensus import (
     ConsensusState,
+    PairScratch,
     StopTracker,
     confusion,
     consensus_of,
@@ -71,6 +73,98 @@ class TestUpdate:
         assert np.array_equal(a.pair_same, b.pair_same)
         assert np.array_equal(a.pair_seen, b.pair_seen)
         assert np.array_equal(a.diag, b.diag)
+
+
+class TestCounterWidth:
+    @pytest.mark.parametrize(
+        "max_count, dtype",
+        [(1, np.uint16), (65_535, np.uint16), (65_536, np.uint32), (2**32 - 1, np.uint32)],
+    )
+    def test_narrowest_dtype_that_holds_the_count(self, max_count, dtype):
+        state = ConsensusState.empty(4, max_count=max_count)
+        assert state.pair_same.dtype == state.pair_seen.dtype == state.diag.dtype == dtype
+
+    def test_default_is_32_bit(self):
+        assert ConsensusState.empty(4).pair_seen.dtype == np.uint32
+
+    def _near_limit(self):
+        """Pair (0, 1) and observations 0, 1 one update short of uint16's limit."""
+        state = ConsensusState.empty(4, max_count=65_535)
+        state.diag[:2] = state.pair_seen[0] = 65_534
+        state.pair_same[0] = 65_000
+        return state
+
+    def test_last_count_that_fits(self):
+        state = self._near_limit()
+        rows = np.zeros(4)
+        update(state, np.array([0, 1]), np.array([3, 3]), rows)
+        assert state.diag[:2].tolist() == [65_535, 65_535]
+        assert (state.pair_seen[0], state.pair_same[0]) == (65_535, 65_001)
+        s_old, s_new = 65_000 / 65_534, 65_001 / 65_535
+        assert rows[0] == s_new * (1 - s_new) - s_old * (1 - s_old)
+
+    def test_overflow_raises_and_leaves_counters(self):
+        state = self._near_limit()
+        update(state, np.array([0, 1]), np.array([3, 3]))
+        before = [a.copy() for a in (state.pair_same, state.pair_seen, state.diag)]
+        rows = np.zeros(4)
+        with pytest.raises(ValueError, match="65535"):
+            update(state, np.array([3, 1, 2]), np.array([0, 0, 1]), rows)
+        after = (state.pair_same, state.pair_seen, state.diag)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert not rows.any()
+
+
+class TestPairScratch:
+    def test_matches_fresh_buffers(self):
+        log = _random_log(30, 40, 9, seed=4)
+        a, b = ConsensusState.empty(30), ConsensusState.empty(30)
+        rows_a, rows_b = np.zeros(30), np.zeros(30)
+        scratch = PairScratch.empty(9, a.pair_seen.dtype)
+        for idx, labels in log:
+            update(a, idx, labels, rows_a, scratch=scratch)
+            update(b, idx, labels, rows_b)
+        for x, y in zip((a.pair_same, a.pair_seen, a.diag), (b.pair_same, b.pair_seen, b.diag)):
+            assert np.array_equal(x, y)
+        assert rows_a.tobytes() == rows_b.tobytes()
+
+    def test_any_label_values(self):
+        a, b = ConsensusState.empty(5), ConsensusState.empty(5)
+        update(a, np.array([4, 0, 2]), np.array(["x", "y", "x"]))
+        update(b, np.array([4, 0, 2]), np.array([-7, 9, -7]))
+        assert np.array_equal(a.pair_same, b.pair_same)
+        assert consensus_of(a)[2, 4] == 1.0 and consensus_of(a)[0, 2] == 0.0
+
+    @pytest.mark.parametrize("size, dtype", [(4, np.uint16), (3, np.uint32)])
+    def test_mismatched_scratch_rejected(self, size, dtype):
+        state = ConsensusState.empty(6, max_count=100)
+        with pytest.raises(ValueError, match="scratch"):
+            update(state, np.array([0, 1, 2]), np.array([0, 0, 1]),
+                   scratch=PairScratch.empty(size, dtype))
+        assert not state.diag.any()
+
+    def test_warm_update_allocates_less_than_one_pair_array(self):
+        # a structural check, not a speed bound: with a run's scratch, one
+        # more update at N=3000, 750 observations allocates less than one
+        # float64 array over its pairs (fresh temporaries took about seven)
+        n, size = 3000, 750
+        npair = size * (size - 1) // 2
+        rng = np.random.default_rng(0)
+        state = ConsensusState.empty(n, max_count=5000)
+        scratch = PairScratch.empty(size, state.pair_seen.dtype)
+        rows = np.zeros(n)
+        patches = [
+            (rng.choice(n, size, replace=False), rng.integers(0, 4, size)) for _ in range(3)
+        ]
+        for idx, labels in patches[:2]:
+            update(state, idx, labels, rows, scratch=scratch)
+        tracemalloc.start()
+        try:
+            update(state, *patches[2], rows, scratch=scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < npair * 8
 
 
 class TestConsensusOf:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mpclust.dataio import DataMatrix
-from mpclust.dist import deviation_experiment, hoeffding_bound, pairwise
+from mpclust.dist import DistanceMatrix, deviation_experiment, hoeffding_bound, pairwise
 
 
 class TestPairwise:
@@ -27,6 +27,19 @@ class TestPairwise:
         d1 = pairwise(x).condensed
         d2 = pairwise(x[perm]).condensed
         assert sorted(d1.round(12)) == sorted(d2.round(12))
+
+    @pytest.mark.parametrize("metric", ["manhattan", "sq_euclidean"])
+    def test_out_receives_the_distances(self, metric):
+        x = np.random.default_rng(1).random((7, 4))
+        out = np.full(21, -1.0)
+        d = pairwise(x, metric, out=out)
+        assert d.condensed is out
+        assert out.tobytes() == pairwise(x, metric).condensed.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_nonfinite_or_negative(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            DistanceMatrix(3, np.array([1.0, bad, 2.0]))
 
     @settings(max_examples=50)
     @given(arrays(np.float64, (4, 3), elements=st.floats(-100, 100)))

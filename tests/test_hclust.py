@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpclust import hclust
 from mpclust.dist import DistanceMatrix, pairwise
 from mpclust.hclust import Dendrogram, cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
@@ -69,6 +72,41 @@ class TestWardLinkage:
         a = cut_k(ward_linkage(pairwise(x)), 3)
         b = cut_k(ward_linkage(pairwise(x[perm])), 3)
         assert ari(a[perm], b) == pytest.approx(1.0)
+
+    def test_out_receives_the_roots(self):
+        d = pairwise(np.random.default_rng(5).random((8, 3)))
+        out = np.empty_like(d.condensed)
+        dend = ward_linkage(d, out=out)
+        assert out.tobytes() == np.sqrt(d.condensed).tobytes()
+        assert dend.z.tobytes() == ward_linkage(d).z.tobytes()
+
+    def test_warm_patch_step_allocates_only_linkages_copy(self, monkeypatch):
+        # a structural check, not a speed bound: with reused pdist and sqrt
+        # buffers, the per-patch pdist -> sqrt -> linkage step at 750 points
+        # allocates, outside scipy's linkage, less than one float64 array over
+        # its pairs (fresh arrays took two)
+        size = 750
+        npair = size * (size - 1) // 2
+        x = np.random.default_rng(0).random((size, 50))
+        dist, root = np.empty(npair), np.empty(npair)
+        outside = []
+
+        def linkage(y, method):
+            outside.append(tracemalloc.get_traced_memory()[1])
+            z = scipy_linkage(y, method)
+            tracemalloc.reset_peak()  # what linkage allocated is its own
+            return z
+
+        scipy_linkage = hclust.linkage
+        monkeypatch.setattr(hclust, "linkage", linkage)
+        ward_linkage(pairwise(x, out=dist), out=root)
+        tracemalloc.start()
+        try:
+            ward_linkage(pairwise(x, out=dist), out=root)
+            outside.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(outside) < npair * 8
 
     def test_sizes_and_root(self):
         rng = np.random.default_rng(4)

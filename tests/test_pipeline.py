@@ -97,6 +97,47 @@ class TestRun:
         expected = float(np.percentile(confusion(consensus_of(state)), 90))
         assert res.trace[-1].confusion_pct == pytest.approx(expected, abs=1e-12)
 
+    def test_counters_sized_from_t_max(self):
+        data, _ = _blobs()
+        res = run(data, "mpcc", HyperParams(k_final=2, seed=1, t_max=30))
+        assert res.consensus.pair_seen.dtype == res.consensus.diag.dtype == np.uint16
+
+    @pytest.mark.parametrize("n_frac_b", [0.25, 0.4])
+    def test_interleaved_runs_keep_their_own_buffers(self, monkeypatch, n_frac_b):
+        # run b starts inside run a's loop, between a's distances and its
+        # Ward tree, in another mode and with the same or another patch size;
+        # each result must be what that run gives alone
+        data = generate(SynthSpec(snr=6, n_obs=80, n_features=60, n_signal=6, seed=4)).matrix
+        runs = {
+            "a": ("mpcc", HyperParams(seed=3, n_frac=0.25, t_max=30, early_stop=False)),
+            "b": ("impacc", HyperParams(seed=8, n_frac=n_frac_b, t_max=25, early_stop=False)),
+        }
+
+        def outcome(res):
+            trace = [(r.iteration, r.n_clusters, r.confusion_pct, r.high_obs, r.high_feat)
+                     for r in res.trace]
+            patches = [(i.tolist(), lab.tolist()) for i, lab in res.patches]
+            return res.s.tobytes(), res.labels.tolist(), res.feature_scores, trace, patches
+
+        alone = {k: run(data, *runs[k], collect_patches=True) for k in runs}
+        nested = []
+        calls = []
+        real_ward = pipeline.ward_linkage
+
+        def ward_starting_b(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 10:
+                nested.append(run(data, *runs["b"], collect_patches=True))
+            return real_ward(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ward_linkage", ward_starting_b)
+        together = {"a": run(data, *runs["a"], collect_patches=True), "b": nested[0]}
+        for k in runs:
+            got, want = outcome(together[k]), outcome(alone[k])
+            assert got[:2] == want[:2] and got[3:] == want[3:]
+            assert np.array_equal(got[2], want[2]) if k == "b" else got[2] is None
+            assert all(i.flags.owndata and lab.flags.owndata for i, lab in together[k].patches)
+
     def test_single_patch_support_is_scored(self):
         # one iteration over every observation: the only patch's support
         # is all the importance there is, so it must reach the scores
