@@ -211,7 +211,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.consensus_format == "csv":
         write_consensus_csv(result.consensus, data.row_ids, out_dir / "consensus.csv")
     else:
-        save_consensus_binary(result.s, out_dir / "consensus.bin")
+        save_consensus_binary(result.consensus, out_dir / "consensus.bin")
     if result.feature_scores is not None:
         _write_rows(
             out_dir / "feature_scores.csv",

@@ -8,13 +8,18 @@ run draws at most 65,535 minipatches (the default cap is 5,000), so 2
 bytes per counter per pair and 200 MB for both counters at N=10,000;
 32-bit beyond that. ``update`` raises ValueError, leaving the counters
 as they were, rather than let a counter wrap.
+
+Nothing downstream of the counters needs dense S: the final Ward reads
+the condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
+exports compute S from the counters a block of rows at a time. Dense S
+(8 N^2 bytes) is built by ``consensus_of`` alone.
 """
 
 from __future__ import annotations
 
 import struct
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -28,6 +33,7 @@ __all__ = [
     "PairScratch",
     "update",
     "consensus_of",
+    "dissimilarity_of",
     "confusion",
     "StopTracker",
     "write_consensus_csv",
@@ -50,15 +56,19 @@ class ConsensusState:
     pair_seen: np.ndarray  # condensed D, never above the diag of either observation
     diag: np.ndarray  # per-observation sampling count
 
+    @staticmethod
+    def counter_dtype(max_count: int) -> type[np.unsignedinteger]:
+        """uint16 when ``max_count``, the most updates the caller will make,
+        is at most 65,535; uint32 otherwise."""
+        return np.uint16 if max_count <= np.iinfo(np.uint16).max else np.uint32
+
     @classmethod
     def empty(cls, n: int, *, max_count: int = 2**32 - 1) -> "ConsensusState":
-        """Zero counters: uint16 when ``max_count``, the most updates the
-        caller will make (``run()`` passes its t_max), is at most 65,535;
-        uint32 otherwise."""
+        """Zero counters of ``counter_dtype(max_count)``; ``run()`` passes its t_max."""
         if n < 2:
             raise ValueError("need at least 2 observations")
         npair = n * (n - 1) // 2
-        dtype = np.uint16 if max_count <= np.iinfo(np.uint16).max else np.uint32
+        dtype = cls.counter_dtype(max_count)
         return cls(
             n=n,
             pair_same=np.zeros(npair, dtype=dtype),
@@ -109,6 +119,13 @@ class PairScratch:
             dist=np.empty(npair),
             root=np.empty(npair),
         )
+
+    @classmethod
+    def nbytes(cls, size: int, counter_dtype: np.dtype) -> int:
+        """Bytes that ``empty(size, counter_dtype)`` would allocate."""
+        one_pair = cls.empty(2, counter_dtype)
+        per_pair = sum(getattr(one_pair, f.name).nbytes for f in fields(cls))
+        return per_pair * (size * (size - 1) // 2)
 
 
 def update(
@@ -196,6 +213,17 @@ def consensus_of(state: ConsensusState) -> np.ndarray:
     return dense
 
 
+def dissimilarity_of(state: ConsensusState) -> np.ndarray:
+    """Condensed 1 - S straight from the counters, in one float64 buffer.
+
+    The values are those of ``1 - squareform(consensus_of(state))``, bit
+    for bit: 1 - V / max(1, D) for each pair.
+    """
+    d = np.maximum(state.pair_seen, 1, out=np.empty(state.pair_seen.size))
+    np.divide(state.pair_same, d, out=d)
+    return np.subtract(1.0, d, out=d)
+
+
 def confusion(s: np.ndarray) -> np.ndarray:
     """Per-observation instability (1/N) sum_j S_ij (1 - S_ij), diagonal included."""
     s = np.asarray(s, dtype=float)
@@ -226,10 +254,10 @@ def write_consensus_csv(state: ConsensusState, ids: Sequence[str], path: str | P
     """Write S as a matrix CSV straight from the pair counters.
 
     The bytes are those of ``write_matrix(DataMatrix(consensus_of(state),
-    ids, ids), path)``, but dense S is never built: each row is computed
-    from the condensed counters, and since S holds few distinct values
-    (ratios of small counts), each is formatted once with ``%.17g`` and
-    the cells are filled in by table lookup.
+    ids, ids), path)``, but dense S is never built: rows come from
+    ``_consensus_blocks``, and since S holds few distinct values (ratios
+    of small counts), each is formatted once with ``%.17g`` and the cells
+    are filled in by table lookup.
     """
     if len(ids) != state.n:
         raise ValueError(f"got {len(ids)} ids for {state.n} observations")
@@ -238,29 +266,70 @@ def write_consensus_csv(state: ConsensusState, ids: Sequence[str], path: str | P
 
 def _consensus_rows(state: ConsensusState) -> Iterator[str]:
     """Row i of S as comma-separated ``%.17g`` text, for i = 0 .. N-1."""
-    n = state.n
-    first = _pair_index(n, np.arange(n), np.arange(n) + 1)  # condensed index of (i, i + 1)
-    above = first - np.arange(n) - 1  # condensed index of (j, i), j < i, is above[j] + i
     text = cache("%.17g".__mod__)
-    for i in range(n):
-        pairs = np.concatenate((above[:i] + i, [0], np.arange(first[i], first[i] + n - 1 - i)))
-        row = state.pair_same[pairs] / np.maximum(1, state.pair_seen[pairs])
-        row[i] = state.diag[i] > 0  # in place of pair 0, which filled the diagonal slot
-        values, index = np.unique(row, return_inverse=True)
-        cells = np.array([text(v) for v in values.tolist()], dtype=object)
-        yield ",".join(cells[index].tolist()) + "\n"
+    for block in _consensus_blocks(state):
+        for row in block:
+            values, index = np.unique(row, return_inverse=True)
+            cells = np.array([text(v) for v in values.tolist()], dtype=object)
+            yield ",".join(cells[index].tolist()) + "\n"
+
+
+_BLOCK_CELLS = 1 << 18
+
+
+def _consensus_blocks(state: ConsensusState) -> Iterator[np.ndarray]:
+    """Consecutive blocks of rows of S, about ``_BLOCK_CELLS`` cells each.
+
+    Each block is computed from the counters as V / max(1, D) in float64,
+    the values of ``consensus_of``, with 1 on the diagonal of a sampled
+    observation and 0 on that of an unsampled one. Every block is a view
+    of one buffer that the next block overwrites.
+    """
+    n = state.n
+    rows = max(1, _BLOCK_CELLS // n)
+    col = np.arange(n)
+    above = _pair_index(n, col, col + 1) - col - 1  # pair (i, j), i < j, is above[i] + j
+    pairs = np.empty((rows, n), dtype=np.intp)
+    lower = np.empty((rows, n), dtype=bool)
+    seen = np.empty((rows, n), dtype=state.pair_seen.dtype)
+    same = np.empty((rows, n), dtype=state.pair_same.dtype)
+    out = np.empty((rows, n))
+    for start in range(0, n, rows):
+        r = min(rows, n - start)
+        i = col[start:start + r, None]
+        p, low, sn, sm, s = pairs[:r], lower[:r], seen[:r], same[:r], out[:r]
+        np.add(above[i], col, out=p)  # pair (i, j) for j > i
+        np.less(col, i, out=low)
+        np.add(above, i, out=p, where=low)  # pair (j, i) for j < i
+        # the diagonal slot holds above[i] + i, which is -1 for i = 0:
+        # "clip" reads some counter there, and the diagonal is overwritten
+        np.take(state.pair_seen, p, out=sn, mode="clip")
+        np.take(state.pair_same, p, out=sm, mode="clip")
+        np.divide(sm, np.maximum(sn, 1, out=s), out=s)
+        s[col[:r], col[start:start + r]] = state.diag[start:start + r] > 0
+        yield s
 
 
 _MAGIC = b"MPCS"
 
 
-def save_consensus_binary(s: np.ndarray, path: str | Path) -> None:
-    """Compact form: magic 'MPCS', little-endian u32 N, row-major f32 values."""
-    values = np.ascontiguousarray(s, dtype="<f4")
+def save_consensus_binary(consensus: ConsensusState | np.ndarray, path: str | Path) -> None:
+    """Compact form: magic 'MPCS', little-endian u32 N, row-major f32 values.
+
+    ``consensus`` is the pair counters, written a block of rows at a time
+    with the values of ``consensus_of(state).astype("<f4")``, or a dense
+    square matrix.
+    """
     with Path(path).open("wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<I", values.shape[0]))
-        fh.write(values.data)
+        if isinstance(consensus, ConsensusState):
+            fh.write(struct.pack("<I", consensus.n))
+            for block in _consensus_blocks(consensus):
+                fh.write(block.astype("<f4"))
+        else:
+            values = np.ascontiguousarray(consensus, dtype="<f4")
+            fh.write(struct.pack("<I", values.shape[0]))
+            fh.write(values.data)
 
 
 def load_consensus_binary(path: str | Path) -> np.ndarray:

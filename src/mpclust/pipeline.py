@@ -15,8 +15,10 @@ iterations or other phases consumed.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.cluster.vq import ClusterError, kmeans2
@@ -29,6 +31,7 @@ from .consensus import (
     StopTracker,
     confusion,
     consensus_of,
+    dissimilarity_of,
     update,
 )
 from .dataio import DataMatrix
@@ -146,7 +149,6 @@ class IterationRecord:
 @dataclass
 class RunResult:
     labels: np.ndarray
-    s: np.ndarray
     consensus: ConsensusState  # the pair counters S is built from
     feature_scores: np.ndarray | None
     obs_weights: np.ndarray
@@ -155,6 +157,40 @@ class RunResult:
     trace: list[IterationRecord]
     patches: list[tuple[np.ndarray, np.ndarray]] | None = None  # (I_t, labels)
     weight_trace: list[tuple[int, np.ndarray, np.ndarray | None]] | None = None
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Dense consensus matrix S, built from ``consensus`` on first access (8 N^2 bytes)."""
+        return consensus_of(self.consensus)
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, else physical memory, else None (unknown)."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+def _peak_bytes(n: int, n_count: int, t_max: int, final_algo: str) -> int:
+    """Estimated peak of a run's N^2 and patch^2 buffers.
+
+    The counters (two per pair) live throughout. The loop's
+    ``PairScratch`` is released before the final clustering, which holds
+    the condensed 1 - S and scipy's working copy of it (16 bytes per
+    pair); the spectral finaliser adds dense S and its normalised copy.
+    """
+    npair = n * (n - 1) // 2
+    dtype = np.dtype(ConsensusState.counter_dtype(t_max))
+    final = 16 * npair + (2 * 8 * n * n if final_algo == "spectral" else 0)
+    return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(n_count, dtype), final)
 
 
 def run(
@@ -175,12 +211,15 @@ def run(
     The per-observation confusion that drives the adaptive observation
     weights and the early-stop percentile is one vector: the off-diagonal
     S(1-S) row sums that ``update`` maintains incrementally, divided by N.
-    The dense consensus matrix is built once, for the final clustering.
-
     Every patch has ``n_count`` observations, so the per-pair temporaries
     of ``pairwise``, ``ward_linkage`` and ``update`` live in one
     ``PairScratch`` for the whole loop, released before the final
-    clustering.
+    clustering. That clustering reads the condensed 1 - S built from the
+    counters; dense S is built only for the spectral finaliser, or on
+    the first read of ``RunResult.s``.
+
+    Raises ValueError before the first iteration when the estimated peak
+    of the run's pair buffers exceeds the memory available.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -193,6 +232,12 @@ def run(
     if not 1 <= m_count <= m:
         raise ValueError(f"minipatch feature count {m_count} infeasible for M={m}")
     t_max = hp.resolve_t_max(n)
+    peak, available = _peak_bytes(n, n_count, t_max, hp.final_algo), _available_bytes()
+    if available is not None and peak > available:
+        raise ValueError(
+            f"N={n} observations need about {peak / 1e6:,.1f} MB at the run's peak, "
+            f"but {available / 1e6:,.1f} MB of memory are available"
+        )
 
     obs_cfg = EEConfig(
         frac=hp.n_frac,
@@ -291,11 +336,13 @@ def run(
             f"iterations; raise t_max above the burn-in length"
         )
 
-    s = consensus_of(state)
-    labels = _final_labels(s, hp)
-    return RunResult(
+    s = consensus_of(state) if hp.final_algo == "spectral" else None
+    d = None  # spectral at a given k needs no tree
+    if hp.final_algo == "hierarchical" or hp.k_final is None:
+        d = DistanceMatrix(n, dissimilarity_of(state))
+    labels = _final_labels(d, hp, s)
+    result = RunResult(
         labels=labels,
-        s=s,
         consensus=state,
         feature_scores=feat_state.importance() if adaptive_feat else None,
         obs_weights=obs_state.weights.copy(),
@@ -305,28 +352,43 @@ def run(
         patches=patches,
         weight_trace=wtrace,
     )
+    if s is not None:
+        result.s = s  # fills the cached property: S is built once
+    return result
 
 
-def _final_labels(s: np.ndarray, hp: HyperParams) -> np.ndarray:
+def _final_labels(
+    d: DistanceMatrix | None, hp: HyperParams, s: np.ndarray | None = None
+) -> np.ndarray:
+    """Final labels from the condensed 1 - S ``d``, whose buffer receives
+    Ward's square roots, and for the spectral finaliser from dense ``s``;
+    spectral with a given k reads ``s`` alone."""
     if hp.k_final is None:
-        dend = ward_linkage(DistanceMatrix(s.shape[0], 1 - squareform(s, checks=False)))
-        labels = cut_quantile(dend, hp.h)
+        labels = cut_quantile(ward_linkage(d, out=d.condensed), hp.h)
         if hp.final_algo == "spectral":
             k = int(labels.max()) + 1
             return finalize_spectral(s, k, seed=hp.seed)
         return labels
     if hp.final_algo == "spectral":
         return finalize_spectral(s, hp.k_final, seed=hp.seed)
-    return finalize_hierarchical(s, hp.k_final)
+    return finalize_hierarchical(d, hp.k_final)
 
 
-def finalize_hierarchical(s: np.ndarray, k: int) -> np.ndarray:
-    """Cluster the consensus matrix: ward linkage on 1 - S, cut to k."""
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}")
-    return cut_k(ward_linkage(DistanceMatrix(n, 1 - squareform(s, checks=False))), k)
+def finalize_hierarchical(s: np.ndarray | DistanceMatrix, k: int) -> np.ndarray:
+    """Cluster the consensus: ward linkage on 1 - S, cut to k.
+
+    ``s`` is the dense consensus matrix S, or the condensed 1 - S as a
+    ``DistanceMatrix``, which this consumes: its buffer receives Ward's
+    square roots.
+    """
+    if isinstance(s, DistanceMatrix):
+        d = s
+    else:
+        s = np.asarray(s, dtype=float)
+        d = DistanceMatrix(s.shape[0], 1 - squareform(s, checks=False))
+    if not 1 <= k <= d.n:
+        raise ValueError(f"k must be in 1..{d.n}")
+    return cut_k(ward_linkage(d, out=d.condensed), k)
 
 
 def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:

@@ -103,6 +103,13 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory (Unable to allocate 1.07 TiB)")
 
+    def test_memory_ceiling_reported(self, blob_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("mpclust.pipeline._available_bytes", lambda: 1)
+        assert main(["cluster", str(blob_csv), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: N=50 observations need about ")
+        assert "Traceback" not in err
+
     def test_missing_input_runtime_error(self, tmp_path, capsys):
         code = main(["cluster", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 1

@@ -1,16 +1,20 @@
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import squareform
 
+from mpclust import consensus
 from mpclust.consensus import (
     ConsensusState,
     PairScratch,
     StopTracker,
     confusion,
     consensus_of,
+    dissimilarity_of,
     load_consensus_binary,
     save_consensus_binary,
     update,
@@ -361,3 +365,59 @@ class TestConsensusCsvWriter:
     def test_id_count_checked(self, tmp_path):
         with pytest.raises(ValueError, match="2 ids for 3"):
             write_consensus_csv(ConsensusState.empty(3), ("a", "b"), tmp_path / "s.csv")
+
+
+def _as_uint16(state):
+    return ConsensusState(state.n, *(a.astype(np.uint16) for a in
+                                     (state.pair_same, state.pair_seen, state.diag)))
+
+
+def _dense_binary(state):
+    return b"MPCS" + struct.pack("<I", state.n) + consensus_of(state).astype("<f4").tobytes()
+
+
+class TestCounterFedOutputs:
+    """The exports and the final clustering's input, read from the counters."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_update_logs(), st.integers(1, 30))
+    def test_exports_match_dense_s_at_any_block_size(self, tmp_path_factory, case, cells):
+        # cells // N rows per block: one row, several, a short last block, or one block
+        state, ids = case
+        d = tmp_path_factory.mktemp("b")
+        for counters in (state, _as_uint16(state)):
+            with mock.patch.object(consensus, "_BLOCK_CELLS", cells):
+                save_consensus_binary(counters, d / "s.bin")
+                write_consensus_csv(counters, ids, d / "s.csv")
+            assert (d / "s.bin").read_bytes() == _dense_binary(state)
+            write_matrix(DataMatrix(consensus_of(state), ids, ids), d / "dense.csv")
+            assert (d / "s.csv").read_bytes() == (d / "dense.csv").read_bytes()
+
+    @pytest.mark.parametrize("n, cells", [(2, 1), (2, 2), (7, 21), (7, 6)])
+    def test_binary_block_edges(self, tmp_path, n, cells):
+        log = _random_log(n, 6, n - 1, seed=n)
+        state = ConsensusState.empty(n)
+        for idx, labels in log:
+            update(state, idx, labels)
+        with mock.patch.object(consensus, "_BLOCK_CELLS", cells):
+            save_consensus_binary(state, tmp_path / "s.bin")
+        assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
+        assert np.array_equal(load_consensus_binary(tmp_path / "s.bin"),
+                              consensus_of(state).astype(np.float32))
+
+    def test_binary_at_default_block_size(self, tmp_path):
+        log = _random_log(600, 40, 150, seed=3)  # blocks of 436 rows and of 164
+        state = ConsensusState.empty(600, max_count=40)
+        for idx, labels in log:
+            update(state, idx, labels)
+        save_consensus_binary(state, tmp_path / "s.bin")
+        assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_update_logs())
+    def test_dissimilarity_is_one_minus_condensed_s_bit_for_bit(self, case):
+        state, _ = case
+        want = (1 - squareform(consensus_of(state), checks=False)).tobytes()
+        for counters in (state, _as_uint16(state)):
+            got = dissimilarity_of(counters)
+            assert got.dtype == np.float64 and got.tobytes() == want

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.cluster.vq import ClusterError
+from scipy.spatial.distance import squareform
 
 from mpclust import pipeline
 from mpclust.cli import main
-from mpclust.consensus import ConsensusState, confusion, consensus_of, update
+from mpclust.consensus import ConsensusState, PairScratch, confusion, consensus_of, update
 from mpclust.dataio import DataMatrix, write_matrix
 from mpclust.dist import DistanceMatrix
 from mpclust.hclust import cut_k, cut_quantile, ward_linkage
@@ -233,7 +236,8 @@ class TestFinalize:
         for k in range(1, n + 1):
             assert np.array_equal(finalize_hierarchical(s, k), cut_k(ref, k))
         hp = HyperParams(h=float(rng.uniform(0.05, 1.0)))
-        assert np.array_equal(_final_labels(s, hp), cut_quantile(ref, hp.h))
+        d = DistanceMatrix(n, 1 - squareform(s, checks=False))
+        assert np.array_equal(_final_labels(d, hp), cut_quantile(ref, hp.h))
 
     def test_hierarchical_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -328,6 +332,109 @@ class TestFinalize:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "k=2" in err and "Traceback" not in err
+
+
+class TestCondensedFinal:
+    """run() clusters the condensed 1 - S; dense S is built only on request."""
+
+    @pytest.mark.parametrize("mode", ["mpcc", "impacc"])
+    @pytest.mark.parametrize("k", [2, None])
+    def test_hierarchical_path_never_builds_dense_s(self, monkeypatch, mode, k):
+        data, _ = _blobs(seed=5)
+        hp = HyperParams(k_final=k, seed=2, t_max=40)
+
+        def no_dense(state):
+            raise AssertionError("dense S built")
+
+        monkeypatch.setattr(pipeline, "consensus_of", no_dense)
+        res = run(data, mode, hp)
+        monkeypatch.undo()
+        ref = ward_linkage(DistanceMatrix(60, dense_index_dissimilarity(consensus_of(res.consensus))))
+        assert np.array_equal(res.labels, cut_k(ref, k) if k else cut_quantile(ref, hp.h))
+
+    def test_s_is_built_once_on_first_access(self, monkeypatch):
+        data, _ = _blobs(seed=6)
+        res = run(data, "mpcc", HyperParams(k_final=2, seed=3, t_max=40))
+        calls = []
+        real = pipeline.consensus_of
+        monkeypatch.setattr(pipeline, "consensus_of", lambda state: calls.append(state) or real(state))
+        first = res.s
+        assert first is res.s and calls == [res.consensus]
+        assert first.tobytes() == consensus_of(res.consensus).tobytes()
+
+    @pytest.mark.parametrize("k", [2, None])
+    def test_spectral_hands_its_s_to_the_result(self, monkeypatch, k):
+        data, _ = _blobs(seed=6)
+        calls, trees = [], []
+        real, real_tree = pipeline.consensus_of, pipeline.dissimilarity_of
+        monkeypatch.setattr(pipeline, "consensus_of", lambda state: calls.append(state) or real(state))
+        monkeypatch.setattr(pipeline, "dissimilarity_of",
+                            lambda state: trees.append(state) or real_tree(state))
+        res = run(data, "mpcc", HyperParams(k_final=k, seed=3, t_max=40, final_algo="spectral"))
+        assert res.s is res.s and len(calls) == 1
+        assert res.s.tobytes() == consensus_of(res.consensus).tobytes()
+        assert len(trees) == (0 if k else 1)  # only the quantile cut needs the tree
+
+    def test_run_allocates_less_than_one_dense_s(self):
+        # N=1000: the counters (2 MB) with the loop's scratch (2.4 MB), or
+        # with the final clustering's 1 - S (4 MB), stay below dense S
+        # (8 MB); scipy's working copy inside linkage is not traced.
+        rng = np.random.default_rng(1)
+        n = 1000
+        data = DataMatrix(rng.random((n, 4)), tuple(map(str, range(n))), ("a", "b", "c", "d"))
+        hp = HyperParams(k_final=3, seed=1, t_max=60, early_stop=False)
+        tracemalloc.start()
+        try:
+            run(data, "mpcc", hp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
+
+class TestMemoryCeiling:
+    def test_estimate(self):
+        n, npair = 10_000, 10_000 * 9_999 // 2
+        assert pipeline._peak_bytes(n, 2_500, 5_000, "hierarchical") == 4 * npair + 16 * npair
+        assert pipeline._peak_bytes(n, 2_500, 70_000, "hierarchical") == 8 * npair + 16 * npair
+        assert pipeline._peak_bytes(n, 2_500, 5_000, "spectral") == 20 * npair + 16 * n * n
+        # a patch of every observation: the loop's scratch outweighs the final step
+        assert pipeline._peak_bytes(n, n, 5_000, "hierarchical") == (
+            4 * npair + PairScratch.nbytes(n, np.uint16))
+
+    def test_raises_before_the_first_iteration(self, monkeypatch):
+        data, _ = _blobs()
+        hp = HyperParams(k_final=2, seed=1, t_max=30)
+        need = pipeline._peak_bytes(60, hp.n_count(60), 30, "hierarchical")
+
+        def no_iteration(*args, **kwargs):
+            raise AssertionError("iterated")
+
+        monkeypatch.setattr(pipeline, "_available_bytes", lambda: need - 1)
+        monkeypatch.setattr(pipeline, "update", no_iteration)
+        with pytest.raises(ValueError, match=r"N=60 observations need about 0\.0 MB"):
+            run(data, "mpcc", hp)
+        monkeypatch.undo()
+        monkeypatch.setattr(pipeline, "_available_bytes", lambda: need)
+        assert run(data, "mpcc", hp).labels.size == 60
+
+    def test_unknown_available_memory_skips_the_check(self, monkeypatch):
+        data, _ = _blobs()
+        monkeypatch.setattr(pipeline, "_available_bytes", lambda: None)
+        assert run(data, "mpcc", HyperParams(k_final=2, seed=1, t_max=30)).labels.size == 60
+
+    def test_available_bytes_falls_back_to_physical_memory(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(pipeline, "open", unreadable, raising=False)
+        monkeypatch.setattr(pipeline.os, "sysconf",
+                            {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.__getitem__)
+        assert pipeline._available_bytes() == 4_096_000
+
+    def test_available_bytes_reads_memavailable(self):
+        available = pipeline._available_bytes()
+        assert isinstance(available, int) and available > 0
 
 
 class TestTuner:
