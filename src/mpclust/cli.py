@@ -128,9 +128,21 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         out.writerows(rows)
 
 
-def _read_labels(path: Path) -> np.ndarray:
+def _read_rows(path: Path) -> list[list[str]]:
+    """Non-blank CSV rows; ValueError names the line of one wider or narrower than the first."""
+    rows: list[list[str]] = []
     with Path(path).open(newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        for row in filter(None, reader):
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                 f"cells but the first row has {len(rows[0])}")
+            rows.append(row)
+    return rows
+
+
+def _read_labels(path: Path) -> np.ndarray:
+    rows = _read_rows(path)
     if rows and rows[0][:1] == ["id"]:
         rows = rows[1:]
     if not rows:
@@ -385,8 +397,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _read_score_column(path: Path) -> np.ndarray:
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if rows and not _is_number(rows[0][-1]):
         rows = rows[1:]
     if not rows:

@@ -9,7 +9,9 @@ bytes per counter per pair and 200 MB for both counters at N=10,000;
 32-bit beyond that. ``update`` raises ValueError, leaving the counters
 as they were, rather than let a counter wrap.
 
-Nothing downstream of the counters needs dense S: the final Ward reads
+Nothing downstream of the counters needs dense S. The state also owns
+the confusion row sums (off-diagonal S(1-S)), which ``update`` maintains
+and the weights, the stop rule and the tuner read. The final Ward reads
 the condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
 exports compute S from the counters a block of rows at a time. Dense S
 (8 N^2 bytes) is built by ``consensus_of`` alone.
@@ -49,12 +51,13 @@ def _pair_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConsensusState:
-    """Accumulated co-cluster (V) and co-sampling (D) counts."""
+    """Accumulated co-cluster (V) and co-sampling (D) counts, and the S(1-S) row sums."""
 
     n: int
     pair_same: np.ndarray  # condensed V
     pair_seen: np.ndarray  # condensed D, never above the diag of either observation
     diag: np.ndarray  # per-observation sampling count
+    confusion_rows: np.ndarray  # float64 off-diagonal S(1-S) row sums
 
     @staticmethod
     def counter_dtype(max_count: int) -> type[np.unsignedinteger]:
@@ -74,6 +77,7 @@ class ConsensusState:
             pair_same=np.zeros(npair, dtype=dtype),
             pair_seen=np.zeros(npair, dtype=dtype),
             diag=np.zeros(n, dtype=dtype),
+            confusion_rows=np.zeros(n),
         )
 
 
@@ -132,21 +136,19 @@ def update(
     state: ConsensusState,
     sampled: np.ndarray,
     labels: np.ndarray,
-    confusion_rows: np.ndarray | None = None,
     *,
     scratch: PairScratch | None = None,
 ) -> ConsensusState:
     """Record one minipatch: every sampled pair co-sampled, same-label pairs co-clustered.
 
-    When ``confusion_rows`` (length-N float array) is given, the
-    off-diagonal row sums of S(1-S) are maintained incrementally, which
-    lets callers track the confusion vector in O(patch^2) per iteration
-    instead of recomputing over all N^2 pairs.
+    The state's ``confusion_rows`` (off-diagonal row sums of S(1-S)) move
+    by the change of each sampled pair's S(1-S), so the confusion vector
+    costs O(patch^2) per update instead of a recount over all N^2 pairs.
 
     ``scratch`` is a ``PairScratch`` for this patch size and counter
     dtype; without one, fresh work arrays are allocated for this call.
 
-    Raises ValueError, with every counter unchanged, if a sampled
+    Raises ValueError, with the whole state unchanged, if a sampled
     observation's count is already the largest its dtype holds.
     """
     idx = np.asarray(sampled, dtype=np.intp)
@@ -186,22 +188,20 @@ def update(
 
     seen = np.take(state.pair_seen, cond, out=buf.seen, mode="clip")
     same = np.take(state.pair_same, cond, out=buf.same, mode="clip")
-    if confusion_rows is not None:
-        s_old = np.divide(same, np.maximum(seen, 1, out=buf.s_old), out=buf.s_old)
+    s_old = np.divide(same, np.maximum(seen, 1, out=buf.s_old), out=buf.s_old)
     np.add(seen, 1, out=seen)
     np.add(same, buf.same_label, out=same)
     state.pair_seen[cond] = seen
     state.pair_same[cond] = same
     state.diag[idx] += 1
-    if confusion_rows is not None:
-        # delta = s_new (1 - s_new) - s_old (1 - s_old), operation for operation
-        s_new = np.divide(same, seen, out=buf.s_new)
-        delta = np.multiply(s_new, np.subtract(1.0, s_new, out=buf.delta), out=buf.delta)
-        np.multiply(s_old, np.subtract(1.0, s_old, out=s_new), out=s_old)
-        np.subtract(delta, s_old, out=delta)
-        per_row = np.bincount(buf.ii, weights=delta, minlength=idx.size)
-        per_row += np.bincount(buf.jj, weights=delta, minlength=idx.size)
-        confusion_rows[idx] += per_row
+    # delta = s_new (1 - s_new) - s_old (1 - s_old), operation for operation
+    s_new = np.divide(same, seen, out=buf.s_new)
+    delta = np.multiply(s_new, np.subtract(1.0, s_new, out=buf.delta), out=buf.delta)
+    np.multiply(s_old, np.subtract(1.0, s_old, out=s_new), out=s_old)
+    np.subtract(delta, s_old, out=delta)
+    per_row = np.bincount(buf.ii, weights=delta, minlength=idx.size)
+    per_row += np.bincount(buf.jj, weights=delta, minlength=idx.size)
+    state.confusion_rows[idx] += per_row
     return state
 
 
@@ -313,23 +313,17 @@ def _consensus_blocks(state: ConsensusState) -> Iterator[np.ndarray]:
 _MAGIC = b"MPCS"
 
 
-def save_consensus_binary(consensus: ConsensusState | np.ndarray, path: str | Path) -> None:
+def save_consensus_binary(state: ConsensusState, path: str | Path) -> None:
     """Compact form: magic 'MPCS', little-endian u32 N, row-major f32 values.
 
-    ``consensus`` is the pair counters, written a block of rows at a time
-    with the values of ``consensus_of(state).astype("<f4")``, or a dense
-    square matrix.
+    The state's counters are written a block of rows at a time, with the
+    values of ``consensus_of(state).astype("<f4")``; dense S is never built.
     """
     with Path(path).open("wb") as fh:
         fh.write(_MAGIC)
-        if isinstance(consensus, ConsensusState):
-            fh.write(struct.pack("<I", consensus.n))
-            for block in _consensus_blocks(consensus):
-                fh.write(block.astype("<f4"))
-        else:
-            values = np.ascontiguousarray(consensus, dtype="<f4")
-            fh.write(struct.pack("<I", values.shape[0]))
-            fh.write(values.data)
+        fh.write(struct.pack("<I", state.n))
+        for block in _consensus_blocks(state):
+            fh.write(block.astype("<f4"))
 
 
 def load_consensus_binary(path: str | Path) -> np.ndarray:

@@ -173,6 +173,9 @@ def _parse_per_cell(path: Path, delimiter: str, header: bool, ids: bool) -> _Par
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
+    if ids and width == 1:
+        raise ValueError(f"{path}: no value cell after the id column when split at "
+                         f"{delimiter!r}; pass the file's delimiter with --delimiter")
     if head is not None and len(head) != width:
         raise ValueError(f"{path}: row 1 has {width} cells but the header has {len(head)}")
     col_ids = None if head is None else [c.strip() for c in (head[1:] if ids else head)]

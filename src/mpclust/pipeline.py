@@ -29,7 +29,6 @@ from .consensus import (
     ConsensusState,
     PairScratch,
     StopTracker,
-    confusion,
     consensus_of,
     dissimilarity_of,
     update,
@@ -209,8 +208,8 @@ def run(
     feature scores.
 
     The per-observation confusion that drives the adaptive observation
-    weights and the early-stop percentile is one vector: the off-diagonal
-    S(1-S) row sums that ``update`` maintains incrementally, divided by N.
+    weights and the early-stop percentile is the consensus state's
+    ``confusion_rows``, which ``update`` maintains, divided by N.
     Every patch has ``n_count`` observations, so the per-pair temporaries
     of ``pairwise``, ``ward_linkage`` and ``update`` live in one
     ``PairScratch`` for the whole loop, released before the final
@@ -267,7 +266,6 @@ def run(
     wtrace: list[tuple[int, np.ndarray, np.ndarray | None]] | None = (
         [] if collect_weight_trace else None
     )
-    confusion_rows = np.zeros(n)  # incremental off-diagonal S(1-S) row sums
     stop_reason = "t_max"
 
     for t in range(1, t_max + 1):
@@ -283,7 +281,7 @@ def run(
 
         if adaptive_obs:
             if t > obs_burn:
-                update_obs_weights(obs_state, confusion_rows / n, t, hp.alpha_i)
+                update_obs_weights(obs_state, state.confusion_rows / n, t, hp.alpha_i)
             obs_idx = ee_prob_next(obs_cfg, obs_state, t, rng_obs)
             obs_state.record(obs_idx)
         else:
@@ -299,8 +297,8 @@ def run(
             support, _ = score_features(view, labels, hp.eta)
             update_feature_weights(feat_state, feat_idx[support], feat_idx, hp.alpha_f)
 
-        update(state, obs_idx, labels, confusion_rows, scratch=scratch)
-        pct = float(np.percentile(confusion_rows / n, tracker.q))
+        update(state, obs_idx, labels, scratch=scratch)
+        pct = float(np.percentile(state.confusion_rows / n, tracker.q))
         stop = False
         if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs_burn):
             tracker, stop = tracker.step(pct)
@@ -337,12 +335,8 @@ def run(
         )
 
     s = consensus_of(state) if hp.final_algo == "spectral" else None
-    d = None  # spectral at a given k needs no tree
-    if hp.final_algo == "hierarchical" or hp.k_final is None:
-        d = DistanceMatrix(n, dissimilarity_of(state))
-    labels = _final_labels(d, hp, s)
     result = RunResult(
-        labels=labels,
+        labels=_final_labels(state, hp, s),
         consensus=state,
         feature_scores=feat_state.importance() if adaptive_feat else None,
         obs_weights=obs_state.weights.copy(),
@@ -357,34 +351,29 @@ def run(
     return result
 
 
-def _final_labels(
-    d: DistanceMatrix | None, hp: HyperParams, s: np.ndarray | None = None
-) -> np.ndarray:
-    """Final labels from the condensed 1 - S ``d``, whose buffer receives
-    Ward's square roots, and for the spectral finaliser from dense ``s``;
-    spectral with a given k reads ``s`` alone."""
-    if hp.k_final is None:
-        labels = cut_quantile(ward_linkage(d, out=d.condensed), hp.h)
+def _final_labels(state: ConsensusState, hp: HyperParams, s: np.ndarray | None) -> np.ndarray:
+    """Final labels from the counters; spectral reads dense ``s``, and no tree at a given k."""
+    if hp.k_final is not None:
         if hp.final_algo == "spectral":
-            k = int(labels.max()) + 1
-            return finalize_spectral(s, k, seed=hp.seed)
-        return labels
+            return finalize_spectral(s, hp.k_final, seed=hp.seed)
+        return finalize_hierarchical(state, hp.k_final)
+    d = DistanceMatrix(state.n, dissimilarity_of(state))
+    labels = cut_quantile(ward_linkage(d, out=d.condensed), hp.h)
     if hp.final_algo == "spectral":
-        return finalize_spectral(s, hp.k_final, seed=hp.seed)
-    return finalize_hierarchical(d, hp.k_final)
+        return finalize_spectral(s, int(labels.max()) + 1, seed=hp.seed)
+    return labels
 
 
-def finalize_hierarchical(s: np.ndarray | DistanceMatrix, k: int) -> np.ndarray:
+def finalize_hierarchical(consensus: np.ndarray | ConsensusState, k: int) -> np.ndarray:
     """Cluster the consensus: ward linkage on 1 - S, cut to k.
 
-    ``s`` is the dense consensus matrix S, or the condensed 1 - S as a
-    ``DistanceMatrix``, which this consumes: its buffer receives Ward's
-    square roots.
+    ``consensus`` is dense S or the pair counters (``RunResult.consensus``).
+    1 - S goes into a fresh buffer, which receives Ward's square roots.
     """
-    if isinstance(s, DistanceMatrix):
-        d = s
+    if isinstance(consensus, ConsensusState):
+        d = DistanceMatrix(consensus.n, dissimilarity_of(consensus))
     else:
-        s = np.asarray(s, dtype=float)
+        s = np.asarray(consensus, dtype=float)
         d = DistanceMatrix(s.shape[0], 1 - squareform(s, checks=False))
     if not 1 <= k <= d.n:
         raise ValueError(f"k must be in 1..{d.n}")
@@ -455,6 +444,7 @@ def tune_minipatch_size(
     Cells are tried in ascending m*n^2 cost order and the search stops at
     the first qualifying cell; if none qualifies, the evaluated cell with
     the smallest max confusion is returned flagged as not converged.
+    Confusion is read from ``result.consensus.confusion_rows / N``: no dense S.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -464,7 +454,7 @@ def tune_minipatch_size(
     for m_frac, n_frac in ordered:
         cell_hp = replace(hp, m_frac=m_frac, n_frac=n_frac)
         result = run(data, mode, cell_hp)
-        max_conf = float(confusion(result.s).max())
+        max_conf = float(result.consensus.confusion_rows.max() / data.n_obs)
         cells.append((m_frac, n_frac, max_conf, result.iterations_run))
         if max_conf < 0.01:
             return TuneResult(m_frac, n_frac, max_conf, True, tuple(cells))

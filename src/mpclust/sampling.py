@@ -139,8 +139,8 @@ def update_obs_weights(
     """Blend observation weights toward count-adjusted confusion.
 
     ``conf`` is the per-observation confusion vector, as ``confusion(S)``
-    returns it for the current consensus S; ``run()`` passes the row sums
-    that ``consensus.update`` maintains incrementally, divided by N.
+    returns it for the current consensus S; ``run()`` passes the consensus
+    state's ``confusion_rows``, which ``update`` maintains, divided by N.
     u_i = conf_i * (t-1)/max(1, samplings_i); weights move by
     w <- alpha w + (1-alpha) u/sum(u).  A zero uncertainty vector leaves
     the weights untouched.

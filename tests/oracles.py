@@ -186,9 +186,10 @@ def per_cell_matrix_csv(values: np.ndarray, row_ids, col_ids, delimiter: str = "
 def per_cell_load_matrix(path, delimiter: str = ",", header: bool = True, ids: bool = True):
     """A matrix file read by the csv module with ``float()`` on every cell.
 
-    Returns (values, row_ids, col_ids). Blank lines are skipped, every row
-    must be as wide as the first data row and the header, and a cell
-    ``float()`` rejects is named by row and column id.
+    Returns (values, row_ids, col_ids). Blank lines are skipped, the first
+    data row needs a cell after its id, every row must be as wide as the
+    first data row and the header, and a cell ``float()`` rejects is named
+    by row and column id.
     """
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh, delimiter=delimiter) if r]
@@ -198,6 +199,11 @@ def per_cell_load_matrix(path, delimiter: str = ",", header: bool = True, ids: b
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
+    if ids and width == 1:
+        raise ValueError(
+            f"{path}: no value cell after the id column when split at {delimiter!r}; "
+            "pass the file's delimiter with --delimiter"
+        )
     if head is not None and len(head) != width:
         raise ValueError(f"{path}: row 1 has {width} cells but the header has {len(head)}")
     col_ids = None if head is None else [c.strip() for c in (head[1:] if ids else head)]

@@ -183,13 +183,12 @@ def test_c06_no_sparse_matches_full_consensus_baseline():
     n_count = math.ceil(0.8 * n)
     t0 = time.perf_counter()
     state = ConsensusState.empty(n)
-    rows = np.zeros(n)
     for t in range(1, res.iterations_run + 1):
         rng = np.random.default_rng(np.random.SeedSequence(42, spawn_key=(9, t)))
         idx = draw_uniform(n, n_count, rng)
         labels = cut_k(ward_linkage(pairwise(values[idx], "manhattan")), 4)
-        update(state, idx, labels, confusion_rows=rows)
-        np.percentile(rows / n, 90)
+        update(state, idx, labels)
+        np.percentile(state.confusion_rows / n, 90)
     base_labels = finalize_hierarchical(consensus_of(state), 4)
     base_time = time.perf_counter() - t0
     base_ari = ari(base_labels, sd.labels)

@@ -315,6 +315,29 @@ class TestEval:
         assert main(["eval", "f1", str(scores), str(mask)]) == 0
         assert float(capsys.readouterr().out.strip()) == 1.0
 
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        labels = tmp_path / "l.csv"
+        labels.write_text("id,label\nr1,1\n\nr2,1\nr3,2\n\n")
+        assert main(["eval", "ari", str(labels), str(labels)]) == 0
+        assert float(capsys.readouterr().out.strip()) == 1.0
+        scores = tmp_path / "s.csv"
+        scores.write_text("feature_id,score\n\nf1,1.0\nf2,0.0\n\nf3,0.0\n")
+        mask = tmp_path / "m.csv"
+        mask.write_text("feature_id,is_signal\nf1,1\n\nf2,0\nf3,0\n")
+        assert main(["eval", "f1", str(scores), str(mask), "--top-k", "1"]) == 0
+        assert float(capsys.readouterr().out.strip()) == 1.0
+
+    @pytest.mark.parametrize("what", ["ari", "f1"])
+    @pytest.mark.parametrize("text, line", [
+        ("id,label\nr1\nr2,2\n", 2),  # a one-cell first data row: no ids read as labels
+        ("id,label\nr1,1\n\nr2,2,3\n", 4),
+    ])
+    def test_row_of_another_width_is_an_error(self, tmp_path, capsys, what, text, line):
+        p = tmp_path / "l.csv"
+        p.write_text(text)
+        assert main(["eval", what, str(p), str(p)]) == 1
+        assert f"error: {p}: line {line} has" in capsys.readouterr().err
+
 
 class TestHoeffdingCheck:
     def test_random_data_table(self, tmp_path):

@@ -100,37 +100,34 @@ class TestCounterWidth:
 
     def test_last_count_that_fits(self):
         state = self._near_limit()
-        rows = np.zeros(4)
-        update(state, np.array([0, 1]), np.array([3, 3]), rows)
+        update(state, np.array([0, 1]), np.array([3, 3]))
         assert state.diag[:2].tolist() == [65_535, 65_535]
         assert (state.pair_seen[0], state.pair_same[0]) == (65_535, 65_001)
         s_old, s_new = 65_000 / 65_534, 65_001 / 65_535
-        assert rows[0] == s_new * (1 - s_new) - s_old * (1 - s_old)
+        assert state.confusion_rows[0] == s_new * (1 - s_new) - s_old * (1 - s_old)
 
     def test_overflow_raises_and_leaves_counters(self):
         state = self._near_limit()
         update(state, np.array([0, 1]), np.array([3, 3]))
-        before = [a.copy() for a in (state.pair_same, state.pair_seen, state.diag)]
-        rows = np.zeros(4)
+        fields = ("pair_same", "pair_seen", "diag", "confusion_rows")
+        before = [getattr(state, f).copy() for f in fields]
         with pytest.raises(ValueError, match="65535"):
-            update(state, np.array([3, 1, 2]), np.array([0, 0, 1]), rows)
-        after = (state.pair_same, state.pair_seen, state.diag)
-        assert all(np.array_equal(a, b) for a, b in zip(before, after))
-        assert not rows.any()
+            update(state, np.array([3, 1, 2]), np.array([0, 0, 1]))
+        after = [getattr(state, f) for f in fields]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 class TestPairScratch:
     def test_matches_fresh_buffers(self):
         log = _random_log(30, 40, 9, seed=4)
         a, b = ConsensusState.empty(30), ConsensusState.empty(30)
-        rows_a, rows_b = np.zeros(30), np.zeros(30)
         scratch = PairScratch.empty(9, a.pair_seen.dtype)
         for idx, labels in log:
-            update(a, idx, labels, rows_a, scratch=scratch)
-            update(b, idx, labels, rows_b)
+            update(a, idx, labels, scratch=scratch)
+            update(b, idx, labels)
         for x, y in zip((a.pair_same, a.pair_seen, a.diag), (b.pair_same, b.pair_seen, b.diag)):
             assert np.array_equal(x, y)
-        assert rows_a.tobytes() == rows_b.tobytes()
+        assert a.confusion_rows.tobytes() == b.confusion_rows.tobytes()
 
     def test_any_label_values(self):
         a, b = ConsensusState.empty(5), ConsensusState.empty(5)
@@ -156,15 +153,14 @@ class TestPairScratch:
         rng = np.random.default_rng(0)
         state = ConsensusState.empty(n, max_count=5000)
         scratch = PairScratch.empty(size, state.pair_seen.dtype)
-        rows = np.zeros(n)
         patches = [
             (rng.choice(n, size, replace=False), rng.integers(0, 4, size)) for _ in range(3)
         ]
         for idx, labels in patches[:2]:
-            update(state, idx, labels, rows, scratch=scratch)
+            update(state, idx, labels, scratch=scratch)
         tracemalloc.start()
         try:
-            update(state, *patches[2], rows, scratch=scratch)
+            update(state, *patches[2], scratch=scratch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -188,10 +184,9 @@ class TestConsensusOf:
     def test_incremental_confusion_rows_match(self):
         log = _random_log(25, 40, 8, seed=9)
         state = ConsensusState.empty(25)
-        rows = np.zeros(25)
         for idx, labels in log:
-            update(state, idx, labels, confusion_rows=rows)
-        assert np.allclose(rows / 25, confusion(consensus_of(state)), atol=1e-12)
+            update(state, idx, labels)
+        assert np.allclose(state.confusion_rows / 25, confusion(consensus_of(state)), atol=1e-12)
 
 
 @st.composite
@@ -207,9 +202,9 @@ def _update_logs(draw):
     return n, draw(st.lists(patch, max_size=25))
 
 
-def _assert_counters_consistent(state, rows, samplings):
+def _assert_counters_consistent(state, samplings):
     """The incremental confusion rows and the counters agree with a recount."""
-    drift = np.abs(rows / state.n - confusion(consensus_of(state))).max()
+    drift = np.abs(state.confusion_rows / state.n - confusion(consensus_of(state))).max()
     assert drift <= 1e-12
     assert (state.pair_same <= state.pair_seen).all()
     assert np.array_equal(state.diag, samplings)
@@ -221,23 +216,21 @@ class TestIncrementalConfusionDrift:
     def test_random_update_sequences(self, log):
         n, patches = log
         state = ConsensusState.empty(n)
-        rows = np.zeros(n)
         samplings = np.zeros(n, dtype=np.int64)
         for idx, labels in patches:
-            update(state, np.array(idx, dtype=int), np.array(labels, dtype=int), rows)
+            update(state, np.array(idx, dtype=int), np.array(labels, dtype=int))
             samplings[idx] += 1
-            _assert_counters_consistent(state, rows, samplings)
+            _assert_counters_consistent(state, samplings)
 
     def test_long_run(self):
         n = 200
         log = _random_log(n, 1000, 50, seed=17)
         state = ConsensusState.empty(n)
-        rows = np.zeros(n)
         samplings = np.zeros(n, dtype=np.int64)
         for idx, labels in log:
-            update(state, idx, labels, confusion_rows=rows)
+            update(state, idx, labels)
             samplings[idx] += 1
-        _assert_counters_consistent(state, rows, samplings)
+        _assert_counters_consistent(state, samplings)
 
 
 class TestConfusion:
@@ -296,22 +289,32 @@ class TestStopTracker:
         assert tracker.run_length <= tracker.patience
 
 
+def _counters(n, same, seen):
+    """A state with these condensed counters, every observation sampled once."""
+    state = ConsensusState.empty(n)
+    state.pair_same[:], state.pair_seen[:], state.diag[:] = same, seen, 1
+    return state
+
+
 class TestExport:
     def test_binary_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
-        s = rng.random((6, 6)).astype(np.float32).astype(float)
-        s = (s + s.T) / 2
+        seen = rng.integers(1, 1000, 15)
+        state = _counters(6, rng.integers(0, seen + 1), seen)
+        s = consensus_of(state)
         p = tmp_path / "s.bin"
-        save_consensus_binary(s, p)
+        save_consensus_binary(state, p)
         back = load_consensus_binary(p)
         assert back.shape == (6, 6)
         assert np.allclose(back, s, atol=1e-7)
         assert p.read_bytes()[:4] == b"MPCS"
 
     def test_binary_bytes_match_struct_reference(self, tmp_path):
-        s = np.array([[1.0, 0.25, 1 / 3], [0.25, 1.0, -0.0], [1 / 3, 0.0, 1.0]])
+        s = np.array([[1.0, 0.25, 1 / 3], [0.25, 1.0, 0.0], [1 / 3, 0.0, 1.0]])
+        state = _counters(3, [1, 1, 0], [4, 3, 2])  # S's upper triangle, row by row
+        assert consensus_of(state).tobytes() == s.tobytes()
         p = tmp_path / "s.bin"
-        save_consensus_binary(s, p)
+        save_consensus_binary(state, p)
         ref = b"MPCS" + struct.pack("<I", 3) + struct.pack("<9f", *s.ravel())
         assert p.read_bytes() == ref
 
@@ -369,7 +372,8 @@ class TestConsensusCsvWriter:
 
 def _as_uint16(state):
     return ConsensusState(state.n, *(a.astype(np.uint16) for a in
-                                     (state.pair_same, state.pair_seen, state.diag)))
+                                     (state.pair_same, state.pair_seen, state.diag)),
+                          state.confusion_rows)
 
 
 def _dense_binary(state):

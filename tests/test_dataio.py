@@ -89,6 +89,14 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match=message):
             write_matrix(load_matrix(p), tmp_path / "out.csv", delimiter=delimiter)
 
+    def test_wrong_delimiter_names_itself(self, tmp_path):
+        p = _write(tmp_path, "id\tf1\tf2\nr1\t1\t2\nr2\t3\t4\nr3\t5\t6\n")
+        with pytest.raises(ValueError) as err:
+            load_matrix(p)
+        assert str(err.value) == (f"{p}: no value cell after the id column when split "
+                                  "at ','; pass the file's delimiter with --delimiter")
+        assert load_matrix(p, delimiter="\t").values.shape == (3, 2)
+
     def test_quoted_ids_load(self, tmp_path):
         p = _write(tmp_path, 'id,"c,1",c2\n"r,""1""",1,2\nr2,3,4\n')
         m = load_matrix(p)

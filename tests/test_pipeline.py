@@ -1,10 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.cluster.vq import ClusterError
-from scipy.spatial.distance import squareform
 
 from mpclust import pipeline
 from mpclust.cli import main
@@ -229,15 +229,33 @@ class TestFinalize:
         # consensus-like S: ratios of small counts, so 1 - S is heavily tied
         rng = np.random.default_rng(seed)
         seen = rng.integers(1, 9, (n, n))
-        s = np.triu(rng.integers(0, 9, (n, n)) % (seen + 1) / seen, 1)
-        s = s + s.T
-        np.fill_diagonal(s, 1.0)
+        same = rng.integers(0, 9, (n, n)) % (seen + 1)
+        upper = np.triu_indices(n, 1)
+        state = ConsensusState.empty(n)
+        state.pair_same[:], state.pair_seen[:], state.diag[:] = same[upper], seen[upper], 1
+        s = consensus_of(state)
         ref = ward_linkage(DistanceMatrix(n, dense_index_dissimilarity(s)))
         for k in range(1, n + 1):
             assert np.array_equal(finalize_hierarchical(s, k), cut_k(ref, k))
         hp = HyperParams(h=float(rng.uniform(0.05, 1.0)))
-        d = DistanceMatrix(n, 1 - squareform(s, checks=False))
-        assert np.array_equal(_final_labels(d, hp), cut_quantile(ref, hp.h))
+        assert np.array_equal(_final_labels(state, hp, None), cut_quantile(ref, hp.h))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+    def test_hierarchical_reads_counters_without_writing_them(self, n, seed):
+        rng = np.random.default_rng(seed)
+        state = ConsensusState.empty(n)
+        for _ in range(8):
+            idx = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            update(state, idx, rng.integers(0, 3, idx.size))
+        before = [a.tobytes() for a in
+                  (state.pair_same, state.pair_seen, state.diag, state.confusion_rows)]
+        dense = consensus_of(state)
+        for k in range(1, n + 1):
+            assert np.array_equal(finalize_hierarchical(state, k), finalize_hierarchical(dense, k))
+        assert before == [a.tobytes() for a in
+                          (state.pair_same, state.pair_seen, state.diag, state.confusion_rows)]
+        assert dense.tobytes() == consensus_of(state).tobytes()
 
     def test_hierarchical_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -463,6 +481,26 @@ class TestTuner:
         )
         assert not result.converged
         assert result.max_confusion >= 0.01
+
+    def test_reads_the_runs_confusion_rows_without_dense_s(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        data = DataMatrix(
+            rng.standard_normal((40, 10)),
+            tuple(f"r{i}" for i in range(40)),
+            tuple(f"c{j}" for j in range(10)),
+        )
+        hp = HyperParams(seed=2, t_max=60, early_stop=False)
+
+        def no_dense(state):
+            raise AssertionError("dense S built")
+
+        monkeypatch.setattr(pipeline, "consensus_of", no_dense)
+        result = tune_minipatch_size(data, "mpcc", [(0.5, 0.3), (0.5, 0.5)], hp)
+        monkeypatch.undo()
+        assert len(result.cells) == 2
+        for m_frac, n_frac, max_conf, _ in result.cells:
+            res = run(data, "mpcc", replace(hp, m_frac=m_frac, n_frac=n_frac))
+            assert abs(max_conf - confusion(consensus_of(res.consensus)).max()) <= 1e-12
 
     def test_empty_grid(self):
         data, _ = _blobs()
