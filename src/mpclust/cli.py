@@ -141,14 +141,40 @@ def _read_rows(path: Path) -> list[list[str]]:
     return rows
 
 
-def _read_labels(path: Path) -> np.ndarray:
+def _read_by_id(path: Path, column: int) -> dict[str, str]:
+    """Each row's ``column`` cell by its id, the row's first cell.
+
+    Header rule: the first row is a header when its ``column`` cell is not
+    a number (``float()`` rejects it), as in ``id,label`` or
+    ``sample,cluster`` above numeric labels. Every label and score mpclust
+    writes is a number; a file of non-numeric labels needs a header row.
+    """
     rows = _read_rows(path)
-    if rows and rows[0][:1] == ["id"]:
+    if rows and len(rows[0]) < 2:
+        raise ValueError(f"{path}: need an id column and a value column")
+    if rows and not _is_number(rows[0][column]):
         rows = rows[1:]
     if not rows:
-        raise ValueError(f"{path}: no label rows")
-    column = 1 if len(rows[0]) > 1 else 0
-    return np.array([r[column] for r in rows])
+        raise ValueError(f"{path}: no data rows")
+    values: dict[str, str] = {}
+    for row in rows:
+        if row[0] in values:
+            raise ValueError(f"{path}: duplicate id {row[0]!r}")
+        values[row[0]] = row[column]
+    return values
+
+
+def _aligned(a: Path, b: Path, column: int) -> tuple[list[str], list[str]]:
+    """Both files' values at the ids of ``a``, in its row order.
+
+    ValueError names the first id found in one file only (``a``'s first).
+    """
+    by_a, by_b = _read_by_id(a, column), _read_by_id(b, column)
+    for ids, other, here, there in ((by_a, by_b, a, b), (by_b, by_a, b, a)):
+        missing = next((i for i in ids if i not in other), None)
+        if missing is not None:
+            raise ValueError(f"id {missing!r} is in {here} but not in {there}")
+    return list(by_a.values()), [by_b[i] for i in by_a]
 
 
 def _hp_from_args(args: argparse.Namespace) -> HyperParams:
@@ -385,24 +411,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.what == "ari":
-        a = _read_labels(Path(args.a))
-        b = _read_labels(Path(args.b))
-        print(f"{ari(a, b):.17g}")
+        a, b = _aligned(Path(args.a), Path(args.b), 1)
+        print(f"{ari(np.array(a), np.array(b)):.17g}")
     else:
-        scores = _read_score_column(Path(args.a))
-        truth = _read_score_column(Path(args.b)).astype(bool)
-        mask = select_by_score(scores, top_k=args.top_k)
-        print(f"{f1_features(mask, truth):.17g}")
+        scores, truth = _aligned(Path(args.a), Path(args.b), -1)
+        mask = select_by_score(np.array([float(v) for v in scores]), top_k=args.top_k)
+        print(f"{f1_features(mask, np.array([float(v) for v in truth]).astype(bool)):.17g}")
     return 0
-
-
-def _read_score_column(path: Path) -> np.ndarray:
-    rows = _read_rows(path)
-    if rows and not _is_number(rows[0][-1]):
-        rows = rows[1:]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.array([float(r[-1]) for r in rows])
 
 
 def _is_number(text: str) -> bool:

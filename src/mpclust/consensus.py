@@ -13,8 +13,8 @@ Nothing downstream of the counters needs dense S. The state also owns
 the confusion row sums (off-diagonal S(1-S)), which ``update`` maintains
 and the weights, the stop rule and the tuner read. The final Ward reads
 the condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
-exports compute S from the counters a block of rows at a time. Dense S
-(8 N^2 bytes) is built by ``consensus_of`` alone.
+exports look S up by each pair's (seen, same) code in a per-run table
+of values. Dense S (8 N^2 bytes) is built by ``consensus_of`` alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, replace
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -251,63 +250,63 @@ class StopTracker:
 # -- consensus matrix export ------------------------------------------------
 
 def write_consensus_csv(state: ConsensusState, ids: Sequence[str], path: str | Path) -> None:
-    """Write S as a matrix CSV straight from the pair counters.
+    """Write S as a matrix CSV straight from the pair counters, without dense S.
 
     The bytes are those of ``write_matrix(DataMatrix(consensus_of(state),
-    ids, ids), path)``, but dense S is never built: rows come from
-    ``_consensus_blocks``, and since S holds few distinct values (ratios
-    of small counts), each is formatted once with ``%.17g`` and the cells
-    are filled in by table lookup.
-    """
+    ids, ids), path)``; each value in ``_consensus_cells``' table is
+    formatted once with ``%.17g``."""
     if len(ids) != state.n:
         raise ValueError(f"got {len(ids)} ids for {state.n} observations")
-    _write_table(path, ids, ids, _consensus_rows(state))
-
-
-def _consensus_rows(state: ConsensusState) -> Iterator[str]:
-    """Row i of S as comma-separated ``%.17g`` text, for i = 0 .. N-1."""
-    text = cache("%.17g".__mod__)
-    for block in _consensus_blocks(state):
-        for row in block:
-            values, index = np.unique(row, return_inverse=True)
-            cells = np.array([text(v) for v in values.tolist()], dtype=object)
-            yield ",".join(cells[index].tolist()) + "\n"
+    values, blocks = _consensus_cells(state)
+    text = ["%.17g" % v for v in values.tolist()]
+    cells = np.array([t + end for end in ",\n" for t in text], dtype=object)
+    last = np.where(np.arange(state.n) == state.n - 1, len(text), 0)  # last column: "\n" half
+    rows = ("".join(cells[row + last].tolist()) for block in blocks for row in block)
+    _write_table(path, ids, ids, rows)
 
 
 _BLOCK_CELLS = 1 << 18
+_TABLE_CODES = 1 << 16
 
 
-def _consensus_blocks(state: ConsensusState) -> Iterator[np.ndarray]:
-    """Consecutive blocks of rows of S, about ``_BLOCK_CELLS`` cells each.
+def _consensus_cells(state: ConsensusState) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """A table of S's values, and blocks of about ``_BLOCK_CELLS`` cells of S indexing it.
 
-    Each block is computed from the counters as V / max(1, D) in float64,
-    the values of ``consensus_of``, with 1 on the diagonal of a sampled
-    observation and 0 on that of an unsampled one. Every block is a view
-    of one buffer that the next block overwrites.
-    """
-    n = state.n
-    rows = max(1, _BLOCK_CELLS // n)
-    col = np.arange(n)
-    above = _pair_index(n, col, col + 1) - col - 1  # pair (i, j), i < j, is above[i] + j
-    pairs = np.empty((rows, n), dtype=np.intp)
-    lower = np.empty((rows, n), dtype=bool)
-    seen = np.empty((rows, n), dtype=state.pair_seen.dtype)
-    same = np.empty((rows, n), dtype=state.pair_same.dtype)
-    out = np.empty((rows, n))
-    for start in range(0, n, rows):
-        r = min(rows, n - start)
-        i = col[start:start + r, None]
-        p, low, sn, sm, s = pairs[:r], lower[:r], seen[:r], same[:r], out[:r]
-        np.add(above[i], col, out=p)  # pair (i, j) for j > i
-        np.less(col, i, out=low)
-        np.add(above, i, out=p, where=low)  # pair (j, i) for j < i
-        # the diagonal slot holds above[i] + i, which is -1 for i = 0:
-        # "clip" reads some counter there, and the diagonal is overwritten
-        np.take(state.pair_seen, p, out=sn, mode="clip")
-        np.take(state.pair_same, p, out=sm, mode="clip")
-        np.divide(sm, np.maximum(sn, 1, out=s), out=s)
-        s[col[:r], col[start:start + r]] = state.diag[start:start + r] > 0
-        yield s
+    A cell's code is seen·W + same, W being the largest pair count + 1 (at
+    least 2); a diagonal cell takes 1/1's code if its observation was
+    sampled, else 0's. The table holds same / max(1, seen) in float64, as
+    ``consensus_of``. Bound: while W² ≤ ``_TABLE_CODES`` (65,536; any run
+    of at most 255 minipatches) the codes are uint16 and index the table.
+    Past it (W² is 25M at the 5,000-minipatch cap) the table holds only the
+    uint64 codes that occur, found by ``np.searchsorted``."""
+    n, w = state.n, int(state.pair_seen.max(initial=1)) + 1
+    table = w * w <= _TABLE_CODES
+    cond = np.multiply(state.pair_seen, w, dtype=np.uint16 if table else np.uint64)
+    cond += state.pair_same
+    if table:
+        codes = np.arange(w * w)
+    else:
+        codes = np.array([0, w + 1], dtype=np.uint64)  # the diagonal's
+        for start in range(0, cond.size, _BLOCK_CELLS):
+            codes = np.union1d(codes, cond[start:start + _BLOCK_CELLS])
+
+    def blocks() -> Iterator[np.ndarray]:
+        rows = max(1, _BLOCK_CELLS // n)
+        col = np.arange(n)
+        above = _pair_index(n, col, col + 1) - col - 1  # pair (i, j), i < j, is above[i] + j
+        pairs, lower, code = (np.empty((rows, n), dtype=t) for t in (np.intp, bool, cond.dtype))
+        for start in range(0, n, rows):
+            r = min(rows, n - start)
+            i, p, low, c = col[start:start + r, None], pairs[:r], lower[:r], code[:r]
+            np.add(above[i], col, out=p)  # pair (i, j) for j > i
+            np.less(col, i, out=low)
+            np.add(above, i, out=p, where=low)  # pair (j, i) for j < i
+            # "clip" reads the diagonal slot (-1 for i = 0), then overwritten
+            np.take(cond, p, out=c, mode="clip")
+            c[col[:r], col[start:start + r]] = np.where(state.diag[start:start + r] > 0, w + 1, 0)
+            yield c if table else np.searchsorted(codes, c)
+
+    return np.divide(codes % w, np.maximum(codes // w, 1)), blocks()
 
 
 _MAGIC = b"MPCS"
@@ -316,14 +315,15 @@ _MAGIC = b"MPCS"
 def save_consensus_binary(state: ConsensusState, path: str | Path) -> None:
     """Compact form: magic 'MPCS', little-endian u32 N, row-major f32 values.
 
-    The state's counters are written a block of rows at a time, with the
-    values of ``consensus_of(state).astype("<f4")``; dense S is never built.
+    Blocks of ``_consensus_cells`` read a ``<f4`` copy of its table: the
+    values of ``consensus_of(state).astype("<f4")``, without dense S.
     """
+    values, blocks = _consensus_cells(state)
+    values = values.astype("<f4")
     with Path(path).open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", state.n))
-        for block in _consensus_blocks(state):
-            fh.write(block.astype("<f4"))
+        fh.write(_MAGIC + struct.pack("<I", state.n))
+        for block in blocks:
+            fh.write(np.take(values, block))
 
 
 def load_consensus_binary(path: str | Path) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -163,19 +164,37 @@ class RunResult:
         return consensus_of(self.consensus)
 
 
-def _available_bytes() -> int | None:
-    """MemAvailable from /proc/meminfo, else physical memory, else None (unknown)."""
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _read_text(path: str) -> str | None:
+    """A small file's text, or None if it cannot be read."""
     try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, AttributeError):
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
         return None
+
+
+def _available_bytes() -> int | None:
+    """Memory a run may use: the smaller of the host's and the cgroup's; None if unknown.
+
+    The host's is MemAvailable from /proc/meminfo, else physical memory.
+    The cgroup's is the limit in v2's memory.max (``max``: no limit) or,
+    where that file cannot be read, in v1's memory.limit_in_bytes.
+    """
+    host = re.search(r"^MemAvailable:\s+(\d+) kB", _read_text("/proc/meminfo") or "", re.M)
+    try:
+        known = [int(host[1]) * 1024 if host else os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
+    except (OSError, ValueError, AttributeError):
+        known = []
+    for path in _CGROUP_LIMITS:
+        limit = _read_text(path)
+        if limit is not None:
+            if limit.strip().isdigit():  # not v2's "max"
+                known.append(int(limit))
+            break
+    return min(known, default=None)
 
 
 def _peak_bytes(n: int, n_count: int, t_max: int, final_algo: str) -> int:
@@ -387,8 +406,9 @@ def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     I - D^-1/2 S D^-1/2 are the top k of the normalized affinity
     D^-1/2 S D^-1/2, which ``scipy.linalg.eigh`` computes alone. Their
     rows are scaled to unit length and clustered by ``kmeans2``
-    (k-means++ seeding, 100 iterations) in 10 restarts drawn from one
-    seeded stream; the restart with the lowest SSE wins.
+    (k-means++ seeding, at most 100 Lloyd steps, stopped once the labels
+    repeat) in 10 restarts drawn from one seeded stream; the restart with
+    the lowest SSE wins.
 
     Empty clusters: a restart in which ``kmeans2`` empties a cluster
     raises ``ClusterError`` and is discarded; if all 10 are, ValueError.
@@ -411,7 +431,7 @@ def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     best_sse = np.inf
     for _ in range(10):
         try:
-            centers, labels = kmeans2(emb, k, iter=100, minit="++", missing="raise", rng=rng)
+            centers, labels = _kmeans(emb, k, rng)
         except ClusterError:
             continue
         sse = float(((emb - centers[labels]) ** 2).sum())
@@ -421,6 +441,22 @@ def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     if best_labels is None:
         raise ValueError(f"k-means emptied a cluster in all 10 restarts for k={k}")
     return best_labels.astype(np.int64)  # kmeans2 labels are int32; cut_k's are int64
+
+
+def _kmeans(emb: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """``kmeans2(emb, k, iter=100, minit="++", missing="raise", rng=rng)``,
+    one Lloyd step at a time, stopped once the labels repeat.
+
+    Repeated labels give the same centers again, bit for bit, so every
+    later step would return the same centers and labels.
+    """
+    centers, labels = kmeans2(emb, k, iter=1, minit="++", missing="raise", rng=rng)
+    for _ in range(99):
+        centers, step = kmeans2(emb, centers, iter=1, minit="matrix", missing="raise")
+        if np.array_equal(step, labels):
+            break
+        labels = step
+    return centers, labels
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,54 @@ class TestEval:
         assert main(["eval", "f1", str(scores), str(mask), "--top-k", "1"]) == 0
         assert float(capsys.readouterr().out.strip()) == 1.0
 
+    def _ari(self, tmp_path, capsys, a, b):
+        (tmp_path / "a.csv").write_text(a)
+        (tmp_path / "b.csv").write_text(b)
+        code = main(["eval", "ari", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
+        out = capsys.readouterr()
+        return code, out.out.strip(), out.err
+
+    def test_ari_aligns_rows_by_id(self, tmp_path, capsys):
+        # row order used to score this -0.49999999999999994
+        code, out, _ = self._ari(tmp_path, capsys, "id,label\nr1,1\nr2,1\nr3,2\nr4,2\n",
+                                 "id,label\nr3,2\nr1,1\nr4,2\nr2,1\n")
+        assert (code, out) == (0, "1")
+        code, out, _ = self._ari(tmp_path, capsys, "id,label\nr1,1\nr2,1\nr3,2\nr4,2\n",
+                                 "id,label\nr3,2\nr1,1\nr4,1\nr2,2\n")
+        assert (code, out) == (0, f"{ari([1, 1, 2, 2], [1, 2, 2, 1]):.17g}")
+
+    @pytest.mark.parametrize("b", [
+        "sample,cluster\nr3,7\nr1,5\nr2,5\n",  # any header above numeric labels
+        "r3,7\nr1,5\nr2,5\n",  # no header
+        "obs,group\nr3,b\nr1,a\nr2,a\n",  # a header above non-numeric labels
+    ], ids=["named-header", "no-header", "text-labels"])
+    def test_header_rule(self, tmp_path, capsys, b):
+        code, out, _ = self._ari(tmp_path, capsys, "id,label\nr1,0\nr2,0\nr3,1\n", b)
+        assert (code, out) == (0, "1")
+
+    @pytest.mark.parametrize("a, b, message", [
+        ("id,label\nr1,1\nr2,1\nr4,2\nr3,2\n", "id,label\nr1,1\nr2,1\nr5,2\n",
+         "id 'r4' is in {a} but not in {b}"),  # the first of r4 and r3
+        ("id,label\nr1,1\nr2,1\n", "id,label\nr1,1\nr2,1\nr3,2\n", "id 'r3' is in {b} but not in {a}"),
+        ("id,label\nr1,1\nr2,1\nr1,2\n", "id,label\nr1,1\nr2,1\n", "{a}: duplicate id 'r1'"),
+        ("label\n1\n1\n", "id,label\nr1,1\nr2,1\n", "{a}: need an id column and a value column"),
+    ], ids=["only-in-a", "only-in-b", "duplicate", "no-id-column"])
+    def test_ids_must_match(self, tmp_path, capsys, a, b, message):
+        code, _, err = self._ari(tmp_path, capsys, a, b)
+        paths = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}
+        assert code == 1 and err == f"error: {message.format(**paths)}\n"
+
+    def test_f1_aligns_feature_ids(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("feature_id,score\nf1,1.0\nf2,1.0\nf3,0.0\nf4,0.0\nf5,0.0\nf6,0.0\n")
+        mask = tmp_path / "m.csv"
+        mask.write_text("feature_id,is_signal\nf6,0\nf5,0\nf4,0\nf3,0\nf2,1\nf1,1\n")
+        assert main(["eval", "f1", str(scores), str(mask)]) == 0
+        assert capsys.readouterr().out == "1\n"
+        mask.write_text("feature_id,is_signal\nf6,0\nf5,0\nf4,0\nf3,0\nf2,1\n")
+        assert main(["eval", "f1", str(scores), str(mask)]) == 1
+        assert capsys.readouterr().err == f"error: id 'f1' is in {scores} but not in {mask}\n"
+
     @pytest.mark.parametrize("what", ["ari", "f1"])
     @pytest.mark.parametrize("text, line", [
         ("id,label\nr1\nr2,2\n", 2),  # a one-cell first data row: no ids read as labels

@@ -369,9 +369,26 @@ class TestConsensusCsvWriter:
         with pytest.raises(ValueError, match="2 ids for 3"):
             write_consensus_csv(ConsensusState.empty(3), ("a", "b"), tmp_path / "s.csv")
 
+    @settings(max_examples=200, deadline=None)
+    @given(_update_logs(), st.sampled_from([1, 0, -1]), st.sampled_from([np.uint16, np.uint32]))
+    def test_bytes_match_dense_writers_around_the_table_bound(self, tmp_path_factory, case, slack, dtype):
+        # the bound is W² + 1 (W² just below it), W² (at it) or W² - 1 (just above it)
+        state, ids = case
+        counters = _as_dtype(state, dtype)
+        w = max(int(state.pair_seen.max(initial=0)), 1) + 1
+        d = tmp_path_factory.mktemp("t")
+        with mock.patch.object(consensus, "_TABLE_CODES", w * w + slack):
+            values, _ = consensus._consensus_cells(counters)
+            write_consensus_csv(counters, ids, d / "s.csv")
+            save_consensus_binary(counters, d / "s.bin")
+        assert (values.size == w * w) == (slack >= 0)  # the table over every code, or the codes that occur
+        write_matrix(DataMatrix(consensus_of(state), ids, ids), d / "dense.csv")
+        assert (d / "s.csv").read_bytes() == (d / "dense.csv").read_bytes()
+        assert (d / "s.bin").read_bytes() == _dense_binary(state)
 
-def _as_uint16(state):
-    return ConsensusState(state.n, *(a.astype(np.uint16) for a in
+
+def _as_dtype(state, dtype):
+    return ConsensusState(state.n, *(a.astype(dtype) for a in
                                      (state.pair_same, state.pair_seen, state.diag)),
                           state.confusion_rows)
 
@@ -389,7 +406,7 @@ class TestCounterFedOutputs:
         # cells // N rows per block: one row, several, a short last block, or one block
         state, ids = case
         d = tmp_path_factory.mktemp("b")
-        for counters in (state, _as_uint16(state)):
+        for counters in (state, _as_dtype(state, np.uint16)):
             with mock.patch.object(consensus, "_BLOCK_CELLS", cells):
                 save_consensus_binary(counters, d / "s.bin")
                 write_consensus_csv(counters, ids, d / "s.csv")
@@ -417,11 +434,45 @@ class TestCounterFedOutputs:
         save_consensus_binary(state, tmp_path / "s.bin")
         assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    @pytest.mark.parametrize("w, table", [(255, True), (256, True), (257, False)])
+    def test_exports_at_the_table_bound(self, tmp_path, dtype, w, table):
+        # W² = 65,025, 65,536 (= _TABLE_CODES; the largest code, 65,535, fills
+        # a uint16) and 66,049; observation 5 is never sampled, and pairs
+        # (0, 1) and those of observation 5 are never co-sampled
+        top = w - 1
+        # pairs (0, 1) .. (0, 5), (1, 2) .. (1, 5), (2, 3) .. (2, 5), (3, 4), (3, 5), (4, 5)
+        seen = [0, top, top, top, 0, 7, top, 1, 0, top, 3, 0, top, 0, 0]
+        same = [0, top, 0, top - 1, 0, 7, 1, 0, 0, top, 2, 0, top, 0, 0]
+        state = ConsensusState(6, np.array(same, dtype=dtype), np.array(seen, dtype=dtype),
+                               np.array([top] * 5 + [0], dtype=dtype), np.zeros(6))
+        values, _ = consensus._consensus_cells(state)
+        assert consensus._TABLE_CODES == 1 << 16
+        assert (values.size == w * w) is table
+        ids = tuple("abcdef")
+        write_consensus_csv(state, ids, tmp_path / "s.csv")
+        write_matrix(DataMatrix(consensus_of(state), ids, ids), tmp_path / "dense.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+        save_consensus_binary(state, tmp_path / "s.bin")
+        assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
+
+    def test_exports_at_the_largest_uint32_count(self, tmp_path):
+        # W = 2**32: the codes fill a uint64, and only the codes that occur are kept
+        top = 2**32 - 1
+        state = _counters(3, [top, 0, 5], [top, top, 2**31 + 5])
+        values, _ = consensus._consensus_cells(state)
+        assert values.size == 5  # (top, top), (top, 0), (2**31 + 5, 5) and the diagonal's two
+        write_consensus_csv(state, ("a", "b", "c"), tmp_path / "s.csv")
+        write_matrix(DataMatrix(consensus_of(state), ("a", "b", "c"), ("a", "b", "c")), tmp_path / "d.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+        save_consensus_binary(state, tmp_path / "s.bin")
+        assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
+
     @settings(max_examples=100, deadline=None)
     @given(_update_logs())
     def test_dissimilarity_is_one_minus_condensed_s_bit_for_bit(self, case):
         state, _ = case
         want = (1 - squareform(consensus_of(state), checks=False)).tobytes()
-        for counters in (state, _as_uint16(state)):
+        for counters in (state, _as_dtype(state, np.uint16)):
             got = dissimilarity_of(counters)
             assert got.dtype == np.float64 and got.tobytes() == want

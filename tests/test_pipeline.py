@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.cluster.vq import ClusterError
+from scipy.cluster.vq import ClusterError, kmeans2
 
 from mpclust import pipeline
 from mpclust.cli import main
@@ -308,6 +308,18 @@ class TestFinalize:
         assert emb.shape == (n, k)
         assert np.abs(emb @ emb.T - ref @ ref.T).max() <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kmeans_stopped_at_repeated_labels_matches_100_steps(self, seed):
+        # the 100-step result bit for bit, after the same draws from the stream
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(5, 200)), int(rng.integers(1, 7))
+        emb = rng.normal(size=(n, 3)) + 4 * rng.integers(0, 3, size=(n, 1))
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = pipeline._kmeans(emb, k, ours)
+        want = kmeans2(emb, k, iter=100, minit="++", missing="raise", rng=theirs)
+        assert all(a.tobytes() == b.tobytes() and a.dtype == b.dtype for a, b in zip(got, want))
+        assert ours.random() == theirs.random()
+
     def test_spectral_restarts_with_an_empty_cluster_are_discarded(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -316,31 +328,31 @@ class TestFinalize:
         s = np.triu(rng.uniform(0.0, 0.5, (30, 30)) + 0.5 * (block[:, None] == block[None, :]), 1)
         s = s + s.T
         np.fill_diagonal(s, 1.0)
-        real = pipeline.kmeans2
+        real = pipeline._kmeans
         calls, kept = [], []
 
-        def flaky(emb, k, **kwargs):
+        def flaky(emb, k, rng):
             # restart 4 returns a poor partition, restart 9 scipy's; the rest raise
             calls.append(k)
             if len(calls) == 4:
                 labels = np.arange(len(emb)) % k
                 centers = np.array([emb[labels == c].mean(axis=0) for c in range(k)])
             elif len(calls) == 9:
-                centers, labels = real(emb, k, **kwargs)
+                centers, labels = real(emb, k, rng)
             else:
                 raise ClusterError("One of the clusters is empty.")
             kept.append((float(((emb - centers[labels]) ** 2).sum()), labels))
             return centers, labels
 
-        monkeypatch.setattr(pipeline, "kmeans2", flaky)
+        monkeypatch.setattr(pipeline, "_kmeans", flaky)
         labels = finalize_spectral(s, 3, seed=2)
         assert len(calls) == 10 and kept[0][0] > kept[1][0]
         assert np.array_equal(labels, kept[1][1]) and ari(labels, block) == 1.0
 
-        def empty(emb, k, **kwargs):
+        def empty(emb, k, rng):
             raise ClusterError("One of the clusters is empty.")
 
-        monkeypatch.setattr(pipeline, "kmeans2", empty)
+        monkeypatch.setattr(pipeline, "_kmeans", empty)
         with pytest.raises(ValueError, match="all 10 restarts for k=3"):
             finalize_spectral(s, 3, seed=2)
         data, _ = _blobs(n_half=15, n_feat=8)
@@ -449,6 +461,29 @@ class TestMemoryCeiling:
         monkeypatch.setattr(pipeline.os, "sysconf",
                             {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}.__getitem__)
         assert pipeline._available_bytes() == 4_096_000
+
+    @pytest.mark.parametrize("files, want", [
+        ({"/sys/fs/cgroup/memory.max": "1048576\n"}, 1_048_576),  # v2 limit
+        ({"/sys/fs/cgroup/memory/memory.limit_in_bytes": "2097152\n"}, 2_097_152),  # v1
+        ({"/sys/fs/cgroup/memory.max": "max\n",  # v2 without a limit; v1 not read
+          "/sys/fs/cgroup/memory/memory.limit_in_bytes": "1\n"}, 4_096_000),
+        ({"/sys/fs/cgroup/memory.max": "8192000000\n"}, 4_096_000),  # above MemAvailable
+        ({}, 4_096_000),  # neither file can be read
+    ])
+    def test_available_bytes_takes_the_cgroup_limit(self, monkeypatch, files, want):
+        files = {"/proc/meminfo": "MemTotal:  8000 kB\nMemAvailable:  4000 kB\n", **files}
+        monkeypatch.setattr(pipeline, "_read_text", files.get)
+        assert pipeline._available_bytes() == want
+
+    def test_cgroup_limit_when_host_memory_is_unknown(self, monkeypatch):
+        def unknown(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(pipeline.os, "sysconf", unknown)
+        monkeypatch.setattr(pipeline, "_read_text", {"/sys/fs/cgroup/memory.max": "4096\n"}.get)
+        assert pipeline._available_bytes() == 4096
+        monkeypatch.setattr(pipeline, "_read_text", {}.get)
+        assert pipeline._available_bytes() is None
 
     def test_available_bytes_reads_memavailable(self):
         available = pipeline._available_bytes()
