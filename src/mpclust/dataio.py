@@ -151,6 +151,8 @@ def _parse_bulk(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
             raise ValueError("no data rows or no value column")
         if head is not None and ('"' in head or head.count(delimiter) + 1 != width):
             raise ValueError("quoted header or one of another width")
+        if not (first.partition(delimiter)[2] if ids else first).strip():
+            raise ValueError("blank first row")  # loadtxt skips it, and warns when all are
         values = np.loadtxt(rows(chain([first], lines)), delimiter=delimiter, comments=None, ndmin=2)
     if values.shape[0] != len(names):  # loadtxt skips a blank remainder such as "r1,"
         raise ValueError("blank row")

@@ -30,16 +30,24 @@ __all__ = [
 
 
 def draw_uniform(count_total: int, count_draw: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement via partial Fisher-Yates."""
+    """Uniform sample without replacement via partial Fisher-Yates.
+
+    Stream contract: the draw consumes exactly one ``rng.random(count_draw)``
+    call, and the sorted sample is a function of those values alone.  Step
+    i swaps slot i with slot i + floor(u_i * (count_total - i)); the swaps
+    run on Python ints, and only the slots touched so far are stored.
+    """
     if not 0 < count_draw <= count_total:
         raise ValueError(f"cannot draw {count_draw} of {count_total}")
-    pool = np.arange(count_total)
     spans = count_total - np.arange(count_draw)
     offsets = np.floor(rng.random(count_draw) * spans).astype(np.intp)
-    for i in range(count_draw):
-        j = i + offsets[i]
-        pool[i], pool[j] = pool[j], pool[i]
-    return np.sort(pool[:count_draw])
+    moved: dict[int, int] = {}  # slot -> index now held there, where not its own
+    drawn = []
+    for i, offset in enumerate(offsets.tolist()):
+        j = i + offset
+        drawn.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.sort(np.array(drawn, dtype=np.int_))
 
 
 def draw_weighted(weights: np.ndarray, count_draw: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,6 +181,13 @@ def score_features(
     this view; when that admits nothing but some p < 1, the single best
     column is admitted.  Degenerate columns (zero total variance) get
     p = 1; zero within-group variance with signal gets p = 0.
+
+    Each group sum adds that group's centred rows one at a time in row
+    order, starting from the first: the rows are stably sorted by group and
+    each group's block is accumulated along its rows.  ``.sum(axis=0)`` on
+    a block would not give these bits: for a single column numpy reduces
+    along the contiguous axis with pairwise summation, which adds in
+    another order.
     """
     x = np.asarray(view, dtype=float)
     if x.ndim != 2:
@@ -189,10 +204,14 @@ def score_features(
         raise ValueError("ANOVA needs within-group degrees of freedom >= 1")
 
     xc = x - x.mean(axis=0)
-    counts = np.bincount(inv, minlength=k).astype(float)
-    group_sums = np.zeros((k, x.shape[1]))
-    np.add.at(group_sums, inv, xc)
-    ssb = ((group_sums**2) / counts[:, None]).sum(axis=0)
+    sizes = np.bincount(inv, minlength=k)
+    rows = xc[np.argsort(inv, kind="stable")]
+    ends = np.cumsum(sizes)
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        block = rows[lo:hi]
+        np.add.accumulate(block, axis=0, out=block)
+    group_sums = rows[ends - 1]
+    ssb = ((group_sums**2) / sizes[:, None]).sum(axis=0)
     sst = (xc**2).sum(axis=0)
     ssw = np.maximum(sst - ssb, 0.0)
 

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import fdtrc
 
 
 def naive_ward(n: int, condensed: np.ndarray):
@@ -233,3 +234,53 @@ def per_cell_load_matrix(path, delimiter: str = ",", header: bool = True, ids: b
     if col_ids is None:
         col_ids = [f"col{j}" for j in range(m)]
     return np.array(values, dtype=np.float64).reshape(len(values), m), row_ids, col_ids
+
+
+def add_at_score_features(view: np.ndarray, labels: np.ndarray, eta: float):
+    """One-way ANOVA per column with group sums scattered row by row by ``np.add.at``.
+
+    Returns (support, pvalues) under the rules of ``sampling.score_features``.
+    """
+    x = np.asarray(view, dtype=float)
+    _, inv = np.unique(np.asarray(labels), return_inverse=True)
+    k = int(inv.max()) + 1
+    n = x.shape[0]
+    xc = x - x.mean(axis=0)
+    counts = np.bincount(inv, minlength=k).astype(float)
+    group_sums = np.zeros((k, x.shape[1]))
+    np.add.at(group_sums, inv, xc)
+    ssb = ((group_sums**2) / counts[:, None]).sum(axis=0)
+    sst = (xc**2).sum(axis=0)
+    ssw = np.maximum(sst - ssb, 0.0)
+
+    scale = np.maximum(1.0, (x**2).sum(axis=0))
+    constant = sst <= 1e-20 * scale
+    perfect = ~constant & (ssw <= 1e-12 * sst)
+
+    p = np.ones(x.shape[1])
+    regular = ~constant & ~perfect
+    if regular.any():
+        f_stat = (ssb[regular] / (k - 1)) / (ssw[regular] / (n - k))
+        p[regular] = fdtrc(k - 1, n - k, f_stat)
+    p[perfect] = 0.0
+
+    cutoff = float(np.quantile(p, eta))
+    support = np.flatnonzero(p < cutoff)
+    if support.size == 0:
+        best = int(np.argmin(p))
+        if p[best] < 1.0:
+            support = np.array([best])
+    return support, p
+
+
+def array_fisher_yates(count_total: int, count_draw: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted partial Fisher-Yates sample, swapping the numpy scalars of a full index array."""
+    if not 0 < count_draw <= count_total:
+        raise ValueError(f"cannot draw {count_draw} of {count_total}")
+    pool = np.arange(count_total)
+    spans = count_total - np.arange(count_draw)
+    offsets = np.floor(rng.random(count_draw) * spans).astype(np.intp)
+    for i in range(count_draw):
+        j = i + offsets[i]
+        pool[i], pool[j] = pool[j], pool[i]
+    return np.sort(pool[:count_draw])

@@ -176,6 +176,7 @@ class TestBulkParserMatchesPerCell:
         ("id,a\nr1,1\nr2,-Infinity\n", "non-finite value at row 1, column 0"),
         ("id,a,b\nr1,1,2,\nr2,3,4,\n", "row 1 has 4 cells but the header has 3"),
         ("id,a\nr1,1\n  \nr2,2\n", "ragged row 2: expected 2 cells, got 1"),
+        ("id,7\n7,\n", "non-numeric cell '' at row '7', column '7'"),
     ])
     def test_pinned_cases(self, tmp_path, text, expected):
         p = tmp_path / "m.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.cluster.vq import ClusterError, kmeans2
 
-from mpclust import pipeline
+from mpclust import pipeline, sampling
 from mpclust.cli import main
 from mpclust.consensus import ConsensusState, PairScratch, confusion, consensus_of, update
 from mpclust.dataio import DataMatrix, write_matrix
@@ -24,7 +24,13 @@ from mpclust.pipeline import (
 from mpclust.sampling import EEConfig, SamplerState, update_obs_weights
 from mpclust.synthgen import SynthSpec, generate
 
-from oracles import brute_consensus, dense_index_dissimilarity, dense_laplacian_embedding
+from oracles import (
+    add_at_score_features,
+    array_fisher_yates,
+    brute_consensus,
+    dense_index_dissimilarity,
+    dense_laplacian_embedding,
+)
 
 
 def _blobs(n_half=30, n_feat=20, gap=8.0, seed=0):
@@ -140,6 +146,35 @@ class TestRun:
             assert got[:2] == want[:2] and got[3:] == want[3:]
             assert np.array_equal(got[2], want[2]) if k == "b" else got[2] is None
             assert all(i.flags.owndata and lab.flags.owndata for i, lab in together[k].patches)
+
+    @pytest.mark.parametrize("mode", ["mpcc", "impacc"])
+    def test_reference_kernels_give_the_same_run(self, monkeypatch, mode):
+        # the ANOVA and the uniform draws swapped for their row-by-row
+        # references must leave every output of the run bit for bit
+        data = generate(SynthSpec(snr=6, n_obs=90, n_features=80, n_signal=8, seed=5)).matrix
+        hp = HyperParams(seed=4, t_max=40, early_stop=False)
+
+        def outcome(res):
+            c = res.consensus
+            counters = [a.tobytes() for a in (c.pair_same, c.pair_seen, c.diag, c.confusion_rows)]
+            scores = None if res.feature_scores is None else res.feature_scores.tobytes()
+            pct = [r.confusion_pct for r in res.trace]
+            return res.labels.tobytes(), counters, scores, res.obs_weights.tobytes(), pct
+
+        plain = outcome(run(data, mode, hp))
+        calls = {"score": 0, "draw": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "score_features", counted("score", add_at_score_features))
+        monkeypatch.setattr(pipeline, "draw_uniform", counted("draw", array_fisher_yates))
+        monkeypatch.setattr(sampling, "draw_uniform", counted("draw", array_fisher_yates))
+        assert outcome(run(data, mode, hp)) == plain
+        assert calls["draw"] > 0 and (calls["score"] > 0) == (mode == "impacc")
 
     def test_single_patch_support_is_scored(self):
         # one iteration over every observation: the only patch's support

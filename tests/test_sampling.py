@@ -14,7 +14,7 @@ from mpclust.sampling import (
     update_obs_weights,
 )
 
-from oracles import f_sf_by_quadrature
+from oracles import add_at_score_features, array_fisher_yates, f_sf_by_quadrature
 
 
 class TestDrawUniform:
@@ -402,3 +402,82 @@ class TestDrawProperties:
             counts += visits
         if total % draw == 0:
             assert (counts == epochs).all()
+
+
+@st.composite
+def _anova_cases(draw):
+    """(view, labels): shuffled rows under distinct, possibly negative labels.
+
+    Group shapes include groups of eight rows or more (pairwise summation
+    of one column would reorder their additions), singleton groups and
+    k = n - 1; columns include constant, perfectly separated and rounded
+    ones with exact ties.
+    """
+    m = draw(st.sampled_from([1, 1, 2, 3, 8, 50]))
+    shape = draw(st.sampled_from(["large", "mixed", "n_minus_1"]))
+    if shape == "large":
+        sizes = draw(st.lists(st.integers(8, 60), min_size=2, max_size=6))
+    elif shape == "mixed":
+        sizes = draw(st.lists(st.integers(1, 30), min_size=2, max_size=12))
+        if sum(sizes) - len(sizes) < 1:
+            sizes[0] += 1
+    else:
+        sizes = [2] + [1] * draw(st.integers(1, 60))
+    values = draw(st.lists(st.integers(-10**6, 10**6), min_size=len(sizes),
+                           max_size=len(sizes), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.permutation(np.repeat(values, sizes))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    view = rng.normal(draw(st.floats(-100, 100)), scale, size=(labels.size, m))
+    kind = draw(st.sampled_from(["plain", "rounded", "constant", "perfect"]))
+    col = draw(st.integers(0, m - 1))
+    if kind == "rounded":
+        view = np.round(view / scale, 1)
+    elif kind == "constant":
+        view[:, col] = view[0, col]
+    elif kind == "perfect":
+        view[:, col] = np.searchsorted(np.sort(values), labels) * scale
+    return view, labels
+
+
+class TestReferenceKernels:
+    """The kernels give the bits of their row-by-row references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_anova_cases(), eta=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    def test_score_features_matches_add_at(self, case, eta):
+        view, labels = case
+        support, p = score_features(view, labels, eta)
+        ref_support, ref_p = add_at_score_features(view, labels, eta)
+        assert support.dtype == ref_support.dtype and p.dtype == ref_p.dtype
+        assert np.array_equal(support, ref_support)
+        assert np.array_equal(p, ref_p)
+
+    def test_single_column_sums_in_row_order(self):
+        # one column of twenty rows: numpy's pairwise .sum() gives other
+        # bits than adding in row order, and the scores must not follow it
+        col = np.random.default_rng(0).normal(size=20)
+        xc = col - col.mean()
+        in_order = [0.0, 0.0]
+        for i, v in enumerate(xc):
+            in_order[i // 10] += v
+        assert [xc[:10].sum(), xc[10:].sum()] != in_order
+        view, labels = col[:, None], np.repeat([3, -1], 10)
+        support, p = score_features(view, labels, 0.05)
+        ref_support, ref_p = add_at_score_features(view, labels, 0.05)
+        assert np.array_equal(support, ref_support) and np.array_equal(p, ref_p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        total=st.integers(1, 6000),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draw_uniform_matches_array_fisher_yates(self, total, data, seed):
+        size = data.draw(st.one_of(st.just(1), st.just(total), st.integers(1, total)))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_uniform(total, size, rng)
+        want = array_fisher_yates(total, size, ref_rng)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # the stream is left where it was
