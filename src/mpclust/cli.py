@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,30 +32,51 @@ from .pipeline import FINAL_ALGOS, MODES, HyperParams, run, tune_minipatch_size
 from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
+_BENCH_METHODS = ("mpcc", "impacc", "hclust")
 
-# name -> type; flags, env vars, and config keys share these names.  The
-# built-in defaults are those of HyperParams() (``k`` is its ``k_final``).
-_HP_TYPES: dict[str, type] = {
-    **dict.fromkeys(("m_frac", "n_frac", "h", "eta", "alpha_f", "tau", "alpha_i", "theta"), float),
-    **dict.fromkeys(("epochs_e", "t_max", "k", "seed"), int),
-    **dict.fromkeys(("final_algo", "metric", "mode"), str),
+
+class _Hyper(NamedTuple):
+    type: type
+    help: str
+    none_ok: bool = False  # "" and "none" in a variable or config file mean None
+    choices: tuple[str, ...] | None = None
+
+
+# The flag --NAME, variable MPCLUST_NAME and config key NAME of each hyperparameter,
+# in --help order.  The defaults are HyperParams()'s (``k`` is its ``k_final``), and
+# mpcc for ``mode``, which is run()'s first argument.
+_HP: dict[str, _Hyper] = {
+    "m_frac": _Hyper(float, "minipatch feature fraction"),
+    "n_frac": _Hyper(float, "minipatch observation fraction"),
+    "h": _Hyper(float, "tree-height cut quantile"),
+    "eta": _Hyper(float, "p-value percentile cutoff"),
+    "alpha_f": _Hyper(float, "feature learning rate"),
+    "tau": _Hyper(float, "high-importance cutoff (mean + tau*sd)"),
+    "alpha_i": _Hyper(float, "observation learning rate"),
+    "theta": _Hyper(float, "high-uncertainty weight quantile"),
+    "epochs_e": _Hyper(int, "burn-in epochs per axis"),
+    "t_max": _Hyper(int, "iteration cap", none_ok=True),
+    "k": _Hyper(int, "final cluster count (omit for quantile cut)", none_ok=True),
+    "final_algo": _Hyper(str, "final clustering of the consensus", choices=FINAL_ALGOS),
+    "seed": _Hyper(int, "root seed of every random draw"),
+    "metric": _Hyper(str, "per-patch dissimilarity", choices=METRICS),
+    "mode": _Hyper(str, "uniform (mpcc) or adaptive sampling", choices=MODES),
 }
-_DEFAULT_MODE = "mpcc"
 
 
 def _field_values(source: object) -> dict[str, object]:
     """The HyperParams fields under their own names (all but ``k`` and ``mode``)."""
-    return {name: getattr(source, name) for name in _HP_TYPES if name not in ("k", "mode")}
+    return {name: getattr(source, name) for name in _HP if name not in ("k", "mode")}
 
 
 def _coerce(name: str, raw: str, where: str) -> object:
-    typ = _HP_TYPES[name]
-    if raw == "" or raw.lower() == "none":
+    hp = _HP[name]
+    if hp.none_ok and raw.lower() in ("", "none"):
         return None
     try:
-        return typ(raw)
+        return hp.type(raw)
     except ValueError:
-        raise ValueError(f"{where}: {name} must be {typ.__name__}, got {raw!r}") from None
+        raise ValueError(f"{where}: {name} must be {hp.type.__name__}, got {raw!r}") from None
 
 
 def _load_config_file(path: str) -> dict[str, object]:
@@ -66,7 +89,7 @@ def _load_config_file(path: str) -> dict[str, object]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in _HP_TYPES:
+        if key not in _HP:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _coerce(key, value.strip(), f"{path}:{lineno}")
     return out
@@ -74,7 +97,7 @@ def _load_config_file(path: str) -> dict[str, object]:
 
 def _env_overrides() -> dict[str, object]:
     out: dict[str, object] = {}
-    for name in _HP_TYPES:
+    for name in _HP:
         var = _ENV_PREFIX + name.upper()
         raw = os.environ.get(var)
         if raw is not None:
@@ -87,7 +110,7 @@ def _defaults(argv: list[str] | None) -> dict[str, object]:
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
     hp = HyperParams()
-    merged = {**_field_values(hp), "k": hp.k_final, "mode": _DEFAULT_MODE}
+    merged = {**_field_values(hp), "k": hp.k_final, "mode": "mpcc"}
     if known.config:
         merged.update(_load_config_file(known.config))
     merged.update(_env_overrides())
@@ -181,26 +204,31 @@ def _hp_from_args(args: argparse.Namespace) -> HyperParams:
     return HyperParams(k_final=args.k, **_field_values(args))
 
 
-def _config_snapshot(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
+def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str) -> None:
+    hp = _HP[name]
+    p.add_argument("--" + name.replace("_", "-"), type=hp.type, choices=hp.choices,
+                   default=d[name], help=hp.help)
 
 
 def _add_hp_flags(p: argparse.ArgumentParser, d: dict[str, object]) -> None:
-    p.add_argument("--m-frac", type=float, default=d["m_frac"], help="minipatch feature fraction")
-    p.add_argument("--n-frac", type=float, default=d["n_frac"], help="minipatch observation fraction")
-    p.add_argument("--h", type=float, default=d["h"], help="tree-height cut quantile")
-    p.add_argument("--eta", type=float, default=d["eta"], help="p-value percentile cutoff")
-    p.add_argument("--alpha-f", type=float, default=d["alpha_f"], help="feature learning rate")
-    p.add_argument("--tau", type=float, default=d["tau"], help="high-importance cutoff (mean + tau*sd)")
-    p.add_argument("--alpha-i", type=float, default=d["alpha_i"], help="observation learning rate")
-    p.add_argument("--theta", type=float, default=d["theta"], help="high-uncertainty weight quantile")
-    p.add_argument("--epochs-e", type=int, default=d["epochs_e"], help="burn-in epochs per axis")
-    p.add_argument("--t-max", type=int, default=d["t_max"], help="iteration cap")
-    p.add_argument("--k", type=int, default=d["k"], help="final cluster count (omit for quantile cut)")
-    p.add_argument("--final-algo", choices=FINAL_ALGOS, default=d["final_algo"])
-    p.add_argument("--seed", type=int, default=d["seed"])
-    p.add_argument("--metric", choices=METRICS, default=d["metric"])
+    for name in _HP:
+        if name != "mode":  # each subcommand places --mode itself
+            _add_hp_flag(p, d, name)
     p.add_argument("--config", default=None, help="flat key=value config file")
+
+
+_SYNTH_FLAGS = {"n_obs": int, "n_features": int, "n_signal": int, "rho": float}
+
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    spec = {f.name: f.default for f in dataclasses.fields(SynthSpec)}
+    p.add_argument("--regime", choices=REGIMES, default=spec["regime"])
+    for name, typ in _SYNTH_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=typ, default=spec[name])
+
+
+def _spec_from_args(args: argparse.Namespace, **fields: object) -> SynthSpec:
+    return SynthSpec(**{name: getattr(args, name) for name in ("regime", *_SYNTH_FLAGS)}, **fields)
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
@@ -277,12 +305,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             )
     timings["write"] = time.perf_counter() - t0
 
-    keys = [*_HP_TYPES, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
+    keys = [*_HP, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
             "consensus_format"]
     _write_manifest(
         out_dir,
         "cluster",
-        _config_snapshot(args, keys),
+        {key: getattr(args, key) for key in keys},
         _digest(Path(args.input)),
         timings,
         {"iterations_run": result.iterations_run, "stop_reason": result.stop_reason},
@@ -297,20 +325,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_features = args.n_features
-    if n_features is None:
-        n_features = 100 if args.regime == "no_sparse" else 5000
     sizes = tuple(int(s) for s in args.cluster_sizes.split(",")) if args.cluster_sizes else None
-    spec = SynthSpec(
-        snr=args.snr,
-        n_obs=args.n_obs,
-        n_features=n_features,
-        cluster_sizes=sizes,
-        n_signal=args.n_signal,
-        rho=args.rho,
-        regime=args.regime,
-        seed=args.seed,
-    )
+    spec = _spec_from_args(args, snr=args.snr, cluster_sizes=sizes, seed=args.seed)
     t0 = time.perf_counter()
     data = generate(spec)
     timings = {"generate": time.perf_counter() - t0}
@@ -323,13 +339,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         zip(data.matrix.col_ids, data.signal_mask.astype(int).tolist()),
     )
 
-    config = {
-        "snr": args.snr, "n_obs": args.n_obs, "n_features": n_features,
-        "cluster_sizes": list(spec.sizes()), "n_signal": args.n_signal,
-        "rho": args.rho, "regime": args.regime, "seed": args.seed,
-    }
+    config = {name: getattr(spec, name) for name in ("snr", "regime", *_SYNTH_FLAGS, "seed")}
+    config["cluster_sizes"] = list(spec.sizes())
     _write_manifest(out_dir, "simulate", config, _digest_config(config), timings)
-    print(f"{args.regime}: {args.n_obs}x{n_features} -> {out_dir}")
+    print(f"{spec.regime}: {spec.n_obs}x{spec.n_features} -> {out_dir}")
     return 0
 
 
@@ -340,34 +353,25 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ValueError("reps must be >= 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    known = ("mpcc", "impacc", "hclust")
     for mth in methods:
-        if mth not in known:
-            raise ValueError(f"unknown method {mth!r}; choose from {known}")
+        if mth not in _BENCH_METHODS:
+            raise ValueError(f"unknown method {mth!r}; choose from {_BENCH_METHODS}")
 
-    n_features = args.n_features
-    if n_features is None:
-        n_features = 100 if args.regime == "no_sparse" else 5000
     rows: list[tuple[str, float, int, float, str, float]] = []
     for snr in snrs:
         for rep in range(args.reps):
             seed = args.seed + rep
-            spec = SynthSpec(
-                snr=snr, n_obs=args.n_obs, n_features=n_features,
-                n_signal=args.n_signal, rho=args.rho, regime=args.regime, seed=seed,
-            )
+            spec = _spec_from_args(args, snr=snr, seed=seed)
             data = generate(spec)
-            k = 4
+            hp = HyperParams(k_final=spec.n_clusters, seed=seed)
             for method in methods:
                 t0 = time.perf_counter()
+                f1_text = ""
                 if method == "hclust":
-                    labels = cut_k(ward_linkage(pairwise(data.matrix.values, "manhattan")), k)
-                    f1_text = ""
+                    labels = cut_k(ward_linkage(pairwise(data.matrix.values, hp.metric)), hp.k_final)
                 else:
-                    hp = HyperParams(k_final=k, seed=seed)
                     result = run(data.matrix, method, hp)
                     labels = result.labels
-                    f1_text = ""
                     if result.feature_scores is not None:
                         mask = select_by_score(result.feature_scores)
                         f1_text = f"{f1_features(mask, data.signal_mask):.6f}"
@@ -467,7 +471,7 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster a matrix and write labels + consensus")
     p.add_argument("input", help="matrix CSV/TSV (observations x features)")
-    p.add_argument("--mode", choices=MODES, default=d["mode"])
+    _add_hp_flag(p, d, "mode")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--consensus-format", choices=("csv", "binary"), default="csv")
     p.add_argument("--weight-trace", action="store_true",
@@ -477,34 +481,25 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
-    p.add_argument("--regime", choices=REGIMES, default="sparse")
+    _add_synth_flags(p)
     p.add_argument("--snr", type=float, required=True)
-    p.add_argument("--n-obs", type=int, default=500)
-    p.add_argument("--n-features", type=int, default=None,
-                   help="default 5000 (sparse/weak_sparse) or 100 (no_sparse)")
-    p.add_argument("--n-signal", type=int, default=25)
     p.add_argument("--cluster-sizes", default=None, help="comma list summing to n-obs")
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=d["seed"])
+    _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("benchmark", help="ARI/F1/runtime grid over SNR and seeds")
     p.add_argument("--snr", required=True, help="comma list of SNR values")
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--methods", default="mpcc,impacc,hclust")
-    p.add_argument("--regime", choices=REGIMES, default="sparse")
-    p.add_argument("--n-obs", type=int, default=500)
-    p.add_argument("--n-features", type=int, default=None)
-    p.add_argument("--n-signal", type=int, default=25)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=d["seed"])
+    p.add_argument("--methods", default=",".join(_BENCH_METHODS))
+    _add_synth_flags(p)
+    _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default="benchmark.csv")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("tune", help="pick the smallest adequate minipatch size")
     p.add_argument("input")
-    p.add_argument("--mode", choices=MODES, default=d["mode"])
+    _add_hp_flag(p, d, "mode")
     p.add_argument("--m-grid", required=True, help="comma list of m_frac values")
     p.add_argument("--n-grid", required=True, help="comma list of n_frac values")
     p.add_argument("--out", default="tune_report.csv")
@@ -527,8 +522,8 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--m-feat", default="10", help="comma list of subsample sizes")
     p.add_argument("--eps", default="0.05,0.1,0.2,0.3", help="comma list of deviations")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--metric", choices=METRICS, default="manhattan")
-    p.add_argument("--seed", type=int, default=d["seed"])
+    p.add_argument("--metric", choices=METRICS, default=HyperParams().metric)
+    _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default="hoeffding.csv")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_hoeffding)

@@ -39,13 +39,17 @@ class SynthSpec:
 
     snr: float
     n_obs: int = 500
-    n_features: int = 5000
+    n_features: int | None = None  # None: 5000, or 100 in the low-dimensional no_sparse regime
     n_clusters: int = 4
     cluster_sizes: tuple[int, ...] | None = None
     n_signal: int = 25
     rho: float = 0.5
     regime: str = "sparse"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_features is None:
+            object.__setattr__(self, "n_features", 100 if self.regime == "no_sparse" else 5000)
 
     def sizes(self) -> tuple[int, ...]:
         """Resolved cluster sizes (defaults follow the 4/16/24/56% split)."""

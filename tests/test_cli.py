@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from mpclust.cli import _digest, main
+from mpclust.cli import _HP, _build_parser, _defaults, _digest, _spec_from_args, main
 from mpclust.dataio import DataMatrix, load_matrix, write_matrix
 from mpclust.metrics import ari
 from mpclust.pipeline import HyperParams, run
+from mpclust.synthgen import SynthSpec
 
 
 @pytest.fixture
@@ -47,10 +48,7 @@ class TestCluster:
         lines = (out / "labels.csv").read_text().splitlines()
         assert lines[0] == "id,label" and len(lines) == 51
 
-    def test_no_flags_records_hyperparams_defaults(self, blob_csv, tmp_path, monkeypatch):
-        for key in list(os.environ):
-            if key.startswith("MPCLUST_"):
-                monkeypatch.delenv(key)
+    def test_no_flags_records_hyperparams_defaults(self, blob_csv, tmp_path, no_mpclust_env):
         out = tmp_path / "out"
         assert main(["cluster", str(blob_csv), "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
@@ -75,8 +73,12 @@ class TestCluster:
             ({"MPCLUST_SEED": "abc"}, None, "MPCLUST_SEED: seed must be int, got 'abc'"),
             ({}, "seed = 3\nbogus = 1\n", ":2: unknown key 'bogus'"),
             ({}, "", "No such file or directory"),  # "": --config names no file
+            ({"MPCLUST_SEED": "none"}, None, "MPCLUST_SEED: seed must be int, got 'none'"),
+            ({"MPCLUST_M_FRAC": ""}, None, "MPCLUST_M_FRAC: m_frac must be float, got ''"),
+            ({}, "seed = none\n", ":1: seed must be int, got 'none'"),
         ],
-        ids=["env-not-int", "config-unknown-key", "config-missing"],
+        ids=["env-not-int", "config-unknown-key", "config-missing", "env-none", "env-empty",
+             "config-none"],
     )
     def test_config_errors_are_usage_errors(
         self, blob_csv, tmp_path, monkeypatch, capsys, env, config_text, expected
@@ -213,6 +215,42 @@ class TestCluster:
         main(["cluster", str(blob_csv), "--k", "2", "--config", str(cfg),
               "--out", str(out2)])
         assert json.loads((out2 / "manifest.json").read_text())["seed"] == 8
+
+
+def _parsed(argv: list[str]):
+    return _build_parser(_defaults(argv)).parse_args(argv)
+
+
+@pytest.fixture
+def no_mpclust_env(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("MPCLUST_"):
+            monkeypatch.delenv(key)
+
+
+@pytest.mark.parametrize("name", list(_HP))
+def test_each_hyperparameter_is_a_flag_a_variable_and_a_config_key(
+    name, tmp_path, monkeypatch, no_mpclust_env
+):
+    hp = _HP[name]
+    raw = hp.choices[-1] if hp.choices else {int: "3", float: "0.3"}[hp.type]
+    base = ["cluster", "x.csv"]
+    assert getattr(_parsed(base), name) != hp.type(raw)  # the value is not the default
+    assert getattr(_parsed([*base, "--" + name.replace("_", "-"), raw]), name) == hp.type(raw)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name} = {raw}\n")
+    assert getattr(_parsed([*base, "--config", str(config)]), name) == hp.type(raw)
+    monkeypatch.setenv("MPCLUST_" + name.upper(), raw)
+    assert getattr(_parsed(base), name) == hp.type(raw)
+    if hp.none_ok:
+        monkeypatch.setenv("MPCLUST_" + name.upper(), "none")
+        assert getattr(_parsed(base), name) is None
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "benchmark"])
+def test_synthetic_data_defaults_are_synthspecs(cmd, no_mpclust_env):
+    args = _parsed([cmd, "--snr", "6"])
+    assert _spec_from_args(args, snr=6.0, seed=args.seed) == SynthSpec(snr=6.0)
 
 
 class TestSimulate:

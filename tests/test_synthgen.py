@@ -13,6 +13,12 @@ def test_default_sparse_shapes():
     assert data.signal_mask.sum() == 25
 
 
+def test_n_features_default_follows_regime():
+    assert SynthSpec(snr=6, regime="no_sparse").n_features == 100
+    assert SynthSpec(snr=6, regime="weak_sparse").n_features == 5000
+    assert SynthSpec(snr=6, regime="no_sparse", n_features=40).n_features == 40
+
+
 def test_no_sparse_all_signal():
     spec = SynthSpec(snr=6, n_obs=200, n_features=100, regime="no_sparse", seed=2)
     data = generate(spec)
