@@ -38,7 +38,7 @@ _BENCH_METHODS = ("mpcc", "impacc", "hclust")
 class _Hyper(NamedTuple):
     type: type
     help: str
-    none_ok: bool = False  # "" and "none" in a variable or config file mean None
+    none_ok: bool = False  # "" and "none" in a flag, variable or config file mean None
     choices: tuple[str, ...] | None = None
 
 
@@ -55,8 +55,8 @@ _HP: dict[str, _Hyper] = {
     "alpha_i": _Hyper(float, "observation learning rate"),
     "theta": _Hyper(float, "high-uncertainty weight quantile"),
     "epochs_e": _Hyper(int, "burn-in epochs per axis"),
-    "t_max": _Hyper(int, "iteration cap", none_ok=True),
-    "k": _Hyper(int, "final cluster count (omit for quantile cut)", none_ok=True),
+    "t_max": _Hyper(int, "iteration cap (none: automatic)", none_ok=True),
+    "k": _Hyper(int, "final cluster count (omit or none for quantile cut)", none_ok=True),
     "final_algo": _Hyper(str, "final clustering of the consensus", choices=FINAL_ALGOS),
     "seed": _Hyper(int, "root seed of every random draw"),
     "metric": _Hyper(str, "per-patch dissimilarity", choices=METRICS),
@@ -69,14 +69,22 @@ def _field_values(source: object) -> dict[str, object]:
     return {name: getattr(source, name) for name in _HP if name not in ("k", "mode")}
 
 
-def _coerce(name: str, raw: str, where: str) -> object:
-    hp = _HP[name]
+def _parse(hp: _Hyper, raw: str) -> object:
+    """``raw`` as ``hp``'s type; "" and "none" are None where the key takes None."""
     if hp.none_ok and raw.lower() in ("", "none"):
         return None
+    return hp.type(raw)
+
+
+def _coerce(name: str, raw: str, where: str) -> object:
+    hp = _HP[name]
     try:
-        return hp.type(raw)
+        value = _parse(hp, raw)
     except ValueError:
         raise ValueError(f"{where}: {name} must be {hp.type.__name__}, got {raw!r}") from None
+    if hp.choices is not None and value not in hp.choices:
+        raise ValueError(f"{where}: {name} must be one of {', '.join(hp.choices)}, got {raw!r}")
+    return value
 
 
 def _load_config_file(path: str) -> dict[str, object]:
@@ -206,7 +214,12 @@ def _hp_from_args(args: argparse.Namespace) -> HyperParams:
 
 def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str) -> None:
     hp = _HP[name]
-    p.add_argument("--" + name.replace("_", "-"), type=hp.type, choices=hp.choices,
+
+    def parse(raw: str) -> object:
+        return _parse(hp, raw)
+
+    parse.__name__ = hp.type.__name__  # argparse's "invalid int value" names it
+    p.add_argument("--" + name.replace("_", "-"), type=parse, choices=hp.choices,
                    default=d[name], help=hp.help)
 
 

@@ -9,6 +9,16 @@ bytes per counter per pair and 200 MB for both counters at N=10,000;
 32-bit beyond that. ``update`` raises ValueError, leaving the counters
 as they were, rather than let a counter wrap.
 
+``update`` does the float work of a minipatch on its live pairs alone: a
+pair is live if it was co-clustered before or is in this patch. Any other
+sampled pair has S = 0 before and after, so its S(1-S) change is exactly
+0.0 - 0.0 = +0.0 and only its co-sampling count moves. Leaving those +0.0
+terms out changes no bit of the confusion row sums: each sum starts at
++0.0 and adds deltas that are never -0.0 (a difference of two products
+s(1-s) ≥ +0.0), so it is never -0.0 itself, and x + 0.0 == x for every
+other float. The live pairs keep their ascending order, so every row adds
+the same terms in the same order as it would over all the pairs.
+
 Nothing downstream of the counters needs dense S. The state also owns
 the confusion row sums (off-diagonal S(1-S)), which ``update`` maintains
 and the weights, the stop rule and the tuner read. The final Ward reads
@@ -87,17 +97,19 @@ class PairScratch:
     ``ii``/``jj`` hold the patch positions of each pair (row-major upper
     triangle). The rest are filled through ``out=`` arguments: ``dist``
     and ``root`` by ``pairwise`` and ``ward_linkage``, the others by
-    ``update``. A run that keeps one scratch maps these pages once instead
-    of allocating and returning each temporary in every iteration.
+    ``update``, whose live-pair values fill prefixes of them. A run that
+    keeps one scratch maps these pages once instead of allocating and
+    returning each temporary in every iteration.
     """
 
     ii: np.ndarray
     jj: np.ndarray
-    cond: np.ndarray  # condensed counter index of each pair; first the labels at ii
-    gather: np.ndarray  # idx or labels at jj
-    seen: np.ndarray  # counter dtype
-    same: np.ndarray  # counter dtype
-    same_label: np.ndarray  # bool
+    cond: np.ndarray  # condensed counter index of each pair; first the labels at ii,
+    # last the live pairs' ii, then their jj
+    gather: np.ndarray  # idx or labels at jj; then the live pairs' counter index
+    seen: np.ndarray  # counter dtype; then the live pairs' new same
+    same: np.ndarray  # counter dtype; then the live pairs' new seen, then old same
+    same_label: np.ndarray  # bool; then whether each pair is live
     s_old: np.ndarray
     s_new: np.ndarray
     delta: np.ndarray
@@ -143,6 +155,12 @@ def update(
     The state's ``confusion_rows`` (off-diagonal row sums of S(1-S)) move
     by the change of each sampled pair's S(1-S), so the confusion vector
     costs O(patch^2) per update instead of a recount over all N^2 pairs.
+    Every sampled pair has its co-sampling count raised; the S(1-S)
+    arithmetic, the co-cluster counter and the row sums then visit only
+    the live pairs, those co-clustered before or in this patch, in
+    ascending order. The other pairs' S stays 0 and their change is +0.0,
+    so the row sums are those of folding in every pair, bit for bit (see
+    the module docstring).
 
     ``scratch`` is a ``PairScratch`` for this patch size and counter
     dtype; without one, fresh work arrays are allocated for this call.
@@ -186,20 +204,32 @@ def update(
     cond = np.add(buf.cond, buf.gather, out=buf.cond)
 
     seen = np.take(state.pair_seen, cond, out=buf.seen, mode="clip")
-    same = np.take(state.pair_same, cond, out=buf.same, mode="clip")
-    s_old = np.divide(same, np.maximum(seen, 1, out=buf.s_old), out=buf.s_old)
     np.add(seen, 1, out=seen)
-    np.add(same, buf.same_label, out=same)
     state.pair_seen[cond] = seen
-    state.pair_same[cond] = same
     state.diag[idx] += 1
+    same = np.take(state.pair_same, cond, out=buf.same, mode="clip")
+    np.add(same, buf.same_label, out=same)
+    # the live pairs (new same > 0), ascending; every other pair keeps S = 0
+    live = np.flatnonzero(np.not_equal(same, 0, out=buf.same_label))
+    m = live.size
+    cond = np.take(cond, live, out=buf.gather[:m], mode="clip")
+    same_new = np.take(same, live, out=buf.seen[:m], mode="clip")
+    seen_new = np.take(state.pair_seen, cond, out=buf.same[:m], mode="clip")
+    s_new = np.divide(same_new, seen_new, out=buf.s_new[:m])
+    # s_old = same_old / max(seen_old, 1), seen_old being seen_new - 1
+    s_old = np.subtract(seen_new, 1, out=buf.s_old[:m])
+    np.maximum(s_old, 1, out=s_old)
+    same_old = np.take(state.pair_same, cond, out=buf.same[:m], mode="clip")
+    np.divide(same_old, s_old, out=s_old)
+    state.pair_same[cond] = same_new
     # delta = s_new (1 - s_new) - s_old (1 - s_old), operation for operation
-    s_new = np.divide(same, seen, out=buf.s_new)
-    delta = np.multiply(s_new, np.subtract(1.0, s_new, out=buf.delta), out=buf.delta)
+    delta = np.multiply(s_new, np.subtract(1.0, s_new, out=buf.delta[:m]), out=buf.delta[:m])
     np.multiply(s_old, np.subtract(1.0, s_old, out=s_new), out=s_old)
     np.subtract(delta, s_old, out=delta)
-    per_row = np.bincount(buf.ii, weights=delta, minlength=idx.size)
-    per_row += np.bincount(buf.jj, weights=delta, minlength=idx.size)
+    ends = np.take(buf.ii, live, out=buf.cond[:m], mode="clip")
+    per_row = np.bincount(ends, weights=delta, minlength=idx.size)
+    ends = np.take(buf.jj, live, out=buf.cond[:m], mode="clip")
+    per_row += np.bincount(ends, weights=delta, minlength=idx.size)
     state.confusion_rows[idx] += per_row
     return state
 

@@ -231,10 +231,10 @@ def run(
     ``confusion_rows``, which ``update`` maintains, divided by N.
     Every patch has ``n_count`` observations, so the per-pair temporaries
     of ``pairwise``, ``ward_linkage`` and ``update`` live in one
-    ``PairScratch`` for the whole loop, released before the final
-    clustering. That clustering reads the condensed 1 - S built from the
-    counters; dense S is built only for the spectral finaliser, or on
-    the first read of ``RunResult.s``.
+    ``PairScratch`` for the whole loop, released with the last minipatch
+    before the final clustering. That clustering reads the condensed
+    1 - S built from the counters; dense S is built only for the spectral
+    finaliser, or on the first read of ``RunResult.s``.
 
     Raises ValueError before the first iteration when the estimated peak
     of the run's pair buffers exceeds the memory available.
@@ -275,6 +275,7 @@ def run(
     feat_state = SamplerState.uniform(m, "features")
     state = ConsensusState.empty(n, max_count=t_max)
     scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
+    flat_values = data.values.ravel()  # a view unless data.values is not in C order
     tracker = StopTracker()
     adaptive_obs = mode in ("mpacc", "impacc")
     adaptive_feat = mode == "impacc"
@@ -306,7 +307,8 @@ def run(
         else:
             obs_idx = draw_uniform(n, n_count, rng_obs)
 
-        view = data.values[np.ix_(obs_idx, feat_idx)]
+        # one take of flat indices: the bytes of data.values[np.ix_(obs_idx, feat_idx)]
+        view = np.take(flat_values, obs_idx[:, None] * m + feat_idx)
         dist = pairwise(view, hp.metric, out=scratch.dist)
         labels = cut_quantile(ward_linkage(dist, out=scratch.root), hp.h)
         k_patch = int(labels.max()) + 1
@@ -344,7 +346,7 @@ def run(
         if stop:
             stop_reason = "early_stop"
             break
-    del scratch, dist
+    del scratch, dist, view
 
     if int(state.diag.min()) == 0:
         missing = int((state.diag == 0).sum())

@@ -284,3 +284,33 @@ def array_fisher_yates(count_total: int, count_draw: int, rng: np.random.Generat
         j = i + offsets[i]
         pool[i], pool[j] = pool[j], pool[i]
     return np.sort(pool[:count_draw])
+
+
+def dense_update(pair_seen, pair_same, diag, rows, n: int, sampled, labels) -> None:
+    """Fold one minipatch into the counters in place, every sampled pair through the float work.
+
+    Pairs go in row-major order over the sorted sample. Each pair's S(1-S)
+    change is s_new (1 - s_new) - s_old (1 - s_old), and every observation
+    sums the changes of its pairs as first member and as second member in
+    two running sums, then adds their total to its row of ``rows``.
+    """
+    order = sorted(range(len(sampled)), key=lambda k: int(sampled[k]))
+    obs = [int(sampled[k]) for k in order]
+    lab = [labels[k] for k in order]
+    as_first = [0.0] * len(obs)
+    as_second = [0.0] * len(obs)
+    for a, b in combinations(range(len(obs)), 2):
+        i, j = obs[a], obs[b]
+        p = n * i - i * (i + 1) // 2 + (j - i - 1)
+        seen, same = int(pair_seen[p]), int(pair_same[p])
+        s_old = same / max(seen, 1)
+        seen += 1
+        same += int(lab[a] == lab[b])
+        s_new = same / seen
+        delta = s_new * (1.0 - s_new) - s_old * (1.0 - s_old)
+        pair_seen[p], pair_same[p] = seen, same
+        as_first[a] += delta
+        as_second[b] += delta
+    for a, i in enumerate(obs):
+        rows[i] += as_first[a] + as_second[a]
+        diag[i] += 1

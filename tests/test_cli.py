@@ -76,13 +76,21 @@ class TestCluster:
             ({"MPCLUST_SEED": "none"}, None, "MPCLUST_SEED: seed must be int, got 'none'"),
             ({"MPCLUST_M_FRAC": ""}, None, "MPCLUST_M_FRAC: m_frac must be float, got ''"),
             ({}, "seed = none\n", ":1: seed must be int, got 'none'"),
+            ({"MPCLUST_MODE": "bogus"}, None,
+             "MPCLUST_MODE: mode must be one of mpcc, mpacc, impacc, got 'bogus'"),
+            ({}, "final_algo = x\n", ":1: final_algo must be one of hierarchical, spectral"),
+            ({"MPCLUST_METRIC": "none"}, None, "MPCLUST_METRIC: metric must be one of"),
         ],
         ids=["env-not-int", "config-unknown-key", "config-missing", "env-none", "env-empty",
-             "config-none"],
+             "config-none", "env-not-a-choice", "config-not-a-choice", "env-none-choice"],
     )
     def test_config_errors_are_usage_errors(
         self, blob_csv, tmp_path, monkeypatch, capsys, env, config_text, expected
     ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the matrix was read")
+
+        monkeypatch.setattr("mpclust.cli.load_matrix", unread)  # a usage error comes first
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         argv = ["cluster", str(blob_csv), "--out", str(tmp_path)]
@@ -95,6 +103,18 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
         assert "Traceback" not in err
+
+    def test_k_none_flag_overrides_variable(self, blob_csv, tmp_path, monkeypatch,
+                                            no_mpclust_env):
+        monkeypatch.setenv("MPCLUST_K", "3")
+        out = tmp_path / "out"
+        assert main(["cluster", str(blob_csv), "--k", "none", "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["k"] is None
+        auto = tmp_path / "auto"
+        monkeypatch.delenv("MPCLUST_K")
+        assert main(["cluster", str(blob_csv), "--seed", "3", "--out", str(auto)]) == 0
+        assert (out / "labels.csv").read_bytes() == (auto / "labels.csv").read_bytes()
 
     def test_out_of_memory_reported(self, blob_csv, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -245,6 +265,29 @@ def test_each_hyperparameter_is_a_flag_a_variable_and_a_config_key(
     if hp.none_ok:
         monkeypatch.setenv("MPCLUST_" + name.upper(), "none")
         assert getattr(_parsed(base), name) is None
+
+
+@pytest.mark.parametrize("name", [name for name, hp in _HP.items() if hp.none_ok])
+def test_none_flag_overrides_variable_and_config(name, tmp_path, monkeypatch, no_mpclust_env):
+    flag, base = "--" + name.replace("_", "-"), ["cluster", "x.csv"]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{name} = 3\n")
+    assert getattr(_parsed([*base, "--config", str(config), flag, "none"]), name) is None
+    monkeypatch.setenv("MPCLUST_" + name.upper(), "3")
+    assert getattr(_parsed(base), name) == 3
+    assert getattr(_parsed([*base, flag, "None"]), name) is None
+
+
+@pytest.mark.parametrize("name", [name for name, hp in _HP.items()
+                                  if not hp.none_ok and hp.type is not str])
+def test_none_flag_rejected_where_the_key_takes_no_none(name, no_mpclust_env, capsys):
+    flag = "--" + name.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        _parsed(["cluster", "x.csv", flag, "none"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid {_HP[name].type.__name__} value: 'none'" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])

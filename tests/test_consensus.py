@@ -22,7 +22,7 @@ from mpclust.consensus import (
 )
 from mpclust.dataio import DataMatrix, write_matrix
 
-from oracles import brute_consensus
+from oracles import brute_consensus, dense_update
 
 
 def _random_log(n, iters, patch, seed):
@@ -231,6 +231,66 @@ class TestIncrementalConfusionDrift:
             update(state, idx, labels)
             samplings[idx] += 1
         _assert_counters_consistent(state, samplings)
+
+
+@st.composite
+def _replay_logs(draw):
+    """A start state and a log of same-size patches for ``update`` and its dense oracle.
+
+    uint16 states start empty, so every pair's first co-sampling is in the
+    log. uint32 states (``max_count`` > 65,535) start with counts above
+    65,535 on some pairs, none on others and no co-clustering on others.
+    A patch is one cluster (every pair live) or has up to four labels.
+    """
+    n = draw(st.integers(2, 14))
+    size = draw(st.integers(2, n))
+    wide = draw(st.booleans())
+    state = ConsensusState.empty(n, max_count=70_000 if wide else 5_000)
+    if wide:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        npair = state.pair_seen.size
+        counts = rng.integers(65_536, 70_000, npair)
+        state.pair_seen[:] = np.where(rng.random(npair) < 0.3, 0, counts)
+        state.pair_same[:] = np.where(rng.random(npair) < 0.5, 0, state.pair_seen // 3)
+        state.diag[:] = 80_000
+        state.confusion_rows[:] = rng.random(n) * n
+    labels = st.one_of(
+        st.just([5] * size), st.lists(st.integers(0, 3), min_size=size, max_size=size)
+    )
+    patch = st.tuples(st.permutations(range(n)).map(lambda p: p[:size]), labels)
+    return state, draw(st.lists(patch, min_size=1, max_size=12)), draw(st.booleans())
+
+
+def _counter_copies(state):
+    return [a.copy() for a in (state.pair_seen, state.pair_same, state.diag, state.confusion_rows)]
+
+
+class TestLivePairs:
+    """``update`` skips the pairs whose S stays 0 and matches the dense formula bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_replay_logs())
+    def test_replay_matches_dense_formula(self, case):
+        state, log, with_scratch = case
+        ref = _counter_copies(state)
+        size = len(log[0][0])
+        scratch = PairScratch.empty(size, state.pair_seen.dtype) if with_scratch else None
+        for idx, labels in log:
+            update(state, np.array(idx), np.array(labels), scratch=scratch)
+            dense_update(*ref, state.n, idx, labels)
+        assert state.confusion_rows.tobytes() == ref[3].tobytes()
+        for got, want in zip((state.pair_seen, state.pair_same, state.diag), ref):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_run_sized_log_matches_dense_formula(self):
+        state = ConsensusState.empty(60, max_count=300)
+        ref = _counter_copies(state)
+        scratch = PairScratch.empty(15, state.pair_seen.dtype)
+        for idx, labels in _random_log(60, 300, 15, seed=21):
+            update(state, idx, labels, scratch=scratch)
+            dense_update(*ref, 60, idx, labels)
+        assert state.confusion_rows.tobytes() == ref[3].tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip((state.pair_seen, state.pair_same), ref))
 
 
 class TestConfusion:
