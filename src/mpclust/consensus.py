@@ -19,18 +19,20 @@ s(1-s) ≥ +0.0), so it is never -0.0 itself, and x + 0.0 == x for every
 other float. The live pairs keep their ascending order, so every row adds
 the same terms in the same order as it would over all the pairs.
 
-Nothing downstream of the counters needs dense S. The state also owns
-the confusion row sums (off-diagonal S(1-S)), which ``update`` maintains
-and the weights, the stop rule and the tuner read. The final Ward reads
-the condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
-exports look S up by each pair's (seen, same) code in a per-run table
-of values. Dense S (8 N^2 bytes) is built by ``consensus_of`` alone.
+Everything downstream reads the counters. The state also owns the
+confusion row sums (off-diagonal S(1-S)), which ``update`` maintains and
+the weights, the stop rule and the tuner read. The final Ward reads the
+condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
+exports look S up by each pair's (seen, same) code in a per-run table of
+values, indexed through a ``squareform`` matrix. Dense S (8 N^2 bytes),
+exactly symmetric, is built by ``consensus_of`` alone: for the spectral
+finaliser, which takes the counters too, and for ``RunResult.s``.
 """
 
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -96,7 +98,7 @@ class PairScratch:
 
     ``ii``/``jj`` hold the patch positions of each pair (row-major upper
     triangle). The rest are filled through ``out=`` arguments: ``dist``
-    and ``root`` by ``pairwise`` and ``ward_linkage``, the others by
+    by ``pairwise`` (then Ward's square roots, in place), the others by
     ``update``, whose live-pair values fill prefixes of them. A run that
     keeps one scratch maps these pages once instead of allocating and
     returning each temporary in every iteration.
@@ -114,7 +116,6 @@ class PairScratch:
     s_new: np.ndarray
     delta: np.ndarray
     dist: np.ndarray
-    root: np.ndarray
 
     @classmethod
     def empty(cls, size: int, counter_dtype: np.dtype) -> "PairScratch":
@@ -132,7 +133,6 @@ class PairScratch:
             s_new=np.empty(npair),
             delta=np.empty(npair),
             dist=np.empty(npair),
-            root=np.empty(npair),
         )
 
     @classmethod
@@ -287,11 +287,11 @@ def write_consensus_csv(state: ConsensusState, ids: Sequence[str], path: str | P
     formatted once with ``%.17g``."""
     if len(ids) != state.n:
         raise ValueError(f"got {len(ids)} ids for {state.n} observations")
-    values, blocks = _consensus_cells(state)
+    values, cells = _consensus_cells(state)
     text = ["%.17g" % v for v in values.tolist()]
-    cells = np.array([t + end for end in ",\n" for t in text], dtype=object)
+    parts = np.array([t + end for end in ",\n" for t in text], dtype=object)
     last = np.where(np.arange(state.n) == state.n - 1, len(text), 0)  # last column: "\n" half
-    rows = ("".join(cells[row + last].tolist()) for block in blocks for row in block)
+    rows = ("".join(parts[row + last].tolist()) for row in cells)
     _write_table(path, ids, ids, rows)
 
 
@@ -299,17 +299,18 @@ _BLOCK_CELLS = 1 << 18
 _TABLE_CODES = 1 << 16
 
 
-def _consensus_cells(state: ConsensusState) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """A table of S's values, and blocks of about ``_BLOCK_CELLS`` cells of S indexing it.
+def _consensus_cells(state: ConsensusState) -> tuple[np.ndarray, np.ndarray]:
+    """A table of S's values, and the N x N matrix of S's indices into it.
 
-    A cell's code is seen·W + same, W being the largest pair count + 1 (at
-    least 2); a diagonal cell takes 1/1's code if its observation was
-    sampled, else 0's. The table holds same / max(1, seen) in float64, as
+    A pair's code is seen·W + same, W being the largest pair count + 1 (at
+    least 2); the table holds same / max(1, seen) in float64, as
     ``consensus_of``. Bound: while W² ≤ ``_TABLE_CODES`` (65,536; any run
     of at most 255 minipatches) the codes are uint16 and index the table.
     Past it (W² is 25M at the 5,000-minipatch cap) the table holds only the
-    uint64 codes that occur, found by ``np.searchsorted``."""
-    n, w = state.n, int(state.pair_seen.max(initial=1)) + 1
+    uint64 codes that occur, and a pair's index is its code's position
+    there (``np.searchsorted``), in the narrowest unsigned dtype. A
+    diagonal cell indexes 1/1 if its observation was sampled, else 0."""
+    w = int(state.pair_seen.max(initial=1)) + 1
     table = w * w <= _TABLE_CODES
     cond = np.multiply(state.pair_seen, w, dtype=np.uint16 if table else np.uint64)
     cond += state.pair_same
@@ -319,24 +320,11 @@ def _consensus_cells(state: ConsensusState) -> tuple[np.ndarray, Iterator[np.nda
         codes = np.array([0, w + 1], dtype=np.uint64)  # the diagonal's
         for start in range(0, cond.size, _BLOCK_CELLS):
             codes = np.union1d(codes, cond[start:start + _BLOCK_CELLS])
-
-    def blocks() -> Iterator[np.ndarray]:
-        rows = max(1, _BLOCK_CELLS // n)
-        col = np.arange(n)
-        above = _pair_index(n, col, col + 1) - col - 1  # pair (i, j), i < j, is above[i] + j
-        pairs, lower, code = (np.empty((rows, n), dtype=t) for t in (np.intp, bool, cond.dtype))
-        for start in range(0, n, rows):
-            r = min(rows, n - start)
-            i, p, low, c = col[start:start + r, None], pairs[:r], lower[:r], code[:r]
-            np.add(above[i], col, out=p)  # pair (i, j) for j > i
-            np.less(col, i, out=low)
-            np.add(above, i, out=p, where=low)  # pair (j, i) for j < i
-            # "clip" reads the diagonal slot (-1 for i = 0), then overwritten
-            np.take(cond, p, out=c, mode="clip")
-            c[col[:r], col[start:start + r]] = np.where(state.diag[start:start + r] > 0, w + 1, 0)
-            yield c if table else np.searchsorted(codes, c)
-
-    return np.divide(codes % w, np.maximum(codes // w, 1)), blocks()
+        cond = np.searchsorted(codes, cond)  # the uint64 codes go; the peak is 16 bytes per pair
+        cond = cond.astype(np.min_scalar_type(codes.size - 1))
+    cells = squareform(cond)
+    np.fill_diagonal(cells, np.where(state.diag > 0, np.searchsorted(codes, w + 1), 0))
+    return np.divide(codes % w, np.maximum(codes // w, 1)), cells
 
 
 _MAGIC = b"MPCS"
@@ -345,15 +333,17 @@ _MAGIC = b"MPCS"
 def save_consensus_binary(state: ConsensusState, path: str | Path) -> None:
     """Compact form: magic 'MPCS', little-endian u32 N, row-major f32 values.
 
-    Blocks of ``_consensus_cells`` read a ``<f4`` copy of its table: the
-    values of ``consensus_of(state).astype("<f4")``, without dense S.
+    Rows of ``_consensus_cells``' matrix, about ``_BLOCK_CELLS`` cells at a
+    time, read a ``<f4`` copy of its table: the values of
+    ``consensus_of(state).astype("<f4")``, without dense S.
     """
-    values, blocks = _consensus_cells(state)
+    values, cells = _consensus_cells(state)
     values = values.astype("<f4")
+    rows = max(1, _BLOCK_CELLS // state.n)
     with Path(path).open("wb") as fh:
         fh.write(_MAGIC + struct.pack("<I", state.n))
-        for block in blocks:
-            fh.write(np.take(values, block))
+        for start in range(0, state.n, rows):
+            fh.write(np.take(values, cells[start:start + rows]))
 
 
 def load_consensus_binary(path: str | Path) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.cluster.vq import ClusterError, kmeans2
 from scipy.linalg import eigh
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import cdist, squareform
 
 from .consensus import (
     ConsensusState,
@@ -201,13 +201,14 @@ def _peak_bytes(n: int, n_count: int, t_max: int, final_algo: str) -> int:
     """Estimated peak of a run's N^2 and patch^2 buffers.
 
     The counters (two per pair) live throughout. The loop's
-    ``PairScratch`` is released before the final clustering, which holds
+    ``PairScratch`` is released before the final clustering. Ward holds
     the condensed 1 - S and scipy's working copy of it (16 bytes per
-    pair); the spectral finaliser adds dense S and its normalised copy.
+    pair). The spectral finaliser holds dense S and, while
+    ``consensus_of`` builds it, the condensed S: 12 N^2 bytes.
     """
     npair = n * (n - 1) // 2
     dtype = np.dtype(ConsensusState.counter_dtype(t_max))
-    final = 16 * npair + (2 * 8 * n * n if final_algo == "spectral" else 0)
+    final = 12 * n * n if final_algo == "spectral" else 16 * npair
     return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(n_count, dtype), final)
 
 
@@ -232,9 +233,9 @@ def run(
     Every patch has ``n_count`` observations, so the per-pair temporaries
     of ``pairwise``, ``ward_linkage`` and ``update`` live in one
     ``PairScratch`` for the whole loop, released with the last minipatch
-    before the final clustering. That clustering reads the condensed
-    1 - S built from the counters; dense S is built only for the spectral
-    finaliser, or on the first read of ``RunResult.s``.
+    before the final clustering. That clustering reads the counters:
+    Ward the condensed 1 - S built from them, the spectral finaliser the
+    dense S it builds itself. ``RunResult.s`` builds S again on first read.
 
     Raises ValueError before the first iteration when the estimated peak
     of the run's pair buffers exceeds the memory available.
@@ -310,7 +311,7 @@ def run(
         # one take of flat indices: the bytes of data.values[np.ix_(obs_idx, feat_idx)]
         view = np.take(flat_values, obs_idx[:, None] * m + feat_idx)
         dist = pairwise(view, hp.metric, out=scratch.dist)
-        labels = cut_quantile(ward_linkage(dist, out=scratch.root), hp.h)
+        labels = cut_quantile(ward_linkage(dist, out=dist.condensed), hp.h)
         k_patch = int(labels.max()) + 1
         # ANOVA needs two clusters and within-group degrees of freedom;
         # a patch without them is sampled but scores no support
@@ -355,9 +356,8 @@ def run(
             f"iterations; raise t_max above the burn-in length"
         )
 
-    s = consensus_of(state) if hp.final_algo == "spectral" else None
-    result = RunResult(
-        labels=_final_labels(state, hp, s),
+    return RunResult(
+        labels=_final_labels(state, hp),
         consensus=state,
         feature_scores=feat_state.importance() if adaptive_feat else None,
         obs_weights=obs_state.weights.copy(),
@@ -367,21 +367,19 @@ def run(
         patches=patches,
         weight_trace=wtrace,
     )
-    if s is not None:
-        result.s = s  # fills the cached property: S is built once
-    return result
 
 
-def _final_labels(state: ConsensusState, hp: HyperParams, s: np.ndarray | None) -> np.ndarray:
-    """Final labels from the counters; spectral reads dense ``s``, and no tree at a given k."""
+def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:
+    """Final labels from the counters; no tree at a given k."""
     if hp.k_final is not None:
         if hp.final_algo == "spectral":
-            return finalize_spectral(s, hp.k_final, seed=hp.seed)
+            return finalize_spectral(state, hp.k_final, seed=hp.seed)
         return finalize_hierarchical(state, hp.k_final)
     d = DistanceMatrix(state.n, dissimilarity_of(state))
     labels = cut_quantile(ward_linkage(d, out=d.condensed), hp.h)
     if hp.final_algo == "spectral":
-        return finalize_spectral(s, int(labels.max()) + 1, seed=hp.seed)
+        del d  # 1 - S goes before the finaliser builds S
+        return finalize_spectral(state, int(labels.max()) + 1, seed=hp.seed)
     return labels
 
 
@@ -401,9 +399,10 @@ def finalize_hierarchical(consensus: np.ndarray | ConsensusState, k: int) -> np.
     return cut_k(ward_linkage(d, out=d.condensed), k)
 
 
-def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+def finalize_spectral(consensus: np.ndarray | ConsensusState, k: int, seed: int = 0) -> np.ndarray:
     """Normalized spectral clustering with S as the similarity matrix.
 
+    ``consensus`` is dense S or the pair counters (``RunResult.consensus``).
     The bottom k eigenvectors of the symmetric normalized Laplacian
     I - D^-1/2 S D^-1/2 are the top k of the normalized affinity
     D^-1/2 S D^-1/2, which ``scipy.linalg.eigh`` computes alone. Their
@@ -412,10 +411,20 @@ def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     repeat) in 10 restarts drawn from one seeded stream; the restart with
     the lowest SSE wins.
 
+    D holds S's row sums. The affinity is scaled in place in one buffer in
+    LAPACK's (Fortran) order, so ``eigh`` copies nothing: from the counters,
+    the transpose of S, which is S bit for bit (``consensus_of`` builds it
+    exactly symmetric); from dense S, a copy, leaving the caller's array alone.
+
     Empty clusters: a restart in which ``kmeans2`` empties a cluster
     raises ``ClusterError`` and is discarded; if all 10 are, ValueError.
     """
-    s = np.asarray(s, dtype=float)
+    if isinstance(consensus, ConsensusState):
+        s = consensus_of(consensus)
+        affinity = s.T
+    else:
+        s = np.asarray(consensus, dtype=float)
+        affinity = np.array(s, order="F")
     n = s.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}")
@@ -423,7 +432,7 @@ def finalize_spectral(s: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     if (deg <= 0).any():
         raise ValueError("similarity matrix has an all-zero row")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    affinity = s * inv_sqrt[:, None]  # a copy: S is the caller's (RunResult.s)
+    affinity *= inv_sqrt[:, None]
     affinity *= inv_sqrt[None, :]
     _, emb = eigh(affinity, subset_by_index=[n - k, n - 1], overwrite_a=True)
     norms = np.linalg.norm(emb, axis=1)
@@ -452,13 +461,31 @@ def _kmeans(emb: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarr
     Repeated labels give the same centers again, bit for bit, so every
     later step would return the same centers and labels.
     """
-    centers, labels = kmeans2(emb, k, iter=1, minit="++", missing="raise", rng=rng)
+    centers, labels = kmeans2(emb, _kpp(emb, k, rng), iter=1, minit="matrix", missing="raise")
     for _ in range(99):
         centers, step = kmeans2(emb, centers, iter=1, minit="matrix", missing="raise")
         if np.array_equal(step, labels):
             break
         labels = step
     return centers, labels
+
+
+def _kpp(emb: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The k-means++ seeds of ``kmeans2(emb, k, minit="++", rng=rng)``, bit for bit.
+
+    The same draws as scipy's: the first seed by ``rng.integers(n)``, each
+    later one by ``rng.uniform()`` against the cumulative squared distance
+    to the nearest seed. That distance is kept as a running minimum over
+    one ``cdist`` row per seed: O(k N) distances in all, where scipy
+    recomputes those to every seed so far, O(k² N).
+    """
+    seeds = np.empty((k, emb.shape[1]))
+    seeds[0] = emb[rng.integers(emb.shape[0])]
+    nearest = np.full(emb.shape[0], np.inf)
+    for i in range(1, k):
+        np.minimum(nearest, cdist(seeds[i - 1:i], emb, "sqeuclidean")[0], out=nearest)
+        seeds[i] = emb[np.searchsorted((nearest / nearest.sum()).cumsum(), rng.uniform())]
+    return seeds
 
 
 @dataclass(frozen=True)

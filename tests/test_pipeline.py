@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -273,7 +274,7 @@ class TestFinalize:
         for k in range(1, n + 1):
             assert np.array_equal(finalize_hierarchical(s, k), cut_k(ref, k))
         hp = HyperParams(h=float(rng.uniform(0.05, 1.0)))
-        assert np.array_equal(_final_labels(state, hp, None), cut_quantile(ref, hp.h))
+        assert np.array_equal(_final_labels(state, hp), cut_quantile(ref, hp.h))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
@@ -355,6 +356,56 @@ class TestFinalize:
         assert all(a.tobytes() == b.tobytes() and a.dtype == b.dtype for a, b in zip(got, want))
         assert ours.random() == theirs.random()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_kpp_draws_scipys_seeds(self, seed):
+        # scipy's seeds and draws: one k-means step from them matches kmeans2's
+        # own "++" step, and the stream is left in the same state
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 200))
+        emb = rng.normal(size=(n, int(rng.integers(1, 6)))) + 4 * rng.integers(0, 3, size=(n, 1))
+        for k in sorted({1, 2, 4, 30, n} & set(range(1, n + 1))):
+            ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # kmeans2 warns of a cluster emptied by the step
+                got = kmeans2(emb, pipeline._kpp(emb, k, ours), iter=1, minit="matrix")
+                want = kmeans2(emb, k, iter=1, minit="++", rng=theirs)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spectral_from_counters_matches_dense_s(self, seed):
+        # the same embedding, bit for bit, and labels at k=4 and at the
+        # quantile cut's k; a caller's dense S is left as it was
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 120))
+        block = rng.integers(0, 4, n)
+        state = ConsensusState.empty(n)
+        update(state, np.arange(n), block)
+        for _ in range(30):
+            idx = rng.choice(n, n // 3, replace=False)
+            update(state, idx, np.where(rng.random(idx.size) < 0.8, block[idx], rng.integers(0, 4, idx.size)))
+        hp = HyperParams(seed=seed, final_algo="spectral")
+        k_quantile = int(_final_labels(state, replace(hp, final_algo="hierarchical")).max()) + 1
+        dense = consensus_of(state)
+        before = dense.tobytes()
+        seen = []
+        real = pipeline.eigh
+
+        def recording_eigh(a, **kwargs):
+            assert a.flags.f_contiguous  # LAPACK's order: overwritten without a copy
+            seen.append(real(a, **kwargs)[1])
+            return None, seen[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "eigh", recording_eigh)
+            for k in (4, k_quantile):
+                got = finalize_spectral(state, k, seed=seed)
+                want = finalize_spectral(dense, k, seed=seed)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert seen[-2].tobytes() == seen[-1].tobytes()
+            assert np.array_equal(_final_labels(state, hp), finalize_spectral(dense, k_quantile, seed=seed))
+        assert dense.tobytes() == before
+
     def test_spectral_restarts_with_an_empty_cluster_are_discarded(
         self, monkeypatch, tmp_path, capsys
     ):
@@ -428,7 +479,7 @@ class TestCondensedFinal:
         assert first.tobytes() == consensus_of(res.consensus).tobytes()
 
     @pytest.mark.parametrize("k", [2, None])
-    def test_spectral_hands_its_s_to_the_result(self, monkeypatch, k):
+    def test_spectral_builds_s_from_the_counters(self, monkeypatch, k):
         data, _ = _blobs(seed=6)
         calls, trees = [], []
         real, real_tree = pipeline.consensus_of, pipeline.dissimilarity_of
@@ -436,9 +487,10 @@ class TestCondensedFinal:
         monkeypatch.setattr(pipeline, "dissimilarity_of",
                             lambda state: trees.append(state) or real_tree(state))
         res = run(data, "mpcc", HyperParams(k_final=k, seed=3, t_max=40, final_algo="spectral"))
-        assert res.s is res.s and len(calls) == 1
-        assert res.s.tobytes() == consensus_of(res.consensus).tobytes()
+        assert calls == [res.consensus]  # the finaliser's own S
         assert len(trees) == (0 if k else 1)  # only the quantile cut needs the tree
+        assert res.s is res.s and len(calls) == 2  # the result's S is built on first read
+        assert res.s.tobytes() == consensus_of(res.consensus).tobytes()
 
     def test_run_allocates_less_than_one_dense_s(self):
         # N=1000: the counters (2 MB) with the loop's scratch (2.4 MB), or
@@ -462,10 +514,29 @@ class TestMemoryCeiling:
         n, npair = 10_000, 10_000 * 9_999 // 2
         assert pipeline._peak_bytes(n, 2_500, 5_000, "hierarchical") == 4 * npair + 16 * npair
         assert pipeline._peak_bytes(n, 2_500, 70_000, "hierarchical") == 8 * npair + 16 * npair
-        assert pipeline._peak_bytes(n, 2_500, 5_000, "spectral") == 20 * npair + 16 * n * n
+        assert pipeline._peak_bytes(n, 2_500, 5_000, "spectral") == 4 * npair + 12 * n * n
         # a patch of every observation: the loop's scratch outweighs the final step
         assert pipeline._peak_bytes(n, n, 5_000, "hierarchical") == (
             4 * npair + PairScratch.nbytes(n, np.uint16))
+
+    def test_spectral_step_from_the_counters_stays_within_the_estimate(self):
+        # the estimate counts dense S and the condensed S it is built from;
+        # the step's O(N) vectors fit in 1 MB beside them
+        n, t_max = 1000, 40
+        rng = np.random.default_rng(4)
+        state = ConsensusState.empty(n, max_count=t_max)
+        update(state, np.arange(n), rng.integers(0, 4, n))
+        for _ in range(t_max - 1):
+            idx = rng.choice(n, 250, replace=False)
+            update(state, idx, rng.integers(0, 4, idx.size))
+        final = pipeline._peak_bytes(n, 3, t_max, "spectral") - 2 * state.pair_seen.nbytes
+        tracemalloc.start()
+        try:
+            finalize_spectral(state, 4, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert final == 12 * n * n and peak <= final + 2**20
 
     def test_raises_before_the_first_iteration(self, monkeypatch):
         data, _ = _blobs()
