@@ -1,17 +1,12 @@
-"""Minipatch consensus clustering with adaptive observation and feature sampling."""
+"""Minipatch consensus clustering with adaptive observation and feature sampling.
+
+The namespace holds the README's library; per-layer kernels stay in their modules.
+"""
 
 __version__ = "0.1.0"
 
-from .consensus import (
-    ConsensusState,
-    StopTracker,
-    confusion,
-    consensus_of,
-    update,
-)
+from .consensus import ConsensusState, consensus_of
 from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
-from .dist import DistanceMatrix, deviation_experiment, hoeffding_bound, pairwise
-from .hclust import Dendrogram, cut_k, cut_quantile, ward_linkage
 from .metrics import ari, f1_features, select_by_score
 from .pipeline import (
     HyperParams,
@@ -22,59 +17,28 @@ from .pipeline import (
     run,
     tune_minipatch_size,
 )
-from .sampling import (
-    EEConfig,
-    SamplerState,
-    draw_uniform,
-    draw_weighted,
-    ee_prob_next,
-    score_features,
-    update_feature_weights,
-    update_obs_weights,
-)
-from .synthgen import SynthData, SynthSpec, cluster_means, generate, snr_of
+from .synthgen import SynthData, SynthSpec, generate
 
 __all__ = [
     "__version__",
-    "ConsensusState",
-    "StopTracker",
-    "confusion",
-    "consensus_of",
-    "update",
     "DataMatrix",
     "load_matrix",
+    "write_matrix",
     "log2_plus_one",
     "rescale_unit",
-    "write_matrix",
-    "DistanceMatrix",
-    "deviation_experiment",
-    "hoeffding_bound",
-    "pairwise",
-    "Dendrogram",
-    "cut_k",
-    "cut_quantile",
-    "ward_linkage",
+    "HyperParams",
+    "run",
+    "RunResult",
+    "ConsensusState",
+    "consensus_of",
+    "finalize_hierarchical",
+    "finalize_spectral",
+    "tune_minipatch_size",
+    "TuneResult",
     "ari",
     "f1_features",
     "select_by_score",
-    "HyperParams",
-    "RunResult",
-    "TuneResult",
-    "finalize_hierarchical",
-    "finalize_spectral",
-    "run",
-    "tune_minipatch_size",
-    "EEConfig",
-    "SamplerState",
-    "draw_uniform",
-    "draw_weighted",
-    "ee_prob_next",
-    "score_features",
-    "update_feature_weights",
-    "update_obs_weights",
-    "SynthData",
     "SynthSpec",
-    "cluster_means",
+    "SynthData",
     "generate",
-    "snr_of",
 ]

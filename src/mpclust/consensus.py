@@ -26,7 +26,7 @@ condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
 exports look S up by each pair's (seen, same) code in a per-run table of
 values, indexed through a ``squareform`` matrix. Dense S (8 N^2 bytes),
 exactly symmetric, is built by ``consensus_of`` alone: for the spectral
-finaliser, which takes the counters too, and for ``RunResult.s``.
+finaliser, and for a caller who asks for it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "update",
     "consensus_of",
     "dissimilarity_of",
-    "confusion",
     "StopTracker",
     "write_consensus_csv",
     "save_consensus_binary",
@@ -253,12 +252,6 @@ def dissimilarity_of(state: ConsensusState) -> np.ndarray:
     return np.subtract(1.0, d, out=d)
 
 
-def confusion(s: np.ndarray) -> np.ndarray:
-    """Per-observation instability (1/N) sum_j S_ij (1 - S_ij), diagonal included."""
-    s = np.asarray(s, dtype=float)
-    return (s * (1.0 - s)).sum(axis=1) / s.shape[0]
-
-
 @dataclass(frozen=True)
 class StopTracker:
     """Stops once the q-th confusion percentile stays put for ``patience`` steps."""
@@ -347,11 +340,13 @@ def save_consensus_binary(state: ConsensusState, path: str | Path) -> None:
 
 
 def load_consensus_binary(path: str | Path) -> np.ndarray:
+    """S, in float64, from ``save_consensus_binary``'s file; ValueError, naming it, for any other."""
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a consensus binary (bad magic)")
-    (n,) = struct.unpack("<I", raw[4:8])
-    vals = np.frombuffer(raw[8:], dtype="<f4")
-    if vals.size != n * n:
-        raise ValueError(f"{path}: expected {n * n} values, found {vals.size}")
-    return vals.reshape(n, n).astype(float)
+    if len(raw) < 8:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes; magic and N take 8)")
+    (n,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) - 8 != 4 * n * n:
+        raise ValueError(f"{path}: expected {n * n} f32 values for N={n}, found {len(raw) - 8} bytes")
+    return np.frombuffer(raw, dtype="<f4", offset=8).reshape(n, n).astype(float)

@@ -19,12 +19,11 @@ import os
 import re
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.cluster.vq import ClusterError, kmeans2
 from scipy.linalg import eigh
-from scipy.spatial.distance import cdist, squareform
+from scipy.spatial.distance import cdist
 
 from .consensus import (
     ConsensusState,
@@ -149,7 +148,7 @@ class IterationRecord:
 @dataclass
 class RunResult:
     labels: np.ndarray
-    consensus: ConsensusState  # the pair counters S is built from
+    consensus: ConsensusState  # the pair counters; consensus_of builds dense S from them
     feature_scores: np.ndarray | None
     obs_weights: np.ndarray
     iterations_run: int
@@ -157,11 +156,6 @@ class RunResult:
     trace: list[IterationRecord]
     patches: list[tuple[np.ndarray, np.ndarray]] | None = None  # (I_t, labels)
     weight_trace: list[tuple[int, np.ndarray, np.ndarray | None]] | None = None
-
-    @cached_property
-    def s(self) -> np.ndarray:
-        """Dense consensus matrix S, built from ``consensus`` on first access (8 N^2 bytes)."""
-        return consensus_of(self.consensus)
 
 
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -197,19 +191,27 @@ def _available_bytes() -> int | None:
     return min(known, default=None)
 
 
-def _peak_bytes(n: int, n_count: int, t_max: int, final_algo: str) -> int:
-    """Estimated peak of a run's N^2 and patch^2 buffers.
+def _peak_bytes(n: int, hp: HyperParams) -> int:
+    """Estimated peak of a run's N^2, N x k and patch^2 buffers.
 
     The counters (two per pair) live throughout. The loop's
     ``PairScratch`` is released before the final clustering. Ward holds
     the condensed 1 - S and scipy's working copy of it (16 bytes per
     pair). The spectral finaliser holds dense S and, while
-    ``consensus_of`` builds it, the condensed S: 12 N^2 bytes.
+    ``consensus_of`` builds it, the condensed S: 12 N^2 bytes. S is freed
+    once ``eigh`` returns; the N x k embedding and the k-means
+    temporaries then take about three N x k and three k x k float64
+    arrays (measured with tracemalloc), more than 12 N^2 from k = 0.37 N.
+    Without ``k_final``, k is at most the quantile cut's N - ⌊h(N-2)⌋ - 1.
     """
     npair = n * (n - 1) // 2
-    dtype = np.dtype(ConsensusState.counter_dtype(t_max))
-    final = 12 * n * n if final_algo == "spectral" else 16 * npair
-    return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(n_count, dtype), final)
+    dtype = np.dtype(ConsensusState.counter_dtype(hp.resolve_t_max(n)))
+    if hp.final_algo == "spectral":
+        k = hp.k_final if hp.k_final is not None else n - math.floor(hp.h * (n - 2)) - 1
+        final = max(12 * n * n, 24 * (n * k + k * k))
+    else:
+        final = 16 * npair
+    return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(hp.n_count(n), dtype), final)
 
 
 def run(
@@ -235,7 +237,7 @@ def run(
     ``PairScratch`` for the whole loop, released with the last minipatch
     before the final clustering. That clustering reads the counters:
     Ward the condensed 1 - S built from them, the spectral finaliser the
-    dense S it builds itself. ``RunResult.s`` builds S again on first read.
+    dense S it builds itself. ``consensus_of(result.consensus)`` builds S.
 
     Raises ValueError before the first iteration when the estimated peak
     of the run's pair buffers exceeds the memory available.
@@ -251,7 +253,7 @@ def run(
     if not 1 <= m_count <= m:
         raise ValueError(f"minipatch feature count {m_count} infeasible for M={m}")
     t_max = hp.resolve_t_max(n)
-    peak, available = _peak_bytes(n, n_count, t_max, hp.final_algo), _available_bytes()
+    peak, available = _peak_bytes(n, hp), _available_bytes()
     if available is not None and peak > available:
         raise ValueError(
             f"N={n} observations need about {peak / 1e6:,.1f} MB at the run's peak, "
@@ -383,26 +385,22 @@ def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:
     return labels
 
 
-def finalize_hierarchical(consensus: np.ndarray | ConsensusState, k: int) -> np.ndarray:
-    """Cluster the consensus: ward linkage on 1 - S, cut to k.
+def finalize_hierarchical(state: ConsensusState, k: int) -> np.ndarray:
+    """Cluster the consensus: Ward linkage on 1 - S, cut to k.
 
-    ``consensus`` is dense S or the pair counters (``RunResult.consensus``).
-    1 - S goes into a fresh buffer, which receives Ward's square roots.
+    1 - S comes from the pair counters (``RunResult.consensus``) into a
+    fresh buffer, which receives Ward's square roots.
     """
-    if isinstance(consensus, ConsensusState):
-        d = DistanceMatrix(consensus.n, dissimilarity_of(consensus))
-    else:
-        s = np.asarray(consensus, dtype=float)
-        d = DistanceMatrix(s.shape[0], 1 - squareform(s, checks=False))
-    if not 1 <= k <= d.n:
-        raise ValueError(f"k must be in 1..{d.n}")
+    if not 1 <= k <= state.n:
+        raise ValueError(f"k must be in 1..{state.n}")
+    d = DistanceMatrix(state.n, dissimilarity_of(state))
     return cut_k(ward_linkage(d, out=d.condensed), k)
 
 
-def finalize_spectral(consensus: np.ndarray | ConsensusState, k: int, seed: int = 0) -> np.ndarray:
-    """Normalized spectral clustering with S as the similarity matrix.
+def finalize_spectral(state: ConsensusState, k: int, seed: int = 0) -> np.ndarray:
+    """Normalized spectral clustering with S, built from the pair counters
+    (``RunResult.consensus``), as the similarity matrix.
 
-    ``consensus`` is dense S or the pair counters (``RunResult.consensus``).
     The bottom k eigenvectors of the symmetric normalized Laplacian
     I - D^-1/2 S D^-1/2 are the top k of the normalized affinity
     D^-1/2 S D^-1/2, which ``scipy.linalg.eigh`` computes alone. Their
@@ -411,30 +409,34 @@ def finalize_spectral(consensus: np.ndarray | ConsensusState, k: int, seed: int 
     repeat) in 10 restarts drawn from one seeded stream; the restart with
     the lowest SSE wins.
 
-    D holds S's row sums. The affinity is scaled in place in one buffer in
-    LAPACK's (Fortran) order, so ``eigh`` copies nothing: from the counters,
-    the transpose of S, which is S bit for bit (``consensus_of`` builds it
-    exactly symmetric); from dense S, a copy, leaving the caller's array alone.
-
     Empty clusters: a restart in which ``kmeans2`` empties a cluster
     raises ``ClusterError`` and is discarded; if all 10 are, ValueError.
     """
-    if isinstance(consensus, ConsensusState):
-        s = consensus_of(consensus)
-        affinity = s.T
-    else:
-        s = np.asarray(consensus, dtype=float)
-        affinity = np.array(s, order="F")
+    if not 1 <= k <= state.n:
+        raise ValueError(f"k must be in 1..{state.n}")
+    return _spectral(consensus_of(state), k, seed)
+
+
+def _spectral(s: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """``finalize_spectral`` on dense S, which it takes over and frees.
+
+    ``s`` must be exactly symmetric, as ``consensus_of`` builds it, and own
+    its buffer. D holds S's row sums. S's transpose view, which is S and
+    is in LAPACK's (Fortran) order, is scaled in place into the affinity,
+    so ``eigh`` copies nothing, and the buffer is freed as soon as ``eigh``
+    returns, before the N x k embedding is normalised and clustered.
+    """
     n = s.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}")
     deg = s.sum(axis=1)
     if (deg <= 0).any():
         raise ValueError("similarity matrix has an all-zero row")
     inv_sqrt = 1.0 / np.sqrt(deg)
+    affinity = s.T
     affinity *= inv_sqrt[:, None]
     affinity *= inv_sqrt[None, :]
     _, emb = eigh(affinity, subset_by_index=[n - k, n - 1], overwrite_a=True)
+    del affinity
+    s.resize(0, refcheck=False)  # frees S now; Python 3.10 keeps call arguments alive until return
     norms = np.linalg.norm(emb, axis=1)
     emb = emb / np.where(norms > 0, norms, 1.0)[:, None]
     rng = _stream(seed, _PHASE_FINAL, 1)

@@ -21,7 +21,6 @@ __all__ = [
     "SamplerState",
     "EEConfig",
     "draw_uniform",
-    "draw_weighted",
     "update_obs_weights",
     "score_features",
     "update_feature_weights",
@@ -146,9 +145,9 @@ def update_obs_weights(
 ) -> SamplerState:
     """Blend observation weights toward count-adjusted confusion.
 
-    ``conf`` is the per-observation confusion vector, as ``confusion(S)``
-    returns it for the current consensus S; ``run()`` passes the consensus
-    state's ``confusion_rows``, which ``update`` maintains, divided by N.
+    ``conf`` is the confusion vector (1/N) sum_j S_ij (1 - S_ij) of the
+    current consensus S; ``run()`` passes the consensus state's
+    ``confusion_rows``, which ``update`` maintains, divided by N.
     u_i = conf_i * (t-1)/max(1, samplings_i); weights move by
     w <- alpha w + (1-alpha) u/sum(u).  A zero uncertainty vector leaves
     the weights untouched.

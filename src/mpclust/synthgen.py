@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataio import DataMatrix
 
-__all__ = ["SynthSpec", "SynthData", "generate", "cluster_means", "snr_of", "REGIMES"]
+__all__ = ["SynthSpec", "SynthData", "generate", "REGIMES"]
 
 REGIMES = ("sparse", "weak_sparse", "no_sparse")
 
@@ -172,16 +172,3 @@ def generate(spec: SynthSpec) -> SynthData:
 
     return SynthData(DataMatrix(values, row_ids, col_ids), labels, mask)
 
-
-def snr_of(mu: np.ndarray) -> float:
-    """L2 norm of a cluster-mean vector; for a (K, M) matrix, the mean norm.
-
-    Sparse-regime means are constructed so this equals the requested snr
-    exactly.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim == 1:
-        return float(np.linalg.norm(mu))
-    if mu.ndim == 2:
-        return float(np.mean(np.linalg.norm(mu, axis=1)))
-    raise ValueError("expected a mean vector or a (K, M) mean matrix")

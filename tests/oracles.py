@@ -159,6 +159,12 @@ def brute_consensus(n: int, log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndar
     return v / np.maximum(1, d)
 
 
+def confusion(s: np.ndarray) -> np.ndarray:
+    """Per-observation instability (1/N) sum_j S_ij (1 - S_ij) of dense S, diagonal included."""
+    s = np.asarray(s, dtype=float)
+    return (s * (1.0 - s)).sum(axis=1) / s.shape[0]
+
+
 def dense_index_dissimilarity(s: np.ndarray) -> np.ndarray:
     """Condensed 1 - S by way of the dense matrix and its triangle indices."""
     s = np.asarray(s, dtype=float)
@@ -314,3 +320,13 @@ def dense_update(pair_seen, pair_same, diag, rows, n: int, sampled, labels) -> N
     for a, i in enumerate(obs):
         rows[i] += as_first[a] + as_second[a]
         diag[i] += 1
+
+
+def snr_of(mu: np.ndarray) -> float:
+    """L2 norm of a cluster-mean vector; for a (K, M) matrix, the mean norm."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim == 1:
+        return float(np.linalg.norm(mu))
+    if mu.ndim == 2:
+        return float(np.mean(np.linalg.norm(mu, axis=1)))
+    raise ValueError("expected a mean vector or a (K, M) mean matrix")

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from mpclust.consensus import ConsensusState, confusion, consensus_of, update
+from mpclust.consensus import ConsensusState, consensus_of, update
 from mpclust.cli import main
 from mpclust.dataio import DataMatrix, write_matrix
 from mpclust.dist import deviation_experiment, pairwise
@@ -19,7 +19,7 @@ from mpclust.pipeline import HyperParams, finalize_hierarchical, run, tune_minip
 from mpclust.sampling import draw_uniform
 from mpclust.synthgen import SynthSpec, generate
 
-from oracles import naive_ward, pair_counting_ari, partitions_of_labels
+from oracles import confusion, naive_ward, pair_counting_ari, partitions_of_labels
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -89,10 +89,11 @@ def test_c03_consensus_matches_logged_recomputation():
     from oracles import brute_consensus
 
     brute = brute_consensus(50, res.patches)
-    exact = bool(np.array_equal(brute, res.s))
-    symmetric = bool(np.array_equal(res.s, res.s.T))
-    in_range = bool(res.s.min() >= 0.0 and res.s.max() <= 1.0)
-    conf = confusion(res.s)
+    s = consensus_of(res.consensus)
+    exact = bool(np.array_equal(brute, s))
+    symmetric = bool(np.array_equal(s, s.T))
+    in_range = bool(s.min() >= 0.0 and s.max() <= 1.0)
+    conf = confusion(s)
     conf_ok = bool(conf.min() >= 0.0 and conf.max() <= 0.25)
     _report(
         "C3 consensus correctness",
@@ -189,7 +190,7 @@ def test_c06_no_sparse_matches_full_consensus_baseline():
         labels = cut_k(ward_linkage(pairwise(values[idx], "manhattan")), 4)
         update(state, idx, labels)
         np.percentile(state.confusion_rows / n, 90)
-    base_labels = finalize_hierarchical(consensus_of(state), 4)
+    base_labels = finalize_hierarchical(state, 4)
     base_time = time.perf_counter() - t0
     base_ari = ari(base_labels, sd.labels)
 

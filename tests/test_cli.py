@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mpclust.cli import _HP, _build_parser, _defaults, _digest, _spec_from_args, main
+from mpclust.consensus import consensus_of
 from mpclust.dataio import DataMatrix, load_matrix, write_matrix
 from mpclust.metrics import ari
 from mpclust.pipeline import HyperParams, run
@@ -174,7 +175,8 @@ class TestCluster:
         assert main(["cluster", str(blob_csv), "--mode", "mpacc", "--k", "2", "--seed", "6",
                      "--n-frac", "0.3", "--out", str(out)]) == 0
         result = run(load_matrix(blob_csv), "mpacc", HyperParams(k_final=2, seed=6, n_frac=0.3))
-        assert load_matrix(out / "consensus.csv").values.tobytes() == result.s.tobytes()
+        s = consensus_of(result.consensus)
+        assert load_matrix(out / "consensus.csv").values.tobytes() == s.tobytes()
 
     def test_row_wider_than_header_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "wide_rows.csv"

@@ -12,7 +12,6 @@ from mpclust.consensus import (
     ConsensusState,
     PairScratch,
     StopTracker,
-    confusion,
     consensus_of,
     dissimilarity_of,
     load_consensus_binary,
@@ -22,7 +21,7 @@ from mpclust.consensus import (
 )
 from mpclust.dataio import DataMatrix, write_matrix
 
-from oracles import brute_consensus, dense_update
+from oracles import brute_consensus, confusion, dense_update
 
 
 def _random_log(n, iters, patch, seed):
@@ -382,6 +381,20 @@ class TestExport:
         p = tmp_path / "bad.bin"
         p.write_bytes(b"XXXX" + b"\x00" * 8)
         with pytest.raises(ValueError, match="magic"):
+            load_consensus_binary(p)
+
+    def test_binary_truncated_header(self, tmp_path):
+        p = tmp_path / "short.bin"
+        p.write_bytes(b"MPCS\x01")  # N cut to 1 of its 4 bytes
+        with pytest.raises(ValueError, match=r"short\.bin: truncated header"):
+            load_consensus_binary(p)
+
+    @pytest.mark.parametrize("cut", [1, 4, 7])
+    def test_binary_payload_cut_short(self, tmp_path, cut):
+        p = tmp_path / "cut.bin"
+        save_consensus_binary(_counters(3, [1, 1, 0], [4, 3, 2]), p)
+        p.write_bytes(p.read_bytes()[:-cut])  # a partial last value, or values missing
+        with pytest.raises(ValueError, match=rf"cut\.bin: expected 9 f32 values .* found {36 - cut} bytes"):
             load_consensus_binary(p)
 
     def test_csv_export(self, tmp_path):

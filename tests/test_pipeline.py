@@ -9,7 +9,7 @@ from scipy.cluster.vq import ClusterError, kmeans2
 
 from mpclust import pipeline, sampling
 from mpclust.cli import main
-from mpclust.consensus import ConsensusState, PairScratch, confusion, consensus_of, update
+from mpclust.consensus import ConsensusState, PairScratch, consensus_of, update
 from mpclust.dataio import DataMatrix, write_matrix
 from mpclust.dist import DistanceMatrix
 from mpclust.hclust import cut_k, cut_quantile, ward_linkage
@@ -29,6 +29,7 @@ from oracles import (
     add_at_score_features,
     array_fisher_yates,
     brute_consensus,
+    confusion,
     dense_index_dissimilarity,
     dense_laplacian_embedding,
 )
@@ -53,9 +54,9 @@ class TestRun:
         data, truth = _blobs()
         hp = HyperParams(k_final=2, seed=7, early_stop=False, t_max=300)
         res = run(data, "mpcc", hp)
-        n = 30
-        within = min(res.s[:n, :n].min(), res.s[n:, n:].min())
-        across = max(res.s[:n, n:].max(), 0.0)
+        n, s = 30, consensus_of(res.consensus)
+        within = min(s[:n, :n].min(), s[n:, n:].min())
+        across = max(s[:n, n:].max(), 0.0)
         assert within > 0.9 and across < 0.1
         assert ari(res.labels, truth) == 1.0
 
@@ -69,7 +70,7 @@ class TestRun:
         hp = HyperParams(k_final=2, seed=11)
         a = run(data, "mpcc", hp)
         b = run(data, "mpcc", hp)
-        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(consensus_of(a.consensus), consensus_of(b.consensus))
         assert np.array_equal(a.labels, b.labels)
         assert a.iterations_run == b.iterations_run
         assert [r.confusion_pct for r in a.trace] == [r.confusion_pct for r in b.trace]
@@ -94,7 +95,7 @@ class TestRun:
         hp = HyperParams(k_final=2, seed=1, t_max=40, early_stop=False)
         res = run(data, "mpcc", hp, collect_patches=True)
         assert len(res.patches) == res.iterations_run
-        assert np.array_equal(brute_consensus(60, res.patches), res.s)
+        assert np.array_equal(brute_consensus(60, res.patches), consensus_of(res.consensus))
 
     def test_trace_percentile_matches_exact_recompute(self):
         data, _ = _blobs(seed=2)
@@ -127,7 +128,8 @@ class TestRun:
             trace = [(r.iteration, r.n_clusters, r.confusion_pct, r.high_obs, r.high_feat)
                      for r in res.trace]
             patches = [(i.tolist(), lab.tolist()) for i, lab in res.patches]
-            return res.s.tobytes(), res.labels.tolist(), res.feature_scores, trace, patches
+            s = consensus_of(res.consensus)
+            return s.tobytes(), res.labels.tolist(), res.feature_scores, trace, patches
 
         alone = {k: run(data, *runs[k], collect_patches=True) for k in runs}
         nested = []
@@ -248,16 +250,14 @@ class TestRun:
 
 class TestFinalize:
     def test_hierarchical_perfect_blocks(self):
-        s = np.zeros((9, 9))
-        for blk in (slice(0, 2), slice(2, 6), slice(6, 9)):
-            s[blk, blk] = 1.0
-        labels = finalize_hierarchical(s, 3)
-        assert ari(labels, [0, 0, 1, 1, 1, 1, 2, 2, 2]) == 1.0
+        truth = [0, 0, 1, 1, 1, 1, 2, 2, 2]
+        state = update(ConsensusState.empty(9), np.arange(9), np.array(truth))
+        assert ari(finalize_hierarchical(state, 3), truth) == 1.0
 
     def test_hierarchical_extremes(self):
-        s = np.eye(5)
-        assert finalize_hierarchical(s, 1).max() == 0
-        assert len(np.unique(finalize_hierarchical(s, 5))) == 5
+        state = update(ConsensusState.empty(5), np.arange(5), np.arange(5))  # S = I
+        assert finalize_hierarchical(state, 1).max() == 0
+        assert len(np.unique(finalize_hierarchical(state, 5))) == 5
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 40), st.integers(0, 2**32 - 1))
@@ -272,7 +272,7 @@ class TestFinalize:
         s = consensus_of(state)
         ref = ward_linkage(DistanceMatrix(n, dense_index_dissimilarity(s)))
         for k in range(1, n + 1):
-            assert np.array_equal(finalize_hierarchical(s, k), cut_k(ref, k))
+            assert np.array_equal(finalize_hierarchical(state, k), cut_k(ref, k))
         hp = HyperParams(h=float(rng.uniform(0.05, 1.0)))
         assert np.array_equal(_final_labels(state, hp), cut_quantile(ref, hp.h))
 
@@ -287,36 +287,35 @@ class TestFinalize:
         before = [a.tobytes() for a in
                   (state.pair_same, state.pair_seen, state.diag, state.confusion_rows)]
         dense = consensus_of(state)
+        ref = ward_linkage(DistanceMatrix(n, dense_index_dissimilarity(dense)))
         for k in range(1, n + 1):
-            assert np.array_equal(finalize_hierarchical(state, k), finalize_hierarchical(dense, k))
+            assert np.array_equal(finalize_hierarchical(state, k), cut_k(ref, k))
         assert before == [a.tobytes() for a in
                           (state.pair_same, state.pair_seen, state.diag, state.confusion_rows)]
         assert dense.tobytes() == consensus_of(state).tobytes()
 
     def test_hierarchical_k_out_of_range(self):
         with pytest.raises(ValueError):
-            finalize_hierarchical(np.eye(4), 5)
+            finalize_hierarchical(ConsensusState.empty(4), 5)
 
     def test_spectral_perfect_blocks(self):
-        s = np.zeros((12, 12))
-        truth = []
-        for b, blk in enumerate((slice(0, 4), slice(4, 8), slice(8, 12))):
-            s[blk, blk] = 1.0
-            truth += [b] * 4
-        assert ari(finalize_spectral(s, 3, seed=1), truth) == 1.0
+        truth = np.repeat([0, 1, 2], 4)
+        state = update(ConsensusState.empty(12), np.arange(12), truth)
+        assert ari(finalize_spectral(state, 3, seed=1), truth) == 1.0
 
     def test_spectral_identity_singletons(self):
-        labels = finalize_spectral(np.eye(5), 5, seed=0)
-        assert len(np.unique(labels)) == 5
+        state = update(ConsensusState.empty(5), np.arange(5), np.arange(5))  # S = I
+        assert len(np.unique(finalize_spectral(state, 5, seed=0))) == 5
 
     def test_spectral_all_ones_single(self):
-        assert finalize_spectral(np.ones((4, 4)), 1, seed=0).max() == 0
+        state = update(ConsensusState.empty(4), np.arange(4), np.zeros(4))  # S = 1
+        assert finalize_spectral(state, 1, seed=0).max() == 0
 
     def test_spectral_zero_row_rejected(self):
-        s = np.eye(4)
-        s[2, 2] = 0.0
+        # observation 2 never sampled: its row of S is all zero
+        state = update(ConsensusState.empty(4), np.array([0, 1, 3]), np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="zero"):
-            finalize_spectral(s, 2)
+            finalize_spectral(state, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(4, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -339,7 +338,7 @@ class TestFinalize:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "eigh", recording_eigh)
-            finalize_spectral(s, k, seed=seed)
+            pipeline._spectral(s.copy(), k, seed)
         ((_, emb),) = seen
         assert emb.shape == (n, k)
         assert np.abs(emb @ emb.T - ref @ ref.T).max() <= 1e-8
@@ -372,10 +371,33 @@ class TestFinalize:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
             assert ours.random() == theirs.random()
 
+    # finalize_spectral(consensus_of(state), k) at commit 9259552, the last
+    # to take dense S: (quantile k, labels at k=4, labels at the quantile k)
+    PINNED_SPECTRAL = {
+        0: (7,
+            "003322221010010000131023102101221202333322220003013311130101003120010333301210300330003133132002231313211220",
+            "336611440303503533020516034050110434226214113332506600023030532043305262650105635663356062021331160206400443"),
+        1: (5,
+            "23311331030030022113332300310103100312013100013231202302103020102030233012230",
+            "41102112313313344221114133103031033124321033321410434134231343034313411304413"),
+        2: (7,
+            "03001030212131320320203202210321112003300222111101130222303130122012200221201300102310032201233032322200101",
+            "02003020131323540260102106640214331002200666333403320116205320411036600663604200401530056603155026264400304"),
+        3: (7,
+            "00001120033233022003312332202111332221310011303012203013032233022211022033232203112020113113130212313300",
+            "00006150034544025004315332505111332521310011403015204063032233022511025034232203615050164613640565413300"),
+        4: (6,
+            "11311102322313031032102120111123131302323210300322213211200033311330211022302201301303222101011010",
+            "33533342122135453412342320333325353502125230104522035233240055133110233422102203143141222303433430"),
+        5: (6,
+            "131200213220233333130132221311132020003101221332031230111231013302213022132332002311332310020",
+            "101255314235244404145103231011142535550151321402541205111341510052210032143443503411043415535"),
+    }
+
     @pytest.mark.parametrize("seed", range(6))
     def test_spectral_from_counters_matches_dense_s(self, seed):
-        # the same embedding, bit for bit, and labels at k=4 and at the
-        # quantile cut's k; a caller's dense S is left as it was
+        # labels pinned at k=4 and at the quantile cut's k; eigh overwrites
+        # S's own buffer, handed over in LAPACK's order without a copy
         rng = np.random.default_rng(seed)
         n = int(rng.integers(40, 120))
         block = rng.integers(0, 4, n)
@@ -386,25 +408,20 @@ class TestFinalize:
             update(state, idx, np.where(rng.random(idx.size) < 0.8, block[idx], rng.integers(0, 4, idx.size)))
         hp = HyperParams(seed=seed, final_algo="spectral")
         k_quantile = int(_final_labels(state, replace(hp, final_algo="hierarchical")).max()) + 1
-        dense = consensus_of(state)
-        before = dense.tobytes()
-        seen = []
+        pinned_k, *pinned = self.PINNED_SPECTRAL[seed]
+        assert k_quantile == pinned_k
         real = pipeline.eigh
 
-        def recording_eigh(a, **kwargs):
-            assert a.flags.f_contiguous  # LAPACK's order: overwritten without a copy
-            seen.append(real(a, **kwargs)[1])
-            return None, seen[-1]
+        def checking_eigh(a, **kwargs):
+            assert a.flags.f_contiguous and kwargs["overwrite_a"]
+            return real(a, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipeline, "eigh", recording_eigh)
-            for k in (4, k_quantile):
+            mp.setattr(pipeline, "eigh", checking_eigh)
+            for k, want in zip((4, k_quantile), pinned):
                 got = finalize_spectral(state, k, seed=seed)
-                want = finalize_spectral(dense, k, seed=seed)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert seen[-2].tobytes() == seen[-1].tobytes()
-            assert np.array_equal(_final_labels(state, hp), finalize_spectral(dense, k_quantile, seed=seed))
-        assert dense.tobytes() == before
+                assert got.dtype == np.int64 and "".join(map(str, got)) == want
+            assert "".join(map(str, _final_labels(state, hp))) == pinned[1]
 
     def test_spectral_restarts_with_an_empty_cluster_are_discarded(
         self, monkeypatch, tmp_path, capsys
@@ -431,7 +448,7 @@ class TestFinalize:
             return centers, labels
 
         monkeypatch.setattr(pipeline, "_kmeans", flaky)
-        labels = finalize_spectral(s, 3, seed=2)
+        labels = pipeline._spectral(s.copy(), 3, 2)
         assert len(calls) == 10 and kept[0][0] > kept[1][0]
         assert np.array_equal(labels, kept[1][1]) and ari(labels, block) == 1.0
 
@@ -440,7 +457,7 @@ class TestFinalize:
 
         monkeypatch.setattr(pipeline, "_kmeans", empty)
         with pytest.raises(ValueError, match="all 10 restarts for k=3"):
-            finalize_spectral(s, 3, seed=2)
+            pipeline._spectral(s.copy(), 3, 2)
         data, _ = _blobs(n_half=15, n_feat=8)
         write_matrix(data, tmp_path / "blobs.csv")
         argv = ["cluster", str(tmp_path / "blobs.csv"), "--final-algo", "spectral", "--k", "2",
@@ -451,7 +468,7 @@ class TestFinalize:
 
 
 class TestCondensedFinal:
-    """run() clusters the condensed 1 - S; dense S is built only on request."""
+    """run() clusters the condensed 1 - S; dense S is built only for the spectral finaliser."""
 
     @pytest.mark.parametrize("mode", ["mpcc", "impacc"])
     @pytest.mark.parametrize("k", [2, None])
@@ -468,16 +485,6 @@ class TestCondensedFinal:
         ref = ward_linkage(DistanceMatrix(60, dense_index_dissimilarity(consensus_of(res.consensus))))
         assert np.array_equal(res.labels, cut_k(ref, k) if k else cut_quantile(ref, hp.h))
 
-    def test_s_is_built_once_on_first_access(self, monkeypatch):
-        data, _ = _blobs(seed=6)
-        res = run(data, "mpcc", HyperParams(k_final=2, seed=3, t_max=40))
-        calls = []
-        real = pipeline.consensus_of
-        monkeypatch.setattr(pipeline, "consensus_of", lambda state: calls.append(state) or real(state))
-        first = res.s
-        assert first is res.s and calls == [res.consensus]
-        assert first.tobytes() == consensus_of(res.consensus).tobytes()
-
     @pytest.mark.parametrize("k", [2, None])
     def test_spectral_builds_s_from_the_counters(self, monkeypatch, k):
         data, _ = _blobs(seed=6)
@@ -489,8 +496,6 @@ class TestCondensedFinal:
         res = run(data, "mpcc", HyperParams(k_final=k, seed=3, t_max=40, final_algo="spectral"))
         assert calls == [res.consensus]  # the finaliser's own S
         assert len(trees) == (0 if k else 1)  # only the quantile cut needs the tree
-        assert res.s is res.s and len(calls) == 2  # the result's S is built on first read
-        assert res.s.tobytes() == consensus_of(res.consensus).tobytes()
 
     def test_run_allocates_less_than_one_dense_s(self):
         # N=1000: the counters (2 MB) with the loop's scratch (2.4 MB), or
@@ -509,39 +514,66 @@ class TestCondensedFinal:
         assert peak < 8 * n * n
 
 
+def _spectral_step_peak(n: int, k: int) -> tuple[int, int]:
+    """The estimate's final-step term and the tracemalloc peak of
+    ``finalize_spectral`` at k, on counters of 40 patches of N/4."""
+    t_max = 40
+    rng = np.random.default_rng(4)
+    state = ConsensusState.empty(n, max_count=t_max)
+    update(state, np.arange(n), rng.integers(0, 4, n))
+    for _ in range(t_max - 1):
+        idx = rng.choice(n, n // 4, replace=False)
+        update(state, idx, rng.integers(0, 4, idx.size))
+    hp = HyperParams(n_frac=3 / n, t_max=t_max, k_final=k, final_algo="spectral")
+    final = pipeline._peak_bytes(n, hp) - 2 * state.pair_seen.nbytes
+    tracemalloc.start()
+    try:
+        finalize_spectral(state, k, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return final, peak
+
+
 class TestMemoryCeiling:
     def test_estimate(self):
         n, npair = 10_000, 10_000 * 9_999 // 2
-        assert pipeline._peak_bytes(n, 2_500, 5_000, "hierarchical") == 4 * npair + 16 * npair
-        assert pipeline._peak_bytes(n, 2_500, 70_000, "hierarchical") == 8 * npair + 16 * npair
-        assert pipeline._peak_bytes(n, 2_500, 5_000, "spectral") == 4 * npair + 12 * n * n
+        hp = HyperParams(t_max=5_000)  # patches of 2,500
+        spectral = replace(hp, final_algo="spectral")
+        assert pipeline._peak_bytes(n, hp) == 4 * npair + 16 * npair
+        assert pipeline._peak_bytes(n, replace(hp, t_max=70_000)) == 8 * npair + 16 * npair
+        # the quantile cut leaves at most 501 clusters: dense S and the condensed S
+        assert pipeline._peak_bytes(n, spectral) == 4 * npair + 12 * n * n
+        assert pipeline._peak_bytes(n, replace(spectral, k_final=3_000)) == 4 * npair + 12 * n * n
+        # past k = 0.37 N the N x k and k x k arrays outweigh S
+        for k in (5_000, n):
+            assert pipeline._peak_bytes(n, replace(spectral, k_final=k)) == (
+                4 * npair + 24 * (n * k + k * k))
+        assert pipeline._peak_bytes(n, replace(spectral, h=0.1)) == (  # k <= 10,000 - 999 - 1
+            4 * npair + 24 * (n * 9_000 + 9_000**2))
         # a patch of every observation: the loop's scratch outweighs the final step
-        assert pipeline._peak_bytes(n, n, 5_000, "hierarchical") == (
+        assert pipeline._peak_bytes(n, replace(hp, n_frac=1.0)) == (
             4 * npair + PairScratch.nbytes(n, np.uint16))
 
     def test_spectral_step_from_the_counters_stays_within_the_estimate(self):
         # the estimate counts dense S and the condensed S it is built from;
         # the step's O(N) vectors fit in 1 MB beside them
-        n, t_max = 1000, 40
-        rng = np.random.default_rng(4)
-        state = ConsensusState.empty(n, max_count=t_max)
-        update(state, np.arange(n), rng.integers(0, 4, n))
-        for _ in range(t_max - 1):
-            idx = rng.choice(n, 250, replace=False)
-            update(state, idx, rng.integers(0, 4, idx.size))
-        final = pipeline._peak_bytes(n, 3, t_max, "spectral") - 2 * state.pair_seen.nbytes
-        tracemalloc.start()
-        try:
-            finalize_spectral(state, 4, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        n = 1000
+        final, peak = _spectral_step_peak(n, 4)
         assert final == 12 * n * n and peak <= final + 2**20
+
+    @pytest.mark.parametrize("share", [0.01, 0.5, 1.0])
+    def test_spectral_estimate_follows_k(self, share):
+        # k = 4, N/2 and N; S is freed once eigh returns, so at k = N the
+        # peak is the embedding's and k-means' 48 N^2, not 56 N^2 with S
+        n = 400
+        final, peak = _spectral_step_peak(n, int(share * n))
+        assert peak <= final + 256 * n  # 32 float64 vectors of N beside the estimate
 
     def test_raises_before_the_first_iteration(self, monkeypatch):
         data, _ = _blobs()
         hp = HyperParams(k_final=2, seed=1, t_max=30)
-        need = pipeline._peak_bytes(60, hp.n_count(60), 30, "hierarchical")
+        need = pipeline._peak_bytes(60, hp)
 
         def no_iteration(*args, **kwargs):
             raise AssertionError("iterated")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpclust.consensus import confusion
 from mpclust.sampling import (
     EEConfig,
     SamplerState,
@@ -14,7 +13,7 @@ from mpclust.sampling import (
     update_obs_weights,
 )
 
-from oracles import add_at_score_features, array_fisher_yates, f_sf_by_quadrature
+from oracles import add_at_score_features, array_fisher_yates, confusion, f_sf_by_quadrature
 
 
 class TestDrawUniform:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mpclust.synthgen import SynthSpec, cluster_means, generate, snr_of
+from mpclust.synthgen import SynthSpec, cluster_means, generate
+
+from oracles import snr_of
 
 
 def test_default_sparse_shapes():
