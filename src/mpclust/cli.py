@@ -230,6 +230,29 @@ def _add_hp_flags(p: argparse.ArgumentParser, d: dict[str, object]) -> None:
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
+def _comma_list(typ: type, choices: tuple[str, ...] | None = None):
+    """An argparse type: a comma list of one or more ``typ`` values, blank items skipped."""
+    wanted = ", ".join(choices) if choices else f"{typ.__name__} values"
+
+    def parse(raw: str) -> tuple:
+        try:
+            values = tuple(typ(v.strip()) for v in raw.split(",") if v.strip())
+        except ValueError:
+            values = ()
+        if not values or (choices and not set(values) <= set(choices)):
+            raise argparse.ArgumentTypeError(f"expected a comma list of {wanted}, got {raw!r}")
+        return values
+
+    return parse
+
+
+def _positive_int(raw: str) -> int:
+    """An argparse type: an int >= 1."""
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive int, got {raw!r}")
+    return int(raw)
+
+
 _SYNTH_FLAGS = {"n_obs": int, "n_features": int, "n_signal": int, "rho": float}
 
 
@@ -282,7 +305,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     hp = _hp_from_args(args)
     t0 = time.perf_counter()
-    result = run(data, args.mode, hp, collect_weight_trace=args.weight_trace)
+    result = run(data, args.mode, hp, collect_arrays=args.weight_trace)
     timings["run"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -303,19 +326,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         ((rec.iteration, rec.n_clusters, f"{rec.confusion_pct:.17g}", rec.high_obs, rec.high_feat,
           f"{rec.seconds:.6f}") for rec in result.trace),
     )
-    if args.weight_trace and result.weight_trace is not None:
-        _write_rows(
-            out_dir / "obs_weight_trace.csv",
-            ["iteration", "index", "value"],
-            ((t, i, f"{v:.17g}") for t, obs_w, _ in result.weight_trace for i, v in enumerate(obs_w)),
-        )
-        if args.mode == "impacc":
-            _write_rows(
-                out_dir / "feature_score_trace.csv",
-                ["iteration", "index", "value"],
-                ((t, i, f"{v:.17g}") for t, _, scores in result.weight_trace
-                 if scores is not None for i, v in enumerate(scores)),
-            )
+    if args.weight_trace:
+        for name, attr in (("obs_weight_trace.csv", "obs_weights"),
+                           ("feature_score_trace.csv", "feature_scores")):
+            if getattr(result, attr) is not None:  # feature scores: impacc only
+                _write_rows(
+                    out_dir / name,
+                    ["iteration", "index", "value"],
+                    ((rec.iteration, i, f"{v:.17g}") for rec in result.trace
+                     for i, v in enumerate(getattr(rec, attr))),
+                )
     timings["write"] = time.perf_counter() - t0
 
     keys = [*_HP, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
@@ -338,8 +358,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sizes = tuple(int(s) for s in args.cluster_sizes.split(",")) if args.cluster_sizes else None
-    spec = _spec_from_args(args, snr=args.snr, cluster_sizes=sizes, seed=args.seed)
+    spec = _spec_from_args(args, snr=args.snr, cluster_sizes=args.cluster_sizes, seed=args.seed)
     t0 = time.perf_counter()
     data = generate(spec)
     timings = {"generate": time.perf_counter() - t0}
@@ -360,24 +379,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
-    snrs = [float(s) for s in args.snr.split(",") if s.strip()]
-    if not snrs:
-        raise ValueError("need at least one SNR value")
-    if args.reps < 1:
-        raise ValueError("reps must be >= 1")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for mth in methods:
-        if mth not in _BENCH_METHODS:
-            raise ValueError(f"unknown method {mth!r}; choose from {_BENCH_METHODS}")
-
     rows: list[tuple[str, float, int, float, str, float]] = []
-    for snr in snrs:
+    for snr in args.snr:
         for rep in range(args.reps):
             seed = args.seed + rep
             spec = _spec_from_args(args, snr=snr, seed=seed)
             data = generate(spec)
-            hp = HyperParams(k_final=spec.n_clusters, seed=seed)
-            for method in methods:
+            hp = HyperParams(k_final=len(spec.sizes()), seed=seed)
+            for method in args.methods:
                 t0 = time.perf_counter()
                 f1_text = ""
                 if method == "hclust":
@@ -405,11 +414,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     data = _load_input(args)
-    m_grid = [float(v) for v in args.m_grid.split(",") if v.strip()]
-    n_grid = [float(v) for v in args.n_grid.split(",") if v.strip()]
-    if not m_grid or not n_grid:
-        raise ValueError("both --m-grid and --n-grid need at least one value")
-    grid = [(mf, nf) for mf in m_grid for nf in n_grid]
+    grid = [(mf, nf) for mf in args.m_grid for nf in args.n_grid]
     hp = _hp_from_args(args)
     result = tune_minipatch_size(data, args.mode, grid, hp)
 
@@ -456,18 +461,13 @@ def _cmd_hoeffding(args: argparse.Namespace) -> int:
             tuple(f"obs_{i}" for i in range(args.n_obs)),
             tuple(f"feat_{j}" for j in range(args.n_features)),
         )
-    eps_grid = [float(e) for e in args.eps.split(",") if e.strip()]
-    m_feats = [int(v) for v in args.m_feat.split(",") if v.strip()]
-    if not eps_grid or not m_feats:
-        raise ValueError("need at least one --eps and one --m-feat value")
-
     rows = []
-    for m_feat in m_feats:
-        table = deviation_experiment(data, args.metric, m_feat, args.trials, eps_grid, args.seed)
+    for m_feat in args.m_feat:
+        table = deviation_experiment(data, args.metric, m_feat, args.trials, list(args.eps), args.seed)
         rows += [(m_feat, f"{eps:g}", f"{empirical:.17g}", f"{bound:.17g}") for eps, empirical, bound in table]
     out = Path(args.out)
     _write_rows(out, ["m_feat", "eps", "empirical", "bound"], rows)
-    print(f"{len(m_feats) * len(eps_grid)} rows -> {out}")
+    print(f"{len(rows)} rows -> {out}")
     return 0
 
 
@@ -496,15 +496,16 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
     _add_synth_flags(p)
     p.add_argument("--snr", type=float, required=True)
-    p.add_argument("--cluster-sizes", default=None, help="comma list summing to n-obs")
+    p.add_argument("--cluster-sizes", type=_comma_list(int), default=None, help="comma list summing to n-obs")
     _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("benchmark", help="ARI/F1/runtime grid over SNR and seeds")
-    p.add_argument("--snr", required=True, help="comma list of SNR values")
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--methods", default=",".join(_BENCH_METHODS))
+    p.add_argument("--snr", type=_comma_list(float), required=True, help="comma list of SNR values")
+    p.add_argument("--reps", type=_positive_int, default=10)
+    p.add_argument("--methods", type=_comma_list(str, _BENCH_METHODS), default=_BENCH_METHODS,
+                   help=f"comma list of {', '.join(_BENCH_METHODS)}")
     _add_synth_flags(p)
     _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default="benchmark.csv")
@@ -513,8 +514,8 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="pick the smallest adequate minipatch size")
     p.add_argument("input")
     _add_hp_flag(p, d, "mode")
-    p.add_argument("--m-grid", required=True, help="comma list of m_frac values")
-    p.add_argument("--n-grid", required=True, help="comma list of n_frac values")
+    p.add_argument("--m-grid", type=_comma_list(float), required=True, help="comma list of m_frac values")
+    p.add_argument("--n-grid", type=_comma_list(float), required=True, help="comma list of n_frac values")
     p.add_argument("--out", default="tune_report.csv")
     _add_hp_flags(p, d)
     _add_io_flags(p)
@@ -532,10 +533,11 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="matrix CSV (default: uniform random)")
     p.add_argument("--n-obs", type=int, default=50)
     p.add_argument("--n-features", type=int, default=100)
-    p.add_argument("--m-feat", default="10", help="comma list of subsample sizes")
-    p.add_argument("--eps", default="0.05,0.1,0.2,0.3", help="comma list of deviations")
+    p.add_argument("--m-feat", type=_comma_list(int), default=(10,), help="comma list of subsample sizes")
+    p.add_argument("--eps", type=_comma_list(float), default=(0.05, 0.1, 0.2, 0.3),
+                   help="comma list of deviations")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--metric", choices=METRICS, default=HyperParams().metric)
+    _add_hp_flag(p, d, "metric")
     _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default="hoeffding.csv")
     _add_io_flags(p)

@@ -135,7 +135,9 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration diagnostics."""
+    """One iteration's diagnostics and, with ``run(..., collect_arrays=True)``, its own
+    copies of its patch I_t, its labels, and the observation weights and (impacc)
+    feature scores after it; None otherwise."""
 
     iteration: int
     n_clusters: int
@@ -143,6 +145,10 @@ class IterationRecord:
     high_obs: int
     high_feat: int
     seconds: float
+    obs_idx: np.ndarray | None = None
+    labels: np.ndarray | None = None
+    obs_weights: np.ndarray | None = None
+    feature_scores: np.ndarray | None = None
 
 
 @dataclass
@@ -151,11 +157,12 @@ class RunResult:
     consensus: ConsensusState  # the pair counters; consensus_of builds dense S from them
     feature_scores: np.ndarray | None
     obs_weights: np.ndarray
-    iterations_run: int
     stop_reason: str  # "early_stop" or "t_max"
-    trace: list[IterationRecord]
-    patches: list[tuple[np.ndarray, np.ndarray]] | None = None  # (I_t, labels)
-    weight_trace: list[tuple[int, np.ndarray, np.ndarray | None]] | None = None
+    trace: list[IterationRecord]  # one record per iteration run
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.trace)
 
 
 _CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
@@ -218,16 +225,15 @@ def run(
     data: DataMatrix,
     mode: str,
     hp: HyperParams,
-    collect_patches: bool = False,
-    collect_weight_trace: bool = False,
+    collect_arrays: bool = False,
 ) -> RunResult:
     """Execute the consensus loop and final clustering.
 
     Each iteration draws a minipatch, clusters it, scores its features
-    (impacc), folds it into the consensus and checks the stop rule.
-    ``collect_patches`` retains the per-iteration (indices, labels) log,
-    ``collect_weight_trace`` the per-iteration observation weights and
-    feature scores.
+    (impacc), folds it into the consensus, checks the stop rule and
+    appends its ``IterationRecord`` to ``RunResult.trace``.
+    ``collect_arrays`` also keeps each iteration's patch and weights in
+    its record.
 
     The per-observation confusion that drives the adaptive observation
     weights and the early-stop percentile is the consensus state's
@@ -265,14 +271,12 @@ def run(
         epochs=hp.epochs_e,
         threshold="quantile",
         threshold_param=hp.theta,
-        alpha=hp.alpha_i,
     )
     feat_cfg = EEConfig(
         frac=hp.m_frac,
         epochs=hp.epochs_e,
         threshold="mean_plus_sd",
         threshold_param=hp.tau,
-        alpha=hp.alpha_f,
     )
     obs_state = SamplerState.uniform(n, "observations")
     feat_state = SamplerState.uniform(m, "features")
@@ -285,10 +289,6 @@ def run(
     obs_burn = obs_cfg.burn_in(n)
 
     trace: list[IterationRecord] = []
-    patches: list[tuple[np.ndarray, np.ndarray]] | None = [] if collect_patches else None
-    wtrace: list[tuple[int, np.ndarray, np.ndarray | None]] | None = (
-        [] if collect_weight_trace else None
-    )
     stop_reason = "t_max"
 
     for t in range(1, t_max + 1):
@@ -326,26 +326,23 @@ def run(
         stop = False
         if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs_burn):
             tracker, stop = tracker.step(pct)
-        trace.append(
-            IterationRecord(
-                iteration=t,
-                n_clusters=k_patch,
-                confusion_pct=pct,
-                high_obs=obs_state.last_high_size,
-                high_feat=feat_state.last_high_size,
-                seconds=time.perf_counter() - started,
-            )
+        record = IterationRecord(
+            iteration=t,
+            n_clusters=k_patch,
+            confusion_pct=pct,
+            high_obs=obs_state.last_high_size,
+            high_feat=feat_state.last_high_size,
+            seconds=time.perf_counter() - started,
         )
-        if patches is not None:
-            patches.append((obs_idx.copy(), labels.copy()))
-        if wtrace is not None:
-            wtrace.append(
-                (
-                    t,
-                    obs_state.weights.copy(),
-                    feat_state.importance().copy() if adaptive_feat else None,
-                )
+        if collect_arrays:
+            record = replace(
+                record,
+                obs_idx=obs_idx.copy(),
+                labels=labels.copy(),
+                obs_weights=obs_state.weights.copy(),
+                feature_scores=feat_state.importance() if adaptive_feat else None,  # a new array
             )
+        trace.append(record)
         if stop:
             stop_reason = "early_stop"
             break
@@ -363,11 +360,8 @@ def run(
         consensus=state,
         feature_scores=feat_state.importance() if adaptive_feat else None,
         obs_weights=obs_state.weights.copy(),
-        iterations_run=len(trace),
         stop_reason=stop_reason,
         trace=trace,
-        patches=patches,
-        weight_trace=wtrace,
     )
 
 

@@ -74,7 +74,6 @@ def draw_weighted(weights: np.ndarray, count_draw: int, rng: np.random.Generator
 class SamplerState:
     """Weights and bookkeeping for one sampling axis."""
 
-    axis: str  # "observations" or "features"
     weights: np.ndarray
     sample_counts: np.ndarray
     support_hits: np.ndarray | None = None  # features axis only
@@ -86,7 +85,6 @@ class SamplerState:
         if axis not in ("observations", "features"):
             raise ValueError(f"unknown axis {axis!r}")
         return cls(
-            axis=axis,
             weights=np.full(total, 1.0 / total),
             sample_counts=np.zeros(total, dtype=np.int64),
             support_hits=np.zeros(total, dtype=np.int64) if axis == "features" else None,
@@ -107,10 +105,9 @@ class EEConfig:
     """Knobs of the EE+Prob scheme for one axis."""
 
     frac: float
-    epochs: int = 2
-    threshold: str = "quantile"  # or "mean_plus_sd"
-    threshold_param: float = 0.95  # theta for quantile, tau for mean_plus_sd
-    alpha: float = 0.5
+    epochs: int
+    threshold: str  # "quantile" or "mean_plus_sd"
+    threshold_param: float  # theta for quantile, tau for mean_plus_sd
 
     def __post_init__(self) -> None:
         if not 0 < self.frac <= 1:
@@ -119,8 +116,6 @@ class EEConfig:
             raise ValueError("epochs must be >= 1")
         if self.threshold not in ("quantile", "mean_plus_sd"):
             raise ValueError(f"unknown threshold rule {self.threshold!r}")
-        if not 0 <= self.alpha <= 1:
-            raise ValueError("alpha must be in [0, 1]")
 
     def draw_count(self, total: int) -> int:
         return max(1, math.ceil(self.frac * total))
@@ -134,15 +129,14 @@ class EEConfig:
     def gamma_at(self, t: int, total: int) -> float:
         """Exploitation fraction in [0.5, 1], nondecreasing in t."""
         # linear ramp from 0.5 at the first adaptive iteration to 1.0
-        # over the following burn_in-many iterations
-        start = self.burn_in(total) + 1
-        span = max(1, self.burn_in(total))
-        return min(1.0, 0.5 + 0.5 * (t - start) / span)
+        # over the following burn_in-many iterations (burn_in >= 1)
+        burn = self.burn_in(total)
+        return min(1.0, 0.5 + 0.5 * (t - burn - 1) / burn)
 
 
 def update_obs_weights(
     state: SamplerState, conf: np.ndarray, t: int, alpha_i: float
-) -> SamplerState:
+) -> None:
     """Blend observation weights toward count-adjusted confusion.
 
     ``conf`` is the confusion vector (1/N) sum_j S_ij (1 - S_ij) of the
@@ -167,7 +161,6 @@ def update_obs_weights(
     if total > 0:
         w = alpha_i * state.weights + (1.0 - alpha_i) * u / total
         state.weights = w / w.sum()  # guard fp drift; analytically already 1
-    return state
 
 
 def score_features(
@@ -236,7 +229,7 @@ def score_features(
 
 def update_feature_weights(
     state: SamplerState, support: np.ndarray, sampled: np.ndarray, alpha_f: float
-) -> SamplerState:
+) -> None:
     """Fold one minipatch's feature support into hits, importance, and weights."""
     if state.support_hits is None:
         raise ValueError("feature weights update needs a features-axis state")
@@ -249,7 +242,6 @@ def update_feature_weights(
     total = w.sum()
     if total > 0:
         state.weights = w / total  # renormalized for sampling; raw imp reported
-    return state
 
 
 def _high_set(weights: np.ndarray, config: EEConfig) -> np.ndarray:
@@ -266,8 +258,6 @@ def ee_prob_next(
     """Next minipatch index set for iteration t (1-based) on one axis."""
     total = state.weights.size
     draw = config.draw_count(total)
-    if draw > total:
-        raise ValueError(f"cannot draw {draw} of {total}")
     q = config.q_blocks(total)
 
     if t <= config.epochs * q:
@@ -287,12 +277,9 @@ def ee_prob_next(
         return draw_uniform(total, draw, rng)
 
     gamma = config.gamma_at(t, total)
-    exploit_n = min(draw, int(math.floor(gamma * high.size + 0.5)))  # half rounds up
-    exploit = (
-        high[draw_weighted(state.weights[high], exploit_n, rng)]
-        if exploit_n > 0
-        else np.empty(0, dtype=int)
-    )
+    # half rounds up, so gamma >= 0.5 exploits at least one index
+    exploit_n = min(draw, int(math.floor(gamma * high.size + 0.5)))
+    exploit = high[draw_weighted(state.weights[high], exploit_n, rng)]
     chosen = [exploit]
     explore_n = draw - exploit_n
     if explore_n > 0:

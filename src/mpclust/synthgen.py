@@ -40,7 +40,6 @@ class SynthSpec:
     snr: float
     n_obs: int = 500
     n_features: int | None = None  # None: 5000, or 100 in the low-dimensional no_sparse regime
-    n_clusters: int = 4
     cluster_sizes: tuple[int, ...] | None = None
     n_signal: int = 25
     rho: float = 0.5
@@ -55,24 +54,17 @@ class SynthSpec:
         """Resolved cluster sizes (defaults follow the 4/16/24/56% split)."""
         if self.cluster_sizes is not None:
             return tuple(int(s) for s in self.cluster_sizes)
-        if self.n_clusters == 4:
-            raw = [int(round(f * self.n_obs)) for f in _SIZE_FRACTIONS[:-1]]
-            return tuple(raw + [self.n_obs - sum(raw)])
-        base = self.n_obs // self.n_clusters
-        out = [base] * self.n_clusters
-        out[-1] += self.n_obs - base * self.n_clusters
-        return tuple(out)
+        raw = [int(round(f * self.n_obs)) for f in _SIZE_FRACTIONS[:-1]]
+        return tuple(raw + [self.n_obs - sum(raw)])
 
     def validate(self) -> None:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
         if self.n_obs < 2:
             raise ValueError("need at least 2 observations")
-        if self.n_clusters != 4:
-            raise ValueError("mean patterns are defined for exactly 4 clusters")
         sizes = self.sizes()
-        if len(sizes) != self.n_clusters or any(s <= 0 for s in sizes):
-            raise ValueError(f"cluster_sizes {sizes} must be {self.n_clusters} positive counts")
+        if len(sizes) != 4 or any(s <= 0 for s in sizes):
+            raise ValueError(f"cluster_sizes {sizes} must be 4 positive counts, one per mean pattern")
         if sum(sizes) != self.n_obs:
             raise ValueError(f"cluster sizes {sizes} must sum to n_obs={self.n_obs}")
         if self.n_features % _BLOCK != 0:

@@ -84,11 +84,11 @@ def test_c02_ari_matches_pair_counting():
 def test_c03_consensus_matches_logged_recomputation():
     data, _ = _blobs(25, 10, 6.0, seed=42)  # 50 observations
     hp = HyperParams(k_final=2, seed=5, t_max=60, early_stop=False)
-    res = run(data, "mpcc", hp, collect_patches=True)
+    res = run(data, "mpcc", hp, collect_arrays=True)
 
     from oracles import brute_consensus
 
-    brute = brute_consensus(50, res.patches)
+    brute = brute_consensus(50, [(rec.obs_idx, rec.labels) for rec in res.trace])
     s = consensus_of(res.consensus)
     exact = bool(np.array_equal(brute, s))
     symmetric = bool(np.array_equal(s, s.T))

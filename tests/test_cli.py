@@ -150,6 +150,31 @@ class TestCluster:
         for artifact in ("labels.csv", "consensus.csv", "feature_scores.csv"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["impacc", "mpacc"])
+    def test_weight_trace_files(self, blob_csv, tmp_path, mode):
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["cluster", str(blob_csv), "--mode", mode, "--k", "2", "--seed", "4",
+                         "--weight-trace", "--out", str(out)]) == 0
+            outs.append(out)
+        out = outs[0]
+        iterations = json.loads((out / "manifest.json").read_text())["iterations_run"]
+        rows = (out / "obs_weight_trace.csv").read_text().splitlines()
+        assert rows[0] == "iteration,index,value" and len(rows) - 1 == 50 * iterations
+        names = ["obs_weight_trace.csv"]
+        if mode == "impacc":
+            names.append("feature_score_trace.csv")
+            scores = (out / "feature_score_trace.csv").read_text().splitlines()[1:]
+            assert len(scores) == 12 * iterations
+            last = [row.split(",")[2] for row in scores if row.startswith(f"{iterations},")]
+            final = [row.split(",")[1] for row in (out / "feature_scores.csv").read_text().splitlines()[1:]]
+            assert last == final
+        else:
+            assert not (out / "feature_score_trace.csv").exists()
+        for name in names:  # a rerun writes the same bytes
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_binary_consensus_format(self, blob_csv, tmp_path):
         out = tmp_path / "out"
         main(["cluster", str(blob_csv), "--k", "2", "--out", str(out),
@@ -347,8 +372,39 @@ class TestBenchmark:
         assert strip_seconds(rows2) == strip_seconds(rows)
 
     def test_empty_snr_rejected(self, tmp_path, capsys):
-        code = main(["benchmark", "--snr", "", "--out", str(tmp_path / "b.csv")])
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--snr", "", "--out", str(tmp_path / "b.csv")])
+        assert exc.value.code == 2 and "argument --snr: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["benchmark", "--snr", "abc"], "--snr"),
+    (["benchmark", "--snr", ","], "--snr"),
+    (["benchmark", "--snr", "6", "--reps", "0"], "--reps"),
+    (["benchmark", "--snr", "6", "--reps", "x"], "--reps"),
+    (["benchmark", "--snr", "6", "--methods", "foo"], "--methods"),
+    (["benchmark", "--snr", "6", "--methods", ","], "--methods"),
+    (["tune", "x.csv", "--m-grid", "0.1,a", "--n-grid", "0.25"], "--m-grid"),
+    (["tune", "x.csv", "--m-grid", "0.1", "--n-grid", ""], "--n-grid"),
+    (["hoeffding-check", "--m-feat", "x"], "--m-feat"),
+    (["hoeffding-check", "--eps", "0.1,y"], "--eps"),
+    (["simulate", "--snr", "6", "--cluster-sizes", "1,a"], "--cluster-sizes"),
+    (["simulate", "--snr", "6", "--cluster-sizes", " "], "--cluster-sizes"),
+], ids=["snr-abc", "snr-comma", "reps-0", "reps-x", "methods-foo", "methods-comma", "m-grid",
+        "n-grid-empty", "m-feat", "eps", "cluster-sizes", "cluster-sizes-blank"])
+def test_malformed_list_flag_is_a_usage_error(argv, flag, no_mpclust_env, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: " in err and "Traceback" not in err
+
+
+def test_list_flags_parse_to_tuples(no_mpclust_env):
+    args = _parsed(["benchmark", "--snr", "6, 8,", "--methods", " hclust ,mpcc"])
+    assert args.snr == (6.0, 8.0) and args.methods == ("hclust", "mpcc") and args.reps == 10
+    args = _parsed(["hoeffding-check"])
+    assert args.m_feat == (10,) and args.eps == (0.05, 0.1, 0.2, 0.3)
 
 
 class TestTune:
@@ -485,3 +541,13 @@ class TestHoeffdingCheck:
         for row in rows[1:]:
             _, _, empirical, bound = row.split(",")
             assert 0 <= float(empirical) <= 1 and 0 < float(bound) <= 1
+
+    def test_metric_variable_acts_like_the_flag(self, tmp_path, monkeypatch, no_mpclust_env):
+        argv = ["hoeffding-check", "--n-obs", "20", "--n-features", "50", "--trials", "200",
+                "--seed", "2"]
+        assert main([*argv, "--out", str(tmp_path / "default.csv")]) == 0
+        assert main([*argv, "--metric", "sq_euclidean", "--out", str(tmp_path / "flag.csv")]) == 0
+        monkeypatch.setenv("MPCLUST_METRIC", "sq_euclidean")
+        assert main([*argv, "--out", str(tmp_path / "variable.csv")]) == 0
+        flag, variable = (tmp_path / "flag.csv").read_bytes(), (tmp_path / "variable.csv").read_bytes()
+        assert variable == flag != (tmp_path / "default.csv").read_bytes()

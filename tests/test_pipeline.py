@@ -93,20 +93,42 @@ class TestRun:
     def test_patch_log_consistent(self):
         data, _ = _blobs(seed=9)
         hp = HyperParams(k_final=2, seed=1, t_max=40, early_stop=False)
-        res = run(data, "mpcc", hp, collect_patches=True)
-        assert len(res.patches) == res.iterations_run
-        assert np.array_equal(brute_consensus(60, res.patches), consensus_of(res.consensus))
+        res = run(data, "mpcc", hp, collect_arrays=True)
+        patches = [(rec.obs_idx, rec.labels) for rec in res.trace]
+        assert len(patches) == res.iterations_run
+        assert np.array_equal(brute_consensus(60, patches), consensus_of(res.consensus))
 
     def test_trace_percentile_matches_exact_recompute(self):
         data, _ = _blobs(seed=2)
         hp = HyperParams(k_final=2, seed=4, t_max=25, early_stop=False)
-        res = run(data, "mpcc", hp, collect_patches=True)
+        res = run(data, "mpcc", hp, collect_arrays=True)
         # replay the log and compare the final percentile
         state = ConsensusState.empty(60)
-        for idx, labels in res.patches:
-            update(state, idx, labels)
+        for rec in res.trace:
+            update(state, rec.obs_idx, rec.labels)
         expected = float(np.percentile(confusion(consensus_of(state)), 90))
         assert res.trace[-1].confusion_pct == pytest.approx(expected, abs=1e-12)
+
+    def test_records_hold_no_arrays_without_the_flag(self):
+        data, _ = _blobs(seed=2)
+        for mode in ("mpcc", "impacc"):
+            res = run(data, mode, HyperParams(k_final=2, seed=4, t_max=25, early_stop=False))
+            assert len(res.trace) == res.iterations_run == 25
+            assert all(rec.obs_idx is rec.labels is rec.obs_weights is rec.feature_scores is None
+                       for rec in res.trace)
+
+    def test_records_hold_their_own_arrays_with_the_flag(self):
+        data, _ = _blobs(seed=2)
+        hp = HyperParams(k_final=2, seed=4, t_max=25, early_stop=False)
+        for mode in ("mpcc", "impacc"):
+            res = run(data, mode, hp, collect_arrays=True)
+            for rec in res.trace:
+                assert rec.obs_idx.shape == rec.labels.shape == (hp.n_count(60),)
+                assert rec.obs_weights.shape == (60,)
+                assert (rec.feature_scores is None) == (mode == "mpcc")
+            arrays = [a for rec in res.trace for a in (rec.obs_idx, rec.labels, rec.obs_weights)]
+            assert len({id(a) for a in arrays}) == len(arrays)  # no two records share an array
+            assert np.array_equal(res.trace[-1].obs_weights, res.obs_weights)
 
     def test_counters_sized_from_t_max(self):
         data, _ = _blobs()
@@ -127,11 +149,11 @@ class TestRun:
         def outcome(res):
             trace = [(r.iteration, r.n_clusters, r.confusion_pct, r.high_obs, r.high_feat)
                      for r in res.trace]
-            patches = [(i.tolist(), lab.tolist()) for i, lab in res.patches]
+            patches = [(rec.obs_idx.tolist(), rec.labels.tolist()) for rec in res.trace]
             s = consensus_of(res.consensus)
             return s.tobytes(), res.labels.tolist(), res.feature_scores, trace, patches
 
-        alone = {k: run(data, *runs[k], collect_patches=True) for k in runs}
+        alone = {k: run(data, *runs[k], collect_arrays=True) for k in runs}
         nested = []
         calls = []
         real_ward = pipeline.ward_linkage
@@ -139,16 +161,17 @@ class TestRun:
         def ward_starting_b(*args, **kwargs):
             calls.append(None)
             if len(calls) == 10:
-                nested.append(run(data, *runs["b"], collect_patches=True))
+                nested.append(run(data, *runs["b"], collect_arrays=True))
             return real_ward(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "ward_linkage", ward_starting_b)
-        together = {"a": run(data, *runs["a"], collect_patches=True), "b": nested[0]}
+        together = {"a": run(data, *runs["a"], collect_arrays=True), "b": nested[0]}
         for k in runs:
             got, want = outcome(together[k]), outcome(alone[k])
             assert got[:2] == want[:2] and got[3:] == want[3:]
             assert np.array_equal(got[2], want[2]) if k == "b" else got[2] is None
-            assert all(i.flags.owndata and lab.flags.owndata for i, lab in together[k].patches)
+            assert all(rec.obs_idx.flags.owndata and rec.labels.flags.owndata
+                       for rec in together[k].trace)
 
     @pytest.mark.parametrize("mode", ["mpcc", "impacc"])
     def test_reference_kernels_give_the_same_run(self, monkeypatch, mode):
@@ -184,12 +207,12 @@ class TestRun:
         # is all the importance there is, so it must reach the scores
         data, _ = _blobs(n_feat=20, seed=6)
         hp = HyperParams(k_final=2, seed=5, n_frac=1.0, t_max=1)
-        res = run(data, "impacc", hp, collect_weight_trace=True)
+        res = run(data, "impacc", hp, collect_arrays=True)
         assert res.iterations_run == 1 and res.trace[0].n_clusters >= 2
         scored = np.flatnonzero(res.feature_scores)
         assert 1 <= scored.size <= hp.m_count(20)
         assert (res.feature_scores[scored] == 1.0).all()  # one hit in one sampling
-        assert np.array_equal(res.weight_trace[-1][2], res.feature_scores)
+        assert np.array_equal(res.trace[-1].feature_scores, res.feature_scores)
 
     def test_adaptive_modes_run_and_score(self):
         spec = SynthSpec(
@@ -218,9 +241,9 @@ class TestRun:
         sd = generate(spec)
         res = run(sd.matrix, "impacc", HyperParams(k_final=4, seed=2, t_max=30,
                                                    early_stop=False),
-                  collect_weight_trace=True)
-        assert len(res.weight_trace) == res.iterations_run
-        t, obs_w, feat_scores = res.weight_trace[-1]
+                  collect_arrays=True)
+        assert len(res.trace) == res.iterations_run
+        obs_w, feat_scores = res.trace[-1].obs_weights, res.trace[-1].feature_scores
         assert obs_w.shape == (60,) and feat_scores.shape == (50,)
 
     def test_obs_weights_match_exact_confusion_replay(self):
@@ -229,22 +252,21 @@ class TestRun:
         # reproduce every traced weight vector
         data, _ = _blobs(gap=1.5, seed=6)
         hp = HyperParams(k_final=2, seed=7, t_max=40, early_stop=False)
-        res = run(data, "mpacc", hp, collect_patches=True, collect_weight_trace=True)
-        assert len(res.patches) == len(res.weight_trace) == 40
+        res = run(data, "mpacc", hp, collect_arrays=True)
+        assert len(res.trace) == 40
 
         n = data.n_obs
-        burn = EEConfig(frac=hp.n_frac, epochs=hp.epochs_e).burn_in(n)
+        burn = EEConfig(frac=hp.n_frac, epochs=hp.epochs_e, threshold="quantile",
+                        threshold_param=hp.theta).burn_in(n)
         state = ConsensusState.empty(n)
         obs = SamplerState.uniform(n, "observations")
-        for t, ((idx, labels), (t_rec, weights, _)) in enumerate(
-            zip(res.patches, res.weight_trace), start=1
-        ):
+        for t, rec in enumerate(res.trace, start=1):
             if t > burn:
                 update_obs_weights(obs, confusion(consensus_of(state)), t, hp.alpha_i)
-            obs.record(idx)
-            update(state, idx, labels)
-            assert t_rec == t
-            assert np.abs(weights - obs.weights).max() <= 1e-12
+            obs.record(rec.obs_idx)
+            update(state, rec.obs_idx, rec.labels)
+            assert rec.iteration == t
+            assert np.abs(rec.obs_weights - obs.weights).max() <= 1e-12
         assert np.ptp(obs.weights) > 0  # the weights did move off uniform
 
 

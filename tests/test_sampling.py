@@ -213,7 +213,7 @@ class TestUpdateFeatureWeights:
 
 class TestEEProbNext:
     def test_burn_in_full_coverage(self):
-        cfg = EEConfig(frac=0.3, epochs=2)
+        cfg = EEConfig(frac=0.3, epochs=2, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(10, "observations")
         counts = np.zeros(10, dtype=int)
         q = cfg.q_blocks(10)
@@ -223,7 +223,7 @@ class TestEEProbNext:
         assert counts.min() >= cfg.epochs  # wrap-around padding can only add
 
     def test_burn_in_epoch_partition(self):
-        cfg = EEConfig(frac=0.25, epochs=1)
+        cfg = EEConfig(frac=0.25, epochs=1, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(8, "observations")
         seen = []
         for t in range(1, cfg.q_blocks(8) + 1):
@@ -231,7 +231,7 @@ class TestEEProbNext:
         assert sorted(seen) == list(range(8))
 
     def test_adaptive_uniform_when_no_high_set(self):
-        cfg = EEConfig(frac=0.5, epochs=1)
+        cfg = EEConfig(frac=0.5, epochs=1, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(6, "observations")
         t = cfg.burn_in(6) + 1
         idx = ee_prob_next(cfg, state, t, np.random.default_rng(0))
@@ -251,7 +251,7 @@ class TestEEProbNext:
     def test_gamma_one_large_high_set_exploits_only(self):
         # theta=0.5 puts the median cut between the two weight levels, so
         # the high set is the six heavy indices, more than the draw of 3
-        cfg = EEConfig(frac=0.25, epochs=1, threshold_param=0.5)
+        cfg = EEConfig(frac=0.25, epochs=1, threshold="quantile", threshold_param=0.5)
         state = SamplerState.uniform(12, "observations")
         weights = np.full(12, 0.01)
         weights[:6] = (1 - 0.06) / 6
@@ -263,7 +263,7 @@ class TestEEProbNext:
         assert set(idx.tolist()) <= set(range(6))
 
     def test_draw_size_always_exact(self):
-        cfg = EEConfig(frac=0.4, epochs=1)
+        cfg = EEConfig(frac=0.4, epochs=1, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(11, "observations")
         rng = np.random.default_rng(5)
         state.weights = rng.dirichlet(np.ones(11))
@@ -273,7 +273,7 @@ class TestEEProbNext:
             assert len(set(idx.tolist())) == idx.size
 
     def test_burn_in_min_counts_by_epoch_end(self):
-        cfg = EEConfig(frac=0.23, epochs=3)
+        cfg = EEConfig(frac=0.23, epochs=3, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(13, "observations")
         counts = np.zeros(13, dtype=int)
         for t in range(1, cfg.burn_in(13) + 1):
@@ -282,7 +282,7 @@ class TestEEProbNext:
         assert counts.min() >= cfg.epochs - 1
 
     def test_gamma_schedule_monotone(self):
-        cfg = EEConfig(frac=0.25, epochs=2)
+        cfg = EEConfig(frac=0.25, epochs=2, threshold="quantile", threshold_param=0.95)
         lo = cfg.burn_in(100) + 1
         gammas = [cfg.gamma_at(t, 100) for t in range(lo, lo + 3 * cfg.burn_in(100))]
         assert gammas[0] == pytest.approx(0.5)
@@ -290,7 +290,7 @@ class TestEEProbNext:
         assert gammas[-1] == 1.0
 
     def test_sample_counts_match_recount_from_log(self):
-        cfg = EEConfig(frac=0.3, epochs=2)
+        cfg = EEConfig(frac=0.3, epochs=2, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(15, "observations")
         rng = np.random.default_rng(8)
         state.weights = rng.dirichlet(np.ones(15))
@@ -386,7 +386,7 @@ class TestDrawProperties:
     def test_burn_in_visits_every_index_epochs_times(self, total, frac, epochs, seed):
         """Each epoch covers every index once; the padding of its last block
         (q * draw - total wrapped-around indices) adds one more visit each."""
-        cfg = EEConfig(frac=frac, epochs=epochs)
+        cfg = EEConfig(frac=frac, epochs=epochs, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(total, "observations")
         q, draw = cfg.q_blocks(total), cfg.draw_count(total)
         rng = np.random.default_rng(seed)
