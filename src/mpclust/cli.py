@@ -212,7 +212,9 @@ def _hp_from_args(args: argparse.Namespace) -> HyperParams:
     return HyperParams(k_final=args.k, **_field_values(args))
 
 
-def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str) -> None:
+def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str,
+                 help: str | None = None) -> None:
+    """``name``'s flag, under ``help`` where the setting means something else here."""
     hp = _HP[name]
 
     def parse(raw: str) -> object:
@@ -220,7 +222,7 @@ def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str) ->
 
     parse.__name__ = hp.type.__name__  # argparse's "invalid int value" names it
     p.add_argument("--" + name.replace("_", "-"), type=parse, choices=hp.choices,
-                   default=d[name], help=hp.help)
+                   default=d[name], help=help or hp.help)
 
 
 def _add_hp_flags(p: argparse.ArgumentParser, d: dict[str, object]) -> None:
@@ -537,7 +539,7 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_comma_list(float), default=(0.05, 0.1, 0.2, 0.3),
                    help="comma list of deviations")
     p.add_argument("--trials", type=int, default=10000)
-    _add_hp_flag(p, d, "metric")
+    _add_hp_flag(p, d, "metric", help="per-feature contribution: |x-y| (manhattan) or (x-y)^2 (sq_euclidean)")
     _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default="hoeffding.csv")
     _add_io_flags(p)

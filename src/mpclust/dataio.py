@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +75,11 @@ def load_matrix(
 ) -> DataMatrix:
     """Read a rectangular numeric table into a DataMatrix.
 
-    Files without a quote character are parsed in bulk by numpy's C
-    reader. Any other file, or one that reader rejects, is read again
-    cell by cell with the csv module and ``float()``, so every cell
-    ``float()`` accepts (``1_0``, non-ASCII digits) still loads. ``#``
-    starts no comment, and blank lines are skipped.
+    Files are parsed in bulk by numpy's C reader, csv-quoted cells
+    included. A file that reader rejects is read again cell by cell with
+    the csv module and ``float()``, so every cell ``float()`` accepts
+    (``1_0``, non-ASCII digits) still loads. ``#`` starts no comment,
+    and blank lines are skipped.
 
     Parameters
     ----------
@@ -100,22 +99,26 @@ def load_matrix(
     Raises
     ------
     ValueError
-        On a delimiter of other than one character, ragged rows, a
-        header whose width differs from the rows', non-numeric cells
-        (reported by row/column), or duplicate identifiers.
+        On a delimiter of other than one character; otherwise, with the
+        path first, on undecodable bytes, ragged rows, a header whose
+        width differs from the rows', non-numeric cells (reported by
+        row/column), non-finite values or duplicate identifiers.
     """
     _check_delimiter(delimiter)
     path = Path(path)
     try:
-        values, row_ids, col_ids = _parse_bulk(path, delimiter, header, ids)
-    except ValueError:
-        values, row_ids, col_ids = _parse_per_cell(path, delimiter, header, ids)
-    n, m = values.shape
-    if row_ids is None:
-        row_ids = [f"row{i}" for i in range(n)]
-    if col_ids is None:
-        col_ids = [f"col{j}" for j in range(m)]
-    matrix = DataMatrix(values, tuple(row_ids), tuple(col_ids))
+        try:
+            values, row_ids, col_ids = _parse_bulk(path, delimiter, header, ids)
+        except ValueError:
+            values, row_ids, col_ids = _parse_per_cell(path, delimiter, header, ids)
+        n, m = values.shape
+        if row_ids is None:
+            row_ids = [f"row{i}" for i in range(n)]
+        if col_ids is None:
+            col_ids = [f"col{j}" for j in range(m)]
+        matrix = DataMatrix(values, tuple(row_ids), tuple(col_ids))
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(f"{path}: {exc}") from None
     return matrix.transposed() if transpose else matrix
 
 
@@ -123,44 +126,41 @@ _Parsed = tuple[np.ndarray, list[str] | None, list[str] | None]
 
 
 def _parse_bulk(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
-    """Parse with ``np.loadtxt``; ValueError for any file it cannot take as is.
+    """Ids and values in one ``np.loadtxt`` call; ValueError for any file it cannot take.
 
-    In a file without a quote character, the csv module's rows are the
-    lines split at the delimiter, which is how ``loadtxt`` splits them,
-    and ``loadtxt`` rejects a row whose width differs from the first's.
-    The ids and the header's width are read here.
+    The csv module reads the header and the first data row, which give
+    the width. ``loadtxt`` reads on from that row: it unquotes and splits
+    cells as the csv module does, skips blank lines, and rejects a row of
+    another width or a value cell it cannot read. A converter hands it
+    each row id, so the id column reads as zeros.
     """
     if delimiter in '"\r\n':
         raise ValueError(f"delimiter {delimiter!r} needs the csv reader")
     names: list[str] = []
 
-    def rows(lines: Iterable[str]) -> Iterator[str]:
-        for line in lines:
-            if '"' in line:
-                raise ValueError("quoted cell")
-            name, _, rest = line.partition(delimiter)
-            names.append(name.strip())
-            yield rest if ids else line
+    def record(name: str) -> float:
+        names.append(name.strip())
+        return 0.0
 
-    with path.open() as fh:  # universal newlines end a line wherever csv ends a row
-        lines = (line for line in fh if line != "\n")
-        head = next(lines, "") if header else None
-        first = next(lines, "")
-        width = first.count(delimiter) + 1
-        if not first or (ids and width == 1):
-            raise ValueError("no data rows or no value column")
-        if head is not None and ('"' in head or head.count(delimiter) + 1 != width):
-            raise ValueError("quoted header or one of another width")
-        if not (first.partition(delimiter)[2] if ids else first).strip():
-            raise ValueError("blank first row")  # loadtxt skips it, and warns when all are
-        values = np.loadtxt(rows(chain([first], lines)), delimiter=delimiter, comments=None, ndmin=2)
-    if values.shape[0] != len(names):  # loadtxt skips a blank remainder such as "r1,"
-        raise ValueError("blank row")
-    col_ids = None
-    if head is not None:
-        cells = head.rstrip("\n").split(delimiter)
-        col_ids = [c.strip() for c in (cells[1:] if ids else cells)]
-    return values, names if ids else None, col_ids
+    with path.open(newline="") as fh:  # readline, unlike next(fh), leaves tell() working
+        rows = filter(None, csv.reader(iter(fh.readline, ""), delimiter=delimiter))
+        head = next(rows, None) if header else None
+        start = fh.tell()
+        m = len(next(rows, [])) - ids
+        if m < 1 or (head is not None and len(head) != m + ids):
+            raise ValueError("no value column, or a header of another width")
+        fh.seek(start)  # with no encoding given, numpy < 2 hands the converter bytes
+        table = np.loadtxt(fh, delimiter=delimiter, quotechar='"', comments=None, ndmin=2,
+                           converters={0: record} if ids else None, encoding=fh.encoding)
+    col_ids = None if head is None else [c.strip() for c in head[ids:]]
+    if not ids:
+        return table, None, col_ids
+    # Drop the id column in place, row by row. Freeing a copied table would
+    # raise glibc's mmap threshold to its size, and with it the run's peak RSS.
+    n, flat = len(table), table.reshape(-1)
+    for i in range(n):
+        flat[i * m:(i + 1) * m] = flat[i * (m + 1) + 1:(i + 1) * (m + 1)]
+    return flat[:n * m].reshape(n, m), names, col_ids
 
 
 def _parse_per_cell(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
@@ -169,26 +169,24 @@ def _parse_per_cell(path: Path, delimiter: str, header: bool, ids: bool) -> _Par
         rows = list(csv.reader(fh, delimiter=delimiter))
     rows = [r for r in rows if r]  # ignore blank lines
     if not rows:
-        raise ValueError(f"{path}: empty file")
+        raise ValueError("empty file")
 
     head: list[str] | None = rows.pop(0) if header else None
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError("no data rows")
     width = len(rows[0])
     if ids and width == 1:
-        raise ValueError(f"{path}: no value cell after the id column when split at "
-                         f"{delimiter!r}; pass the file's delimiter with --delimiter")
+        raise ValueError(f"no value cell after the id column when split at {delimiter!r}; "
+                         "pass the file's delimiter with --delimiter")
     if head is not None and len(head) != width:
-        raise ValueError(f"{path}: row 1 has {width} cells but the header has {len(head)}")
+        raise ValueError(f"row 1 has {width} cells but the header has {len(head)}")
     col_ids = None if head is None else [c.strip() for c in (head[1:] if ids else head)]
 
     row_ids: list[str] = []
     data = np.empty((len(rows), width - (1 if ids else 0)), dtype=np.float64)
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(
-                f"{path}: ragged row {i + 1}: expected {width} cells, got {len(row)}"
-            )
+            raise ValueError(f"ragged row {i + 1}: expected {width} cells, got {len(row)}")
         cells = row
         if ids:
             row_ids.append(cells[0].strip())
@@ -200,8 +198,7 @@ def _parse_per_cell(path: Path, delimiter: str, header: bool, ids: bool) -> _Par
                 cname = col_ids[j] if col_ids else str(j)
                 rname = row_ids[i] if ids else str(i)
                 raise ValueError(
-                    f"{path}: non-numeric cell {cell!r} at row {rname!r}, "
-                    f"column {cname!r}"
+                    f"non-numeric cell {cell!r} at row {rname!r}, column {cname!r}"
                 ) from None
     return data, row_ids if ids else None, col_ids
 

@@ -96,7 +96,7 @@ def deviation_experiment(
     Returns rows of (eps, empirical exceedance, bound).
     """
     if trials < 100:
-        raise ValueError("need at least 100 trials for a meaningful estimate")
+        raise ValueError(f"trials must be at least 100 for a meaningful estimate, got {trials}")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
     data = rescale_unit(m).values

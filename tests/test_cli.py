@@ -400,6 +400,18 @@ def test_malformed_list_flag_is_a_usage_error(argv, flag, no_mpclust_env, capsys
     assert f"error: argument {flag}: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["hoeffding-check", "--trials", "50"], "trials"),
+    (["hoeffding-check", "--m-feat", "0"], "m_feat"),
+    (["simulate", "--snr", "6", "--cluster-sizes", "1,2,3"], "cluster_sizes"),
+    (["benchmark", "--snr", "-1"], "snr"),
+], ids=["trials-50", "m-feat-0", "cluster-sizes-three", "snr-negative"])
+def test_parsed_value_the_library_rejects_exits_1(argv, setting, tmp_path, no_mpclust_env, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and setting in err and "Traceback" not in err
+
+
 def test_list_flags_parse_to_tuples(no_mpclust_env):
     args = _parsed(["benchmark", "--snr", "6, 8,", "--methods", " hclust ,mpcc"])
     assert args.snr == (6.0, 8.0) and args.methods == ("hclust", "mpcc") and args.reps == 10
@@ -541,6 +553,14 @@ class TestHoeffdingCheck:
         for row in rows[1:]:
             _, _, empirical, bound = row.split(",")
             assert 0 <= float(empirical) <= 1 and 0 < float(bound) <= 1
+
+    def test_metric_help_names_the_per_feature_contribution(self, no_mpclust_env, capsys):
+        for argv, shown, hidden in ((["hoeffding-check"], "per-feature contribution", "per-patch"),
+                                    (["cluster", "x.csv"], "per-patch dissimilarity", "per-feature")):
+            with pytest.raises(SystemExit):
+                main([*argv, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert shown in text and hidden not in text
 
     def test_metric_variable_acts_like_the_flag(self, tmp_path, monkeypatch, no_mpclust_env):
         argv = ["hoeffding-check", "--n-obs", "20", "--n-features", "50", "--trials", "200",

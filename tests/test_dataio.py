@@ -72,10 +72,7 @@ class TestLoadMatrix:
         assert np.array_equal(m.values, [[1, 2], [3, 4]])
 
     def test_plain_file_needs_no_per_cell_pass(self, tmp_path, monkeypatch):
-        def per_cell(*args):
-            raise AssertionError("per-cell parser called")
-
-        monkeypatch.setattr(dataio, "_parse_per_cell", per_cell)
+        _never_per_cell(monkeypatch)
         p = _write(tmp_path, "id,a,b\r\nr1, 1.5 ,-0\r\n\r\nr2,5e-324,1e308\r\n")
         m = load_matrix(p)
         assert m.values.tobytes() == np.array([[1.5, -0.0], [5e-324, 1e308]]).tobytes()
@@ -103,6 +100,65 @@ class TestLoadMatrix:
         assert m.row_ids == ('r,"1"', "r2") and m.col_ids == ("c,1", "c2")
         assert np.array_equal(m.values, [[1, 2], [3, 4]])
 
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"\xffid,a\nr1,1\nr2,2\n")
+        with pytest.raises(ValueError) as err:
+            load_matrix(p)
+        assert str(err.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_duplicate_id_names_the_file(self, tmp_path):
+        p = _write(tmp_path, "id,a,b\nr1,1,2\nr1,3,4\n")
+        with pytest.raises(ValueError) as err:
+            load_matrix(p)
+        assert str(err.value) == f"{p}: duplicate row id 'r1'"
+
+    def test_unterminated_quote_names_the_file(self, tmp_path):
+        p = _write(tmp_path, 'id,a\n"r1,' + "x" * 200_000 + "\nr2,1\n")  # csv.Error, not a ValueError
+        with pytest.raises(ValueError) as err:
+            load_matrix(p)
+        assert str(err.value) == f"{p}: field larger than field limit (131072)"
+
+    def test_non_finite_value_names_the_file(self, tmp_path):
+        p = _write(tmp_path, "id,a,b\nr1,1,2\nr2,3,inf\n")
+        with pytest.raises(ValueError) as err:
+            load_matrix(p)
+        assert str(err.value) == f"{p}: non-finite value at row 1, column 1"
+
+
+def _never_per_cell(monkeypatch):
+    def per_cell(*args):
+        raise AssertionError("per-cell parser called")
+
+    monkeypatch.setattr(dataio, "_parse_per_cell", per_cell)
+
+
+class TestQuotedFilesLoadInBulk:
+    @pytest.mark.parametrize("text, row_ids, col_ids", [
+        ('id,a,b\n"r,1",1,2\n"r;2",3,4\n', ("r,1", "r;2"), ("a", "b")),
+        ('id,"a""b"\n"r""1""",1\nr2,2\n', ('r"1"', "r2"), ('a"b',)),
+        ('"","a","b"\n"r1",1,2\n"r2",3,4\n', ("r1", "r2"), ("a", "b")),
+        ('id,a\r\n"r\r\n1",1\r\n"r2",2\r\n', ("r\r\n1", "r2"), ("a",)),
+    ], ids=["delimiter-in-id", "doubled-quotes", "r-corner-cell", "crlf-in-id"])
+    def test_matches_per_cell(self, tmp_path, monkeypatch, text, row_ids, col_ids):
+        _never_per_cell(monkeypatch)
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("utf-8"))
+        got = _same_as_per_cell(p)
+        assert got[0] == "ok" and got[3:] == (row_ids, col_ids)
+
+    def test_r_write_csv_layout(self, tmp_path, monkeypatch):
+        _never_per_cell(monkeypatch)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((6, 4))
+        lines = [",".join(_quoted(c) for c in ["", "g 1", "g,2", 'g"3', "g4"])]
+        lines += [",".join([_quoted(f"s{i}")] + [repr(v) for v in row.tolist()])
+                  for i, row in enumerate(values)]
+        p = _write(tmp_path, "\n".join(lines) + "\n")
+        got = _same_as_per_cell(p)
+        assert got[2] == values.tobytes()
+        assert got[3:] == (tuple(f"s{i}" for i in range(6)), ("g 1", "g,2", 'g"3', "g4"))
+
 
 def _outcome(build):
     """A loaded matrix as comparable bytes and ids, or the error it raised."""
@@ -113,9 +169,18 @@ def _outcome(build):
     return "ok", m.values.shape, m.values.tobytes(), m.row_ids, m.col_ids
 
 
+def _per_cell_matrix(path, delimiter, header, ids):
+    """The reference load; DataMatrix's own errors gain the path, as load_matrix's do."""
+    parsed = per_cell_load_matrix(path, delimiter, header, ids)
+    try:
+        return DataMatrix(*parsed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _same_as_per_cell(path, delimiter=",", header=True, ids=True):
     got = _outcome(lambda: load_matrix(path, delimiter, header, ids))
-    ref = _outcome(lambda: DataMatrix(*per_cell_load_matrix(path, delimiter, header, ids)))
+    ref = _outcome(lambda: _per_cell_matrix(path, delimiter, header, ids))
     assert got == ref
     return got
 
@@ -125,7 +190,11 @@ _NUMBER_TEXT = ["0", "-0", "0.1", "1.", "+.5", " 2.25 ", "1e5", "5e-324", "-5e-3
 _ODD_TEXT = ["1_0", "\uff11", "nan", "-Infinity", "inf", "", " ", "abc", "0x10", "1e5_0", "\x0c1",
              "1\u2028", "2\x85"]
 _NAMES = st.one_of(st.text(alphabet="ab#7", min_size=1, max_size=3),
-                   st.text(alphabet=',;\t"# ab', min_size=1, max_size=3))
+                   st.text(alphabet=',;\t"# ab\r\n', min_size=1, max_size=3))
+
+
+def _quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
 
 
 @st.composite
@@ -140,10 +209,14 @@ def _matrix_files(draw):
     if draw(st.integers(0, 3)) == 0:
         cells[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(st.sampled_from(_ODD_TEXT))
     names = draw(st.lists(_NAMES, min_size=n, max_size=n, unique=draw(st.integers(0, 5)) > 0))
+    quoting = draw(st.sampled_from(["none", "minimal", "all"]))
+    if quoting == "all":  # R's write.csv: every id and header cell quoted, values not
+        names = [_quoted(name) for name in names]
     rows = [([name] if ids else []) + row for name, row in zip(names, cells)]
     if header:
-        rows.insert(0, (["id"] if ids else []) + draw(st.lists(_NAMES, min_size=m, max_size=m, unique=True)))
-    if draw(st.booleans()):  # csv-quoted where needed, as write_matrix writes
+        head = (["id"] if ids else []) + draw(st.lists(_NAMES, min_size=m, max_size=m, unique=True))
+        rows.insert(0, [_quoted(c) for c in head] if quoting == "all" else head)
+    if quoting == "minimal":  # csv-quoted where needed, as write_matrix writes
         buf = io.StringIO()
         csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(rows)
         lines = buf.getvalue().split("\n")[:-1]
