@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -11,7 +10,6 @@ from scipy.spatial.distance import pdist
 from .dataio import DataMatrix, rescale_unit
 
 __all__ = [
-    "DistanceMatrix",
     "METRICS",
     "pairwise",
     "hoeffding_bound",
@@ -22,44 +20,24 @@ METRICS = ("manhattan", "sq_euclidean")
 _SCIPY_NAMES = {"manhattan": "cityblock", "sq_euclidean": "sqeuclidean"}
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Condensed pairwise dissimilarities: row-major upper triangle."""
-
-    n: int
-    condensed: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.condensed, dtype=np.float64)
-        object.__setattr__(self, "condensed", c)
-        if self.n < 2:
-            raise ValueError("need at least 2 points")
-        expected = self.n * (self.n - 1) // 2
-        if c.shape != (expected,):
-            raise ValueError(f"condensed length {c.shape} != n(n-1)/2 = {expected}")
-        # two reductions, no temporary: NaN fails the first, +inf the second
-        if not (c.min() >= 0 and c.max() < np.inf):
-            raise ValueError("distances must be finite and nonnegative")
-
-
 def pairwise(
-    values: np.ndarray | DataMatrix,
+    values: np.ndarray,
     metric: str = "manhattan",
     *,
     out: np.ndarray | None = None,
-) -> DistanceMatrix:
+) -> np.ndarray:
     """Condensed pairwise distances over the rows of a matrix view.
 
     manhattan sums |x_ij - x_i'j|; sq_euclidean sums squared differences.
-    ``out``, a float64 array of length n(n-1)/2, receives the distances
-    instead of a fresh array.
+    The result is ``pdist``'s float64 array, row-major upper triangle,
+    length n(n-1)/2; it is ``out`` itself when one is given.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    x = values.values if isinstance(values, DataMatrix) else np.asarray(values, dtype=float)
+    x = np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
         raise ValueError("need a 2-D view with >= 2 rows and >= 1 column")
-    return DistanceMatrix(x.shape[0], pdist(x, _SCIPY_NAMES[metric], out=out))
+    return pdist(x, _SCIPY_NAMES[metric], out=out)
 
 
 def hoeffding_bound(m_feat: int, m_total: int, eps: float) -> float:

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
-from .dist import DistanceMatrix
-
 __all__ = ["Dendrogram", "ward_linkage", "cut_quantile", "cut_k"]
 
 
@@ -46,19 +44,6 @@ class Dendrogram:
 
     z: np.ndarray
 
-    def __post_init__(self) -> None:
-        z = np.array(self.z, dtype=np.float64)
-        if z.ndim != 2 or z.shape[1] != 4 or z.shape[0] < 1:
-            raise ValueError(f"expected an (n-1) x 4 array of merges, got shape {z.shape}")
-        kids = z[:, :2]
-        created = z.shape[0] + 1 + np.arange(z.shape[0])[:, None]
-        if not ((kids >= 0) & (kids < created) & (kids == np.floor(kids))).all():
-            raise ValueError("a merge references a child that does not exist yet")
-        if np.unique(kids).size != kids.size:
-            raise ValueError("a node is used as a child twice")
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-
     @property
     def leaf_count(self) -> int:
         return self.z.shape[0] + 1
@@ -67,13 +52,15 @@ class Dendrogram:
         return self.z[:, 2]
 
 
-def ward_linkage(d: DistanceMatrix, *, out: np.ndarray | None = None) -> Dendrogram:
-    """Full ward.D agglomeration of a condensed dissimilarity matrix.
+def ward_linkage(d: np.ndarray) -> Dendrogram:
+    """Full ward.D agglomeration of condensed dissimilarities, as ``pairwise``
+    and ``dissimilarity_of`` return them.
 
-    ``out``, a float64 array shaped like ``d.condensed``, receives the
-    square roots scipy reads instead of a fresh array.
+    ``d`` is overwritten with the square roots scipy reads: pass a buffer
+    that is not read again. scipy's ``linkage`` raises ValueError on a
+    length that is not n(n-1)/2 and on NaN or infinite values.
     """
-    z = linkage(np.sqrt(d.condensed, out=out), "ward")
+    z = linkage(np.sqrt(d, out=d), "ward")
     z[:, 2] **= 2
     return Dendrogram(z)
 
@@ -103,8 +90,6 @@ def cut_quantile(t: Dendrogram, h: float) -> np.ndarray:
     with non-decreasing heights, as ``ward_linkage`` returns, these are
     exactly the merges at or below the threshold.
     """
-    if not 0 < h <= 1:
-        raise ValueError("h must be in (0, 1]")
     heights = t.heights()
     tau = float(np.quantile(heights, h))  # numpy default == type 7
     return _labels_after(t, int(np.count_nonzero(heights <= tau)))

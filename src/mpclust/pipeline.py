@@ -34,7 +34,7 @@ from .consensus import (
     update,
 )
 from .dataio import DataMatrix
-from .dist import METRICS, DistanceMatrix, pairwise
+from .dist import METRICS, pairwise
 from .hclust import cut_k, cut_quantile, ward_linkage
 from .sampling import (
     EEConfig,
@@ -245,8 +245,8 @@ def run(
     Ward the condensed 1 - S built from them, the spectral finaliser the
     dense S it builds itself. ``consensus_of(result.consensus)`` builds S.
 
-    Raises ValueError before the first iteration when the estimated peak
-    of the run's pair buffers exceeds the memory available.
+    Raises ValueError before the first iteration if k_final > N, or if the
+    estimated peak of the run's pair buffers exceeds the memory available.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -258,6 +258,8 @@ def run(
         raise ValueError(f"minipatch observation count {n_count} infeasible for N={n}")
     if not 1 <= m_count <= m:
         raise ValueError(f"minipatch feature count {m_count} infeasible for M={m}")
+    if hp.k_final is not None and hp.k_final > n:
+        raise ValueError(f"k_final {hp.k_final} exceeds the N={n} observations")
     t_max = hp.resolve_t_max(n)
     peak, available = _peak_bytes(n, hp), _available_bytes()
     if available is not None and peak > available:
@@ -312,8 +314,7 @@ def run(
 
         # one take of flat indices: the bytes of data.values[np.ix_(obs_idx, feat_idx)]
         view = np.take(flat_values, obs_idx[:, None] * m + feat_idx)
-        dist = pairwise(view, hp.metric, out=scratch.dist)
-        labels = cut_quantile(ward_linkage(dist, out=dist.condensed), hp.h)
+        labels = cut_quantile(ward_linkage(pairwise(view, hp.metric, out=scratch.dist)), hp.h)
         k_patch = int(labels.max()) + 1
         # ANOVA needs two clusters and within-group degrees of freedom;
         # a patch without them is sampled but scores no support
@@ -346,7 +347,7 @@ def run(
         if stop:
             stop_reason = "early_stop"
             break
-    del scratch, dist, view
+    del scratch, view
 
     if int(state.diag.min()) == 0:
         missing = int((state.diag == 0).sum())
@@ -371,10 +372,8 @@ def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:
         if hp.final_algo == "spectral":
             return finalize_spectral(state, hp.k_final, seed=hp.seed)
         return finalize_hierarchical(state, hp.k_final)
-    d = DistanceMatrix(state.n, dissimilarity_of(state))
-    labels = cut_quantile(ward_linkage(d, out=d.condensed), hp.h)
+    labels = cut_quantile(ward_linkage(dissimilarity_of(state)), hp.h)  # frees 1 - S before S
     if hp.final_algo == "spectral":
-        del d  # 1 - S goes before the finaliser builds S
         return finalize_spectral(state, int(labels.max()) + 1, seed=hp.seed)
     return labels
 
@@ -387,8 +386,7 @@ def finalize_hierarchical(state: ConsensusState, k: int) -> np.ndarray:
     """
     if not 1 <= k <= state.n:
         raise ValueError(f"k must be in 1..{state.n}")
-    d = DistanceMatrix(state.n, dissimilarity_of(state))
-    return cut_k(ward_linkage(d, out=d.condensed), k)
+    return cut_k(ward_linkage(dissimilarity_of(state)), k)
 
 
 def finalize_spectral(state: ConsensusState, k: int, seed: int = 0) -> np.ndarray:

@@ -48,8 +48,8 @@ def test_c01_ward_linkage_matches_naive_oracle():
         n = int(rng.integers(3, 13))
         x = rng.random((n, int(rng.integers(1, 5))))
         dm = pairwise(x, "manhattan")
+        oracle_heights, oracle_partitions = naive_ward(n, dm)  # before Ward takes dm's roots
         dend = ward_linkage(dm)
-        oracle_heights, oracle_partitions = naive_ward(n, dm.condensed)
         gap = float(np.abs(np.sort(dend.heights()) - np.sort(oracle_heights)).max())
         worst = max(worst, gap)
         assert gap < 1e-9

@@ -133,6 +133,31 @@ class TestCluster:
         assert err.startswith("error: N=50 observations need about ")
         assert "Traceback" not in err
 
+    def test_k_above_n_reported(self, blob_csv, tmp_path, capsys):
+        assert main(["cluster", str(blob_csv), "--k", "51", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_final 51 exceeds the N=50 observations")
+        assert "Traceback" not in err
+        assert not (tmp_path / "labels.csv").exists()
+
+    @pytest.mark.parametrize("flags, stop_reason", [
+        ((), "early_stop"),
+        (("--n-frac", "0.5", "--t-max", "10"), "t_max"),  # confusion still moving
+        (("--n-frac", "1", "--t-max", "1"), "t_max"),  # no change yet: null
+    ])
+    def test_stop_gap_from_the_trace(self, blob_csv, tmp_path, flags, stop_reason):
+        assert main(["cluster", str(blob_csv), "--seed", "2", *flags, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        pct = [float(row.split(",")[2]) for row in rows][-6:]
+        gaps = [abs(b - a) for a, b in zip(pct, pct[1:])]  # StopTracker: 5 changes, c 1e-5
+        assert manifest["stop_gap"] == (max(gaps) / 1e-5 if gaps else None)
+        assert manifest["stop_reason"] == stop_reason
+        if stop_reason == "early_stop":
+            assert manifest["stop_gap"] < 1
+        elif gaps:
+            assert manifest["stop_gap"] > 1
+
     def test_missing_input_runtime_error(self, tmp_path, capsys):
         code = main(["cluster", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 1

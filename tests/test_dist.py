@@ -4,28 +4,28 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mpclust.dataio import DataMatrix
-from mpclust.dist import DistanceMatrix, deviation_experiment, hoeffding_bound, pairwise
+from mpclust.dist import deviation_experiment, hoeffding_bound, pairwise
 
 
 class TestPairwise:
     def test_manhattan_example(self):
         d = pairwise(np.array([[0.0, 0.0], [1.0, 2.0]]), "manhattan")
-        assert d.condensed.tolist() == [3.0]
+        assert d.tolist() == [3.0]
 
     def test_sq_euclidean_example(self):
         d = pairwise(np.array([[0.0, 0.0], [1.0, 2.0]]), "sq_euclidean")
-        assert d.condensed.tolist() == [5.0]
+        assert d.tolist() == [5.0]
 
     def test_identical_rows(self):
         d = pairwise(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        assert d.condensed.tolist() == [0.0]
+        assert d.tolist() == [0.0]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.random((6, 3))
         perm = rng.permutation(6)
-        d1 = pairwise(x).condensed
-        d2 = pairwise(x[perm]).condensed
+        d1 = pairwise(x)
+        d2 = pairwise(x[perm])
         assert sorted(d1.round(12)) == sorted(d2.round(12))
 
     @pytest.mark.parametrize("metric", ["manhattan", "sq_euclidean"])
@@ -33,20 +33,15 @@ class TestPairwise:
         x = np.random.default_rng(1).random((7, 4))
         out = np.full(21, -1.0)
         d = pairwise(x, metric, out=out)
-        assert d.condensed is out
-        assert out.tobytes() == pairwise(x, metric).condensed.tobytes()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
-    def test_rejects_nonfinite_or_negative(self, bad):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            DistanceMatrix(3, np.array([1.0, bad, 2.0]))
+        assert d is out
+        assert out.tobytes() == pairwise(x, metric).tobytes()
 
     @settings(max_examples=50)
     @given(arrays(np.float64, (4, 3), elements=st.floats(-100, 100)))
     def test_triangle_inequality(self, x):
         from scipy.spatial.distance import squareform
 
-        d = squareform(pairwise(x, "manhattan").condensed)
+        d = squareform(pairwise(x, "manhattan"))
         for i in range(4):
             for j in range(4):
                 for k in range(4):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpclust import hclust
-from mpclust.dist import DistanceMatrix, pairwise
+from mpclust.dist import pairwise
 from mpclust.hclust import Dendrogram, cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 
@@ -49,7 +49,7 @@ class TestWardLinkage:
         assert dend.z[0, 0] == 0 and dend.z[0, 1] == 1
 
     def test_two_points(self):
-        dend = ward_linkage(DistanceMatrix(2, np.array([3.5])))
+        dend = ward_linkage(np.array([3.5]))
         assert dend.z.shape == (1, 4)
         assert dend.z.tolist() == [[0.0, 1.0, 3.5, 2.0]]
 
@@ -59,8 +59,8 @@ class TestWardLinkage:
         n = int(rng.integers(4, 13))
         x = rng.random((n, 3))
         dm = pairwise(x, "manhattan")
+        oracle_heights, oracle_partitions = naive_ward(n, dm)  # before Ward takes dm's roots
         dend = ward_linkage(dm)
-        oracle_heights, oracle_partitions = naive_ward(n, dm.condensed)
         assert np.allclose(sorted(dend.heights()), sorted(oracle_heights), atol=1e-9)
         for k in range(1, n + 1):
             assert partitions_of_labels(cut_k(dend, k)) == oracle_partitions[k]
@@ -74,21 +74,33 @@ class TestWardLinkage:
         assert ari(a[perm], b) == pytest.approx(1.0)
 
     def test_out_receives_the_roots(self):
+        # the argument is Ward's buffer: it ends holding the square roots
         d = pairwise(np.random.default_rng(5).random((8, 3)))
-        out = np.empty_like(d.condensed)
-        dend = ward_linkage(d, out=out)
-        assert out.tobytes() == np.sqrt(d.condensed).tobytes()
-        assert dend.z.tobytes() == ward_linkage(d).z.tobytes()
+        roots, fresh = np.sqrt(d), d.copy()
+        dend = ward_linkage(d)
+        assert d.tobytes() == roots.tobytes()
+        assert dend.z.tobytes() == ward_linkage(fresh).z.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_nonfinite_or_negative(self, bad):
+        # scipy's linkage rejects NaN and inf; a negative value's root is NaN
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            ward_linkage(np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("size", [2, 4, 5])
+    def test_rejects_length_not_a_triangle(self, size):
+        with pytest.raises(ValueError, match="binomial coefficient"):
+            ward_linkage(np.ones(size))
 
     def test_warm_patch_step_allocates_only_linkages_copy(self, monkeypatch):
-        # a structural check, not a speed bound: with reused pdist and sqrt
-        # buffers, the per-patch pdist -> sqrt -> linkage step at 750 points
-        # allocates, outside scipy's linkage, less than one float64 array over
-        # its pairs (fresh arrays took two)
+        # a structural check, not a speed bound: with one reused buffer for
+        # pdist and, in place, sqrt, the per-patch pdist -> sqrt -> linkage
+        # step at 750 points allocates, outside scipy's linkage, less than one
+        # float64 array over its pairs (fresh arrays took two)
         size = 750
         npair = size * (size - 1) // 2
         x = np.random.default_rng(0).random((size, 50))
-        dist, root = np.empty(npair), np.empty(npair)
+        dist = np.empty(npair)
         outside = []
 
         def linkage(y, method):
@@ -99,10 +111,10 @@ class TestWardLinkage:
 
         scipy_linkage = hclust.linkage
         monkeypatch.setattr(hclust, "linkage", linkage)
-        ward_linkage(pairwise(x, out=dist), out=root)
+        ward_linkage(pairwise(x, out=dist))
         tracemalloc.start()
         try:
-            ward_linkage(pairwise(x, out=dist), out=root)
+            ward_linkage(pairwise(x, out=dist))
             outside.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -147,7 +159,7 @@ _CONSENSUS_CUTS = [
 
 class TestTiePolicy:
     def test_all_equal_pinned(self):
-        dend = ward_linkage(DistanceMatrix(6, np.ones(15)))
+        dend = ward_linkage(np.ones(15))
         assert [cut_k(dend, k).tolist() for k in range(1, 7)] == _ALL_EQUAL_CUTS
         assert np.allclose(dend.heights(), 1.0, rtol=1e-15, atol=0)
 
@@ -160,7 +172,7 @@ class TestTiePolicy:
         )
         s = (parts[:, :, None] == parts[:, None, :]).mean(axis=0)
         ii, jj = np.triu_indices(8, k=1)
-        dend = ward_linkage(DistanceMatrix(8, 1.0 - s[ii, jj]))
+        dend = ward_linkage(1.0 - s[ii, jj])
         assert [cut_k(dend, k).tolist() for k in range(1, 9)] == _CONSENSUS_CUTS
         expected = [1 / 3, 1 / 3, 1 / 3, 5 / 9, 41 / 45, 49 / 45, 13 / 9]
         assert np.allclose(dend.heights(), expected, rtol=1e-14, atol=0)
@@ -191,11 +203,6 @@ class TestCutQuantile:
             if lab not in seen:
                 seen.append(lab)
         assert seen == list(range(len(seen)))
-
-    def test_invalid_h(self):
-        dend = _chain_dendrogram([1.0])
-        with pytest.raises(ValueError):
-            cut_quantile(dend, 0.0)
 
 
 class TestCutK:
@@ -244,33 +251,3 @@ class TestVectorizedCut:
         tau = np.quantile(dend.heights(), h)
         performed = [i for i, row in enumerate(z) if row[2] <= tau]
         assert cut_quantile(dend, h).tolist() == labels_from_performed(z, performed).tolist()
-
-
-class TestDendrogramValidation:
-    def test_child_reuse_rejected(self):
-        with pytest.raises(ValueError, match="twice"):
-            Dendrogram(np.array([[0, 1, 1.0, 2], [0, 2, 2.0, 3]]))
-
-    def test_wrong_merge_count(self):
-        for shape in ((0, 4), (2, 3), (4,)):
-            with pytest.raises(ValueError, match="merges"):
-                Dendrogram(np.zeros(shape))
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[0, 3, 1.0, 2], [1, 2, 2.0, 3]],  # node 3 used before it is created
-            [[0, 1, 1.0, 2], [2, 5, 2.0, 3]],  # no node 5 in a 3-leaf tree
-            [[-1, 1, 1.0, 2], [2, 3, 2.0, 3]],
-            [[0, 1.5, 1.0, 2], [2, 3, 2.0, 3]],
-            [[0, np.nan, 1.0, 2], [2, 3, 2.0, 3]],
-        ],
-    )
-    def test_invalid_child_rejected(self, rows):
-        with pytest.raises(ValueError, match="child"):
-            Dendrogram(np.array(rows))
-
-    def test_read_only(self):
-        dend = _chain_dendrogram([1.0, 2.0])
-        with pytest.raises(ValueError):
-            dend.z[0, 2] = 5.0

@@ -11,7 +11,6 @@ from mpclust import pipeline, sampling
 from mpclust.cli import main
 from mpclust.consensus import ConsensusState, PairScratch, consensus_of, update
 from mpclust.dataio import DataMatrix, write_matrix
-from mpclust.dist import DistanceMatrix
 from mpclust.hclust import cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 from mpclust.pipeline import (
@@ -84,6 +83,16 @@ class TestRun:
         data, _ = _blobs(n_half=3)
         with pytest.raises(ValueError, match="infeasible"):
             run(data, "mpcc", HyperParams(n_frac=0.01))
+
+    @pytest.mark.parametrize("final_algo", ["hierarchical", "spectral"])
+    def test_k_above_n_rejected_before_the_loop(self, monkeypatch, final_algo):
+        def no_patches(*args, **kwargs):
+            raise AssertionError("a minipatch was clustered")
+
+        monkeypatch.setattr(pipeline, "pairwise", no_patches)
+        data, _ = _blobs()
+        with pytest.raises(ValueError, match=r"k_final 61 exceeds the N=60 "):
+            run(data, "mpcc", HyperParams(k_final=61, final_algo=final_algo))
 
     def test_isolated_observations_abort(self):
         data, _ = _blobs()
@@ -292,7 +301,7 @@ class TestFinalize:
         state = ConsensusState.empty(n)
         state.pair_same[:], state.pair_seen[:], state.diag[:] = same[upper], seen[upper], 1
         s = consensus_of(state)
-        ref = ward_linkage(DistanceMatrix(n, dense_index_dissimilarity(s)))
+        ref = ward_linkage(dense_index_dissimilarity(s))
         for k in range(1, n + 1):
             assert np.array_equal(finalize_hierarchical(state, k), cut_k(ref, k))
         hp = HyperParams(h=float(rng.uniform(0.05, 1.0)))
@@ -309,7 +318,7 @@ class TestFinalize:
         before = [a.tobytes() for a in
                   (state.pair_same, state.pair_seen, state.diag, state.confusion_rows)]
         dense = consensus_of(state)
-        ref = ward_linkage(DistanceMatrix(n, dense_index_dissimilarity(dense)))
+        ref = ward_linkage(dense_index_dissimilarity(dense))
         for k in range(1, n + 1):
             assert np.array_equal(finalize_hierarchical(state, k), cut_k(ref, k))
         assert before == [a.tobytes() for a in
@@ -504,7 +513,7 @@ class TestCondensedFinal:
         monkeypatch.setattr(pipeline, "consensus_of", no_dense)
         res = run(data, mode, hp)
         monkeypatch.undo()
-        ref = ward_linkage(DistanceMatrix(60, dense_index_dissimilarity(consensus_of(res.consensus))))
+        ref = ward_linkage(dense_index_dissimilarity(consensus_of(res.consensus)))
         assert np.array_equal(res.labels, cut_k(ref, k) if k else cut_quantile(ref, hp.h))
 
     @pytest.mark.parametrize("k", [2, None])
