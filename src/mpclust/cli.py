@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .consensus import StopTracker, save_consensus_binary, write_consensus_csv
+from .consensus import save_consensus_binary, stop_gap, write_consensus_csv
 from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
 from .dist import METRICS, deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
@@ -342,9 +342,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     keys = [*_HP, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
             "consensus_format"]
-    rule = StopTracker()  # it stops once its last `patience` changes are all below c: a gap < 1
-    pct = [rec.confusion_pct for rec in result.trace][-rule.patience - 1:]
-    gaps = [abs(b - a) for a, b in zip(pct, pct[1:])]
     _write_manifest(
         out_dir,
         "cluster",
@@ -352,7 +349,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         _digest(Path(args.input)),
         timings,
         {"iterations_run": result.iterations_run, "stop_reason": result.stop_reason,
-         "stop_gap": max(gaps) / rule.c if gaps else None},
+         "stop_gap": stop_gap([rec.confusion_pct for rec in result.trace])},
     )
     print(
         f"{args.mode}: {result.iterations_run} iterations ({result.stop_reason}), "

@@ -19,9 +19,9 @@ s(1-s) ≥ +0.0), so it is never -0.0 itself, and x + 0.0 == x for every
 other float. The live pairs keep their ascending order, so every row adds
 the same terms in the same order as it would over all the pairs.
 
-Everything downstream reads the counters. The state also owns the
-confusion row sums (off-diagonal S(1-S)), which ``update`` maintains and
-the weights, the stop rule and the tuner read. The final Ward reads the
+Everything downstream reads the counters. The state also owns the confusion
+row sums (off-diagonal S(1-S)), which ``update`` maintains and the weights,
+the stop rule (``stop_gap``) and the tuner read. The final Ward reads the
 condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
 exports look S up by each pair's (seen, same) code in a per-run table of
 values, indexed through a ``squareform`` matrix. Dense S (8 N^2 bytes),
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ __all__ = [
     "update",
     "consensus_of",
     "dissimilarity_of",
-    "StopTracker",
+    "stop_gap",
     "write_consensus_csv",
     "save_consensus_binary",
     "load_consensus_binary",
@@ -252,22 +252,18 @@ def dissimilarity_of(state: ConsensusState) -> np.ndarray:
     return np.subtract(1.0, d, out=d)
 
 
-@dataclass(frozen=True)
-class StopTracker:
-    """Stops once the q-th confusion percentile stays put for ``patience`` steps."""
+STOP_PERCENTILE = 90.0  # q: the stop rule watches this percentile of the confusion vector
+STOP_TOLERANCE = 1e-5  # c: a change of the percentile below c counts as no change
+STOP_PATIENCE = 5  # a run stops once this many changes in a row are below c
 
-    q: float = 90.0
-    c: float = 1e-5
-    patience: int = 5
-    prev_percentile: float = 0.0
-    run_length: int = 0
 
-    def step(self, percentile: float) -> tuple["StopTracker", bool]:
-        eps = abs(percentile - self.prev_percentile)
-        run = self.run_length + 1 if eps < self.c else 0
-        run = min(run, self.patience)
-        nxt = replace(self, prev_percentile=percentile, run_length=run)
-        return nxt, run >= self.patience
+def stop_gap(pct: Sequence[float]) -> float | None:
+    """The largest of the last ``STOP_PATIENCE`` changes of ``pct`` over ``STOP_TOLERANCE``,
+    or None for fewer than two values. Below 1 (x / c < 1 exactly when x < c, for
+    doubles x ≥ 0 and normal c > 0), every one of those changes is below the tolerance."""
+    last = pct[-STOP_PATIENCE - 1:]
+    gaps = [abs(b - a) for a, b in zip(last, last[1:])]
+    return max(gaps) / STOP_TOLERANCE if gaps else None
 
 
 # -- consensus matrix export ------------------------------------------------

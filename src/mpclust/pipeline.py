@@ -26,11 +26,13 @@ from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
 from .consensus import (
+    STOP_PATIENCE,
+    STOP_PERCENTILE,
     ConsensusState,
     PairScratch,
-    StopTracker,
     consensus_of,
     dissimilarity_of,
+    stop_gap,
     update,
 )
 from .dataio import DataMatrix
@@ -90,7 +92,7 @@ class HyperParams:
     final_algo: str = "hierarchical"
     seed: int = 0
     metric: str = "manhattan"
-    early_stop: bool = True  # the rule and its constants are StopTracker's
+    early_stop: bool = True  # the rule is consensus.stop_gap's, with its STOP_* constants
 
     def validate(self) -> None:
         for name, lo, hi in (
@@ -221,6 +223,25 @@ def _peak_bytes(n: int, hp: HyperParams) -> int:
     return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(hp.n_count(n), dtype), final)
 
 
+def _check_run(data: DataMatrix, mode: str, hp: HyperParams) -> None:
+    """ValueError, before any minipatch, for a run that could not finish."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    hp.validate()  # its fractions in (0, 1] keep every patch within the data
+    n, n_count = data.n_obs, hp.n_count(data.n_obs)
+    if n_count < 3:
+        raise ValueError(f"n_frac {hp.n_frac} gives minipatches of {n_count} observation(s) "
+                         f"for N={n}, infeasible: need at least 3")
+    if hp.k_final is not None and hp.k_final > n:
+        raise ValueError(f"k_final {hp.k_final} exceeds the N={n} observations")
+    peak, available = _peak_bytes(n, hp), _available_bytes()
+    if available is not None and peak > available:
+        raise ValueError(
+            f"N={n} observations need about {peak / 1e6:,.1f} MB at the run's peak, "
+            f"but {available / 1e6:,.1f} MB of memory are available"
+        )
+
+
 def run(
     data: DataMatrix,
     mode: str,
@@ -245,47 +266,22 @@ def run(
     Ward the condensed 1 - S built from them, the spectral finaliser the
     dense S it builds itself. ``consensus_of(result.consensus)`` builds S.
 
-    Raises ValueError before the first iteration if k_final > N, or if the
-    estimated peak of the run's pair buffers exceeds the memory available.
+    Raises ValueError before the first iteration for an unknown mode, a
+    setting ``validate`` rejects, patches of fewer than 3 observations,
+    k_final > N, or an estimated peak above the memory available.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    hp.validate()
+    _check_run(data, mode, hp)
     n, m = data.n_obs, data.n_features
-    n_count = hp.n_count(n)
-    m_count = hp.m_count(m)
-    if not 3 <= n_count <= n:
-        raise ValueError(f"minipatch observation count {n_count} infeasible for N={n}")
-    if not 1 <= m_count <= m:
-        raise ValueError(f"minipatch feature count {m_count} infeasible for M={m}")
-    if hp.k_final is not None and hp.k_final > n:
-        raise ValueError(f"k_final {hp.k_final} exceeds the N={n} observations")
-    t_max = hp.resolve_t_max(n)
-    peak, available = _peak_bytes(n, hp), _available_bytes()
-    if available is not None and peak > available:
-        raise ValueError(
-            f"N={n} observations need about {peak / 1e6:,.1f} MB at the run's peak, "
-            f"but {available / 1e6:,.1f} MB of memory are available"
-        )
+    n_count, m_count, t_max = hp.n_count(n), hp.m_count(m), hp.resolve_t_max(n)
 
-    obs_cfg = EEConfig(
-        frac=hp.n_frac,
-        epochs=hp.epochs_e,
-        threshold="quantile",
-        threshold_param=hp.theta,
-    )
-    feat_cfg = EEConfig(
-        frac=hp.m_frac,
-        epochs=hp.epochs_e,
-        threshold="mean_plus_sd",
-        threshold_param=hp.tau,
-    )
+    obs_cfg = EEConfig(frac=hp.n_frac, epochs=hp.epochs_e, threshold="quantile", threshold_param=hp.theta)
+    feat_cfg = EEConfig(frac=hp.m_frac, epochs=hp.epochs_e, threshold="mean_plus_sd", threshold_param=hp.tau)
     obs_state = SamplerState.uniform(n, "observations")
     feat_state = SamplerState.uniform(m, "features")
     state = ConsensusState.empty(n, max_count=t_max)
     scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
     flat_values = data.values.ravel()  # a view unless data.values is not in C order
-    tracker = StopTracker()
+    armed = [0.0]  # the rule's first reference value: no stop before STOP_PATIENCE armed iterations
     adaptive_obs = mode in ("mpacc", "impacc")
     adaptive_feat = mode == "impacc"
     obs_burn = obs_cfg.burn_in(n)
@@ -306,9 +302,8 @@ def run(
 
         if adaptive_obs:
             if t > obs_burn:
-                update_obs_weights(obs_state, state.confusion_rows / n, t, hp.alpha_i)
+                update_obs_weights(obs_state, state.confusion_rows / n, state.diag, t, hp.alpha_i)
             obs_idx = ee_prob_next(obs_cfg, obs_state, t, rng_obs)
-            obs_state.record(obs_idx)
         else:
             obs_idx = draw_uniform(n, n_count, rng_obs)
 
@@ -323,10 +318,9 @@ def run(
             update_feature_weights(feat_state, feat_idx[support], feat_idx, hp.alpha_f)
 
         update(state, obs_idx, labels, scratch=scratch)
-        pct = float(np.percentile(state.confusion_rows / n, tracker.q))
-        stop = False
+        pct = float(np.percentile(state.confusion_rows / n, STOP_PERCENTILE))
         if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs_burn):
-            tracker, stop = tracker.step(pct)
+            armed.append(pct)
         record = IterationRecord(
             iteration=t,
             n_clusters=k_patch,
@@ -344,7 +338,7 @@ def run(
                 feature_scores=feat_state.importance() if adaptive_feat else None,  # a new array
             )
         trace.append(record)
-        if stop:
+        if len(armed) > STOP_PATIENCE and stop_gap(armed) < 1:
             stop_reason = "early_stop"
             break
     del scratch, view
@@ -509,10 +503,11 @@ def tune_minipatch_size(
         raise ValueError("grid must be nonempty")
     hp = hp or HyperParams()
     ordered = sorted(grid, key=lambda mn: (mn[0] * mn[1] ** 2, mn))
+    for m_frac, n_frac in ordered:  # every cell, before the first run
+        _check_run(data, mode, replace(hp, m_frac=m_frac, n_frac=n_frac))
     cells: list[tuple[float, float, float, int]] = []
     for m_frac, n_frac in ordered:
-        cell_hp = replace(hp, m_frac=m_frac, n_frac=n_frac)
-        result = run(data, mode, cell_hp)
+        result = run(data, mode, replace(hp, m_frac=m_frac, n_frac=n_frac))
         max_conf = float(result.consensus.confusion_rows.max() / data.n_obs)
         cells.append((m_frac, n_frac, max_conf, result.iterations_run))
         if max_conf < 0.01:

@@ -75,7 +75,7 @@ class SamplerState:
     """Weights and bookkeeping for one sampling axis."""
 
     weights: np.ndarray
-    sample_counts: np.ndarray
+    sample_counts: np.ndarray | None = None  # features only; observations: ConsensusState.diag
     support_hits: np.ndarray | None = None  # features axis only
     epoch_blocks: list[np.ndarray] | None = None
     last_high_size: int = 0
@@ -86,11 +86,13 @@ class SamplerState:
             raise ValueError(f"unknown axis {axis!r}")
         return cls(
             weights=np.full(total, 1.0 / total),
-            sample_counts=np.zeros(total, dtype=np.int64),
+            sample_counts=np.zeros(total, dtype=np.int64) if axis == "features" else None,
             support_hits=np.zeros(total, dtype=np.int64) if axis == "features" else None,
         )
 
     def record(self, indices: np.ndarray) -> None:
+        if self.sample_counts is None:
+            raise ValueError("record is for the features axis only")
         self.sample_counts[np.asarray(indices, dtype=np.intp)] += 1
 
     def importance(self) -> np.ndarray:
@@ -135,14 +137,14 @@ class EEConfig:
 
 
 def update_obs_weights(
-    state: SamplerState, conf: np.ndarray, t: int, alpha_i: float
+    state: SamplerState, conf: np.ndarray, counts: np.ndarray, t: int, alpha_i: float
 ) -> None:
     """Blend observation weights toward count-adjusted confusion.
 
-    ``conf`` is the confusion vector (1/N) sum_j S_ij (1 - S_ij) of the
-    current consensus S; ``run()`` passes the consensus state's
-    ``confusion_rows``, which ``update`` maintains, divided by N.
-    u_i = conf_i * (t-1)/max(1, samplings_i); weights move by
+    ``conf`` is the confusion vector (1/N) sum_j S_ij (1 - S_ij) of the current
+    consensus S, ``counts`` the times each observation was sampled: ``run()``
+    passes the consensus state's ``confusion_rows`` / N and ``diag``.
+    u_i = conf_i * (t-1)/max(1, counts_i); weights move by
     w <- alpha w + (1-alpha) u/sum(u).  A zero uncertainty vector leaves
     the weights untouched.
     """
@@ -156,7 +158,7 @@ def update_obs_weights(
         )
     if not np.isfinite(conf).all():
         raise ValueError("confusion must be finite")
-    u = conf * (t - 1) / np.maximum(1, state.sample_counts)
+    u = conf * (t - 1) / np.maximum(1, counts)
     total = u.sum()
     if total > 0:
         w = alpha_i * state.weights + (1.0 - alpha_i) * u / total

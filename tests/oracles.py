@@ -159,6 +159,22 @@ def brute_consensus(n: int, log: list[tuple[np.ndarray, np.ndarray]]) -> np.ndar
     return v / np.maximum(1, d)
 
 
+def stop_tracker_index(pcts, c: float = 1e-5, patience: int = 5) -> int | None:
+    """1-based index of the percentile at which the stop rule fires, or None.
+
+    A running count of consecutive changes below ``c``, capped at
+    ``patience``, against a previous value that starts at 0.0.
+    """
+    prev, run = 0.0, 0
+    for i, pct in enumerate(pcts, 1):
+        run = run + 1 if abs(pct - prev) < c else 0
+        run = min(run, patience)
+        prev = pct
+        if run >= patience:
+            return i
+    return None
+
+
 def confusion(s: np.ndarray) -> np.ndarray:
     """Per-observation instability (1/N) sum_j S_ij (1 - S_ij) of dense S, diagonal included."""
     s = np.asarray(s, dtype=float)

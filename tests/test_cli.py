@@ -140,6 +140,13 @@ class TestCluster:
         assert "Traceback" not in err
         assert not (tmp_path / "labels.csv").exists()
 
+    def test_infeasible_patch_names_n_frac(self, blob_csv, tmp_path, capsys):
+        assert main(["cluster", str(blob_csv), "--n-frac", "0.01", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_frac 0.01 gives minipatches of 1 observation(s) "
+                              "for N=50, infeasible: need at least 3")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags, stop_reason", [
         ((), "early_stop"),
         (("--n-frac", "0.5", "--t-max", "10"), "t_max"),  # confusion still moving
@@ -150,7 +157,7 @@ class TestCluster:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
         pct = [float(row.split(",")[2]) for row in rows][-6:]
-        gaps = [abs(b - a) for a, b in zip(pct, pct[1:])]  # StopTracker: 5 changes, c 1e-5
+        gaps = [abs(b - a) for a, b in zip(pct, pct[1:])]  # the stop rule: 5 changes, tolerance 1e-5
         assert manifest["stop_gap"] == (max(gaps) / 1e-5 if gaps else None)
         assert manifest["stop_reason"] == stop_reason
         if stop_reason == "early_stop":

@@ -9,19 +9,21 @@ from scipy.spatial.distance import squareform
 
 from mpclust import consensus
 from mpclust.consensus import (
+    STOP_PATIENCE,
+    STOP_TOLERANCE,
     ConsensusState,
     PairScratch,
-    StopTracker,
     consensus_of,
     dissimilarity_of,
     load_consensus_binary,
     save_consensus_binary,
+    stop_gap,
     update,
     write_consensus_csv,
 )
 from mpclust.dataio import DataMatrix, write_matrix
 
-from oracles import brute_consensus, confusion, dense_update
+from oracles import brute_consensus, confusion, dense_update, stop_tracker_index
 
 
 def _random_log(n, iters, patch, seed):
@@ -316,36 +318,47 @@ class TestConfusion:
         assert (c >= 0).all() and (c <= 0.25).all()
 
 
-class TestStopTracker:
+def _stop_index(pcts):
+    """1-based index of the percentile at which run()'s rule stops, or None."""
+    armed = [0.0]
+    for i, pct in enumerate(pcts, 1):
+        armed.append(pct)
+        if len(armed) > STOP_PATIENCE and stop_gap(armed) < 1:
+            return i
+    return None
+
+
+_NEAR_C = [0.0, np.nextafter(1e-5, 0), 1e-5, np.nextafter(1e-5, 1), 2e-5, 0.5]
+
+
+class TestStopGap:
     def test_constant_zero_stops_at_fifth(self):
-        tracker = StopTracker()
-        for call in range(1, 6):
-            tracker, stop = tracker.step(0.0)
-        assert stop and call == 5
+        assert _stop_index([0.0] * 20) == 5
 
     def test_alternating_never_stops(self):
-        tracker = StopTracker()
-        for call in range(20):
-            tracker, stop = tracker.step(0.1 if call % 2 else 0.2)
-            assert not stop
+        assert _stop_index([0.1 if call % 2 else 0.2 for call in range(20)]) is None
 
     def test_eps_sequence_with_reset(self):
         # eps per call: 0,0,0,1,0,0,0,0,0 -> stops exactly on the final run of 5
-        pcts = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        tracker = StopTracker()
-        fired_at = None
-        for i, p in enumerate(pcts, 1):
-            tracker, stop = tracker.step(p)
-            if stop:
-                fired_at = i
-                break
-        assert fired_at == 9
+        assert _stop_index([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]) == 9
 
-    def test_run_length_capped(self):
-        tracker = StopTracker(patience=3)
-        for _ in range(10):
-            tracker, _ = tracker.step(0.0)
-        assert tracker.run_length <= tracker.patience
+    def test_none_below_two_values(self):
+        assert stop_gap([]) is None and stop_gap([0.3]) is None
+
+    def test_last_changes_over_the_tolerance(self):
+        assert stop_gap([0.0, 0.5]) == 0.5 / STOP_TOLERANCE
+        # only the last STOP_PATIENCE changes count: the jump to 1.0 is the sixth
+        assert stop_gap([0.0] + [1.0] * (STOP_PATIENCE + 1)) == 0.0
+
+    def test_the_tolerance_itself_is_a_change(self):
+        c = STOP_TOLERANCE
+        assert stop_gap([0.0] * 5 + [c]) == 1.0
+        assert stop_gap([0.0] * 5 + [np.nextafter(c, 0)]) < 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(_NEAR_C), st.floats(0, 0.25)), max_size=40))
+    def test_matches_the_running_count(self, pcts):
+        assert _stop_index(pcts) == stop_tracker_index(pcts)
 
 
 def _counters(n, same, seen):

@@ -271,8 +271,7 @@ class TestRun:
         obs = SamplerState.uniform(n, "observations")
         for t, rec in enumerate(res.trace, start=1):
             if t > burn:
-                update_obs_weights(obs, confusion(consensus_of(state)), t, hp.alpha_i)
-            obs.record(rec.obs_idx)
+                update_obs_weights(obs, confusion(consensus_of(state)), state.diag, t, hp.alpha_i)
             update(state, rec.obs_idx, rec.labels)
             assert rec.iteration == t
             assert np.abs(rec.obs_weights - obs.weights).max() <= 1e-12
@@ -705,6 +704,20 @@ class TestTuner:
         for m_frac, n_frac, max_conf, _ in result.cells:
             res = run(data, "mpcc", replace(hp, m_frac=m_frac, n_frac=n_frac))
             assert abs(max_conf - confusion(consensus_of(res.consensus)).max()) <= 1e-12
+
+    def test_every_cell_checked_before_the_first_run(self, monkeypatch):
+        calls = []
+        counted = pipeline.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run", counting_run)
+        data, _ = _blobs()
+        with pytest.raises(ValueError, match=r"n_frac must be in \(0.0, 1.0\], got 1.5"):
+            tune_minipatch_size(data, "mpcc", [(0.05, 0.25), (0.05, 1.5)], HyperParams(seed=1))
+        assert calls == []
 
     def test_empty_grid(self):
         data, _ = _blobs()

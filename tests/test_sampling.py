@@ -82,7 +82,7 @@ class TestUpdateObsWeights:
     def test_zero_uncertainty_keeps_weights(self):
         state = SamplerState.uniform(4, "observations")
         before = state.weights.copy()
-        update_obs_weights(state, confusion(np.eye(4)), t=3, alpha_i=0.5)
+        update_obs_weights(state, confusion(np.eye(4)), np.zeros(4, dtype=int), t=3, alpha_i=0.5)
         assert np.array_equal(state.weights, before)
 
     def test_derived_example(self):
@@ -91,22 +91,20 @@ class TestUpdateObsWeights:
         s = np.array([[x, x], [x, 1.0]])
         assert np.allclose(confusion(s), [0.2, 0.1])
         state = SamplerState.uniform(2, "observations")
-        state.sample_counts[:] = [1, 2]
-        update_obs_weights(state, confusion(s), t=3, alpha_i=0.0)
+        update_obs_weights(state, confusion(s), np.array([1, 2], dtype=np.uint16), t=3, alpha_i=0.0)
         assert np.allclose(state.weights, [0.8, 0.2])
 
     def test_ema_endpoints(self):
         base = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
         frozen = SamplerState.uniform(3, "observations")
-        frozen.sample_counts[:] = 1
         w0 = frozen.weights.copy()
-        update_obs_weights(frozen, confusion(base), t=2, alpha_i=1.0)
+        update_obs_weights(frozen, confusion(base), np.ones(3, dtype=int), t=2, alpha_i=1.0)
         assert np.allclose(frozen.weights, w0)
 
     def test_requires_t_at_least_two(self):
         state = SamplerState.uniform(3, "observations")
         with pytest.raises(ValueError):
-            update_obs_weights(state, np.zeros(3), t=1, alpha_i=0.5)
+            update_obs_weights(state, np.zeros(3), np.zeros(3, dtype=int), t=1, alpha_i=0.5)
 
     @pytest.mark.parametrize(
         "conf",
@@ -116,17 +114,17 @@ class TestUpdateObsWeights:
         state = SamplerState.uniform(4, "observations")
         before = state.weights.copy()
         with pytest.raises(ValueError, match="confusion"):
-            update_obs_weights(state, conf, t=3, alpha_i=0.5)
+            update_obs_weights(state, conf, np.zeros(4, dtype=int), t=3, alpha_i=0.5)
         assert np.array_equal(state.weights, before)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
         state = SamplerState.uniform(10, "observations")
-        state.sample_counts[:] = rng.integers(1, 5, 10)
+        counts = rng.integers(1, 5, 10)
         for t in range(2, 30):
             s = rng.random((10, 10))
             s = (s + s.T) / 2
-            update_obs_weights(state, confusion(s), t=t, alpha_i=0.5)
+            update_obs_weights(state, confusion(s), counts, t=t, alpha_i=0.5)
             assert abs(state.weights.sum() - 1) < 1e-12
 
 
@@ -291,7 +289,7 @@ class TestEEProbNext:
 
     def test_sample_counts_match_recount_from_log(self):
         cfg = EEConfig(frac=0.3, epochs=2, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(15, "observations")
+        state = SamplerState.uniform(15, "features")
         rng = np.random.default_rng(8)
         state.weights = rng.dirichlet(np.ones(15))
         log = []
@@ -303,6 +301,12 @@ class TestEEProbNext:
         for idx in log:
             recount[idx] += 1
         assert np.array_equal(state.sample_counts, recount)
+
+    def test_observations_are_counted_by_the_consensus(self):
+        state = SamplerState.uniform(5, "observations")
+        assert state.sample_counts is None
+        with pytest.raises(ValueError, match="features axis only"):
+            state.record(np.array([0, 2]))
 
 
 class TestFeatureWeightEndpoints:
