@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .consensus import save_consensus_binary, stop_gap, write_consensus_csv
-from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
+from .dataio import DataMatrix, _log2_plus_one, _rescale_unit, load_matrix, write_matrix
 from .dist import METRICS, deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
 from .metrics import ari, f1_features, select_by_score
@@ -286,10 +286,12 @@ def _load_input(args: argparse.Namespace) -> DataMatrix:
         ids=not args.no_ids,
         transpose=args.transpose,
     )
+    # Transform in place: freeing the loaded N x M table would raise glibc's
+    # mmap threshold to its size, and with it the run's peak RSS.
     if args.log2:
-        matrix = log2_plus_one(matrix)
+        matrix = _log2_plus_one(matrix, out=matrix.values)
     if args.rescale:
-        matrix = rescale_unit(matrix)
+        matrix = _rescale_unit(matrix, out=matrix.values)
     return matrix
 
 

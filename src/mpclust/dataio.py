@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Sequence
+import itertools
+import re
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,10 +78,9 @@ def load_matrix(
     """Read a rectangular numeric table into a DataMatrix.
 
     Files are parsed in bulk by numpy's C reader, csv-quoted cells
-    included. A file that reader rejects is read again cell by cell with
-    the csv module and ``float()``, so every cell ``float()`` accepts
-    (``1_0``, non-ASCII digits) still loads. ``#`` starts no comment,
-    and blank lines are skipped.
+    included. A value cell must be a number that reader takes: ``1_0``
+    and non-ASCII digits, which ``float()`` would read, are rejected.
+    ``#`` starts no comment, and blank lines are skipped.
 
     Parameters
     ----------
@@ -99,18 +100,18 @@ def load_matrix(
     Raises
     ------
     ValueError
-        On a delimiter of other than one character; otherwise, with the
-        path first, on undecodable bytes, ragged rows, a header whose
-        width differs from the rows', non-numeric cells (reported by
-        row/column), non-finite values or duplicate identifiers.
+        On a delimiter of other than one character, or one that is the
+        quote character ``"`` or a line break (``\\r``, ``\\n``);
+        otherwise, with the path first, on undecodable bytes, an empty
+        file or one without data rows, ragged rows (reported by row), a
+        header whose width differs from the rows', non-numeric cells
+        (reported by row and column), non-finite values or duplicate
+        identifiers.
     """
     _check_delimiter(delimiter)
     path = Path(path)
     try:
-        try:
-            values, row_ids, col_ids = _parse_bulk(path, delimiter, header, ids)
-        except ValueError:
-            values, row_ids, col_ids = _parse_per_cell(path, delimiter, header, ids)
+        values, row_ids, col_ids = _parse_bulk(path, delimiter, header, ids)
         n, m = values.shape
         if row_ids is None:
             row_ids = [f"row{i}" for i in range(n)]
@@ -122,11 +123,9 @@ def load_matrix(
     return matrix.transposed() if transpose else matrix
 
 
-_Parsed = tuple[np.ndarray, list[str] | None, list[str] | None]
-
-
-def _parse_bulk(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
-    """Ids and values in one ``np.loadtxt`` call; ValueError for any file it cannot take.
+def _parse_bulk(path: Path, delimiter: str, header: bool,
+                ids: bool) -> tuple[np.ndarray, list[str] | None, list[str] | None]:
+    """Ids and values in one ``np.loadtxt`` call.
 
     The csv module reads the header and the first data row, which give
     the width. ``loadtxt`` reads on from that row: it unquotes and splits
@@ -134,8 +133,6 @@ def _parse_bulk(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
     another width or a value cell it cannot read. A converter hands it
     each row id, so the id column reads as zeros.
     """
-    if delimiter in '"\r\n':
-        raise ValueError(f"delimiter {delimiter!r} needs the csv reader")
     names: list[str] = []
 
     def record(name: str) -> float:
@@ -146,61 +143,52 @@ def _parse_bulk(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
         rows = filter(None, csv.reader(iter(fh.readline, ""), delimiter=delimiter))
         head = next(rows, None) if header else None
         start = fh.tell()
-        m = len(next(rows, [])) - ids
-        if m < 1 or (head is not None and len(head) != m + ids):
-            raise ValueError("no value column, or a header of another width")
+        width = len(next(rows, []))
+        if not width:
+            raise ValueError("empty file" if head is None else "no data rows")
+        if ids and width == 1:
+            raise ValueError(f"no value cell after the id column when split at {delimiter!r}; "
+                             "pass the file's delimiter with --delimiter")
+        if head is not None and len(head) != width:
+            raise ValueError(f"row 1 has {width} cells but the header has {len(head)}")
+        col_ids = None if head is None else [c.strip() for c in head[ids:]]
         fh.seek(start)  # with no encoding given, numpy < 2 hands the converter bytes
-        table = np.loadtxt(fh, delimiter=delimiter, quotechar='"', comments=None, ndmin=2,
-                           converters={0: record} if ids else None, encoding=fh.encoding)
-    col_ids = None if head is None else [c.strip() for c in head[ids:]]
+        try:
+            table = np.loadtxt(fh, delimiter=delimiter, quotechar='"', comments=None, ndmin=2,
+                               converters={0: record} if ids else None, encoding=fh.encoding)
+        except ValueError as exc:
+            fh.seek(start)
+            data_rows = filter(None, csv.reader(fh, delimiter=delimiter))
+            raise _row_error(exc, data_rows, ids, col_ids) from None
     if not ids:
         return table, None, col_ids
     # Drop the id column in place, row by row. Freeing a copied table would
     # raise glibc's mmap threshold to its size, and with it the run's peak RSS.
-    n, flat = len(table), table.reshape(-1)
+    n, m, flat = len(table), width - 1, table.reshape(-1)
     for i in range(n):
         flat[i * m:(i + 1) * m] = flat[i * (m + 1) + 1:(i + 1) * (m + 1)]
     return flat[:n * m].reshape(n, m), names, col_ids
 
 
-def _parse_per_cell(path: Path, delimiter: str, header: bool, ids: bool) -> _Parsed:
-    """The csv module and ``float()`` on every cell; errors name the row and column."""
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    rows = [r for r in rows if r]  # ignore blank lines
-    if not rows:
-        raise ValueError("empty file")
+def _row_error(exc: ValueError, rows: Iterator[list[str]], ids: bool,
+               col_ids: list[str] | None) -> ValueError:
+    """``loadtxt``'s error about the data ``rows``, reworded to name the row and column.
 
-    head: list[str] | None = rows.pop(0) if header else None
-    if not rows:
-        raise ValueError("no data rows")
-    width = len(rows[0])
-    if ids and width == 1:
-        raise ValueError(f"no value cell after the id column when split at {delimiter!r}; "
-                         "pass the file's delimiter with --delimiter")
-    if head is not None and len(head) != width:
-        raise ValueError(f"row 1 has {width} cells but the header has {len(head)}")
-    col_ids = None if head is None else [c.strip() for c in (head[1:] if ids else head)]
-
-    row_ids: list[str] = []
-    data = np.empty((len(rows), width - (1 if ids else 0)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"ragged row {i + 1}: expected {width} cells, got {len(row)}")
-        cells = row
-        if ids:
-            row_ids.append(cells[0].strip())
-            cells = cells[1:]
-        for j, cell in enumerate(cells):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                cname = col_ids[j] if col_ids else str(j)
-                rname = row_ids[i] if ids else str(i)
-                raise ValueError(
-                    f"non-numeric cell {cell!r} at row {rname!r}, column {cname!r}"
-                ) from None
-    return data, row_ids if ids else None, col_ids
+    ``loadtxt`` counts data rows from where it started, blank lines skipped:
+    a row of another width by a 1-based row, a cell it cannot convert by a
+    0-based row and a 1-based column.
+    """
+    text = str(exc)
+    if ragged := re.search(r"from (\d+) to (\d+) at row (\d+)", text):
+        width, got, row = ragged.groups()
+        return ValueError(f"ragged row {row}: expected {width} cells, got {got}")
+    if (cell := re.search(r"at row (\d+), column (\d+)\.$", text)) is None:
+        return exc
+    i, j = int(cell[1]), int(cell[2]) - 1
+    row = next(itertools.islice(rows, i, None))
+    rname = row[0].strip() if ids else str(i)
+    cname = col_ids[j - ids] if col_ids else str(j - ids)
+    return ValueError(f"non-numeric cell {row[j]!r} at row {rname!r}, column {cname!r}")
 
 
 def write_matrix(
@@ -228,6 +216,8 @@ def write_matrix(
 def _check_delimiter(delimiter: str) -> None:
     if len(delimiter) != 1:  # the csv module's TypeError would name no file or flag
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    if delimiter in '"\r\n':
+        raise ValueError(f"delimiter {delimiter!r} is the quote character or a line break")
 
 
 def _write_table(
@@ -264,19 +254,26 @@ def _write_table(
 
 def log2_plus_one(m: DataMatrix) -> DataMatrix:
     """Elementwise x -> log2(1 + x); requires nonnegative values."""
-    if m.values.min() < 0:
-        i, j = np.argwhere(m.values < 0)[0]
-        raise ValueError(
-            f"negative value {m.values[i, j]} at row {m.row_ids[i]!r}, "
-            f"column {m.col_ids[j]!r}"
-        )
-    return DataMatrix(np.log2(1.0 + m.values), m.row_ids, m.col_ids)
+    return _log2_plus_one(m, np.empty_like(m.values))
 
 
 def rescale_unit(m: DataMatrix) -> DataMatrix:
     """Global min-max rescale into [0, 1]; rejects constant matrices."""
-    lo = float(m.values.min())
-    hi = float(m.values.max())
+    return _rescale_unit(m, np.empty_like(m.values))
+
+
+def _log2_plus_one(m: DataMatrix, out: np.ndarray) -> DataMatrix:
+    if m.values.min() < 0:
+        i, j = np.argwhere(m.values < 0)[0]
+        raise ValueError(f"negative value {m.values[i, j]} at row {m.row_ids[i]!r}, "
+                         f"column {m.col_ids[j]!r}")
+    np.add(m.values, 1.0, out=out)
+    return DataMatrix(np.log2(out, out=out), m.row_ids, m.col_ids)
+
+
+def _rescale_unit(m: DataMatrix, out: np.ndarray) -> DataMatrix:
+    lo, hi = float(m.values.min()), float(m.values.max())
     if hi == lo:
         raise ValueError("constant matrix has zero range; cannot rescale")
-    return DataMatrix((m.values - lo) / (hi - lo), m.row_ids, m.col_ids)
+    np.subtract(m.values, lo, out=out)
+    return DataMatrix(np.divide(out, hi - lo, out=out), m.row_ids, m.col_ids)

@@ -206,12 +206,13 @@ def per_cell_matrix_csv(values: np.ndarray, row_ids, col_ids, delimiter: str = "
     return buf.getvalue()
 
 
-def per_cell_load_matrix(path, delimiter: str = ",", header: bool = True, ids: bool = True):
-    """A matrix file read by the csv module with ``float()`` on every cell.
+def per_cell_load_matrix(path, delimiter: str = ",", header: bool = True, ids: bool = True,
+                         number=float):
+    """A matrix file read by the csv module with ``number()`` (``float()``) on every cell.
 
     Returns (values, row_ids, col_ids). Blank lines are skipped, the first
     data row needs a cell after its id, every row must be as wide as the
-    first data row and the header, and a cell ``float()`` rejects is named
+    first data row and the header, and a cell ``number()`` rejects is named
     by row and column id.
     """
     with open(path, newline="") as fh:
@@ -242,7 +243,7 @@ def per_cell_load_matrix(path, delimiter: str = ",", header: bool = True, ids: b
         parsed = []
         for j, cell in enumerate(row):
             try:
-                parsed.append(float(cell))
+                parsed.append(number(cell))
             except ValueError:
                 cname = col_ids[j] if col_ids else str(j)
                 rname = row_ids[i] if ids else str(i)

@@ -8,7 +8,7 @@ import pytest
 
 from mpclust.cli import _HP, _build_parser, _defaults, _digest, _spec_from_args, main
 from mpclust.consensus import consensus_of
-from mpclust.dataio import DataMatrix, load_matrix, write_matrix
+from mpclust.dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
 from mpclust.metrics import ari
 from mpclust.pipeline import HyperParams, run
 from mpclust.synthgen import SynthSpec
@@ -249,6 +249,24 @@ class TestCluster:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(delimiter) in err and "Traceback" not in err
+
+    def test_quote_delimiter_is_an_error(self, blob_csv, tmp_path, capsys):
+        argv = ["cluster", str(blob_csv), "--delimiter", '"', "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: delimiter '\"' is the quote character or a line break\n"
+
+    def test_log2_and_rescale_give_the_library_transforms_bits(self, blob_csv, tmp_path):
+        source = tmp_path / "nonnegative.csv"  # --log2 rejects negative values
+        write_matrix(rescale_unit(load_matrix(blob_csv)), source)
+        done = tmp_path / "transformed.csv"
+        write_matrix(rescale_unit(log2_plus_one(load_matrix(source))), done)
+        outputs = []
+        for name, argv in (("flags", [str(source), "--log2", "--rescale"]), ("done", [str(done)])):
+            out = tmp_path / name
+            assert main(["cluster", *argv, "--k", "2", "--seed", "3", "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("labels.csv", "consensus.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_spectral_final_algo(self, blob_csv, tmp_path):
         labels = []

@@ -71,8 +71,7 @@ class TestLoadMatrix:
         assert m.row_ids == ("#r1", "r2") and m.col_ids == ("#a", "b")
         assert np.array_equal(m.values, [[1, 2], [3, 4]])
 
-    def test_plain_file_needs_no_per_cell_pass(self, tmp_path, monkeypatch):
-        _never_per_cell(monkeypatch)
+    def test_plain_file_needs_no_per_cell_pass(self, tmp_path):
         p = _write(tmp_path, "id,a,b\r\nr1, 1.5 ,-0\r\n\r\nr2,5e-324,1e308\r\n")
         m = load_matrix(p)
         assert m.values.tobytes() == np.array([[1.5, -0.0], [5e-324, 1e308]]).tobytes()
@@ -85,6 +84,17 @@ class TestLoadMatrix:
             load_matrix(p, delimiter=delimiter)
         with pytest.raises(ValueError, match=message):
             write_matrix(load_matrix(p), tmp_path / "out.csv", delimiter=delimiter)
+
+    @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])
+    def test_quote_or_line_break_delimiter(self, tmp_path, delimiter):
+        p = _write(tmp_path, "id,a\nr1,1\nr2,2\n")
+        message = f"delimiter {delimiter!r} is the quote character or a line break"
+        with pytest.raises(ValueError) as err:
+            load_matrix(p, delimiter=delimiter)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            write_matrix(load_matrix(p), tmp_path / "out.csv", delimiter=delimiter)
+        assert str(err.value) == message
 
     def test_wrong_delimiter_names_itself(self, tmp_path):
         p = _write(tmp_path, "id\tf1\tf2\nr1\t1\t2\nr2\t3\t4\nr3\t5\t6\n")
@@ -126,13 +136,6 @@ class TestLoadMatrix:
         assert str(err.value) == f"{p}: non-finite value at row 1, column 1"
 
 
-def _never_per_cell(monkeypatch):
-    def per_cell(*args):
-        raise AssertionError("per-cell parser called")
-
-    monkeypatch.setattr(dataio, "_parse_per_cell", per_cell)
-
-
 class TestQuotedFilesLoadInBulk:
     @pytest.mark.parametrize("text, row_ids, col_ids", [
         ('id,a,b\n"r,1",1,2\n"r;2",3,4\n', ("r,1", "r;2"), ("a", "b")),
@@ -140,15 +143,13 @@ class TestQuotedFilesLoadInBulk:
         ('"","a","b"\n"r1",1,2\n"r2",3,4\n', ("r1", "r2"), ("a", "b")),
         ('id,a\r\n"r\r\n1",1\r\n"r2",2\r\n', ("r\r\n1", "r2"), ("a",)),
     ], ids=["delimiter-in-id", "doubled-quotes", "r-corner-cell", "crlf-in-id"])
-    def test_matches_per_cell(self, tmp_path, monkeypatch, text, row_ids, col_ids):
-        _never_per_cell(monkeypatch)
+    def test_matches_per_cell(self, tmp_path, text, row_ids, col_ids):
         p = tmp_path / "m.csv"
         p.write_bytes(text.encode("utf-8"))
         got = _same_as_per_cell(p)
         assert got[0] == "ok" and got[3:] == (row_ids, col_ids)
 
-    def test_r_write_csv_layout(self, tmp_path, monkeypatch):
-        _never_per_cell(monkeypatch)
+    def test_r_write_csv_layout(self, tmp_path):
         rng = np.random.default_rng(3)
         values = rng.standard_normal((6, 4))
         lines = [",".join(_quoted(c) for c in ["", "g 1", "g,2", 'g"3', "g4"])]
@@ -169,19 +170,42 @@ def _outcome(build):
     return "ok", m.values.shape, m.values.tobytes(), m.row_ids, m.col_ids
 
 
-def _per_cell_matrix(path, delimiter, header, ids):
+def _per_cell_matrix(path, delimiter, header, ids, number=float):
     """The reference load; DataMatrix's own errors gain the path, as load_matrix's do."""
-    parsed = per_cell_load_matrix(path, delimiter, header, ids)
+    parsed = per_cell_load_matrix(path, delimiter, header, ids, number)
     try:
         return DataMatrix(*parsed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _only_float_reads(text):
+    """Holds ``_`` or a non-ASCII digit, which ``float()`` reads and ``np.loadtxt`` does not."""
+    return "_" in text or any(c.isdecimal() and not c.isascii() for c in text)
+
+
+def _loadtxt_float(cell):
+    if _only_float_reads(cell):
+        raise ValueError(cell)
+    return float(cell)
+
+
 def _same_as_per_cell(path, delimiter=",", header=True, ids=True):
+    """load_matrix's outcome, checked against the per-cell reference.
+
+    A file the reference loads loads to the same bytes and ids, unless it
+    holds a cell only ``float()`` reads: that cell is then an error naming
+    its row and column. A file the reference rejects is rejected. In every
+    case the outcome, error text included, is the reference's with
+    ``float()`` narrowed to the cells ``np.loadtxt`` reads.
+    """
     got = _outcome(lambda: load_matrix(path, delimiter, header, ids))
     ref = _outcome(lambda: _per_cell_matrix(path, delimiter, header, ids))
-    assert got == ref
+    assert got == _outcome(lambda: _per_cell_matrix(path, delimiter, header, ids, _loadtxt_float))
+    if ref[0] == "ok" and not _only_float_reads(path.read_text(encoding="utf-8")):
+        assert got == ref
+    else:
+        assert got[0] == "error" and got[1].startswith(f"{path}: ")
     return got
 
 
@@ -243,22 +267,25 @@ class TestBulkParserMatchesPerCell:
         _same_as_per_cell(p, delimiter, header, ids)
 
     @pytest.mark.parametrize("text, expected", [
-        ("id,a,b\nr1,1_0,2\nr2,3,4\n", [[10, 2], [3, 4]]),
-        ("id,a,b\nr1,\uff11,2\nr2,3,4\n", [[1, 2], [3, 4]]),
+        ("id,a,b\nr1,1_0,2\nr2,3,4\n", "non-numeric cell '1_0' at row 'r1', column 'a'"),
+        ("id,a,b\nr1,\uff11,2\nr2,3,4\n", "non-numeric cell '\uff11' at row 'r1', column 'a'"),
         ("id,a\nr1,nan\nr2,1\n", "non-finite value at row 0, column 0"),
         ("id,a\nr1,1\nr2,-Infinity\n", "non-finite value at row 1, column 0"),
         ("id,a,b\nr1,1,2,\nr2,3,4,\n", "row 1 has 4 cells but the header has 3"),
         ("id,a\nr1,1\n  \nr2,2\n", "ragged row 2: expected 2 cells, got 1"),
         ("id,7\n7,\n", "non-numeric cell '' at row '7', column '7'"),
+        ('id,a\nr1,"x\nr2,2\n', "non-numeric cell 'x\\nr2,2\\n' at row 'r1', column 'a'"),
     ])
     def test_pinned_cases(self, tmp_path, text, expected):
         p = tmp_path / "m.csv"
         p.write_bytes(text.encode("utf-8"))
-        got = _same_as_per_cell(p)
-        if isinstance(expected, str):
-            assert got[0] == "error" and expected in got[1]
-        else:
-            assert got[0] == "ok" and got[2] == np.array(expected, dtype=float).tobytes()
+        assert _same_as_per_cell(p) == ("error", f"{p}: {expected}")
+
+    def test_pinned_case_without_ids_or_header(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(b"1,2,3\n\n4,5,x\n")
+        got = _same_as_per_cell(p, header=False, ids=False)
+        assert got == ("error", f"{p}: non-numeric cell 'x' at row '1', column '2'")
 
 
 class TestRoundTrip:
@@ -347,6 +374,31 @@ class TestLog2PlusOne:
         out = log2_plus_one(m).values.ravel()
         order = np.argsort(np.array(vals))
         assert np.all(np.diff(out[order]) > 0)
+
+
+class TestTransformKernels:
+    def _matrix(self):
+        rng = np.random.default_rng(1)
+        values = rng.random((6, 4)) * 10.0 ** rng.integers(-300, 300, (6, 4))
+        return DataMatrix(values, tuple("abcdef"), tuple("wxyz"))
+
+    def test_in_place_gives_the_formulas_bits(self):
+        m = self._matrix()
+        v = m.values.copy()
+        logged = dataio._log2_plus_one(m, out=m.values)
+        assert logged.values is m.values
+        assert logged.values.tobytes() == np.log2(1.0 + v).tobytes()
+        v = logged.values.copy()
+        unit = dataio._rescale_unit(logged, out=logged.values)
+        assert unit.values is m.values
+        assert unit.values.tobytes() == ((v - v.min()) / (v.max() - v.min())).tobytes()
+
+    def test_public_transforms_leave_their_argument(self):
+        m = self._matrix()
+        v = m.values.copy()
+        assert log2_plus_one(m).values.tobytes() == np.log2(1.0 + v).tobytes()
+        assert rescale_unit(m).values.tobytes() == ((v - v.min()) / (v.max() - v.min())).tobytes()
+        assert m.values.tobytes() == v.tobytes()
 
 
 class TestRescaleUnit:
