@@ -25,8 +25,8 @@ __all__ = [
 class DataMatrix:
     """N observations by M features with unique row/column identifiers.
 
-    Values are finite float64; missing cells are rejected at load time
-    rather than imputed.
+    Values are finite float64, in C or Fortran order; missing cells are
+    rejected at load time rather than imputed.
     """
 
     values: np.ndarray
@@ -64,9 +64,6 @@ class DataMatrix:
     def n_features(self) -> int:
         return self.values.shape[1]
 
-    def transposed(self) -> "DataMatrix":
-        return DataMatrix(self.values.T.copy(), self.col_ids, self.row_ids)
-
 
 def load_matrix(
     path: str | Path,
@@ -94,8 +91,8 @@ def load_matrix(
     ids : bool
         First column holds row identifiers.
     transpose : bool
-        Input is features-by-observations (the genomics convention)
-        and should be flipped after parsing.
+        Input is features-by-observations (the genomics convention): the
+        matrix holds the parsed table's transposed view, not a copy.
 
     Raises
     ------
@@ -117,10 +114,11 @@ def load_matrix(
             row_ids = [f"row{i}" for i in range(n)]
         if col_ids is None:
             col_ids = [f"col{j}" for j in range(m)]
-        matrix = DataMatrix(values, tuple(row_ids), tuple(col_ids))
+        if transpose:
+            values, row_ids, col_ids = values.T, col_ids, row_ids
+        return DataMatrix(values, tuple(row_ids), tuple(col_ids))
     except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{path}: {exc}") from None
-    return matrix.transposed() if transpose else matrix
 
 
 def _parse_bulk(path: Path, delimiter: str, header: bool,

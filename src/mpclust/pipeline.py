@@ -274,13 +274,16 @@ def run(
     n, m = data.n_obs, data.n_features
     n_count, m_count, t_max = hp.n_count(n), hp.m_count(m), hp.resolve_t_max(n)
 
-    obs_cfg = EEConfig(frac=hp.n_frac, epochs=hp.epochs_e, threshold="quantile", threshold_param=hp.theta)
-    feat_cfg = EEConfig(frac=hp.m_frac, epochs=hp.epochs_e, threshold="mean_plus_sd", threshold_param=hp.tau)
+    obs_cfg = EEConfig(draw=n_count, epochs=hp.epochs_e, threshold="quantile", threshold_param=hp.theta)
+    feat_cfg = EEConfig(draw=m_count, epochs=hp.epochs_e, threshold="mean_plus_sd", threshold_param=hp.tau)
     obs_state = SamplerState.uniform(n, "observations")
     feat_state = SamplerState.uniform(m, "features")
     state = ConsensusState.empty(n, max_count=t_max)
     scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
-    flat_values = data.values.ravel()  # a view unless data.values is not in C order
+    # a C- or Fortran-order table is read in place; any other layout is copied to C order once
+    values = data.values if data.values.flags.f_contiguous else np.ascontiguousarray(data.values)
+    flat_values = values.ravel(order="K")
+    obs_step, feat_step = (stride // values.itemsize for stride in values.strides)
     armed = [0.0]  # the rule's first reference value: no stop before STOP_PATIENCE armed iterations
     adaptive_obs = mode in ("mpacc", "impacc")
     adaptive_feat = mode == "impacc"
@@ -308,7 +311,7 @@ def run(
             obs_idx = draw_uniform(n, n_count, rng_obs)
 
         # one take of flat indices: the bytes of data.values[np.ix_(obs_idx, feat_idx)]
-        view = np.take(flat_values, obs_idx[:, None] * m + feat_idx)
+        view = np.take(flat_values, obs_idx[:, None] * obs_step + feat_idx * feat_step)
         labels = cut_quantile(ward_linkage(pairwise(view, hp.metric, out=scratch.dist)), hp.h)
         k_patch = int(labels.max()) + 1
         # ANOVA needs two clusters and within-group degrees of freedom;

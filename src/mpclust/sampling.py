@@ -1,12 +1,13 @@
 """Seeded subsampling: uniform draws, weighted draws, and the EE+Prob scheme.
 
 The exploration/exploitation-plus-probabilistic scheme runs in two
-stages.  During burn-in (E epochs), the index set is reshuffled once per
-epoch and partitioned into ceil(total/draw) blocks so every index is
-visited E times (an epoch's last block is padded by wrap-around, so the
-padded indices get one more visit).  Afterwards, a high-weight set is
-exploited with weighted draws (a growing fraction gamma of it) while the
-remainder of the minipatch explores the complement uniformly.
+stages.  Burn-in is E epochs of ceil(total/draw) iterations: each epoch
+reshuffles the index set once and cuts it into that many blocks of
+``draw``, so every index is visited E times (the last block wraps to the
+epoch's start, whose indices get one more visit).  Afterwards, a
+high-weight set is exploited with weighted draws (a growing fraction gamma
+of it) while the remainder of the minipatch explores the complement
+uniformly.
 """
 
 from __future__ import annotations
@@ -72,12 +73,13 @@ def draw_weighted(weights: np.ndarray, count_draw: int, rng: np.random.Generator
 
 @dataclass
 class SamplerState:
-    """Weights and bookkeeping for one sampling axis."""
+    """Weights and bookkeeping for one sampling axis.  In burn-in, ``epoch_order`` is the
+    epoch's permutation wrapped to ceil(total/draw) * draw: its last block wraps to its start."""
 
     weights: np.ndarray
     sample_counts: np.ndarray | None = None  # features only; observations: ConsensusState.diag
     support_hits: np.ndarray | None = None  # features axis only
-    epoch_blocks: list[np.ndarray] | None = None
+    epoch_order: np.ndarray | None = None
     last_high_size: int = 0
 
     @classmethod
@@ -104,26 +106,24 @@ class SamplerState:
 
 @dataclass(frozen=True)
 class EEConfig:
-    """Knobs of the EE+Prob scheme for one axis."""
+    """Knobs of the EE+Prob scheme for one axis, whose patch size is ``draw``.  Burn-in is
+    ``epochs`` epochs of ceil(total/draw) iterations, each last block wrapping to its start."""
 
-    frac: float
+    draw: int
     epochs: int
     threshold: str  # "quantile" or "mean_plus_sd"
     threshold_param: float  # theta for quantile, tau for mean_plus_sd
 
     def __post_init__(self) -> None:
-        if not 0 < self.frac <= 1:
-            raise ValueError("frac must be in (0, 1]")
+        if self.draw < 1:
+            raise ValueError("draw must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.threshold not in ("quantile", "mean_plus_sd"):
             raise ValueError(f"unknown threshold rule {self.threshold!r}")
 
-    def draw_count(self, total: int) -> int:
-        return max(1, math.ceil(self.frac * total))
-
     def q_blocks(self, total: int) -> int:
-        return math.ceil(total / self.draw_count(total))
+        return math.ceil(total / self.draw)
 
     def burn_in(self, total: int) -> int:
         return self.epochs * self.q_blocks(total)
@@ -257,21 +257,19 @@ def _high_set(weights: np.ndarray, config: EEConfig) -> np.ndarray:
 def ee_prob_next(
     config: EEConfig, state: SamplerState, t: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Next minipatch index set for iteration t (1-based) on one axis."""
-    total = state.weights.size
-    draw = config.draw_count(total)
-    q = config.q_blocks(total)
+    """Next minipatch index set for iteration t (1-based) on one axis.  Burn-in, epochs *
+    ceil(total/draw) iterations, cuts each epoch's permutation into blocks wrapped to its start."""
+    total, draw = state.weights.size, config.draw
+    if draw > total:
+        raise ValueError(f"cannot draw {draw} of {total}")
 
-    if t <= config.epochs * q:
+    if t <= config.burn_in(total):
+        q = config.q_blocks(total)
         pos = (t - 1) % q
-        if pos == 0 or state.epoch_blocks is None:
-            perm = rng.permutation(total)
-            blocks = [perm[i * draw : (i + 1) * draw] for i in range(q)]
-            if blocks[-1].size < draw:  # pad by wrap-around for full coverage
-                blocks[-1] = np.concatenate([blocks[-1], perm[: draw - blocks[-1].size]])
-            state.epoch_blocks = blocks
+        if pos == 0 or state.epoch_order is None:
+            state.epoch_order = np.resize(rng.permutation(total), q * draw)
         state.last_high_size = 0
-        return np.sort(state.epoch_blocks[pos])
+        return np.sort(state.epoch_order[pos * draw : (pos + 1) * draw])
 
     high = _high_set(state.weights, config)
     state.last_high_size = int(high.size)

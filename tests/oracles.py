@@ -309,6 +309,24 @@ def array_fisher_yates(count_total: int, count_draw: int, rng: np.random.Generat
     return np.sort(pool[:count_draw])
 
 
+def block_list_burn_in(total: int, draw: int, epochs: int, rng: np.random.Generator) -> list:
+    """The EE+Prob burn-in patches, sorted, as a list of blocks per epoch.
+
+    Each epoch takes one ``rng.permutation(total)`` and cuts it into
+    ceil(total/draw) blocks of ``draw``; a short last block is padded with
+    the permutation's first indices.
+    """
+    patches = []
+    q = math.ceil(total / draw)
+    for _ in range(epochs):
+        perm = rng.permutation(total)
+        blocks = [perm[i * draw:(i + 1) * draw] for i in range(q)]
+        if blocks[-1].size < draw:
+            blocks[-1] = np.concatenate([blocks[-1], perm[:draw - blocks[-1].size]])
+        patches.extend(np.sort(block) for block in blocks)
+    return patches
+
+
 def dense_update(pair_seen, pair_same, diag, rows, n: int, sampled, labels) -> None:
     """Fold one minipatch into the counters in place, every sampled pair through the float work.
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,25 @@ class TestLoadMatrix:
         m = load_matrix(p, transpose=True)
         assert m.n_obs == 2 and m.n_features == 3
         assert m.row_ids == ("a", "b")
+        assert m.col_ids == ("r1", "r2", "r3")
+        assert np.array_equal(m.values, [[1, 3, 5], [2, 4, 6]])
+
+    def test_transpose_keeps_one_table(self, tmp_path):
+        # the matrix is the parsed table's transposed view: the load peaks
+        # at one table plus the parser's slack, not at the table and a copy
+        rng = np.random.default_rng(0)
+        n, m = 200, 300
+        x = rng.random((n, m))
+        p = tmp_path / "m.csv"
+        write_matrix(DataMatrix(x, [f"r{i}" for i in range(n)], [f"c{j}" for j in range(m)]), p)
+        tracemalloc.start()
+        try:
+            loaded = load_matrix(p, transpose=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * (m + 1) * x.itemsize  # the parsed table holds the id column too
+        assert loaded.values.flags.f_contiguous and np.array_equal(loaded.values, x.T)
 
     def test_non_numeric_cell_named(self, tmp_path):
         p = _write(tmp_path, "id,a,b\nr1,1,2\nr2,abc,4\n")

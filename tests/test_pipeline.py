@@ -265,7 +265,7 @@ class TestRun:
         assert len(res.trace) == 40
 
         n = data.n_obs
-        burn = EEConfig(frac=hp.n_frac, epochs=hp.epochs_e, threshold="quantile",
+        burn = EEConfig(draw=hp.n_count(n), epochs=hp.epochs_e, threshold="quantile",
                         threshold_param=hp.theta).burn_in(n)
         state = ConsensusState.empty(n)
         obs = SamplerState.uniform(n, "observations")
@@ -276,6 +276,48 @@ class TestRun:
             assert rec.iteration == t
             assert np.abs(rec.obs_weights - obs.weights).max() <= 1e-12
         assert np.ptp(obs.weights) > 0  # the weights did move off uniform
+
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_every_patch_has_n_count_observations(self, mode):
+        # n_frac 0.23 of N=60: patches of 14 in 5 blocks per epoch, the
+        # last of which wraps to its epoch's start; t_max runs well past burn-in
+        data, _ = _blobs()
+        hp = HyperParams(k_final=2, seed=2, n_frac=0.23, t_max=40, early_stop=False)
+        res = run(data, mode, hp, collect_arrays=True)
+        assert len(res.trace) == 40
+        for rec in res.trace:
+            assert rec.obs_idx.size == np.unique(rec.obs_idx).size == hp.n_count(data.n_obs)
+
+    def test_fortran_order_values_read_in_place(self):
+        # a Fortran-order table is gathered in place, without a C-order copy,
+        # and gives the C-order table's labels, counters and trace
+        rng = np.random.default_rng(3)
+        x = rng.random((40, 3000))
+        ids = tuple(f"r{i}" for i in range(40)), tuple(f"c{j}" for j in range(3000))
+        hp = HyperParams(k_final=2, seed=4, t_max=10, early_stop=False)
+
+        def traced(values):
+            data = DataMatrix(values, *ids)
+            tracemalloc.start()
+            try:
+                res = run(data, "impacc", hp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            trace = [replace(rec, seconds=0.0) for rec in res.trace]
+            counters = [res.consensus.pair_seen, res.consensus.pair_same, res.consensus.diag]
+            return peak, res.labels, counters, res.feature_scores, trace
+
+        c_peak, *c_out = traced(x)
+        f_peak, *f_out = traced(np.asfortranarray(x))
+        _, *strided_out = traced(np.hstack([x, x])[:, :3000])  # neither order: copied to C
+        assert f_peak <= c_peak + x.nbytes // 20
+        labels, counters, scores, trace = c_out
+        for out in (f_out, strided_out):
+            assert np.array_equal(out[0], labels)
+            assert all(np.array_equal(a, b) for a, b in zip(out[1], counters))
+            assert np.array_equal(out[2], scores)
+            assert out[3] == trace
 
 
 class TestFinalize:

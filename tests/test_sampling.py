@@ -13,7 +13,13 @@ from mpclust.sampling import (
     update_obs_weights,
 )
 
-from oracles import add_at_score_features, array_fisher_yates, confusion, f_sf_by_quadrature
+from oracles import (
+    add_at_score_features,
+    array_fisher_yates,
+    block_list_burn_in,
+    confusion,
+    f_sf_by_quadrature,
+)
 
 
 class TestDrawUniform:
@@ -211,7 +217,7 @@ class TestUpdateFeatureWeights:
 
 class TestEEProbNext:
     def test_burn_in_full_coverage(self):
-        cfg = EEConfig(frac=0.3, epochs=2, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=3, epochs=2, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(10, "observations")
         counts = np.zeros(10, dtype=int)
         q = cfg.q_blocks(10)
@@ -221,7 +227,7 @@ class TestEEProbNext:
         assert counts.min() >= cfg.epochs  # wrap-around padding can only add
 
     def test_burn_in_epoch_partition(self):
-        cfg = EEConfig(frac=0.25, epochs=1, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=2, epochs=1, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(8, "observations")
         seen = []
         for t in range(1, cfg.q_blocks(8) + 1):
@@ -229,15 +235,15 @@ class TestEEProbNext:
         assert sorted(seen) == list(range(8))
 
     def test_adaptive_uniform_when_no_high_set(self):
-        cfg = EEConfig(frac=0.5, epochs=1, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=3, epochs=1, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(6, "observations")
         t = cfg.burn_in(6) + 1
         idx = ee_prob_next(cfg, state, t, np.random.default_rng(0))
-        assert idx.size == cfg.draw_count(6)
+        assert idx.size == cfg.draw
         assert state.last_high_size == 0  # equal weights: nothing above quantile
 
     def test_full_exploitation_from_high_set(self):
-        cfg = EEConfig(frac=0.5, epochs=1, threshold="mean_plus_sd", threshold_param=0.0)
+        cfg = EEConfig(draw=4, epochs=1, threshold="mean_plus_sd", threshold_param=0.0)
         state = SamplerState.uniform(8, "features")
         state.weights = np.array([0.3, 0.3, 0.3, 0.02, 0.02, 0.02, 0.02, 0.02])
         t = 2 * cfg.burn_in(8) + 1
@@ -249,7 +255,7 @@ class TestEEProbNext:
     def test_gamma_one_large_high_set_exploits_only(self):
         # theta=0.5 puts the median cut between the two weight levels, so
         # the high set is the six heavy indices, more than the draw of 3
-        cfg = EEConfig(frac=0.25, epochs=1, threshold="quantile", threshold_param=0.5)
+        cfg = EEConfig(draw=3, epochs=1, threshold="quantile", threshold_param=0.5)
         state = SamplerState.uniform(12, "observations")
         weights = np.full(12, 0.01)
         weights[:6] = (1 - 0.06) / 6
@@ -261,17 +267,17 @@ class TestEEProbNext:
         assert set(idx.tolist()) <= set(range(6))
 
     def test_draw_size_always_exact(self):
-        cfg = EEConfig(frac=0.4, epochs=1, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=5, epochs=1, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(11, "observations")
         rng = np.random.default_rng(5)
         state.weights = rng.dirichlet(np.ones(11))
         for t in range(1, 40):
             idx = ee_prob_next(cfg, state, t, rng)
-            assert idx.size == cfg.draw_count(11)
+            assert idx.size == cfg.draw
             assert len(set(idx.tolist())) == idx.size
 
     def test_burn_in_min_counts_by_epoch_end(self):
-        cfg = EEConfig(frac=0.23, epochs=3, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=3, epochs=3, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(13, "observations")
         counts = np.zeros(13, dtype=int)
         for t in range(1, cfg.burn_in(13) + 1):
@@ -280,7 +286,7 @@ class TestEEProbNext:
         assert counts.min() >= cfg.epochs - 1
 
     def test_gamma_schedule_monotone(self):
-        cfg = EEConfig(frac=0.25, epochs=2, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=25, epochs=2, threshold="quantile", threshold_param=0.95)
         lo = cfg.burn_in(100) + 1
         gammas = [cfg.gamma_at(t, 100) for t in range(lo, lo + 3 * cfg.burn_in(100))]
         assert gammas[0] == pytest.approx(0.5)
@@ -288,7 +294,7 @@ class TestEEProbNext:
         assert gammas[-1] == 1.0
 
     def test_sample_counts_match_recount_from_log(self):
-        cfg = EEConfig(frac=0.3, epochs=2, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=5, epochs=2, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(15, "features")
         rng = np.random.default_rng(8)
         state.weights = rng.dirichlet(np.ones(15))
@@ -363,36 +369,38 @@ class TestDrawProperties:
     @settings(max_examples=150, deadline=None)
     @given(
         w=_weights(),
-        frac=st.floats(0.01, 1.0),
+        data=st.data(),
         epochs=st.integers(1, 3),
         rule=st.sampled_from([("quantile", 0.95), ("quantile", 0.5), ("mean_plus_sd", 1.0),
                               ("mean_plus_sd", 0.0)]),
         t_offset=st.integers(0, 200),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_ee_prob_exact_distinct_in_range(self, w, frac, epochs, rule, t_offset, seed):
-        cfg = EEConfig(frac=frac, epochs=epochs, threshold=rule[0], threshold_param=rule[1])
+    def test_ee_prob_exact_distinct_in_range(self, w, data, epochs, rule, t_offset, seed):
+        draw = data.draw(st.integers(1, w.size))
+        cfg = EEConfig(draw=draw, epochs=epochs, threshold=rule[0], threshold_param=rule[1])
         state = SamplerState.uniform(w.size, "observations")
         state.weights = w / w.sum()
         rng = np.random.default_rng(seed)
         # one draw anywhere in burn-in, then one past it, where the weights decide
         for t in (1 + t_offset % cfg.burn_in(w.size), cfg.burn_in(w.size) + 1 + t_offset):
             idx = ee_prob_next(cfg, state, t, rng)
-            _assert_distinct_in_range(idx, w.size, cfg.draw_count(w.size))
+            _assert_distinct_in_range(idx, w.size, draw)
 
     @settings(max_examples=100, deadline=None)
     @given(
         total=st.integers(1, 60),
-        frac=st.floats(0.01, 1.0),
+        data=st.data(),
         epochs=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_burn_in_visits_every_index_epochs_times(self, total, frac, epochs, seed):
-        """Each epoch covers every index once; the padding of its last block
-        (q * draw - total wrapped-around indices) adds one more visit each."""
-        cfg = EEConfig(frac=frac, epochs=epochs, threshold="quantile", threshold_param=0.95)
+    def test_burn_in_visits_every_index_epochs_times(self, total, data, epochs, seed):
+        """Each epoch covers every index once; its last block's wrap to the
+        epoch's start (q * draw - total indices) adds one more visit each."""
+        draw = data.draw(st.integers(1, total))
+        cfg = EEConfig(draw=draw, epochs=epochs, threshold="quantile", threshold_param=0.95)
         state = SamplerState.uniform(total, "observations")
-        q, draw = cfg.q_blocks(total), cfg.draw_count(total)
+        q = cfg.q_blocks(total)
         rng = np.random.default_rng(seed)
         counts = np.zeros(total, dtype=int)
         for epoch in range(epochs):
@@ -405,6 +413,32 @@ class TestDrawProperties:
             counts += visits
         if total % draw == 0:
             assert (counts == epochs).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        total=st.integers(1, 80),
+        data=st.data(),
+        epochs=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_burn_in_matches_block_list_oracle(self, total, data, epochs, seed):
+        """The wrapped permutation gives the padded block list's patches, bit for bit."""
+        draw = data.draw(st.integers(1, total))
+        cfg = EEConfig(draw=draw, epochs=epochs, threshold="quantile", threshold_param=0.95)
+        state = SamplerState.uniform(total, "observations")
+        expected = block_list_burn_in(total, draw, epochs, np.random.default_rng(seed))
+        assert len(expected) == cfg.burn_in(total)
+        rng = np.random.default_rng(seed)
+        for t, want in enumerate(expected, start=1):
+            got = ee_prob_next(cfg, state, t, rng)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_draw_validated(self):
+        with pytest.raises(ValueError, match="draw must be >= 1"):
+            EEConfig(draw=0, epochs=1, threshold="quantile", threshold_param=0.95)
+        cfg = EEConfig(draw=5, epochs=1, threshold="quantile", threshold_param=0.95)
+        with pytest.raises(ValueError, match="cannot draw 5 of 4"):
+            ee_prob_next(cfg, SamplerState.uniform(4, "observations"), 1, np.random.default_rng(0))
 
 
 @st.composite
