@@ -42,9 +42,8 @@ class _Hyper(NamedTuple):
     choices: tuple[str, ...] | None = None
 
 
-# The flag --NAME, variable MPCLUST_NAME and config key NAME of each hyperparameter,
-# in --help order.  The defaults are HyperParams()'s (``k`` is its ``k_final``), and
-# mpcc for ``mode``, which is run()'s first argument.
+# The flag --NAME, variable MPCLUST_NAME and config key NAME of each HyperParams
+# field but early_stop, in --help order; the defaults are HyperParams()'s.
 _HP: dict[str, _Hyper] = {
     "m_frac": _Hyper(float, "minipatch feature fraction"),
     "n_frac": _Hyper(float, "minipatch observation fraction"),
@@ -65,8 +64,8 @@ _HP: dict[str, _Hyper] = {
 
 
 def _field_values(source: object) -> dict[str, object]:
-    """The HyperParams fields under their own names (all but ``k`` and ``mode``)."""
-    return {name: getattr(source, name) for name in _HP if name not in ("k", "mode")}
+    """``source``'s value of each hyperparameter."""
+    return {name: getattr(source, name) for name in _HP}
 
 
 def _parse(hp: _Hyper, raw: str) -> object:
@@ -117,8 +116,7 @@ def _defaults(argv: list[str] | None) -> dict[str, object]:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    hp = HyperParams()
-    merged = {**_field_values(hp), "k": hp.k_final, "mode": "mpcc"}
+    merged = _field_values(HyperParams())
     if known.config:
         merged.update(_load_config_file(known.config))
     merged.update(_env_overrides())
@@ -195,8 +193,8 @@ def _read_by_id(path: Path, column: int) -> dict[str, str]:
     return values
 
 
-def _aligned(a: Path, b: Path, column: int) -> tuple[list[str], list[str]]:
-    """Both files' values at the ids of ``a``, in its row order.
+def _aligned(a: Path, b: Path, column: int) -> tuple[list[str], list[str], list[str]]:
+    """The ids of ``a`` in its row order, and both files' values at them.
 
     ValueError names the first id found in one file only (``a``'s first).
     """
@@ -205,11 +203,15 @@ def _aligned(a: Path, b: Path, column: int) -> tuple[list[str], list[str]]:
         missing = next((i for i in ids if i not in other), None)
         if missing is not None:
             raise ValueError(f"id {missing!r} is in {here} but not in {there}")
-    return list(by_a.values()), [by_b[i] for i in by_a]
+    return list(by_a), list(by_a.values()), [by_b[i] for i in by_a]
 
 
-def _hp_from_args(args: argparse.Namespace) -> HyperParams:
-    return HyperParams(k_final=args.k, **_field_values(args))
+def _numbers(path: Path, ids: list[str], values: list[str]) -> np.ndarray:
+    """``values`` as floats; ValueError names ``path`` and the id of one that is not a number."""
+    for i, v in zip(ids, values):
+        if not _is_number(v):
+            raise ValueError(f"{path}: non-numeric value {v!r} for id {i!r}")
+    return np.array([float(v) for v in values])
 
 
 def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str,
@@ -307,9 +309,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     data = _load_input(args)
     timings["load"] = time.perf_counter() - t0
 
-    hp = _hp_from_args(args)
+    hp = HyperParams(**_field_values(args))
     t0 = time.perf_counter()
-    result = run(data, args.mode, hp, collect_arrays=args.weight_trace)
+    result = run(data, hp, collect_arrays=args.weight_trace)
     timings["run"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -390,14 +392,14 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
             seed = args.seed + rep
             spec = _spec_from_args(args, snr=snr, seed=seed)
             data = generate(spec)
-            hp = HyperParams(k_final=len(spec.sizes()), seed=seed)
+            hp = HyperParams(k=len(spec.sizes()), seed=seed)
             for method in args.methods:
                 t0 = time.perf_counter()
                 f1_text = ""
                 if method == "hclust":
-                    labels = cut_k(ward_linkage(pairwise(data.matrix.values, hp.metric)), hp.k_final)
+                    labels = cut_k(ward_linkage(pairwise(data.matrix.values, hp.metric)), hp.k)
                 else:
-                    result = run(data.matrix, method, hp)
+                    result = run(data.matrix, dataclasses.replace(hp, mode=method))
                     labels = result.labels
                     if result.feature_scores is not None:
                         mask = select_by_score(result.feature_scores)
@@ -420,8 +422,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     data = _load_input(args)
     grid = [(mf, nf) for mf in args.m_grid for nf in args.n_grid]
-    hp = _hp_from_args(args)
-    result = tune_minipatch_size(data, args.mode, grid, hp)
+    result = tune_minipatch_size(data, grid, HyperParams(**_field_values(args)))
 
     _write_rows(
         Path(args.out),
@@ -437,13 +438,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    a, b = Path(args.a), Path(args.b)
     if args.what == "ari":
-        a, b = _aligned(Path(args.a), Path(args.b), 1)
-        print(f"{ari(np.array(a), np.array(b)):.17g}")
+        _, labels_a, labels_b = _aligned(a, b, 1)
+        print(f"{ari(np.array(labels_a), np.array(labels_b)):.17g}")
     else:
-        scores, truth = _aligned(Path(args.a), Path(args.b), -1)
-        mask = select_by_score(np.array([float(v) for v in scores]), top_k=args.top_k)
-        print(f"{f1_features(mask, np.array([float(v) for v in truth]).astype(bool)):.17g}")
+        ids, scores, truth = _aligned(a, b, -1)
+        mask = select_by_score(_numbers(a, ids, scores), top_k=args.top_k)
+        print(f"{f1_features(mask, _numbers(b, ids, truth).astype(bool)):.17g}")
     return 0
 
 

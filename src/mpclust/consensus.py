@@ -296,9 +296,10 @@ def _consensus_cells(state: ConsensusState) -> tuple[np.ndarray, np.ndarray]:
     ``consensus_of``. Bound: while W² ≤ ``_TABLE_CODES`` (65,536; any run
     of at most 255 minipatches) the codes are uint16 and index the table.
     Past it (W² is 25M at the 5,000-minipatch cap) the table holds only the
-    uint64 codes that occur, and a pair's index is its code's position
-    there (``np.searchsorted``), in the narrowest unsigned dtype. A
-    diagonal cell indexes 1/1 if its observation was sampled, else 0."""
+    uint64 codes that occur (``np.unique``), and a pair's index is its
+    code's position there (``np.searchsorted``), in the narrowest unsigned
+    dtype. A diagonal cell indexes 1/1 if its observation was sampled,
+    else 0."""
     w = int(state.pair_seen.max(initial=1)) + 1
     table = w * w <= _TABLE_CODES
     cond = np.multiply(state.pair_seen, w, dtype=np.uint16 if table else np.uint64)
@@ -306,9 +307,8 @@ def _consensus_cells(state: ConsensusState) -> tuple[np.ndarray, np.ndarray]:
     if table:
         codes = np.arange(w * w)
     else:
-        codes = np.array([0, w + 1], dtype=np.uint64)  # the diagonal's
-        for start in range(0, cond.size, _BLOCK_CELLS):
-            codes = np.union1d(codes, cond[start:start + _BLOCK_CELLS])
+        diagonal = np.array([0, w + 1], dtype=np.uint64)
+        codes = np.union1d(np.unique(cond), diagonal)
         cond = np.searchsorted(codes, cond)  # the uint64 codes go; the peak is 16 bytes per pair
         cond = cond.astype(np.min_scalar_type(codes.size - 1))
     cells = squareform(cond)

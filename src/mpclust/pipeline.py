@@ -76,7 +76,7 @@ def _stream(seed: int, phase: int, t: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Run configuration; defaults are the recommended universal values."""
+    """Run configuration: one value fixes a run; defaults are the recommended universal values."""
 
     m_frac: float = 0.1
     n_frac: float = 0.25
@@ -88,13 +88,16 @@ class HyperParams:
     theta: float = 0.95
     epochs_e: int = 2
     t_max: int | None = None  # None: 20 * epochs * ceil(N/n) capped at 5000
-    k_final: int | None = None  # None: quantile cut on the consensus tree
+    k: int | None = None  # final cluster count; None: quantile cut on the consensus tree
     final_algo: str = "hierarchical"
     seed: int = 0
     metric: str = "manhattan"
-    early_stop: bool = True  # the rule is consensus.stop_gap's, with its STOP_* constants
+    mode: str = "mpcc"  # uniform sampling; "mpacc" and "impacc" adapt it
+    early_stop: bool = True  # False runs to t_max; the rule is consensus.stop_gap's
 
     def validate(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name, lo, hi in (
             ("m_frac", 0.0, 1.0),
             ("n_frac", 0.0, 1.0),
@@ -113,8 +116,8 @@ class HyperParams:
             raise ValueError("epochs_e must be >= 1")
         if self.t_max is not None and self.t_max < 1:
             raise ValueError("t_max must be >= 1 (no iterations possible)")
-        if self.k_final is not None and self.k_final < 1:
-            raise ValueError("k_final must be >= 1")
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
         if self.final_algo not in FINAL_ALGOS:
             raise ValueError(f"final_algo must be one of {FINAL_ALGOS}")
         if self.metric not in METRICS:
@@ -211,29 +214,27 @@ def _peak_bytes(n: int, hp: HyperParams) -> int:
     once ``eigh`` returns; the N x k embedding and the k-means
     temporaries then take about three N x k and three k x k float64
     arrays (measured with tracemalloc), more than 12 N^2 from k = 0.37 N.
-    Without ``k_final``, k is at most the quantile cut's N - ⌊h(N-2)⌋ - 1.
+    Without ``hp.k``, k is at most the quantile cut's N - ⌊h(N-2)⌋ - 1.
     """
     npair = n * (n - 1) // 2
     dtype = np.dtype(ConsensusState.counter_dtype(hp.resolve_t_max(n)))
     if hp.final_algo == "spectral":
-        k = hp.k_final if hp.k_final is not None else n - math.floor(hp.h * (n - 2)) - 1
+        k = hp.k if hp.k is not None else n - math.floor(hp.h * (n - 2)) - 1
         final = max(12 * n * n, 24 * (n * k + k * k))
     else:
         final = 16 * npair
     return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(hp.n_count(n), dtype), final)
 
 
-def _check_run(data: DataMatrix, mode: str, hp: HyperParams) -> None:
+def _check_run(data: DataMatrix, hp: HyperParams) -> None:
     """ValueError, before any minipatch, for a run that could not finish."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     hp.validate()  # its fractions in (0, 1] keep every patch within the data
     n, n_count = data.n_obs, hp.n_count(data.n_obs)
     if n_count < 3:
         raise ValueError(f"n_frac {hp.n_frac} gives minipatches of {n_count} observation(s) "
                          f"for N={n}, infeasible: need at least 3")
-    if hp.k_final is not None and hp.k_final > n:
-        raise ValueError(f"k_final {hp.k_final} exceeds the N={n} observations")
+    if hp.k is not None and hp.k > n:
+        raise ValueError(f"k {hp.k} exceeds the N={n} observations")
     peak, available = _peak_bytes(n, hp), _available_bytes()
     if available is not None and peak > available:
         raise ValueError(
@@ -242,12 +243,7 @@ def _check_run(data: DataMatrix, mode: str, hp: HyperParams) -> None:
         )
 
 
-def run(
-    data: DataMatrix,
-    mode: str,
-    hp: HyperParams,
-    collect_arrays: bool = False,
-) -> RunResult:
+def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunResult:
     """Execute the consensus loop and final clustering.
 
     Each iteration draws a minipatch, clusters it, scores its features
@@ -266,11 +262,12 @@ def run(
     Ward the condensed 1 - S built from them, the spectral finaliser the
     dense S it builds itself. ``consensus_of(result.consensus)`` builds S.
 
-    Raises ValueError before the first iteration for an unknown mode, a
-    setting ``validate`` rejects, patches of fewer than 3 observations,
-    k_final > N, or an estimated peak above the memory available.
+    Raises ValueError before the first iteration for a setting
+    ``validate`` rejects (an unknown mode among them), patches of fewer
+    than 3 observations, k > N, or an estimated peak above the memory
+    available.
     """
-    _check_run(data, mode, hp)
+    _check_run(data, hp)
     n, m = data.n_obs, data.n_features
     n_count, m_count, t_max = hp.n_count(n), hp.m_count(m), hp.resolve_t_max(n)
 
@@ -285,8 +282,8 @@ def run(
     flat_values = values.ravel(order="K")
     obs_step, feat_step = (stride // values.itemsize for stride in values.strides)
     armed = [0.0]  # the rule's first reference value: no stop before STOP_PATIENCE armed iterations
-    adaptive_obs = mode in ("mpacc", "impacc")
-    adaptive_feat = mode == "impacc"
+    adaptive_obs = hp.mode in ("mpacc", "impacc")
+    adaptive_feat = hp.mode == "impacc"
     obs_burn = obs_cfg.burn_in(n)
 
     trace: list[IterationRecord] = []
@@ -365,10 +362,10 @@ def run(
 
 def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:
     """Final labels from the counters; no tree at a given k."""
-    if hp.k_final is not None:
+    if hp.k is not None:
         if hp.final_algo == "spectral":
-            return finalize_spectral(state, hp.k_final, seed=hp.seed)
-        return finalize_hierarchical(state, hp.k_final)
+            return finalize_spectral(state, hp.k, seed=hp.seed)
+        return finalize_hierarchical(state, hp.k)
     labels = cut_quantile(ward_linkage(dissimilarity_of(state)), hp.h)  # frees 1 - S before S
     if hp.final_algo == "spectral":
         return finalize_spectral(state, int(labels.max()) + 1, seed=hp.seed)
@@ -491,7 +488,6 @@ class TuneResult:
 
 def tune_minipatch_size(
     data: DataMatrix,
-    mode: str,
     grid: list[tuple[float, float]],
     hp: HyperParams | None = None,
 ) -> TuneResult:
@@ -507,10 +503,10 @@ def tune_minipatch_size(
     hp = hp or HyperParams()
     ordered = sorted(grid, key=lambda mn: (mn[0] * mn[1] ** 2, mn))
     for m_frac, n_frac in ordered:  # every cell, before the first run
-        _check_run(data, mode, replace(hp, m_frac=m_frac, n_frac=n_frac))
+        _check_run(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
     cells: list[tuple[float, float, float, int]] = []
     for m_frac, n_frac in ordered:
-        result = run(data, mode, replace(hp, m_frac=m_frac, n_frac=n_frac))
+        result = run(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
         max_conf = float(result.consensus.confusion_rows.max() / data.n_obs)
         cells.append((m_frac, n_frac, max_conf, result.iterations_run))
         if max_conf < 0.01:

@@ -83,8 +83,8 @@ def test_c02_ari_matches_pair_counting():
 
 def test_c03_consensus_matches_logged_recomputation():
     data, _ = _blobs(25, 10, 6.0, seed=42)  # 50 observations
-    hp = HyperParams(k_final=2, seed=5, t_max=60, early_stop=False)
-    res = run(data, "mpcc", hp, collect_arrays=True)
+    hp = HyperParams(k=2, seed=5, t_max=60, early_stop=False)
+    res = run(data, hp, collect_arrays=True)
 
     from oracles import brute_consensus
 
@@ -142,7 +142,7 @@ def test_c05_desk_scale_sparse_study():
                 cluster_sizes=(8, 32, 48, 112), rho=0.5, seed=seed,
             )
             sd = generate(spec)
-            res = run(sd.matrix, "impacc", HyperParams(k_final=4, seed=seed))
+            res = run(sd.matrix, HyperParams(mode="impacc", k=4, seed=seed))
             impacc_ari.append(ari(res.labels, sd.labels))
             impacc_f1.append(
                 f1_features(select_by_score(res.feature_scores), sd.signal_mask)
@@ -170,10 +170,10 @@ def test_c05_desk_scale_sparse_study():
 def test_c06_no_sparse_matches_full_consensus_baseline():
     spec = SynthSpec(snr=10, n_obs=200, n_features=100, regime="no_sparse", seed=42)
     sd = generate(spec)
-    hp = HyperParams(k_final=4, seed=42)
+    hp = HyperParams(k=4, seed=42)
 
     t0 = time.perf_counter()
-    res = run(sd.matrix, "mpcc", hp)
+    res = run(sd.matrix, hp)
     mpcc_time = time.perf_counter() - t0
     mpcc_ari = ari(res.labels, sd.labels)
 
@@ -206,8 +206,8 @@ def test_c06_no_sparse_matches_full_consensus_baseline():
 
 def test_c07_early_stopping_contract():
     data, _ = _blobs(40, 30, 9.0, seed=1)
-    hp = HyperParams(k_final=2, seed=3)
-    res = run(data, "mpcc", hp)
+    hp = HyperParams(k=2, seed=3)
+    res = run(data, hp)
     t_max = hp.resolve_t_max(data.n_obs)
     stopped_early = res.stop_reason == "early_stop" and res.iterations_run < t_max
     tail = [r.confusion_pct for r in res.trace[-6:]]
@@ -227,10 +227,10 @@ def test_c08_per_iteration_scaling():
     def per_iteration_seconds(n_frac, seed):
         hp = HyperParams(
             m_frac=0.05, n_frac=n_frac, seed=seed, early_stop=False,
-            t_max=200, k_final=4,
+            t_max=200, k=4,
         )
         t0 = time.perf_counter()
-        res = run(sd.matrix, "mpcc", hp)
+        res = run(sd.matrix, hp)
         return (time.perf_counter() - t0) / res.iterations_run
 
     per_iteration_seconds(0.0625, seed=1)  # warm-up
@@ -279,7 +279,7 @@ def test_c09_determinism(tmp_path):
 def test_c10_tuner_picks_cheapest_adequate_cell():
     data, _ = _blobs(40, 40, 10.0, seed=4)
     grid = [(0.1, 0.4), (0.05, 0.25), (0.1, 0.25)]
-    result = tune_minipatch_size(data, "mpcc", grid, HyperParams(seed=6))
+    result = tune_minipatch_size(data, grid, HyperParams(seed=6))
     cheapest = min(grid, key=lambda mn: mn[0] * mn[1] ** 2)
     ok = (
         (result.m_frac, result.n_frac) == cheapest

@@ -56,12 +56,10 @@ class TestCluster:
         hp = HyperParams()
         off_cli = {"early_stop"}
         for field in dataclasses.fields(hp):
-            key = "k" if field.name == "k_final" else field.name
             if field.name in off_cli:
-                assert key not in config
+                assert field.name not in config
             else:
-                assert config[key] == getattr(hp, field.name), key
-        assert config["mode"] == "mpcc"
+                assert config[field.name] == getattr(hp, field.name), field.name
 
     def test_bad_mode_usage_error(self, blob_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -136,7 +134,7 @@ class TestCluster:
     def test_k_above_n_reported(self, blob_csv, tmp_path, capsys):
         assert main(["cluster", str(blob_csv), "--k", "51", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: k_final 51 exceeds the N=50 observations")
+        assert err.startswith("error: k 51 exceeds the N=50 observations")
         assert "Traceback" not in err
         assert not (tmp_path / "labels.csv").exists()
 
@@ -231,7 +229,7 @@ class TestCluster:
         out = tmp_path / "out"
         assert main(["cluster", str(blob_csv), "--mode", "mpacc", "--k", "2", "--seed", "6",
                      "--n-frac", "0.3", "--out", str(out)]) == 0
-        result = run(load_matrix(blob_csv), "mpacc", HyperParams(k_final=2, seed=6, n_frac=0.3))
+        result = run(load_matrix(blob_csv), HyperParams(mode="mpacc", k=2, seed=6, n_frac=0.3))
         s = consensus_of(result.consensus)
         assert load_matrix(out / "consensus.csv").values.tobytes() == s.tobytes()
 
@@ -323,6 +321,10 @@ def no_mpclust_env(monkeypatch):
     for key in list(os.environ):
         if key.startswith("MPCLUST_"):
             monkeypatch.delenv(key)
+
+
+def test_the_hyperparameters_are_the_fields_of_hyperparams():
+    assert set(_HP) == {f.name for f in dataclasses.fields(HyperParams)} - {"early_stop"}
 
 
 @pytest.mark.parametrize("name", list(_HP))
@@ -575,6 +577,17 @@ class TestEval:
         mask.write_text("feature_id,is_signal\nf6,0\nf5,0\nf4,0\nf3,0\nf2,1\n")
         assert main(["eval", "f1", str(scores), str(mask)]) == 1
         assert capsys.readouterr().err == f"error: id 'f1' is in {scores} but not in {mask}\n"
+
+    @pytest.mark.parametrize("scores, mask, bad", [
+        ("f1,1.0\nf2,abc\nf3,0.0\n", "f1,1\nf2,0\nf3,0\n", "scores"),
+        ("f1,1.0\nf2,0.5\nf3,0.0\n", "f1,1\nf2,abc\nf3,0\n", "mask"),
+    ], ids=["scores", "mask"])
+    def test_f1_names_the_file_and_id_of_a_non_numeric_value(self, tmp_path, capsys, scores, mask, bad):
+        paths = {"scores": tmp_path / "s.csv", "mask": tmp_path / "m.csv"}
+        paths["scores"].write_text("feature_id,score\n" + scores)
+        paths["mask"].write_text("feature_id,is_signal\n" + mask)
+        assert main(["eval", "f1", str(paths["scores"]), str(paths["mask"])]) == 1
+        assert capsys.readouterr().err == f"error: {paths[bad]}: non-numeric value 'abc' for id 'f2'\n"
 
     @pytest.mark.parametrize("what", ["ari", "f1"])
     @pytest.mark.parametrize("text, line", [

@@ -554,6 +554,25 @@ class TestCounterFedOutputs:
         save_consensus_binary(state, tmp_path / "s.bin")
         assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
 
+    def test_codes_past_the_table_bound_peak_at_16_bytes_per_pair(self):
+        # W = 301: the uint64 codes (8 bytes a pair) and their positions from
+        # np.searchsorted (8 more) are the peak. np.unique's copy of the codes
+        # reaches it too; before numpy 2.3 its sort's two bool masks add 2 bytes
+        n = 600
+        npair = n * (n - 1) // 2
+        rng = np.random.default_rng(2)
+        seen = rng.choice(np.array([0, 280, 290, 300], dtype=np.uint16), npair)
+        state = _counters(n, np.where(rng.random(npair) < 0.5, seen, 0), seen)
+        tracemalloc.start()
+        try:
+            values, _ = consensus._consensus_cells(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.size < 301 * 301  # past the bound: only the codes that occur
+        hash_unique = np.lib.NumpyVersion(np.__version__) >= "2.3.0"
+        assert peak < (16.5 if hash_unique else 18.5) * npair
+
     @settings(max_examples=100, deadline=None)
     @given(_update_logs())
     def test_dissimilarity_is_one_minus_condensed_s_bit_for_bit(self, case):

@@ -51,8 +51,8 @@ def _blobs(n_half=30, n_feat=20, gap=8.0, seed=0):
 class TestRun:
     def test_blobs_saturated_consensus(self):
         data, truth = _blobs()
-        hp = HyperParams(k_final=2, seed=7, early_stop=False, t_max=300)
-        res = run(data, "mpcc", hp)
+        hp = HyperParams(k=2, seed=7, early_stop=False, t_max=300)
+        res = run(data, hp)
         n, s = 30, consensus_of(res.consensus)
         within = min(s[:n, :n].min(), s[n:, n:].min())
         across = max(s[:n, n:].max(), 0.0)
@@ -62,27 +62,33 @@ class TestRun:
     def test_t_max_zero_rejected(self):
         data, _ = _blobs()
         with pytest.raises(ValueError):
-            run(data, "mpcc", HyperParams(k_final=2, t_max=0))
+            run(data, HyperParams(k=2, t_max=0))
 
     def test_bitwise_determinism(self):
         data, _ = _blobs(seed=3)
-        hp = HyperParams(k_final=2, seed=11)
-        a = run(data, "mpcc", hp)
-        b = run(data, "mpcc", hp)
+        hp = HyperParams(k=2, seed=11)
+        a = run(data, hp)
+        b = run(data, hp)
         assert np.array_equal(consensus_of(a.consensus), consensus_of(b.consensus))
         assert np.array_equal(a.labels, b.labels)
         assert a.iterations_run == b.iterations_run
         assert [r.confusion_pct for r in a.trace] == [r.confusion_pct for r in b.trace]
 
-    def test_bad_mode(self):
+    def test_bad_mode(self, monkeypatch):
+        def no_patches(*args, **kwargs):
+            raise AssertionError("a minipatch was clustered")
+
+        with pytest.raises(ValueError, match=r"^mode must be one of .*, got 'bogus'$"):
+            HyperParams(mode="bogus").validate()
+        monkeypatch.setattr(pipeline, "pairwise", no_patches)
         data, _ = _blobs()
-        with pytest.raises(ValueError, match="mode"):
-            run(data, "kmeans", HyperParams())
+        with pytest.raises(ValueError, match=r"^mode must be one of"):
+            run(data, HyperParams(mode="bogus"))
 
     def test_infeasible_counts(self):
         data, _ = _blobs(n_half=3)
         with pytest.raises(ValueError, match="infeasible"):
-            run(data, "mpcc", HyperParams(n_frac=0.01))
+            run(data, HyperParams(n_frac=0.01))
 
     @pytest.mark.parametrize("final_algo", ["hierarchical", "spectral"])
     def test_k_above_n_rejected_before_the_loop(self, monkeypatch, final_algo):
@@ -91,26 +97,26 @@ class TestRun:
 
         monkeypatch.setattr(pipeline, "pairwise", no_patches)
         data, _ = _blobs()
-        with pytest.raises(ValueError, match=r"k_final 61 exceeds the N=60 "):
-            run(data, "mpcc", HyperParams(k_final=61, final_algo=final_algo))
+        with pytest.raises(ValueError, match=r"k 61 exceeds the N=60 "):
+            run(data, HyperParams(k=61, final_algo=final_algo))
 
     def test_isolated_observations_abort(self):
         data, _ = _blobs()
         with pytest.raises(RuntimeError, match="never sampled"):
-            run(data, "mpcc", HyperParams(k_final=2, t_max=2, seed=0))
+            run(data, HyperParams(k=2, t_max=2, seed=0))
 
     def test_patch_log_consistent(self):
         data, _ = _blobs(seed=9)
-        hp = HyperParams(k_final=2, seed=1, t_max=40, early_stop=False)
-        res = run(data, "mpcc", hp, collect_arrays=True)
+        hp = HyperParams(k=2, seed=1, t_max=40, early_stop=False)
+        res = run(data, hp, collect_arrays=True)
         patches = [(rec.obs_idx, rec.labels) for rec in res.trace]
         assert len(patches) == res.iterations_run
         assert np.array_equal(brute_consensus(60, patches), consensus_of(res.consensus))
 
     def test_trace_percentile_matches_exact_recompute(self):
         data, _ = _blobs(seed=2)
-        hp = HyperParams(k_final=2, seed=4, t_max=25, early_stop=False)
-        res = run(data, "mpcc", hp, collect_arrays=True)
+        hp = HyperParams(k=2, seed=4, t_max=25, early_stop=False)
+        res = run(data, hp, collect_arrays=True)
         # replay the log and compare the final percentile
         state = ConsensusState.empty(60)
         for rec in res.trace:
@@ -121,16 +127,16 @@ class TestRun:
     def test_records_hold_no_arrays_without_the_flag(self):
         data, _ = _blobs(seed=2)
         for mode in ("mpcc", "impacc"):
-            res = run(data, mode, HyperParams(k_final=2, seed=4, t_max=25, early_stop=False))
+            res = run(data, HyperParams(k=2, seed=4, t_max=25, early_stop=False, mode=mode))
             assert len(res.trace) == res.iterations_run == 25
             assert all(rec.obs_idx is rec.labels is rec.obs_weights is rec.feature_scores is None
                        for rec in res.trace)
 
     def test_records_hold_their_own_arrays_with_the_flag(self):
         data, _ = _blobs(seed=2)
-        hp = HyperParams(k_final=2, seed=4, t_max=25, early_stop=False)
+        hp = HyperParams(k=2, seed=4, t_max=25, early_stop=False)
         for mode in ("mpcc", "impacc"):
-            res = run(data, mode, hp, collect_arrays=True)
+            res = run(data, replace(hp, mode=mode), collect_arrays=True)
             for rec in res.trace:
                 assert rec.obs_idx.shape == rec.labels.shape == (hp.n_count(60),)
                 assert rec.obs_weights.shape == (60,)
@@ -141,7 +147,7 @@ class TestRun:
 
     def test_counters_sized_from_t_max(self):
         data, _ = _blobs()
-        res = run(data, "mpcc", HyperParams(k_final=2, seed=1, t_max=30))
+        res = run(data, HyperParams(k=2, seed=1, t_max=30))
         assert res.consensus.pair_seen.dtype == res.consensus.diag.dtype == np.uint16
 
     @pytest.mark.parametrize("n_frac_b", [0.25, 0.4])
@@ -151,8 +157,8 @@ class TestRun:
         # each result must be what that run gives alone
         data = generate(SynthSpec(snr=6, n_obs=80, n_features=60, n_signal=6, seed=4)).matrix
         runs = {
-            "a": ("mpcc", HyperParams(seed=3, n_frac=0.25, t_max=30, early_stop=False)),
-            "b": ("impacc", HyperParams(seed=8, n_frac=n_frac_b, t_max=25, early_stop=False)),
+            "a": HyperParams(seed=3, n_frac=0.25, t_max=30, early_stop=False),
+            "b": HyperParams(seed=8, n_frac=n_frac_b, t_max=25, early_stop=False, mode="impacc"),
         }
 
         def outcome(res):
@@ -162,7 +168,7 @@ class TestRun:
             s = consensus_of(res.consensus)
             return s.tobytes(), res.labels.tolist(), res.feature_scores, trace, patches
 
-        alone = {k: run(data, *runs[k], collect_arrays=True) for k in runs}
+        alone = {k: run(data, runs[k], collect_arrays=True) for k in runs}
         nested = []
         calls = []
         real_ward = pipeline.ward_linkage
@@ -170,11 +176,11 @@ class TestRun:
         def ward_starting_b(*args, **kwargs):
             calls.append(None)
             if len(calls) == 10:
-                nested.append(run(data, *runs["b"], collect_arrays=True))
+                nested.append(run(data, runs["b"], collect_arrays=True))
             return real_ward(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "ward_linkage", ward_starting_b)
-        together = {"a": run(data, *runs["a"], collect_arrays=True), "b": nested[0]}
+        together = {"a": run(data, runs["a"], collect_arrays=True), "b": nested[0]}
         for k in runs:
             got, want = outcome(together[k]), outcome(alone[k])
             assert got[:2] == want[:2] and got[3:] == want[3:]
@@ -187,7 +193,7 @@ class TestRun:
         # the ANOVA and the uniform draws swapped for their row-by-row
         # references must leave every output of the run bit for bit
         data = generate(SynthSpec(snr=6, n_obs=90, n_features=80, n_signal=8, seed=5)).matrix
-        hp = HyperParams(seed=4, t_max=40, early_stop=False)
+        hp = HyperParams(seed=4, t_max=40, early_stop=False, mode=mode)
 
         def outcome(res):
             c = res.consensus
@@ -196,7 +202,7 @@ class TestRun:
             pct = [r.confusion_pct for r in res.trace]
             return res.labels.tobytes(), counters, scores, res.obs_weights.tobytes(), pct
 
-        plain = outcome(run(data, mode, hp))
+        plain = outcome(run(data, hp))
         calls = {"score": 0, "draw": 0}
 
         def counted(name, fn):
@@ -208,15 +214,15 @@ class TestRun:
         monkeypatch.setattr(pipeline, "score_features", counted("score", add_at_score_features))
         monkeypatch.setattr(pipeline, "draw_uniform", counted("draw", array_fisher_yates))
         monkeypatch.setattr(sampling, "draw_uniform", counted("draw", array_fisher_yates))
-        assert outcome(run(data, mode, hp)) == plain
+        assert outcome(run(data, hp)) == plain
         assert calls["draw"] > 0 and (calls["score"] > 0) == (mode == "impacc")
 
     def test_single_patch_support_is_scored(self):
         # one iteration over every observation: the only patch's support
         # is all the importance there is, so it must reach the scores
         data, _ = _blobs(n_feat=20, seed=6)
-        hp = HyperParams(k_final=2, seed=5, n_frac=1.0, t_max=1)
-        res = run(data, "impacc", hp, collect_arrays=True)
+        hp = HyperParams(k=2, seed=5, n_frac=1.0, t_max=1, mode="impacc")
+        res = run(data, hp, collect_arrays=True)
         assert res.iterations_run == 1 and res.trace[0].n_clusters >= 2
         scored = np.flatnonzero(res.feature_scores)
         assert 1 <= scored.size <= hp.m_count(20)
@@ -229,26 +235,26 @@ class TestRun:
             cluster_sizes=(5, 19, 29, 67),
         )
         sd = generate(spec)
-        res = run(sd.matrix, "impacc", HyperParams(k_final=4, seed=3))
+        res = run(sd.matrix, HyperParams(mode="impacc", k=4, seed=3))
         assert res.feature_scores is not None
         assert res.feature_scores.min() >= 0 and res.feature_scores.max() <= 1
         sig = res.feature_scores[sd.signal_mask].mean()
         noise = res.feature_scores[~sd.signal_mask].mean()
         assert sig > noise
-        res_a = run(sd.matrix, "mpacc", HyperParams(k_final=4, seed=3))
+        res_a = run(sd.matrix, HyperParams(mode="mpacc", k=4, seed=3))
         assert res_a.feature_scores is None
         assert abs(res_a.obs_weights.sum() - 1) < 1e-9
 
     def test_auto_k_quantile_cut(self):
         data, truth = _blobs(gap=12.0, seed=8)
-        res = run(data, "mpcc", HyperParams(seed=5, early_stop=False, t_max=200))
+        res = run(data, HyperParams(seed=5, early_stop=False, t_max=200))
         assert ari(res.labels, truth) == 1.0
 
     def test_weight_trace_collection(self):
         spec = SynthSpec(snr=6, n_obs=60, n_features=50, n_signal=5, seed=1,
                          cluster_sizes=(3, 9, 14, 34))
         sd = generate(spec)
-        res = run(sd.matrix, "impacc", HyperParams(k_final=4, seed=2, t_max=30,
+        res = run(sd.matrix, HyperParams(mode="impacc", k=4, seed=2, t_max=30,
                                                    early_stop=False),
                   collect_arrays=True)
         assert len(res.trace) == res.iterations_run
@@ -260,8 +266,8 @@ class TestRun:
         # replaying its patch log with confusion of the dense consensus must
         # reproduce every traced weight vector
         data, _ = _blobs(gap=1.5, seed=6)
-        hp = HyperParams(k_final=2, seed=7, t_max=40, early_stop=False)
-        res = run(data, "mpacc", hp, collect_arrays=True)
+        hp = HyperParams(k=2, seed=7, t_max=40, early_stop=False, mode="mpacc")
+        res = run(data, hp, collect_arrays=True)
         assert len(res.trace) == 40
 
         n = data.n_obs
@@ -282,8 +288,8 @@ class TestRun:
         # n_frac 0.23 of N=60: patches of 14 in 5 blocks per epoch, the
         # last of which wraps to its epoch's start; t_max runs well past burn-in
         data, _ = _blobs()
-        hp = HyperParams(k_final=2, seed=2, n_frac=0.23, t_max=40, early_stop=False)
-        res = run(data, mode, hp, collect_arrays=True)
+        hp = HyperParams(k=2, seed=2, n_frac=0.23, t_max=40, early_stop=False, mode=mode)
+        res = run(data, hp, collect_arrays=True)
         assert len(res.trace) == 40
         for rec in res.trace:
             assert rec.obs_idx.size == np.unique(rec.obs_idx).size == hp.n_count(data.n_obs)
@@ -294,13 +300,13 @@ class TestRun:
         rng = np.random.default_rng(3)
         x = rng.random((40, 3000))
         ids = tuple(f"r{i}" for i in range(40)), tuple(f"c{j}" for j in range(3000))
-        hp = HyperParams(k_final=2, seed=4, t_max=10, early_stop=False)
+        hp = HyperParams(k=2, seed=4, t_max=10, early_stop=False, mode="impacc")
 
         def traced(values):
             data = DataMatrix(values, *ids)
             tracemalloc.start()
             try:
-                res = run(data, "impacc", hp)
+                res = run(data, hp)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -546,13 +552,13 @@ class TestCondensedFinal:
     @pytest.mark.parametrize("k", [2, None])
     def test_hierarchical_path_never_builds_dense_s(self, monkeypatch, mode, k):
         data, _ = _blobs(seed=5)
-        hp = HyperParams(k_final=k, seed=2, t_max=40)
+        hp = HyperParams(k=k, seed=2, t_max=40, mode=mode)
 
         def no_dense(state):
             raise AssertionError("dense S built")
 
         monkeypatch.setattr(pipeline, "consensus_of", no_dense)
-        res = run(data, mode, hp)
+        res = run(data, hp)
         monkeypatch.undo()
         ref = ward_linkage(dense_index_dissimilarity(consensus_of(res.consensus)))
         assert np.array_equal(res.labels, cut_k(ref, k) if k else cut_quantile(ref, hp.h))
@@ -565,7 +571,7 @@ class TestCondensedFinal:
         monkeypatch.setattr(pipeline, "consensus_of", lambda state: calls.append(state) or real(state))
         monkeypatch.setattr(pipeline, "dissimilarity_of",
                             lambda state: trees.append(state) or real_tree(state))
-        res = run(data, "mpcc", HyperParams(k_final=k, seed=3, t_max=40, final_algo="spectral"))
+        res = run(data, HyperParams(k=k, seed=3, t_max=40, final_algo="spectral"))
         assert calls == [res.consensus]  # the finaliser's own S
         assert len(trees) == (0 if k else 1)  # only the quantile cut needs the tree
 
@@ -576,10 +582,10 @@ class TestCondensedFinal:
         rng = np.random.default_rng(1)
         n = 1000
         data = DataMatrix(rng.random((n, 4)), tuple(map(str, range(n))), ("a", "b", "c", "d"))
-        hp = HyperParams(k_final=3, seed=1, t_max=60, early_stop=False)
+        hp = HyperParams(k=3, seed=1, t_max=60, early_stop=False)
         tracemalloc.start()
         try:
-            run(data, "mpcc", hp)
+            run(data, hp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -596,7 +602,7 @@ def _spectral_step_peak(n: int, k: int) -> tuple[int, int]:
     for _ in range(t_max - 1):
         idx = rng.choice(n, n // 4, replace=False)
         update(state, idx, rng.integers(0, 4, idx.size))
-    hp = HyperParams(n_frac=3 / n, t_max=t_max, k_final=k, final_algo="spectral")
+    hp = HyperParams(n_frac=3 / n, t_max=t_max, k=k, final_algo="spectral")
     final = pipeline._peak_bytes(n, hp) - 2 * state.pair_seen.nbytes
     tracemalloc.start()
     try:
@@ -616,10 +622,10 @@ class TestMemoryCeiling:
         assert pipeline._peak_bytes(n, replace(hp, t_max=70_000)) == 8 * npair + 16 * npair
         # the quantile cut leaves at most 501 clusters: dense S and the condensed S
         assert pipeline._peak_bytes(n, spectral) == 4 * npair + 12 * n * n
-        assert pipeline._peak_bytes(n, replace(spectral, k_final=3_000)) == 4 * npair + 12 * n * n
+        assert pipeline._peak_bytes(n, replace(spectral, k=3_000)) == 4 * npair + 12 * n * n
         # past k = 0.37 N the N x k and k x k arrays outweigh S
         for k in (5_000, n):
-            assert pipeline._peak_bytes(n, replace(spectral, k_final=k)) == (
+            assert pipeline._peak_bytes(n, replace(spectral, k=k)) == (
                 4 * npair + 24 * (n * k + k * k))
         assert pipeline._peak_bytes(n, replace(spectral, h=0.1)) == (  # k <= 10,000 - 999 - 1
             4 * npair + 24 * (n * 9_000 + 9_000**2))
@@ -644,7 +650,7 @@ class TestMemoryCeiling:
 
     def test_raises_before_the_first_iteration(self, monkeypatch):
         data, _ = _blobs()
-        hp = HyperParams(k_final=2, seed=1, t_max=30)
+        hp = HyperParams(k=2, seed=1, t_max=30)
         need = pipeline._peak_bytes(60, hp)
 
         def no_iteration(*args, **kwargs):
@@ -653,15 +659,15 @@ class TestMemoryCeiling:
         monkeypatch.setattr(pipeline, "_available_bytes", lambda: need - 1)
         monkeypatch.setattr(pipeline, "update", no_iteration)
         with pytest.raises(ValueError, match=r"N=60 observations need about 0\.0 MB"):
-            run(data, "mpcc", hp)
+            run(data, hp)
         monkeypatch.undo()
         monkeypatch.setattr(pipeline, "_available_bytes", lambda: need)
-        assert run(data, "mpcc", hp).labels.size == 60
+        assert run(data, hp).labels.size == 60
 
     def test_unknown_available_memory_skips_the_check(self, monkeypatch):
         data, _ = _blobs()
         monkeypatch.setattr(pipeline, "_available_bytes", lambda: None)
-        assert run(data, "mpcc", HyperParams(k_final=2, seed=1, t_max=30)).labels.size == 60
+        assert run(data, HyperParams(k=2, seed=1, t_max=30)).labels.size == 60
 
     def test_available_bytes_falls_back_to_physical_memory(self, monkeypatch):
         def unreadable(*args, **kwargs):
@@ -704,14 +710,14 @@ class TestTuner:
     def test_separable_picks_cheapest(self):
         data, _ = _blobs(n_half=40, n_feat=40, gap=10.0, seed=4)
         grid = [(0.1, 0.4), (0.05, 0.25), (0.1, 0.25)]
-        result = tune_minipatch_size(data, "mpcc", grid, HyperParams(seed=6))
+        result = tune_minipatch_size(data, grid, HyperParams(seed=6))
         assert (result.m_frac, result.n_frac) == (0.05, 0.25)  # smallest m*n^2
         assert result.converged and result.max_confusion < 0.01
         assert len(result.cells) == 1  # search stopped at the first qualifying cell
 
     def test_single_cell_grid(self):
         data, _ = _blobs(seed=6)
-        result = tune_minipatch_size(data, "mpcc", [(0.2, 0.3)], HyperParams(seed=1))
+        result = tune_minipatch_size(data, [(0.2, 0.3)], HyperParams(seed=1))
         assert (result.m_frac, result.n_frac) == (0.2, 0.3)
 
     def test_pure_noise_flags_non_convergence(self):
@@ -722,7 +728,7 @@ class TestTuner:
             tuple(f"c{j}" for j in range(10)),
         )
         result = tune_minipatch_size(
-            data, "mpcc", [(0.5, 0.3)], HyperParams(seed=2, t_max=60, early_stop=False)
+            data, [(0.5, 0.3)], HyperParams(seed=2, t_max=60, early_stop=False)
         )
         assert not result.converged
         assert result.max_confusion >= 0.01
@@ -740,11 +746,11 @@ class TestTuner:
             raise AssertionError("dense S built")
 
         monkeypatch.setattr(pipeline, "consensus_of", no_dense)
-        result = tune_minipatch_size(data, "mpcc", [(0.5, 0.3), (0.5, 0.5)], hp)
+        result = tune_minipatch_size(data, [(0.5, 0.3), (0.5, 0.5)], hp)
         monkeypatch.undo()
         assert len(result.cells) == 2
         for m_frac, n_frac, max_conf, _ in result.cells:
-            res = run(data, "mpcc", replace(hp, m_frac=m_frac, n_frac=n_frac))
+            res = run(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
             assert abs(max_conf - confusion(consensus_of(res.consensus)).max()) <= 1e-12
 
     def test_every_cell_checked_before_the_first_run(self, monkeypatch):
@@ -758,13 +764,13 @@ class TestTuner:
         monkeypatch.setattr(pipeline, "run", counting_run)
         data, _ = _blobs()
         with pytest.raises(ValueError, match=r"n_frac must be in \(0.0, 1.0\], got 1.5"):
-            tune_minipatch_size(data, "mpcc", [(0.05, 0.25), (0.05, 1.5)], HyperParams(seed=1))
+            tune_minipatch_size(data, [(0.05, 0.25), (0.05, 1.5)], HyperParams(seed=1))
         assert calls == []
 
     def test_empty_grid(self):
         data, _ = _blobs()
         with pytest.raises(ValueError):
-            tune_minipatch_size(data, "mpcc", [], HyperParams())
+            tune_minipatch_size(data, [], HyperParams())
 
 
 class TestHyperParams:
