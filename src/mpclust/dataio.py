@@ -43,13 +43,14 @@ class DataMatrix:
         n, m = v.shape
         if n < 2 or m < 1:
             raise ValueError(f"need at least 2 observations and 1 feature, got {n}x{m}")
-        if not np.all(np.isfinite(v)):
-            i, j = np.argwhere(~np.isfinite(v))[0]
-            raise ValueError(f"non-finite value at row {i}, column {j}")
         if len(self.row_ids) != n:
             raise ValueError(f"got {len(self.row_ids)} row ids for {n} rows")
         if len(self.col_ids) != m:
             raise ValueError(f"got {len(self.col_ids)} column ids for {m} columns")
+        if not np.all(np.isfinite(v)):
+            i, j = np.argwhere(~np.isfinite(v))[0]
+            raise ValueError(f"non-finite value {v[i, j]} at row {self.row_ids[i]!r}, "
+                             f"column {self.col_ids[j]!r}")
         for kind, ids in (("row", self.row_ids), ("column", self.col_ids)):
             if len(set(ids)) != len(ids):
                 seen: set[str] = set()
@@ -189,26 +190,17 @@ def _row_error(exc: ValueError, rows: Iterator[list[str]], ids: bool,
     return ValueError(f"non-numeric cell {row[j]!r} at row {rname!r}, column {cname!r}")
 
 
-def write_matrix(
-    m: DataMatrix,
-    path: str | Path,
-    delimiter: str = ",",
-    header: bool = True,
-    ids: bool = True,
-) -> None:
-    """Write a DataMatrix with 17-significant-digit values.
+def write_matrix(m: DataMatrix, path: str | Path) -> None:
+    """Write a DataMatrix as the comma-delimited layout ``load_matrix`` reads by default.
 
-    17 digits round-trip float64 exactly, so load_matrix(write_matrix(m))
-    reproduces ``m.values`` bit for bit.  Identifiers are csv-quoted; each
-    row of values is formatted by one ``%.17g`` template, so the delimiter
-    must be one character that cannot occur in a formatted number.
+    The header row starts with the corner cell ``id``; each row starts with
+    its csv-quoted id. Values have 17 significant digits, which round-trip
+    float64 exactly, so load_matrix(write_matrix(m)) reproduces ``m.values``
+    bit for bit. Each row of values is formatted by one ``%.17g`` template.
     """
-    _check_delimiter(delimiter)
-    if delimiter in "0123456789+-.e":
-        raise ValueError(f"delimiter {delimiter!r} can occur inside a number")
-    row_text = delimiter.join(["%.17g"] * m.n_features) + "\n"
+    row_text = ",".join(["%.17g"] * m.n_features) + "\n"
     rows = (row_text % tuple(row.tolist()) for row in m.values)
-    _write_table(path, m.row_ids, m.col_ids, rows, delimiter, header, ids)
+    _write_table(path, m.row_ids, m.col_ids, rows)
 
 
 def _check_delimiter(delimiter: str) -> None:
@@ -218,22 +210,16 @@ def _check_delimiter(delimiter: str) -> None:
         raise ValueError(f"delimiter {delimiter!r} is the quote character or a line break")
 
 
-def _write_table(
-    path: str | Path,
-    row_ids: Sequence[str],
-    col_ids: Sequence[str],
-    rows: Iterable[str],
-    delimiter: str = ",",
-    header: bool = True,
-    ids: bool = True,
-) -> None:
+def _write_table(path: str | Path, row_ids: Sequence[str], col_ids: Sequence[str],
+                 rows: Iterable[str]) -> None:
     """The matrix-CSV layout around preformatted value rows.
 
     Writes the csv-quoted header (corner cell ``id``) and, before each of
-    ``rows`` (delimited values ending in a newline), the csv-quoted row id.
+    ``rows`` (comma-delimited values ending in a newline), the csv-quoted
+    row id.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")
 
     def csv_line(cells: list[str]) -> str:
         buf.seek(0)
@@ -242,11 +228,9 @@ def _write_table(
         return buf.getvalue()
 
     with Path(path).open("w", newline="") as fh:
-        if header:
-            fh.write(csv_line((["id"] if ids else []) + list(col_ids)))
+        fh.write(csv_line(["id", *col_ids]))
         for name, text in zip(row_ids, rows):
-            if ids:
-                fh.write(csv_line([name, ""])[:-1])  # the quoted id and one delimiter
+            fh.write(csv_line([name, ""])[:-1])  # the quoted id and one comma
             fh.write(text)
 
 

@@ -49,8 +49,8 @@ def hoeffding_bound(m_feat: int, m_total: int, eps: float) -> float:
     """
     if not 1 <= m_feat <= m_total:
         raise ValueError(f"need 1 <= m_feat <= m_total, got {m_feat}/{m_total}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     denom = 1.0 - (m_feat - 1) / m_total  # == (M - m + 1)/M, always positive
     return min(1.0, 2.0 * math.exp(-2.0 * m_feat * eps * eps / denom))
 
@@ -83,6 +83,7 @@ def deviation_experiment(
         raise ValueError(f"need 1 <= m_feat <= M={m_total}, got {m_feat}")
     if not eps_grid:
         raise ValueError("eps_grid must be nonempty")
+    bounds = [hoeffding_bound(m_feat, m_total, eps) for eps in eps_grid]  # checks each eps before the draws
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     i, j = rng.choice(n, size=2, replace=False)
@@ -96,7 +97,4 @@ def deviation_experiment(
     d_hat = contrib[idx].mean(axis=1)
     dev = np.abs(d_hat - d_star)
 
-    return [
-        (float(eps), float(np.mean(dev >= eps)), hoeffding_bound(m_feat, m_total, eps))
-        for eps in eps_grid
-    ]
+    return [(float(eps), float(np.mean(dev >= eps)), bound) for eps, bound in zip(eps_grid, bounds)]

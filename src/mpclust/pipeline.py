@@ -110,8 +110,8 @@ class HyperParams:
             v = getattr(self, name)
             if not 0 <= v <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be a finite number >= 0, got {self.tau}")
         if self.epochs_e < 1:
             raise ValueError("epochs_e must be >= 1")
         if self.t_max is not None and self.t_max < 1:

@@ -71,8 +71,8 @@ class SynthSpec:
             raise ValueError(f"n_features must be a multiple of {_BLOCK}")
         if not 0 < self.n_signal <= self.n_features:
             raise ValueError("n_signal must be in 1..n_features")
-        if self.snr < 0:
-            raise ValueError("snr must be nonnegative")
+        if not 0 <= self.snr < math.inf:
+            raise ValueError(f"snr must be a finite number >= 0, got {self.snr}")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must be in [0, 1)")
         if self.seed < 0:

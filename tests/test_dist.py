@@ -70,6 +70,8 @@ class TestHoeffdingBound:
             hoeffding_bound(0, 100, 0.1)
         with pytest.raises(ValueError):
             hoeffding_bound(10, 100, 0.0)
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            hoeffding_bound(10, 100, float("nan"))
 
 
 def _unit_matrix(n, m, seed=0):
@@ -102,6 +104,15 @@ class TestDeviationExperiment:
         for eps, empirical, bound in table:
             se = np.sqrt(bound * (1 - bound) / 2000)
             assert empirical <= bound + 3 * se
+
+    def test_bad_eps_fails_before_the_draws(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking eps")
+
+        m = _unit_matrix(5, 10)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="eps must be positive, got nan"):
+            deviation_experiment(m, "manhattan", 2, 100, [0.1, float("nan")], seed=0)
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError, match="100"):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -780,8 +781,8 @@ class TestHyperParams:
     @pytest.mark.parametrize(
         "field,value",
         [("m_frac", 0.0), ("n_frac", 1.5), ("h", 0.0), ("eta", -0.1),
-         ("alpha_i", 2.0), ("tau", -1.0), ("final_algo", "dbscan"),
-         ("metric", "cosine"), ("seed", -1)],
+         ("alpha_i", 2.0), ("tau", -1.0), ("tau", math.nan), ("tau", math.inf),
+         ("final_algo", "dbscan"), ("metric", "cosine"), ("seed", -1)],
     )
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):

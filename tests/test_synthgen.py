@@ -95,6 +95,12 @@ class TestValidation:
                 SynthSpec(snr=1, n_obs=10, cluster_sizes=(1, 2, 3, 4), n_features=7, n_signal=2)
             )
 
+    @pytest.mark.parametrize("snr", [-1.0, np.nan, np.inf])
+    def test_snr_not_finite_and_nonnegative(self, snr):
+        with pytest.raises(ValueError) as err:
+            generate(SynthSpec(snr=snr, n_obs=20, n_features=10, n_signal=5))
+        assert str(err.value) == f"snr must be a finite number >= 0, got {snr}"
+
     def test_bad_regime(self):
         with pytest.raises(ValueError, match="regime"):
             generate(SynthSpec(snr=1, regime="nope"))
