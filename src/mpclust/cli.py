@@ -28,7 +28,7 @@ from .dataio import DataMatrix, _log2_plus_one, _rescale_unit, load_matrix, writ
 from .dist import METRICS, deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
 from .metrics import ari, f1_features, select_by_score
-from .pipeline import FINAL_ALGOS, MODES, HyperParams, run, tune_minipatch_size
+from .pipeline import FINAL_ALGOS, MODES, HyperParams, _check_run, run, tune_minipatch_size
 from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
@@ -301,15 +301,15 @@ def _load_input(args: argparse.Namespace) -> DataMatrix:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-
     t0 = time.perf_counter()
     data = _load_input(args)
     timings["load"] = time.perf_counter() - t0
 
     hp = HyperParams(**_field_values(args))
+    _check_run(data, hp)  # run()'s own checks, so a rejected setting leaves no --out directory
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     result = run(data, hp, collect_arrays=args.weight_trace)
     timings["run"] = time.perf_counter() - t0
@@ -363,9 +363,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args, snr=args.snr, cluster_sizes=args.cluster_sizes, seed=args.seed)
+    spec.validate()  # before --out is made
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = _spec_from_args(args, snr=args.snr, cluster_sizes=args.cluster_sizes, seed=args.seed)
     t0 = time.perf_counter()
     data = generate(spec)
     timings = {"generate": time.perf_counter() - t0}
@@ -387,6 +388,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     rows: list[tuple[str, float, int, float, str, float]] = []
+    for snr in args.snr:  # every value, before the first dataset
+        _spec_from_args(args, snr=snr, seed=args.seed).validate()
     for snr in args.snr:
         for rep in range(args.reps):
             seed = args.seed + rep

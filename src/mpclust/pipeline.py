@@ -43,6 +43,7 @@ from .sampling import (
     SamplerState,
     draw_uniform,
     ee_prob_next,
+    importance,
     score_features,
     update_feature_weights,
     update_obs_weights,
@@ -273,8 +274,9 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
 
     obs_cfg = EEConfig(draw=n_count, epochs=hp.epochs_e, threshold="quantile", threshold_param=hp.theta)
     feat_cfg = EEConfig(draw=m_count, epochs=hp.epochs_e, threshold="mean_plus_sd", threshold_param=hp.tau)
-    obs_state = SamplerState.uniform(n, "observations")
-    feat_state = SamplerState.uniform(m, "features")
+    obs_state, feat_state = SamplerState.uniform(n), SamplerState.uniform(m)
+    # impacc's features: draws and ANOVA support hits; the observations' draws are state.diag
+    feat_draws, feat_hits = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     state = ConsensusState.empty(n, max_count=t_max)
     scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
     # a C- or Fortran-order table is read in place; any other layout is copied to C order once
@@ -296,7 +298,7 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
 
         if adaptive_feat:
             feat_idx = ee_prob_next(feat_cfg, feat_state, t, rng_feat)
-            feat_state.record(feat_idx)
+            feat_draws[feat_idx] += 1
         else:
             feat_idx = draw_uniform(m, m_count, rng_feat)
 
@@ -315,7 +317,8 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
         # a patch without them is sampled but scores no support
         if adaptive_feat and k_patch >= 2 and obs_idx.size - k_patch >= 1:
             support, _ = score_features(view, labels, hp.eta)
-            update_feature_weights(feat_state, feat_idx[support], feat_idx, hp.alpha_f)
+            feat_hits[feat_idx[support]] += 1
+            update_feature_weights(feat_state, importance(feat_hits, feat_draws), hp.alpha_f)
 
         update(state, obs_idx, labels, scratch=scratch)
         pct = float(np.percentile(state.confusion_rows / n, STOP_PERCENTILE))
@@ -335,7 +338,7 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
                 obs_idx=obs_idx.copy(),
                 labels=labels.copy(),
                 obs_weights=obs_state.weights.copy(),
-                feature_scores=feat_state.importance() if adaptive_feat else None,  # a new array
+                feature_scores=importance(feat_hits, feat_draws) if adaptive_feat else None,  # a new array
             )
         trace.append(record)
         if len(armed) > STOP_PATIENCE and stop_gap(armed) < 1:
@@ -353,7 +356,7 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
     return RunResult(
         labels=_final_labels(state, hp),
         consensus=state,
-        feature_scores=feat_state.importance() if adaptive_feat else None,
+        feature_scores=importance(feat_hits, feat_draws) if adaptive_feat else None,
         obs_weights=obs_state.weights.copy(),
         stop_reason=stop_reason,
         trace=trace,

@@ -8,6 +8,11 @@ epoch's start, whose indices get one more visit).  Afterwards, a
 high-weight set is exploited with weighted draws (a growing fraction gamma
 of it) while the remainder of the minipatch explores the complement
 uniformly.
+
+Both axes keep one ``SamplerState`` of the same shape; what moves its
+weights differs.  Observations follow count-adjusted confusion
+(``update_obs_weights``), features their ``importance``, ANOVA support hits
+over draws (``update_feature_weights``).  The caller keeps the counts.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "draw_uniform",
     "update_obs_weights",
     "score_features",
+    "importance",
     "update_feature_weights",
     "ee_prob_next",
 ]
@@ -73,35 +79,18 @@ def draw_weighted(weights: np.ndarray, count_draw: int, rng: np.random.Generator
 
 @dataclass
 class SamplerState:
-    """Weights and bookkeeping for one sampling axis.  In burn-in, ``epoch_order`` is the
-    epoch's permutation wrapped to ceil(total/draw) * draw: its last block wraps to its start."""
+    """One axis's sampling weights and EE+Prob bookkeeping, alike for observations and
+    features.  In burn-in, ``epoch_order`` is the epoch's permutation wrapped to
+    ceil(total/draw) * draw: its last block wraps to its start.  The draw counts live
+    with the caller: ``ConsensusState.diag`` for observations, ``run()``'s for features."""
 
     weights: np.ndarray
-    sample_counts: np.ndarray | None = None  # features only; observations: ConsensusState.diag
-    support_hits: np.ndarray | None = None  # features axis only
     epoch_order: np.ndarray | None = None
     last_high_size: int = 0
 
     @classmethod
-    def uniform(cls, total: int, axis: str) -> "SamplerState":
-        if axis not in ("observations", "features"):
-            raise ValueError(f"unknown axis {axis!r}")
-        return cls(
-            weights=np.full(total, 1.0 / total),
-            sample_counts=np.zeros(total, dtype=np.int64) if axis == "features" else None,
-            support_hits=np.zeros(total, dtype=np.int64) if axis == "features" else None,
-        )
-
-    def record(self, indices: np.ndarray) -> None:
-        if self.sample_counts is None:
-            raise ValueError("record is for the features axis only")
-        self.sample_counts[np.asarray(indices, dtype=np.intp)] += 1
-
-    def importance(self) -> np.ndarray:
-        """Raw support frequency: hits / max(1, samplings).  In [0, 1]."""
-        if self.support_hits is None:
-            raise ValueError("importance is defined for the features axis only")
-        return self.support_hits / np.maximum(1, self.sample_counts)
+    def uniform(cls, total: int) -> "SamplerState":
+        return cls(weights=np.full(total, 1.0 / total))
 
 
 @dataclass(frozen=True)
@@ -229,21 +218,18 @@ def score_features(
     return support, p
 
 
-def update_feature_weights(
-    state: SamplerState, support: np.ndarray, sampled: np.ndarray, alpha_f: float
-) -> None:
-    """Fold one minipatch's feature support into hits, importance, and weights."""
-    if state.support_hits is None:
-        raise ValueError("feature weights update needs a features-axis state")
-    support = np.asarray(support, dtype=np.intp)
-    if support.size and not np.isin(support, np.asarray(sampled)).all():
-        raise ValueError("support must be a subset of the sampled features")
-    state.support_hits[support] += 1
-    imp = state.importance()
-    w = alpha_f * state.weights + (1.0 - alpha_f) * imp
+def importance(hits: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Each feature's support frequency, hits / max(1, draws): in [0, 1], 0 where never drawn."""
+    return hits / np.maximum(1, draws)
+
+
+def update_feature_weights(state: SamplerState, scores: np.ndarray, alpha_f: float) -> None:
+    """Blend the feature weights toward the ``importance`` scores and renormalise:
+    w <- alpha w + (1-alpha) scores, divided by its sum unless that is 0."""
+    w = alpha_f * state.weights + (1.0 - alpha_f) * scores
     total = w.sum()
     if total > 0:
-        state.weights = w / total  # renormalized for sampling; raw imp reported
+        state.weights = w / total  # renormalized for sampling; raw scores reported
 
 
 def _high_set(weights: np.ndarray, config: EEConfig) -> np.ndarray:

@@ -141,7 +141,7 @@ class TestCluster:
     def test_non_finite_tau_reported(self, blob_csv, tmp_path, capsys):
         assert main(["cluster", str(blob_csv), "--tau", "nan", "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: tau must be a finite number >= 0, got nan\n"
-        assert not list((tmp_path / "out").iterdir())
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_patch_names_n_frac(self, blob_csv, tmp_path, capsys):
         assert main(["cluster", str(blob_csv), "--n-frac", "0.01", "--out", str(tmp_path)]) == 1
@@ -465,14 +465,19 @@ def test_malformed_list_flag_is_a_usage_error(argv, flag, no_mpclust_env, capsys
     (["simulate", "--snr", "nan"], "snr must be a finite number >= 0, got nan"),
     (["simulate", "--snr", "inf"], "snr must be a finite number >= 0, got inf"),
     (["benchmark", "--snr", "nan"], "snr must be a finite number >= 0, got nan"),
+    (["benchmark", "--snr", "6,nan"], "snr must be a finite number >= 0, got nan"),
     (["hoeffding-check", "--eps", "0.1,nan"], "eps must be positive, got nan"),
 ], ids=["trials-50", "m-feat-0", "cluster-sizes-three", "snr-negative", "snr-nan", "snr-inf",
-        "benchmark-snr-nan", "eps-nan"])
-def test_parsed_value_the_library_rejects_exits_1(argv, setting, tmp_path, no_mpclust_env, capsys):
+        "benchmark-snr-nan", "benchmark-snr-6-nan", "eps-nan"])
+def test_parsed_value_the_library_rejects_exits_1(argv, setting, tmp_path, no_mpclust_env,
+                                                   monkeypatch, capsys):
+    calls = []  # the checks come before any dataset is generated or clustered
+    monkeypatch.setattr("mpclust.cli.generate", lambda *a: calls.append("generate"))
+    monkeypatch.setattr("mpclust.cli.run", lambda *a, **k: calls.append("run"))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and setting in err and "Traceback" not in err
-    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert calls == [] and not list(tmp_path.iterdir())  # no file, no --out directory
 
 
 def test_list_flags_parse_to_tuples(no_mpclust_env):

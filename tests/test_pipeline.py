@@ -275,7 +275,7 @@ class TestRun:
         burn = EEConfig(draw=hp.n_count(n), epochs=hp.epochs_e, threshold="quantile",
                         threshold_param=hp.theta).burn_in(n)
         state = ConsensusState.empty(n)
-        obs = SamplerState.uniform(n, "observations")
+        obs = SamplerState.uniform(n)
         for t, rec in enumerate(res.trace, start=1):
             if t > burn:
                 update_obs_weights(obs, confusion(consensus_of(state)), state.diag, t, hp.alpha_i)
@@ -283,6 +283,40 @@ class TestRun:
             assert rec.iteration == t
             assert np.abs(rec.obs_weights - obs.weights).max() <= 1e-12
         assert np.ptp(obs.weights) > 0  # the weights did move off uniform
+
+    def test_feature_scores_match_recount_from_log(self, monkeypatch):
+        # log each iteration's feature draw and the features its ANOVA supports
+        # through pass-through wrappers; support hits over draws, recounted from
+        # the log, must be every traced score vector and the run's, bit for bit
+        spec = SynthSpec(snr=6, n_obs=60, n_features=50, n_signal=5, seed=1,
+                         cluster_sizes=(3, 9, 14, 34))
+        data = generate(spec).matrix
+        hp = HyperParams(mode="impacc", k=4, seed=2, t_max=60, early_stop=False)
+        drawn, supported = [], {}
+
+        def logged_draw(config, state, t, rng):
+            idx = sampling.ee_prob_next(config, state, t, rng)
+            if state.weights.size == data.n_features:  # the observations' draw is n = 60
+                drawn.append(idx)
+            return idx
+
+        def logged_score(view, labels, eta):
+            support, p = sampling.score_features(view, labels, eta)
+            supported[len(drawn)] = drawn[-1][support]
+            return support, p
+
+        monkeypatch.setattr(pipeline, "ee_prob_next", logged_draw)
+        monkeypatch.setattr(pipeline, "score_features", logged_score)
+        res = run(data, hp, collect_arrays=True)
+        assert len(drawn) == len(res.trace) == 60 and sum(map(len, supported.values())) > 0
+
+        draws = np.zeros(data.n_features, dtype=np.int64)
+        hits = np.zeros(data.n_features, dtype=np.int64)
+        for t, (idx, rec) in enumerate(zip(drawn, res.trace), start=1):
+            draws[idx] += 1
+            hits[supported.get(t, [])] += 1
+            assert rec.feature_scores.tobytes() == (hits / np.maximum(1, draws)).tobytes()
+        assert res.feature_scores.tobytes() == res.trace[-1].feature_scores.tobytes()
 
     @pytest.mark.parametrize("mode", pipeline.MODES)
     def test_every_patch_has_n_count_observations(self, mode):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from mpclust.sampling import (
     draw_uniform,
     draw_weighted,
     ee_prob_next,
+    importance,
     score_features,
     update_feature_weights,
     update_obs_weights,
@@ -86,7 +89,7 @@ class TestDrawWeighted:
 
 class TestUpdateObsWeights:
     def test_zero_uncertainty_keeps_weights(self):
-        state = SamplerState.uniform(4, "observations")
+        state = SamplerState.uniform(4)
         before = state.weights.copy()
         update_obs_weights(state, confusion(np.eye(4)), np.zeros(4, dtype=int), t=3, alpha_i=0.5)
         assert np.array_equal(state.weights, before)
@@ -96,19 +99,19 @@ class TestUpdateObsWeights:
         x = (1 - np.sqrt(0.2)) / 2  # x(1-x) == 0.2 exactly
         s = np.array([[x, x], [x, 1.0]])
         assert np.allclose(confusion(s), [0.2, 0.1])
-        state = SamplerState.uniform(2, "observations")
+        state = SamplerState.uniform(2)
         update_obs_weights(state, confusion(s), np.array([1, 2], dtype=np.uint16), t=3, alpha_i=0.0)
         assert np.allclose(state.weights, [0.8, 0.2])
 
     def test_ema_endpoints(self):
         base = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
-        frozen = SamplerState.uniform(3, "observations")
+        frozen = SamplerState.uniform(3)
         w0 = frozen.weights.copy()
         update_obs_weights(frozen, confusion(base), np.ones(3, dtype=int), t=2, alpha_i=1.0)
         assert np.allclose(frozen.weights, w0)
 
     def test_requires_t_at_least_two(self):
-        state = SamplerState.uniform(3, "observations")
+        state = SamplerState.uniform(3)
         with pytest.raises(ValueError):
             update_obs_weights(state, np.zeros(3), np.zeros(3, dtype=int), t=1, alpha_i=0.5)
 
@@ -117,7 +120,7 @@ class TestUpdateObsWeights:
         [np.eye(4), np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.array([0.1, np.nan, 0.1, 0.1])],
     )
     def test_rejects_non_confusion_vector(self, conf):
-        state = SamplerState.uniform(4, "observations")
+        state = SamplerState.uniform(4)
         before = state.weights.copy()
         with pytest.raises(ValueError, match="confusion"):
             update_obs_weights(state, conf, np.zeros(4, dtype=int), t=3, alpha_i=0.5)
@@ -125,7 +128,7 @@ class TestUpdateObsWeights:
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
-        state = SamplerState.uniform(10, "observations")
+        state = SamplerState.uniform(10)
         counts = rng.integers(1, 5, 10)
         for t in range(2, 30):
             s = rng.random((10, 10))
@@ -184,41 +187,40 @@ class TestScoreFeatures:
             assert support.size >= 1
 
 
+class TestSamplerState:
+    def test_one_shape_for_both_axes(self):
+        # the draw counts are the caller's: ConsensusState.diag, run()'s feature counts
+        names = [f.name for f in dataclasses.fields(SamplerState)]
+        assert names == ["weights", "epoch_order", "last_high_size"]
+        state = SamplerState.uniform(4)
+        assert state.weights.tolist() == [0.25] * 4
+        assert state.epoch_order is None and state.last_high_size == 0
+
+
 class TestUpdateFeatureWeights:
     def test_importance_ratios(self):
-        state = SamplerState.uniform(3, "features")
-        state.sample_counts[:] = [4, 4, 0]
-        for _ in range(3):
-            update_feature_weights(state, np.array([0]), np.array([0, 1]), alpha_f=0.5)
-        imp = state.importance()
-        assert imp[0] == 0.75 and imp[1] == 0.0 and imp[2] == 0.0
+        imp = importance(np.array([3, 0, 0]), np.array([4, 4, 0]))
+        assert imp.tolist() == [0.75, 0.0, 0.0]
 
     def test_always_supported_reaches_one(self):
-        state = SamplerState.uniform(2, "features")
-        state.sample_counts[:] = [5, 5]
-        state.support_hits[:] = [5, 0]
-        assert state.importance()[0] == 1.0
-
-    def test_support_subset_enforced(self):
-        state = SamplerState.uniform(3, "features")
-        with pytest.raises(ValueError, match="subset"):
-            update_feature_weights(state, np.array([2]), np.array([0, 1]), alpha_f=0.5)
+        assert importance(np.array([5, 0]), np.array([5, 5]))[0] == 1.0
 
     def test_weights_sum_to_one(self):
-        state = SamplerState.uniform(5, "features")
+        state = SamplerState.uniform(5)
+        draws, hits = np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64)
         rng = np.random.default_rng(0)
         for _ in range(20):
             sampled = np.sort(rng.choice(5, 3, replace=False))
-            state.record(sampled)
-            support = sampled[:1]
-            update_feature_weights(state, support, sampled, alpha_f=0.5)
+            draws[sampled] += 1
+            hits[sampled[:1]] += 1
+            update_feature_weights(state, importance(hits, draws), alpha_f=0.5)
             assert abs(state.weights.sum() - 1) < 1e-12
 
 
 class TestEEProbNext:
     def test_burn_in_full_coverage(self):
         cfg = EEConfig(draw=3, epochs=2, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(10, "observations")
+        state = SamplerState.uniform(10)
         counts = np.zeros(10, dtype=int)
         q = cfg.q_blocks(10)
         for t in range(1, cfg.epochs * q + 1):
@@ -228,7 +230,7 @@ class TestEEProbNext:
 
     def test_burn_in_epoch_partition(self):
         cfg = EEConfig(draw=2, epochs=1, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(8, "observations")
+        state = SamplerState.uniform(8)
         seen = []
         for t in range(1, cfg.q_blocks(8) + 1):
             seen.extend(ee_prob_next(cfg, state, t, np.random.default_rng(99)).tolist())
@@ -236,7 +238,7 @@ class TestEEProbNext:
 
     def test_adaptive_uniform_when_no_high_set(self):
         cfg = EEConfig(draw=3, epochs=1, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(6, "observations")
+        state = SamplerState.uniform(6)
         t = cfg.burn_in(6) + 1
         idx = ee_prob_next(cfg, state, t, np.random.default_rng(0))
         assert idx.size == cfg.draw
@@ -244,7 +246,7 @@ class TestEEProbNext:
 
     def test_full_exploitation_from_high_set(self):
         cfg = EEConfig(draw=4, epochs=1, threshold="mean_plus_sd", threshold_param=0.0)
-        state = SamplerState.uniform(8, "features")
+        state = SamplerState.uniform(8)
         state.weights = np.array([0.3, 0.3, 0.3, 0.02, 0.02, 0.02, 0.02, 0.02])
         t = 2 * cfg.burn_in(8) + 1
         assert cfg.gamma_at(t, 8) == 1.0
@@ -256,7 +258,7 @@ class TestEEProbNext:
         # theta=0.5 puts the median cut between the two weight levels, so
         # the high set is the six heavy indices, more than the draw of 3
         cfg = EEConfig(draw=3, epochs=1, threshold="quantile", threshold_param=0.5)
-        state = SamplerState.uniform(12, "observations")
+        state = SamplerState.uniform(12)
         weights = np.full(12, 0.01)
         weights[:6] = (1 - 0.06) / 6
         state.weights = weights / weights.sum()
@@ -268,7 +270,7 @@ class TestEEProbNext:
 
     def test_draw_size_always_exact(self):
         cfg = EEConfig(draw=5, epochs=1, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(11, "observations")
+        state = SamplerState.uniform(11)
         rng = np.random.default_rng(5)
         state.weights = rng.dirichlet(np.ones(11))
         for t in range(1, 40):
@@ -278,7 +280,7 @@ class TestEEProbNext:
 
     def test_burn_in_min_counts_by_epoch_end(self):
         cfg = EEConfig(draw=3, epochs=3, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(13, "observations")
+        state = SamplerState.uniform(13)
         counts = np.zeros(13, dtype=int)
         for t in range(1, cfg.burn_in(13) + 1):
             idx = ee_prob_next(cfg, state, t, np.random.default_rng(1000 + t))
@@ -293,41 +295,18 @@ class TestEEProbNext:
         assert all(b >= a for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] == 1.0
 
-    def test_sample_counts_match_recount_from_log(self):
-        cfg = EEConfig(draw=5, epochs=2, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(15, "features")
-        rng = np.random.default_rng(8)
-        state.weights = rng.dirichlet(np.ones(15))
-        log = []
-        for t in range(1, 31):
-            idx = ee_prob_next(cfg, state, t, np.random.default_rng(500 + t))
-            state.record(idx)
-            log.append(idx)
-        recount = np.zeros(15, dtype=int)
-        for idx in log:
-            recount[idx] += 1
-        assert np.array_equal(state.sample_counts, recount)
-
-    def test_observations_are_counted_by_the_consensus(self):
-        state = SamplerState.uniform(5, "observations")
-        assert state.sample_counts is None
-        with pytest.raises(ValueError, match="features axis only"):
-            state.record(np.array([0, 2]))
-
 
 class TestFeatureWeightEndpoints:
     def test_alpha_one_freezes_weights(self):
-        state = SamplerState.uniform(4, "features")
-        state.sample_counts[:] = [2, 2, 2, 0]
+        state = SamplerState.uniform(4)
         before = state.weights.copy()
-        update_feature_weights(state, np.array([0]), np.array([0, 1, 2]), alpha_f=1.0)
+        update_feature_weights(state, np.array([0.5, 0.0, 0.0, 0.0]), alpha_f=1.0)
         assert np.allclose(state.weights, before)
 
     def test_alpha_zero_equals_normalized_importance(self):
-        state = SamplerState.uniform(4, "features")
-        state.sample_counts[:] = [2, 2, 2, 0]
-        update_feature_weights(state, np.array([0]), np.array([0, 1, 2]), alpha_f=0.0)
-        imp = np.array([0.5, 0.0, 0.0, 0.0])
+        state = SamplerState.uniform(4)
+        imp = importance(np.array([1, 0, 0, 0]), np.array([2, 2, 2, 0]))
+        update_feature_weights(state, imp, alpha_f=0.0)
         assert np.allclose(state.weights, imp / imp.sum())
 
 
@@ -379,7 +358,7 @@ class TestDrawProperties:
     def test_ee_prob_exact_distinct_in_range(self, w, data, epochs, rule, t_offset, seed):
         draw = data.draw(st.integers(1, w.size))
         cfg = EEConfig(draw=draw, epochs=epochs, threshold=rule[0], threshold_param=rule[1])
-        state = SamplerState.uniform(w.size, "observations")
+        state = SamplerState.uniform(w.size)
         state.weights = w / w.sum()
         rng = np.random.default_rng(seed)
         # one draw anywhere in burn-in, then one past it, where the weights decide
@@ -399,7 +378,7 @@ class TestDrawProperties:
         epoch's start (q * draw - total indices) adds one more visit each."""
         draw = data.draw(st.integers(1, total))
         cfg = EEConfig(draw=draw, epochs=epochs, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(total, "observations")
+        state = SamplerState.uniform(total)
         q = cfg.q_blocks(total)
         rng = np.random.default_rng(seed)
         counts = np.zeros(total, dtype=int)
@@ -425,7 +404,7 @@ class TestDrawProperties:
         """The wrapped permutation gives the padded block list's patches, bit for bit."""
         draw = data.draw(st.integers(1, total))
         cfg = EEConfig(draw=draw, epochs=epochs, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(total, "observations")
+        state = SamplerState.uniform(total)
         expected = block_list_burn_in(total, draw, epochs, np.random.default_rng(seed))
         assert len(expected) == cfg.burn_in(total)
         rng = np.random.default_rng(seed)
@@ -438,7 +417,7 @@ class TestDrawProperties:
             EEConfig(draw=0, epochs=1, threshold="quantile", threshold_param=0.95)
         cfg = EEConfig(draw=5, epochs=1, threshold="quantile", threshold_param=0.95)
         with pytest.raises(ValueError, match="cannot draw 5 of 4"):
-            ee_prob_next(cfg, SamplerState.uniform(4, "observations"), 1, np.random.default_rng(0))
+            ee_prob_next(cfg, SamplerState.uniform(4), 1, np.random.default_rng(0))
 
 
 @st.composite
