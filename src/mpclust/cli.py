@@ -32,7 +32,6 @@ from .pipeline import FINAL_ALGOS, MODES, HyperParams, _check_run, run, tune_min
 from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
-_BENCH_METHODS = ("mpcc", "impacc", "hclust")
 
 
 class _Hyper(NamedTuple):
@@ -514,8 +513,9 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="ARI/F1/runtime grid over SNR and seeds")
     p.add_argument("--snr", type=_comma_list(float), required=True, help="comma list of SNR values")
     p.add_argument("--reps", type=_positive_int, default=10)
-    p.add_argument("--methods", type=_comma_list(str, _BENCH_METHODS), default=_BENCH_METHODS,
-                   help=f"comma list of {', '.join(_BENCH_METHODS)}")
+    methods = (*MODES, "hclust")
+    p.add_argument("--methods", type=_comma_list(str, methods), default=methods,
+                   help=f"comma list of {', '.join(methods)}")
     _add_synth_flags(p)
     _add_hp_flag(p, d, "seed")
     p.add_argument("--out", default="benchmark.csv")

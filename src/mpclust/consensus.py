@@ -2,12 +2,12 @@
 
 Pair counts are kept in condensed upper-triangle form plus a diagonal
 vector (V(i,i) == D(i,i) == times i was sampled), which halves the
-dominant O(N^2) memory cost. The counters are the narrowest unsigned
-integers that hold the run's largest possible count: 16-bit whenever a
-run draws at most 65,535 minipatches (the default cap is 5,000), so 2
-bytes per counter per pair and 200 MB for both counters at N=10,000;
-32-bit beyond that. ``update`` raises ValueError, leaving the counters
-as they were, rather than let a counter wrap.
+dominant O(N^2) memory cost. The counters, and the exports' codes, take
+the narrowest unsigned dtype that holds their largest possible value
+(``np.min_scalar_type``): 1 byte per counter per pair in a run of at most
+255 minipatches, as at the default ``n_frac`` and ``epochs_e``, so 100 MB
+for both counters at N=10,000. ``update`` raises ValueError, leaving the
+counters as they were, rather than let a counter wrap.
 
 ``update`` does the float work of a minipatch on its live pairs alone: a
 pair is live if it was co-clustered before or is in this patch. Any other
@@ -71,9 +71,9 @@ class ConsensusState:
 
     @staticmethod
     def counter_dtype(max_count: int) -> type[np.unsignedinteger]:
-        """uint16 when ``max_count``, the most updates the caller will make,
-        is at most 65,535; uint32 otherwise."""
-        return np.uint16 if max_count <= np.iinfo(np.uint16).max else np.uint32
+        """The narrowest unsigned dtype that holds ``max_count``, the most updates
+        the caller will make; uint64, which no run fills, past its range."""
+        return np.min_scalar_type(min(max_count, np.iinfo(np.uint64).max)).type
 
     @classmethod
     def empty(cls, n: int, *, max_count: int = 2**32 - 1) -> "ConsensusState":
@@ -293,23 +293,21 @@ def _consensus_cells(state: ConsensusState) -> tuple[np.ndarray, np.ndarray]:
 
     A pair's code is seen·W + same, W being the largest pair count + 1 (at
     least 2); the table holds same / max(1, seen) in float64, as
-    ``consensus_of``. Bound: while W² ≤ ``_TABLE_CODES`` (65,536; any run
-    of at most 255 minipatches) the codes are uint16 and index the table.
-    Past it (W² is 25M at the 5,000-minipatch cap) the table holds only the
-    uint64 codes that occur (``np.unique``), and a pair's index is its
-    code's position there (``np.searchsorted``), in the narrowest unsigned
-    dtype. A diagonal cell indexes 1/1 if its observation was sampled,
-    else 0."""
+    ``consensus_of``. The codes, at most W² - 1, take the narrowest unsigned
+    dtype that holds that. Bound: while W² ≤ ``_TABLE_CODES`` (65,536; any
+    run of at most 255 minipatches) the codes index the table. Past it (W²
+    is 25M at the 5,000-minipatch cap) the table holds only the codes that
+    occur (``np.unique``), and a pair's index is its code's position there
+    (``np.searchsorted``), in the narrowest unsigned dtype. A diagonal cell
+    indexes 1/1 if its observation was sampled, else 0."""
     w = int(state.pair_seen.max(initial=1)) + 1
-    table = w * w <= _TABLE_CODES
-    cond = np.multiply(state.pair_seen, w, dtype=np.uint16 if table else np.uint64)
+    cond = np.multiply(state.pair_seen, w, dtype=np.min_scalar_type(w * w - 1))
     cond += state.pair_same
-    if table:
+    if w * w <= _TABLE_CODES:
         codes = np.arange(w * w)
-    else:
-        diagonal = np.array([0, w + 1], dtype=np.uint64)
-        codes = np.union1d(np.unique(cond), diagonal)
-        cond = np.searchsorted(codes, cond)  # the uint64 codes go; the peak is 16 bytes per pair
+    else:  # the codes that occur, and the diagonal's 0 and w + 1
+        codes = np.union1d(np.unique(cond), np.array([0, w + 1], dtype=cond.dtype))
+        cond = np.searchsorted(codes, cond)  # the codes go; with uint32 codes the peak is 12 bytes per pair
         cond = cond.astype(np.min_scalar_type(codes.size - 1))
     cells = squareform(cond)
     np.fill_diagonal(cells, np.where(state.diag > 0, np.searchsorted(codes, w + 1), 0))

@@ -207,7 +207,8 @@ def _available_bytes() -> int | None:
 def _peak_bytes(n: int, hp: HyperParams) -> int:
     """Estimated peak of a run's N^2, N x k and patch^2 buffers.
 
-    The counters (two per pair) live throughout. The loop's
+    The counters (two per pair, ``ConsensusState.counter_dtype(t_max)``
+    wide: 1 byte each up to 255 minipatches) live throughout. The loop's
     ``PairScratch`` is released before the final clustering. Ward holds
     the condensed 1 - S and scipy's working copy of it (16 bytes per
     pair). The spectral finaliser holds dense S and, while

@@ -428,6 +428,15 @@ class TestBenchmark:
 
         assert strip_seconds(rows2) == strip_seconds(rows)
 
+    def test_every_mode_is_a_method(self, tmp_path, no_mpclust_env):
+        out = tmp_path / "b.csv"
+        assert main(["benchmark", "--snr", "6", "--reps", "1", "--methods", "mpacc",
+                     "--n-obs", "60", "--n-features", "50", "--n-signal", "10",
+                     "--seed", "1", "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        assert header == "method,snr,seed,ari,f1,seconds"
+        assert row.startswith("mpacc,6,1,") and row.split(",")[4] == ""  # mpacc scores no features
+
     def test_empty_snr_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["benchmark", "--snr", "", "--out", str(tmp_path / "b.csv")])

@@ -22,6 +22,7 @@ from mpclust.consensus import (
     write_consensus_csv,
 )
 from mpclust.dataio import DataMatrix, write_matrix
+from mpclust.pipeline import HyperParams, finalize_hierarchical, run
 
 from oracles import brute_consensus, confusion, dense_update, stop_tracker_index
 
@@ -83,7 +84,8 @@ class TestUpdate:
 class TestCounterWidth:
     @pytest.mark.parametrize(
         "max_count, dtype",
-        [(1, np.uint16), (65_535, np.uint16), (65_536, np.uint32), (2**32 - 1, np.uint32)],
+        [(1, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+         (65_536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.uint64), (2**70, np.uint64)],
     )
     def test_narrowest_dtype_that_holds_the_count(self, max_count, dtype):
         state = ConsensusState.empty(4, max_count=max_count)
@@ -92,30 +94,35 @@ class TestCounterWidth:
     def test_default_is_32_bit(self):
         assert ConsensusState.empty(4).pair_seen.dtype == np.uint32
 
-    def _near_limit(self):
-        """Pair (0, 1) and observations 0, 1 one update short of uint16's limit."""
-        state = ConsensusState.empty(4, max_count=65_535)
-        state.diag[:2] = state.pair_seen[0] = 65_534
-        state.pair_same[0] = 65_000
+    # the largest count of uint8 and of uint16 counters, and a co-cluster count below it
+    _LIMITS = ((255, 200), (65_535, 65_000))
+
+    def _near_limit(self, limit, same):
+        """Pair (0, 1) and observations 0, 1 one update short of the counters' ``limit``."""
+        state = ConsensusState.empty(4, max_count=limit)
+        state.diag[:2] = state.pair_seen[0] = limit - 1
+        state.pair_same[0] = same
         return state
 
     def test_last_count_that_fits(self):
-        state = self._near_limit()
-        update(state, np.array([0, 1]), np.array([3, 3]))
-        assert state.diag[:2].tolist() == [65_535, 65_535]
-        assert (state.pair_seen[0], state.pair_same[0]) == (65_535, 65_001)
-        s_old, s_new = 65_000 / 65_534, 65_001 / 65_535
-        assert state.confusion_rows[0] == s_new * (1 - s_new) - s_old * (1 - s_old)
+        for limit, same in self._LIMITS:
+            state = self._near_limit(limit, same)
+            update(state, np.array([0, 1]), np.array([3, 3]))
+            assert state.diag[:2].tolist() == [limit, limit]
+            assert (state.pair_seen[0], state.pair_same[0]) == (limit, same + 1)
+            s_old, s_new = same / (limit - 1), (same + 1) / limit
+            assert state.confusion_rows[0] == s_new * (1 - s_new) - s_old * (1 - s_old)
 
     def test_overflow_raises_and_leaves_counters(self):
-        state = self._near_limit()
-        update(state, np.array([0, 1]), np.array([3, 3]))
-        fields = ("pair_same", "pair_seen", "diag", "confusion_rows")
-        before = [getattr(state, f).copy() for f in fields]
-        with pytest.raises(ValueError, match="65535"):
-            update(state, np.array([3, 1, 2]), np.array([0, 0, 1]))
-        after = [getattr(state, f) for f in fields]
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+        for limit, same in self._LIMITS:
+            state = self._near_limit(limit, same)
+            update(state, np.array([0, 1]), np.array([3, 3]))
+            fields = ("pair_same", "pair_seen", "diag", "confusion_rows")
+            before = [getattr(state, f).copy() for f in fields]
+            with pytest.raises(ValueError, match=f"already sampled {limit} times"):
+                update(state, np.array([3, 1, 2]), np.array([0, 0, 1]))
+            after = [getattr(state, f) for f in fields]
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
 
 class TestPairScratch:
@@ -238,15 +245,16 @@ class TestIncrementalConfusionDrift:
 def _replay_logs(draw):
     """A start state and a log of same-size patches for ``update`` and its dense oracle.
 
-    uint16 states start empty, so every pair's first co-sampling is in the
-    log. uint32 states (``max_count`` > 65,535) start with counts above
-    65,535 on some pairs, none on others and no co-clustering on others.
+    uint8 and uint16 states start empty, so every pair's first co-sampling
+    is in the log. uint32 states (``max_count`` > 65,535) start with counts
+    above 65,535 on some pairs, none on others and no co-clustering on others.
     A patch is one cluster (every pair live) or has up to four labels.
     """
     n = draw(st.integers(2, 14))
     size = draw(st.integers(2, n))
-    wide = draw(st.booleans())
-    state = ConsensusState.empty(n, max_count=70_000 if wide else 5_000)
+    max_count = draw(st.sampled_from([255, 5_000, 70_000]))
+    wide = max_count > 65_535
+    state = ConsensusState.empty(n, max_count=max_count)
     if wide:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         npair = state.pair_seen.size
@@ -456,7 +464,7 @@ class TestConsensusCsvWriter:
             write_consensus_csv(ConsensusState.empty(3), ("a", "b"), tmp_path / "s.csv")
 
     @settings(max_examples=200, deadline=None)
-    @given(_update_logs(), st.sampled_from([1, 0, -1]), st.sampled_from([np.uint16, np.uint32]))
+    @given(_update_logs(), st.sampled_from([1, 0, -1]), st.sampled_from([np.uint8, np.uint16, np.uint32]))
     def test_bytes_match_dense_writers_around_the_table_bound(self, tmp_path_factory, case, slack, dtype):
         # the bound is W² + 1 (W² just below it), W² (at it) or W² - 1 (just above it)
         state, ids = case
@@ -492,7 +500,7 @@ class TestCounterFedOutputs:
         # cells // N rows per block: one row, several, a short last block, or one block
         state, ids = case
         d = tmp_path_factory.mktemp("b")
-        for counters in (state, _as_dtype(state, np.uint16)):
+        for counters in (state, *(_as_dtype(state, dt) for dt in (np.uint8, np.uint16))):
             with mock.patch.object(consensus, "_BLOCK_CELLS", cells):
                 save_consensus_binary(counters, d / "s.bin")
                 write_consensus_csv(counters, ids, d / "s.csv")
@@ -520,12 +528,17 @@ class TestCounterFedOutputs:
         save_consensus_binary(state, tmp_path / "s.bin")
         assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
 
-    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
-    @pytest.mark.parametrize("w, table", [(255, True), (256, True), (257, False)])
-    def test_exports_at_the_table_bound(self, tmp_path, dtype, w, table):
+    @pytest.mark.parametrize("w, table, dtype", [
+        (w, table, dtype)
+        for w, table in ((255, True), (256, True), (257, False))
+        for dtype in (np.uint8, np.uint16, np.uint32)
+        if w - 1 <= np.iinfo(dtype).max
+    ])
+    def test_exports_at_the_table_bound(self, tmp_path, w, table, dtype):
         # W² = 65,025, 65,536 (= _TABLE_CODES; the largest code, 65,535, fills
-        # a uint16) and 66,049; observation 5 is never sampled, and pairs
-        # (0, 1) and those of observation 5 are never co-sampled
+        # a uint16) and 66,049, whose uint32 codes need counters past uint8's;
+        # observation 5 is never sampled, and pairs (0, 1) and those of
+        # observation 5 are never co-sampled
         top = w - 1
         # pairs (0, 1) .. (0, 5), (1, 2) .. (1, 5), (2, 3) .. (2, 5), (3, 4), (3, 5), (4, 5)
         seen = [0, top, top, top, 0, 7, top, 1, 0, top, 3, 0, top, 0, 0]
@@ -554,10 +567,10 @@ class TestCounterFedOutputs:
         save_consensus_binary(state, tmp_path / "s.bin")
         assert (tmp_path / "s.bin").read_bytes() == _dense_binary(state)
 
-    def test_codes_past_the_table_bound_peak_at_16_bytes_per_pair(self):
-        # W = 301: the uint64 codes (8 bytes a pair) and their positions from
-        # np.searchsorted (8 more) are the peak. np.unique's copy of the codes
-        # reaches it too; before numpy 2.3 its sort's two bool masks add 2 bytes
+    def test_codes_past_the_table_bound_peak_at_12_bytes_per_pair(self):
+        # W = 301: the uint32 codes (4 bytes a pair) and their positions from
+        # np.searchsorted (8 more) are the peak; np.unique's copy of the codes
+        # and, before numpy 2.3, its sort's two bool masks stay below it
         n = 600
         npair = n * (n - 1) // 2
         rng = np.random.default_rng(2)
@@ -570,14 +583,57 @@ class TestCounterFedOutputs:
         finally:
             tracemalloc.stop()
         assert values.size < 301 * 301  # past the bound: only the codes that occur
-        hash_unique = np.lib.NumpyVersion(np.__version__) >= "2.3.0"
-        assert peak < (16.5 if hash_unique else 18.5) * npair
+        assert peak < 12.5 * npair
 
     @settings(max_examples=100, deadline=None)
     @given(_update_logs())
     def test_dissimilarity_is_one_minus_condensed_s_bit_for_bit(self, case):
         state, _ = case
         want = (1 - squareform(consensus_of(state), checks=False)).tobytes()
-        for counters in (state, _as_dtype(state, np.uint16)):
+        for counters in (state, *(_as_dtype(state, dt) for dt in (np.uint8, np.uint16))):
             got = dissimilarity_of(counters)
             assert got.dtype == np.float64 and got.tobytes() == want
+
+
+class TestWidthIndependence:
+    """One logged run's patches, replayed into counters of each width, give the same bits."""
+
+    @staticmethod
+    def _logged_run(n, n_frac, t_max):
+        rng = np.random.default_rng(n)
+        data = DataMatrix(rng.normal(size=(n, 12)), tuple(f"r{i}" for i in range(n)),
+                          tuple(f"c{j}" for j in range(12)))
+        hp = HyperParams(mode="mpcc", n_frac=n_frac, t_max=t_max, early_stop=False, seed=3)
+        res = run(data, hp, collect_arrays=True)
+        return res, [(rec.obs_idx, rec.labels) for rec in res.trace], data.row_ids
+
+    @pytest.mark.parametrize("n, n_frac, t_max, dtypes", [
+        (40, 0.25, 160, (np.uint8, np.uint16, np.uint32)),  # a default-sized budget
+        (10, 0.8, 500, (np.uint16, np.uint32)),  # past the table bound
+    ], ids=["table", "past-the-bound"])
+    def test_every_width_gives_the_same_outputs(self, tmp_path, n, n_frac, t_max, dtypes):
+        res, log, ids = self._logged_run(n, n_frac, t_max)
+        assert res.consensus.pair_seen.dtype == dtypes[0]
+        w = int(res.consensus.pair_seen.max()) + 1
+        # the codes, W² - 1 at most, take uint16 under the table bound and uint32 past it
+        assert (w * w > consensus._TABLE_CODES) == (t_max > 255)
+        assert np.min_scalar_type(w * w - 1) == (np.uint32 if t_max > 255 else np.uint16)
+        outputs = []
+        for dtype in dtypes:
+            state = ConsensusState.empty(n, max_count=np.iinfo(dtype).max)
+            assert state.pair_seen.dtype == dtype
+            scratch = PairScratch.empty(len(log[0][0]), state.pair_seen.dtype)
+            for idx, labels in log:
+                update(state, idx, labels, scratch=scratch)
+            d = tmp_path / np.dtype(dtype).name
+            d.mkdir()
+            write_consensus_csv(state, ids, d / "s.csv")
+            save_consensus_binary(state, d / "s.bin")
+            outputs.append((
+                state.pair_same.tolist(), state.pair_seen.tolist(), state.diag.tolist(),
+                state.confusion_rows.tobytes(), finalize_hierarchical(state, 3).tolist(),
+                (d / "s.csv").read_bytes(), (d / "s.bin").read_bytes(),
+            ))
+        assert all(out == outputs[0] for out in outputs[1:])
+        assert outputs[0][0] == res.consensus.pair_same.tolist()  # the run's own counters
+        assert outputs[0][3] == res.consensus.confusion_rows.tobytes()

@@ -148,8 +148,9 @@ class TestRun:
 
     def test_counters_sized_from_t_max(self):
         data, _ = _blobs()
-        res = run(data, HyperParams(k=2, seed=1, t_max=30))
-        assert res.consensus.pair_seen.dtype == res.consensus.diag.dtype == np.uint16
+        for t_max, dtype in ((30, np.uint8), (256, np.uint16)):
+            res = run(data, HyperParams(k=2, seed=1, t_max=t_max))
+            assert res.consensus.pair_seen.dtype == res.consensus.diag.dtype == dtype
 
     @pytest.mark.parametrize("n_frac_b", [0.25, 0.4])
     def test_interleaved_runs_keep_their_own_buffers(self, monkeypatch, n_frac_b):
@@ -655,6 +656,8 @@ class TestMemoryCeiling:
         spectral = replace(hp, final_algo="spectral")
         assert pipeline._peak_bytes(n, hp) == 4 * npair + 16 * npair
         assert pipeline._peak_bytes(n, replace(hp, t_max=70_000)) == 8 * npair + 16 * npair
+        # a default run (160 minipatches) keeps 1-byte counters: 100 MB for both at N = 10,000
+        assert pipeline._peak_bytes(n, HyperParams()) == 2 * npair + 16 * npair
         # the quantile cut leaves at most 501 clusters: dense S and the condensed S
         assert pipeline._peak_bytes(n, spectral) == 4 * npair + 12 * n * n
         assert pipeline._peak_bytes(n, replace(spectral, k=3_000)) == 4 * npair + 12 * n * n
