@@ -1,10 +1,11 @@
 """Command-line surface: cluster, simulate, benchmark, tune, eval, hoeffding-check.
 
-Every subcommand honors --seed and writes a manifest, so a run can be
-reproduced byte for byte from its recorded configuration.  Hyperparameter
-flags can also be supplied through a flat key=value config file
-(--config) or MPCLUST_* environment variables; precedence is
-flag > environment > config file > built-in default.
+Every subcommand but eval takes --seed; cluster and simulate write a
+manifest.json, so a run can be reproduced byte for byte from its recorded
+configuration.  After argparse, each hyperparameter a subcommand declares
+and no flag gave is read once from its MPCLUST_* variable, else the flat
+key=value --config file (cluster and tune take one), else HyperParams():
+flag > environment > config file > default.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .consensus import save_consensus_binary, stop_gap, write_consensus_csv
+from .consensus import save_consensus_binary, save_consensus_csv, stop_gap
 from .dataio import DataMatrix, _log2_plus_one, _rescale_unit, load_matrix, write_matrix
 from .dist import METRICS, deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
@@ -32,6 +33,7 @@ from .pipeline import FINAL_ALGOS, MODES, HyperParams, _check_run, run, tune_min
 from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
+_UNSET = object()  # the argparse default of every hyperparameter flag: no flag gave it
 
 
 class _Hyper(NamedTuple):
@@ -101,25 +103,19 @@ def _load_config_file(path: str) -> dict[str, object]:
     return out
 
 
-def _env_overrides() -> dict[str, object]:
-    out: dict[str, object] = {}
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each declared hyperparameter that no flag gave: variable > config key > default.
+
+    A given --config file is checked whole; ValueError or OSError names the bad file or variable.
+    """
+    config = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    defaults = HyperParams()
     for name in _HP:
-        var = _ENV_PREFIX + name.upper()
-        raw = os.environ.get(var)
-        if raw is not None:
-            out[name] = _coerce(name, raw, var)
-    return out
-
-
-def _defaults(argv: list[str] | None) -> dict[str, object]:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-    merged = _field_values(HyperParams())
-    if known.config:
-        merged.update(_load_config_file(known.config))
-    merged.update(_env_overrides())
-    return merged
+        if getattr(args, name, None) is _UNSET:  # no flag gave it; absent: not this subcommand's
+            var = _ENV_PREFIX + name.upper()
+            raw = os.environ.get(var)
+            value = config.get(name, getattr(defaults, name)) if raw is None else _coerce(name, raw, var)
+            setattr(args, name, value)
 
 
 def _digest(path: Path) -> str:
@@ -213,8 +209,7 @@ def _numbers(path: Path, ids: list[str], values: list[str]) -> np.ndarray:
     return np.array([float(v) for v in values])
 
 
-def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str,
-                 help: str | None = None) -> None:
+def _add_hp_flag(p: argparse.ArgumentParser, name: str, help: str | None = None) -> None:
     """``name``'s flag, under ``help`` where the setting means something else here."""
     hp = _HP[name]
 
@@ -223,13 +218,13 @@ def _add_hp_flag(p: argparse.ArgumentParser, d: dict[str, object], name: str,
 
     parse.__name__ = hp.type.__name__  # argparse's "invalid int value" names it
     p.add_argument("--" + name.replace("_", "-"), type=parse, choices=hp.choices,
-                   default=d[name], help=help or hp.help)
+                   default=_UNSET, help=help or hp.help)
 
 
-def _add_hp_flags(p: argparse.ArgumentParser, d: dict[str, object]) -> None:
+def _add_hp_flags(p: argparse.ArgumentParser) -> None:
     for name in _HP:
         if name != "mode":  # each subcommand places --mode itself
-            _add_hp_flag(p, d, name)
+            _add_hp_flag(p, name)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
@@ -316,7 +311,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     _write_rows(out_dir / "labels.csv", ["id", "label"], zip(data.row_ids, result.labels.tolist()))
     if args.consensus_format == "csv":
-        write_consensus_csv(result.consensus, data.row_ids, out_dir / "consensus.csv")
+        save_consensus_csv(result.consensus, data.row_ids, out_dir / "consensus.csv")
     else:
         save_consensus_binary(result.consensus, out_dir / "consensus.bin")
     if result.feature_scores is not None:
@@ -483,7 +478,7 @@ def _cmd_hoeffding(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpclust",
         description="Minipatch consensus clustering (uniform and adaptive sampling)",
@@ -493,12 +488,12 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster a matrix and write labels + consensus")
     p.add_argument("input", help="matrix CSV/TSV (observations x features)")
-    _add_hp_flag(p, d, "mode")
+    _add_hp_flag(p, "mode")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--consensus-format", choices=("csv", "binary"), default="csv")
     p.add_argument("--weight-trace", action="store_true",
                    help="also write per-iteration weight/score traces")
-    _add_hp_flags(p, d)
+    _add_hp_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_cluster)
 
@@ -506,7 +501,7 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     _add_synth_flags(p)
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--cluster-sizes", type=_comma_list(int), default=None, help="comma list summing to n-obs")
-    _add_hp_flag(p, d, "seed")
+    _add_hp_flag(p, "seed")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=_cmd_simulate)
 
@@ -517,17 +512,17 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--methods", type=_comma_list(str, methods), default=methods,
                    help=f"comma list of {', '.join(methods)}")
     _add_synth_flags(p)
-    _add_hp_flag(p, d, "seed")
+    _add_hp_flag(p, "seed")
     p.add_argument("--out", default="benchmark.csv")
     p.set_defaults(func=_cmd_benchmark)
 
     p = sub.add_parser("tune", help="pick the smallest adequate minipatch size")
     p.add_argument("input")
-    _add_hp_flag(p, d, "mode")
+    _add_hp_flag(p, "mode")
     p.add_argument("--m-grid", type=_comma_list(float), required=True, help="comma list of m_frac values")
     p.add_argument("--n-grid", type=_comma_list(float), required=True, help="comma list of n_frac values")
     p.add_argument("--out", default="tune_report.csv")
-    _add_hp_flags(p, d)
+    _add_hp_flags(p)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_tune)
 
@@ -547,8 +542,8 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_comma_list(float), default=(0.05, 0.1, 0.2, 0.3),
                    help="comma list of deviations")
     p.add_argument("--trials", type=int, default=10000)
-    _add_hp_flag(p, d, "metric", help="per-feature contribution: |x-y| (manhattan) or (x-y)^2 (sq_euclidean)")
-    _add_hp_flag(p, d, "seed")
+    _add_hp_flag(p, "metric", help="per-feature contribution: |x-y| (manhattan) or (x-y)^2 (sq_euclidean)")
+    _add_hp_flag(p, "seed")
     p.add_argument("--out", default="hoeffding.csv")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_hoeffding)
@@ -557,12 +552,12 @@ def _build_parser(d: dict[str, object]) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        defaults = _defaults(argv if argv is not None else sys.argv[1:])
+        _resolve(args)
     except (ValueError, OSError) as exc:  # bad --config file or MPCLUST_* value
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = _build_parser(defaults).parse_args(argv)
     try:
         return args.func(args)
     except MemoryError as exc:

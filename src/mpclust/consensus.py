@@ -48,7 +48,7 @@ __all__ = [
     "consensus_of",
     "dissimilarity_of",
     "stop_gap",
-    "write_consensus_csv",
+    "save_consensus_csv",
     "save_consensus_binary",
     "load_consensus_binary",
 ]
@@ -268,7 +268,7 @@ def stop_gap(pct: Sequence[float]) -> float | None:
 
 # -- consensus matrix export ------------------------------------------------
 
-def write_consensus_csv(state: ConsensusState, ids: Sequence[str], path: str | Path) -> None:
+def save_consensus_csv(state: ConsensusState, ids: Sequence[str], path: str | Path) -> None:
     """Write S as a matrix CSV straight from the pair counters, without dense S.
 
     The bytes are those of ``write_matrix(DataMatrix(consensus_of(state),

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from mpclust.cli import _HP, _build_parser, _defaults, _digest, _spec_from_args, main
+from mpclust.cli import _HP, _build_parser, _digest, _resolve, _spec_from_args, main
 from mpclust.consensus import consensus_of
 from mpclust.dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
 from mpclust.metrics import ari
@@ -318,7 +318,9 @@ class TestCluster:
 
 
 def _parsed(argv: list[str]):
-    return _build_parser(_defaults(argv)).parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    _resolve(args)
+    return args
 
 
 @pytest.fixture
@@ -346,6 +348,8 @@ def test_each_hyperparameter_is_a_flag_a_variable_and_a_config_key(
     assert getattr(_parsed([*base, "--config", str(config)]), name) == hp.type(raw)
     monkeypatch.setenv("MPCLUST_" + name.upper(), raw)
     assert getattr(_parsed(base), name) == hp.type(raw)
+    monkeypatch.setenv("MPCLUST_" + name.upper(), "abc")  # malformed, but the flag wins unread
+    assert getattr(_parsed([*base, "--" + name.replace("_", "-"), raw]), name) == hp.type(raw)
     if hp.none_ok:
         monkeypatch.setenv("MPCLUST_" + name.upper(), "none")
         assert getattr(_parsed(base), name) is None
@@ -372,6 +376,76 @@ def test_none_flag_rejected_where_the_key_takes_no_none(name, no_mpclust_env, ca
     assert f"argument {flag}: invalid {_HP[name].type.__name__} value: 'none'" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize("argv", [[], ["cluster"], ["simulate"], ["benchmark"], ["tune"], ["eval"],
+                                  ["hoeffding-check"]], ids=lambda argv: argv[0] if argv else "top")
+def test_help_ignores_the_environment(argv, monkeypatch, no_mpclust_env, capsys):
+    def screen():
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out, _build_parser().format_help()
+
+    clean = screen()
+    for name in _HP:  # every variable malformed
+        monkeypatch.setenv("MPCLUST_" + name.upper(), "abc")
+    assert screen() == clean
+
+
+@pytest.mark.parametrize("env, argv, code", [
+    ("MPCLUST_K", ["eval", "ari", "{labels}", "{labels}"], 0),
+    ("MPCLUST_K", ["simulate", "--snr", "6", "--n-obs", "60", "--n-features", "40",
+                   "--n-signal", "5", "--out", "{out}"], 0),
+    ("MPCLUST_K", ["--version"], 0),
+    ("MPCLUST_SEED", ["simulate", "--snr", "6", "--out", "{out}"], 2),
+    ("MPCLUST_SEED", ["hoeffding-check", "--out", "{out}"], 2),
+    ("MPCLUST_SEED", ["simulate", "--snr", "6", "--n-obs", "60", "--n-features", "40",
+                      "--n-signal", "5", "--seed", "1", "--out", "{out}"], 0),
+], ids=["k-eval", "k-simulate", "k-version", "seed-simulate", "seed-hoeffding",
+        "seed-simulate-flag"])
+def test_a_variable_is_read_only_for_a_declared_setting_no_flag_gave(
+    env, argv, code, tmp_path, monkeypatch, no_mpclust_env, capsys
+):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,label\nr1,1\nr2,1\nr3,2\n")
+    monkeypatch.setenv(env, "abc")
+    argv = [arg.format(labels=labels, out=tmp_path / "out") for arg in argv]
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --version
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    if code == 2:  # before any output is made
+        assert err == f"error: {env}: seed must be int, got 'abc'\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_usage_error_comes_before_a_variable_error(monkeypatch, no_mpclust_env, capsys):
+    monkeypatch.setenv("MPCLUST_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "x.csv", "--mode", "bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "argument --mode: invalid choice: 'bogus'" in err
+    assert "MPCLUST_SEED" not in err
+
+
+@pytest.mark.parametrize("config_text", [None, "n_frac = abc\n", "seed = 3\n"],
+                         ids=["missing", "malformed", "valid"])
+@pytest.mark.parametrize("argv", [["simulate", "--snr", "6"], ["benchmark", "--snr", "6"],
+                                  ["hoeffding-check"]], ids=lambda argv: argv[0])
+def test_config_is_a_usage_error_where_the_subcommand_takes_none(
+    argv, config_text, tmp_path, no_mpclust_env, capsys
+):
+    config = tmp_path / "run.cfg"
+    if config_text is not None:
+        config.write_text(config_text)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --config {config}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "benchmark"])

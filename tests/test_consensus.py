@@ -17,9 +17,9 @@ from mpclust.consensus import (
     dissimilarity_of,
     load_consensus_binary,
     save_consensus_binary,
+    save_consensus_csv,
     stop_gap,
     update,
-    write_consensus_csv,
 )
 from mpclust.dataio import DataMatrix, write_matrix
 from mpclust.pipeline import HyperParams, finalize_hierarchical, run
@@ -447,7 +447,7 @@ class TestConsensusCsvWriter:
     def test_bytes_match_dense_writer(self, tmp_path_factory, case):
         state, ids = case
         d = tmp_path_factory.mktemp("c")
-        write_consensus_csv(state, ids, d / "counters.csv")
+        save_consensus_csv(state, ids, d / "counters.csv")
         write_matrix(DataMatrix(consensus_of(state), ids, ids), d / "dense.csv")
         assert (d / "counters.csv").read_bytes() == (d / "dense.csv").read_bytes()
 
@@ -456,12 +456,12 @@ class TestConsensusCsvWriter:
         update(state, np.array([0, 1]), np.array([0, 1]))
         update(state, np.array([0, 1]), np.array([4, 4]))
         p = tmp_path / "s.csv"
-        write_consensus_csv(state, ("a", "b", "c"), p)
+        save_consensus_csv(state, ("a", "b", "c"), p)
         assert p.read_text() == "id,a,b,c\na,1,0.5,0\nb,0.5,1,0\nc,0,0,0\n"
 
     def test_id_count_checked(self, tmp_path):
         with pytest.raises(ValueError, match="2 ids for 3"):
-            write_consensus_csv(ConsensusState.empty(3), ("a", "b"), tmp_path / "s.csv")
+            save_consensus_csv(ConsensusState.empty(3), ("a", "b"), tmp_path / "s.csv")
 
     @settings(max_examples=200, deadline=None)
     @given(_update_logs(), st.sampled_from([1, 0, -1]), st.sampled_from([np.uint8, np.uint16, np.uint32]))
@@ -473,7 +473,7 @@ class TestConsensusCsvWriter:
         d = tmp_path_factory.mktemp("t")
         with mock.patch.object(consensus, "_TABLE_CODES", w * w + slack):
             values, _ = consensus._consensus_cells(counters)
-            write_consensus_csv(counters, ids, d / "s.csv")
+            save_consensus_csv(counters, ids, d / "s.csv")
             save_consensus_binary(counters, d / "s.bin")
         assert (values.size == w * w) == (slack >= 0)  # the table over every code, or the codes that occur
         write_matrix(DataMatrix(consensus_of(state), ids, ids), d / "dense.csv")
@@ -503,7 +503,7 @@ class TestCounterFedOutputs:
         for counters in (state, *(_as_dtype(state, dt) for dt in (np.uint8, np.uint16))):
             with mock.patch.object(consensus, "_BLOCK_CELLS", cells):
                 save_consensus_binary(counters, d / "s.bin")
-                write_consensus_csv(counters, ids, d / "s.csv")
+                save_consensus_csv(counters, ids, d / "s.csv")
             assert (d / "s.bin").read_bytes() == _dense_binary(state)
             write_matrix(DataMatrix(consensus_of(state), ids, ids), d / "dense.csv")
             assert (d / "s.csv").read_bytes() == (d / "dense.csv").read_bytes()
@@ -549,7 +549,7 @@ class TestCounterFedOutputs:
         assert consensus._TABLE_CODES == 1 << 16
         assert (values.size == w * w) is table
         ids = tuple("abcdef")
-        write_consensus_csv(state, ids, tmp_path / "s.csv")
+        save_consensus_csv(state, ids, tmp_path / "s.csv")
         write_matrix(DataMatrix(consensus_of(state), ids, ids), tmp_path / "dense.csv")
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
         save_consensus_binary(state, tmp_path / "s.bin")
@@ -561,7 +561,7 @@ class TestCounterFedOutputs:
         state = _counters(3, [top, 0, 5], [top, top, 2**31 + 5])
         values, _ = consensus._consensus_cells(state)
         assert values.size == 5  # (top, top), (top, 0), (2**31 + 5, 5) and the diagonal's two
-        write_consensus_csv(state, ("a", "b", "c"), tmp_path / "s.csv")
+        save_consensus_csv(state, ("a", "b", "c"), tmp_path / "s.csv")
         write_matrix(DataMatrix(consensus_of(state), ("a", "b", "c"), ("a", "b", "c")), tmp_path / "d.csv")
         assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
         save_consensus_binary(state, tmp_path / "s.bin")
@@ -627,7 +627,7 @@ class TestWidthIndependence:
                 update(state, idx, labels, scratch=scratch)
             d = tmp_path / np.dtype(dtype).name
             d.mkdir()
-            write_consensus_csv(state, ids, d / "s.csv")
+            save_consensus_csv(state, ids, d / "s.csv")
             save_consensus_binary(state, d / "s.bin")
             outputs.append((
                 state.pair_same.tolist(), state.pair_seen.tolist(), state.diag.tolist(),
