@@ -1,4 +1,8 @@
-"""Agglomerative clustering: ward-linkage merging and dendrogram cuts.
+"""Agglomerative clustering: Ward linkage matrices and their cuts.
+
+A tree over n leaves is scipy's (n-1)x4 float64 linkage matrix ``z``:
+row i merges nodes ``z[i, 0]`` and ``z[i, 1]`` at height ``z[i, 2]`` into
+node n + i of size ``z[i, 3]``; leaves are 0..n-1.
 
 The linkage operates on dissimilarities as given (the R ``ward.D``
 convention: inputs are not squared first) via the Lance-Williams
@@ -29,32 +33,16 @@ merge heights comes out 1.1e-16 below the others and sorts first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
-__all__ = ["Dendrogram", "ward_linkage", "cut_quantile", "cut_k"]
+__all__ = ["ward_linkage", "cut_quantile", "cut_k"]
 
 
-@dataclass(frozen=True, eq=False)
-class Dendrogram:
-    """A scipy linkage matrix: row i merges nodes ``z[i, 0]`` and ``z[i, 1]``
-    at height ``z[i, 2]`` into node n + i of size ``z[i, 3]``; leaves are 0..n-1."""
-
-    z: np.ndarray
-
-    @property
-    def leaf_count(self) -> int:
-        return self.z.shape[0] + 1
-
-    def heights(self) -> np.ndarray:
-        return self.z[:, 2]
-
-
-def ward_linkage(d: np.ndarray) -> Dendrogram:
+def ward_linkage(d: np.ndarray) -> np.ndarray:
     """Full ward.D agglomeration of condensed dissimilarities, as ``pairwise``
-    and ``dissimilarity_of`` return them.
+    and ``dissimilarity_of`` return them: the linkage matrix, whose heights
+    are ward.D's (scipy's, squared).
 
     ``d`` is overwritten with the square roots scipy reads: pass a buffer
     that is not read again. scipy's ``linkage`` raises ValueError on a
@@ -62,14 +50,14 @@ def ward_linkage(d: np.ndarray) -> Dendrogram:
     """
     z = linkage(np.sqrt(d, out=d), "ward")
     z[:, 2] **= 2
-    return Dendrogram(z)
+    return z
 
 
-def _labels_after(t: Dendrogram, r: int) -> np.ndarray:
+def _labels_after(z: np.ndarray, r: int) -> np.ndarray:
     """Leaf labels once the first ``r`` merges are done, in first-leaf order."""
-    n = t.leaf_count
+    n = z.shape[0] + 1
     parent = np.arange(2 * n - 1)
-    kids = t.z[:r, :2].astype(np.intp)
+    kids = z[:r, :2].astype(np.intp)
     parent[kids[:, 0]] = parent[kids[:, 1]] = n + np.arange(r)
     while True:  # pointer doubling: every node ends pointing at its root
         grand = parent[parent]
@@ -82,7 +70,7 @@ def _labels_after(t: Dendrogram, r: int) -> np.ndarray:
     return rank[inverse]
 
 
-def cut_quantile(t: Dendrogram, h: float) -> np.ndarray:
+def cut_quantile(z: np.ndarray, h: float) -> np.ndarray:
     """Cut at the type-7 ``h`` quantile of merge heights.
 
     The first r merges are performed, r = #(heights <= threshold) (ties
@@ -90,14 +78,14 @@ def cut_quantile(t: Dendrogram, h: float) -> np.ndarray:
     with non-decreasing heights, as ``ward_linkage`` returns, these are
     exactly the merges at or below the threshold.
     """
-    heights = t.heights()
+    heights = z[:, 2]
     tau = float(np.quantile(heights, h))  # numpy default == type 7
-    return _labels_after(t, int(np.count_nonzero(heights <= tau)))
+    return _labels_after(z, int(np.count_nonzero(heights <= tau)))
 
 
-def cut_k(t: Dendrogram, k: int) -> np.ndarray:
+def cut_k(z: np.ndarray, k: int) -> np.ndarray:
     """Exactly k clusters: perform the first n-k merges in merge order."""
-    n = t.leaf_count
+    n = z.shape[0] + 1
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
-    return _labels_after(t, n - k)
+    return _labels_after(z, n - k)

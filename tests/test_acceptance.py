@@ -50,7 +50,7 @@ def test_c01_ward_linkage_matches_naive_oracle():
         dm = pairwise(x, "manhattan")
         oracle_heights, oracle_partitions = naive_ward(n, dm)  # before Ward takes dm's roots
         dend = ward_linkage(dm)
-        gap = float(np.abs(np.sort(dend.heights()) - np.sort(oracle_heights)).max())
+        gap = float(np.abs(np.sort(dend[:, 2]) - np.sort(oracle_heights)).max())
         worst = max(worst, gap)
         assert gap < 1e-9
         for k in range(1, n + 1):

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.cluster.hierarchy import linkage
 
 from mpclust import hclust
 from mpclust.dist import pairwise
-from mpclust.hclust import Dendrogram, cut_k, cut_quantile, ward_linkage
+from mpclust.hclust import cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 
 from oracles import labels_from_performed, naive_ward, partitions_of_labels
@@ -20,7 +21,7 @@ def _chain_dendrogram(heights):
     for i, h in enumerate(heights):
         rows.append([cur, i + 1, float(h), i + 2])
         cur = n + i
-    return Dendrogram(np.array(rows))
+    return np.array(rows)
 
 
 @st.composite
@@ -38,20 +39,33 @@ def _random_trees(draw):
         size.append(size[a] + size[b])
         rows.append([a, b, heights[i], size[-1]])
         active.append(n + i)
-    return Dendrogram(np.array(rows))
+    return np.array(rows)
 
 
 class TestWardLinkage:
+    def test_public_surface_is_three_functions(self):
+        assert hclust.__all__ == ["ward_linkage", "cut_quantile", "cut_k"]
+        assert not hasattr(hclust, "Dendrogram")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_scipys_matrix_with_heights_squared(self, seed):
+        d = pairwise(np.random.default_rng(seed).random((12 + 7 * seed, 3)))
+        expected = linkage(np.sqrt(d), "ward")
+        expected[:, 2] **= 2
+        z = ward_linkage(d)
+        assert type(z) is np.ndarray and z.dtype == np.float64
+        assert z.tobytes() == expected.tobytes()
+
     def test_three_point_example(self):
         dend = ward_linkage(pairwise(np.array([[0.0], [1.0], [5.0]]), "manhattan"))
-        assert dend.z[0, 2] == pytest.approx(1.0)
-        assert dend.z[1, 2] == pytest.approx(17.0 / 3.0)
-        assert dend.z[0, 0] == 0 and dend.z[0, 1] == 1
+        assert dend[0, 2] == pytest.approx(1.0)
+        assert dend[1, 2] == pytest.approx(17.0 / 3.0)
+        assert dend[0, 0] == 0 and dend[0, 1] == 1
 
     def test_two_points(self):
         dend = ward_linkage(np.array([3.5]))
-        assert dend.z.shape == (1, 4)
-        assert dend.z.tolist() == [[0.0, 1.0, 3.5, 2.0]]
+        assert dend.shape == (1, 4)
+        assert dend.tolist() == [[0.0, 1.0, 3.5, 2.0]]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_naive_oracle(self, seed):
@@ -61,7 +75,7 @@ class TestWardLinkage:
         dm = pairwise(x, "manhattan")
         oracle_heights, oracle_partitions = naive_ward(n, dm)  # before Ward takes dm's roots
         dend = ward_linkage(dm)
-        assert np.allclose(sorted(dend.heights()), sorted(oracle_heights), atol=1e-9)
+        assert np.allclose(sorted(dend[:, 2]), sorted(oracle_heights), atol=1e-9)
         for k in range(1, n + 1):
             assert partitions_of_labels(cut_k(dend, k)) == oracle_partitions[k]
 
@@ -79,7 +93,7 @@ class TestWardLinkage:
         roots, fresh = np.sqrt(d), d.copy()
         dend = ward_linkage(d)
         assert d.tobytes() == roots.tobytes()
-        assert dend.z.tobytes() == ward_linkage(fresh).z.tobytes()
+        assert dend.tobytes() == ward_linkage(fresh).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_rejects_nonfinite_or_negative(self, bad):
@@ -123,15 +137,15 @@ class TestWardLinkage:
     def test_sizes_and_root(self):
         rng = np.random.default_rng(4)
         dend = ward_linkage(pairwise(rng.random((9, 2))))
-        assert dend.z[-1, 3] == 9
-        by_node = {9 + i: row for i, row in enumerate(dend.z)}
+        assert dend[-1, 3] == 9
+        by_node = {9 + i: row for i, row in enumerate(dend)}
 
         def size_of(node):
             if node < 9:
                 return 1
             return size_of(int(by_node[node][0])) + size_of(int(by_node[node][1]))
 
-        for i, row in enumerate(dend.z):
+        for i, row in enumerate(dend):
             assert row[3] == size_of(9 + i)
 
 
@@ -161,7 +175,7 @@ class TestTiePolicy:
     def test_all_equal_pinned(self):
         dend = ward_linkage(np.ones(15))
         assert [cut_k(dend, k).tolist() for k in range(1, 7)] == _ALL_EQUAL_CUTS
-        assert np.allclose(dend.heights(), 1.0, rtol=1e-15, atol=0)
+        assert np.allclose(dend[:, 2], 1.0, rtol=1e-15, atol=0)
 
     def test_consensus_like_pinned(self):
         # 1 - S for S averaged over three partitions of 8 points: three
@@ -175,7 +189,7 @@ class TestTiePolicy:
         dend = ward_linkage(1.0 - s[ii, jj])
         assert [cut_k(dend, k).tolist() for k in range(1, 9)] == _CONSENSUS_CUTS
         expected = [1 / 3, 1 / 3, 1 / 3, 5 / 9, 41 / 45, 49 / 45, 13 / 9]
-        assert np.allclose(dend.heights(), expected, rtol=1e-14, atol=0)
+        assert np.allclose(dend[:, 2], expected, rtol=1e-14, atol=0)
 
 
 class TestCutQuantile:
@@ -237,17 +251,30 @@ class TestCutK:
 
 
 class TestVectorizedCut:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cuts_take_scipys_matrix(self, seed):
+        # any scipy linkage matrix with non-decreasing heights, not only Ward's
+        n = 6 + 5 * seed
+        z = linkage(np.random.default_rng(seed).integers(0, 4, (n, 2)), "average")
+        rows = z.tolist()
+        for k in range(1, n + 1):
+            assert cut_k(z, k).tolist() == labels_from_performed(rows, range(n - k)).tolist()
+        for h in (0.1, 0.5, 0.95):
+            tau = np.quantile(z[:, 2], h)
+            performed = [i for i, row in enumerate(rows) if row[2] <= tau]
+            assert cut_quantile(z, h).tolist() == labels_from_performed(rows, performed).tolist()
+
     @settings(max_examples=150, deadline=None)
     @given(_random_trees(), st.floats(0.01, 1.0))
     def test_matches_union_find_reference(self, dend, h):
-        n = dend.leaf_count
-        z = dend.z.tolist()
+        n = dend.shape[0] + 1
+        z = dend.tolist()
         for k in range(1, n + 1):
             labels = cut_k(dend, k)
             assert labels.tolist() == labels_from_performed(z, range(n - k)).tolist()
             assert len(np.unique(labels)) == k
             first = np.unique(labels, return_index=True)[1]
             assert (np.diff(first) > 0).all()  # label j first appears before j + 1
-        tau = np.quantile(dend.heights(), h)
+        tau = np.quantile(dend[:, 2], h)
         performed = [i for i, row in enumerate(z) if row[2] <= tau]
         assert cut_quantile(dend, h).tolist() == labels_from_performed(z, performed).tolist()

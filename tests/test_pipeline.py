@@ -330,6 +330,25 @@ class TestRun:
         for rec in res.trace:
             assert rec.obs_idx.size == np.unique(rec.obs_idx).size == hp.n_count(data.n_obs)
 
+    @pytest.mark.parametrize("mode", ["mpcc", "impacc"])
+    def test_one_ward_linkage_per_patch_then_one_final(self, monkeypatch, mode):
+        # log every Ward tree through a pass-through wrapper: one per iteration
+        # over the patch's n_count leaves, then one over all N for the final step
+        data, _ = _blobs()
+        hp = HyperParams(k=2, seed=2, t_max=30, mode=mode)
+        shapes = []
+
+        def logged_ward(d):
+            z = ward_linkage(d)
+            assert type(z) is np.ndarray and z.dtype == np.float64
+            shapes.append(z.shape)
+            return z
+
+        monkeypatch.setattr(pipeline, "ward_linkage", logged_ward)
+        res = run(data, hp)
+        n_count = hp.n_count(data.n_obs)
+        assert shapes == [(n_count - 1, 4)] * len(res.trace) + [(data.n_obs - 1, 4)]
+
     def test_fortran_order_values_read_in_place(self):
         # a Fortran-order table is gathered in place, without a C-order copy,
         # and gives the C-order table's labels, counters and trace
