@@ -5,7 +5,8 @@ manifest.json, so a run can be reproduced byte for byte from its recorded
 configuration.  After argparse, each hyperparameter a subcommand declares
 and no flag gave is read once from its MPCLUST_* variable, else the flat
 key=value --config file (cluster and tune take one), else HyperParams():
-flag > environment > config file > default.
+flag > environment > config file > default.  cluster declares them all, tune
+all but m_frac, n_frac (its grid's), k and final_algo (its skipped final step's).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -62,11 +63,12 @@ _HP: dict[str, _Hyper] = {
     "metric": _Hyper(str, "per-patch dissimilarity", choices=METRICS),
     "mode": _Hyper(str, "uniform (mpcc) or adaptive sampling", choices=MODES),
 }
+_TUNE_HP = tuple(name for name in _HP if name not in ("m_frac", "n_frac", "k", "final_algo"))
 
 
-def _field_values(source: object) -> dict[str, object]:
-    """``source``'s value of each hyperparameter."""
-    return {name: getattr(source, name) for name in _HP}
+def _field_values(source: object, names: Iterable[str]) -> dict[str, object]:
+    """``source``'s value of each hyperparameter in ``names``."""
+    return {name: getattr(source, name) for name in names}
 
 
 def _parse(hp: _Hyper, raw: str) -> object:
@@ -221,10 +223,9 @@ def _add_hp_flag(p: argparse.ArgumentParser, name: str, help: str | None = None)
                    default=_UNSET, help=help or hp.help)
 
 
-def _add_hp_flags(p: argparse.ArgumentParser) -> None:
-    for name in _HP:
-        if name != "mode":  # each subcommand places --mode itself
-            _add_hp_flag(p, name)
+def _add_hp_flags(p: argparse.ArgumentParser, names: Iterable[str]) -> None:
+    for name in names:
+        _add_hp_flag(p, name)
     p.add_argument("--config", default=None, help="flat key=value config file")
 
 
@@ -271,7 +272,6 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-ids", action="store_true", help="input has no id column")
     p.add_argument("--transpose", action="store_true", help="input is features x observations")
     p.add_argument("--log2", action="store_true", help="apply x -> log2(1+x) first")
-    p.add_argument("--rescale", action="store_true", help="min-max rescale to [0,1] first")
 
 
 def _load_input(args: argparse.Namespace) -> DataMatrix:
@@ -286,7 +286,7 @@ def _load_input(args: argparse.Namespace) -> DataMatrix:
     # mmap threshold to its size, and with it the run's peak RSS.
     if args.log2:
         matrix = _log2_plus_one(matrix, out=matrix.values)
-    if args.rescale:
+    if getattr(args, "rescale", False):  # hoeffding-check's experiment rescales itself
         matrix = _rescale_unit(matrix, out=matrix.values)
     return matrix
 
@@ -300,7 +300,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     data = _load_input(args)
     timings["load"] = time.perf_counter() - t0
 
-    hp = HyperParams(**_field_values(args))
+    hp = HyperParams(**_field_values(args, _HP))
     _check_run(data, hp)  # run()'s own checks, so a rejected setting leaves no --out directory
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -419,7 +419,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     data = _load_input(args)
     grid = [(mf, nf) for mf in args.m_grid for nf in args.n_grid]
-    result = tune_minipatch_size(data, grid, HyperParams(**_field_values(args)))
+    result = tune_minipatch_size(data, grid, HyperParams(**_field_values(args, _TUNE_HP)))
 
     _write_rows(
         Path(args.out),
@@ -488,13 +488,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="cluster a matrix and write labels + consensus")
     p.add_argument("input", help="matrix CSV/TSV (observations x features)")
-    _add_hp_flag(p, "mode")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--consensus-format", choices=("csv", "binary"), default="csv")
     p.add_argument("--weight-trace", action="store_true",
                    help="also write per-iteration weight/score traces")
-    _add_hp_flags(p)
+    _add_hp_flags(p, _HP)
     _add_io_flags(p)
+    p.add_argument("--rescale", action="store_true", help="min-max rescale to [0,1] first")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
@@ -518,19 +518,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="pick the smallest adequate minipatch size")
     p.add_argument("input")
-    _add_hp_flag(p, "mode")
     p.add_argument("--m-grid", type=_comma_list(float), required=True, help="comma list of m_frac values")
     p.add_argument("--n-grid", type=_comma_list(float), required=True, help="comma list of n_frac values")
     p.add_argument("--out", default="tune_report.csv")
-    _add_hp_flags(p)
+    _add_hp_flags(p, _TUNE_HP)
     _add_io_flags(p)
+    p.add_argument("--rescale", action="store_true", help="min-max rescale to [0,1] first")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("eval", help="score labels (ARI) or feature scores (F1)")
-    p.add_argument("what", choices=("ari", "f1"))
-    p.add_argument("a", help="labels CSV / scores CSV")
-    p.add_argument("b", help="labels CSV / truth-mask CSV")
-    p.add_argument("--top-k", type=int, default=None,
+    what = p.add_subparsers(dest="what", required=True)
+    for name, a, b in (("ari", "labels CSV", "labels CSV"), ("f1", "scores CSV", "truth-mask CSV")):
+        q = what.add_parser(name, help=f"{a} against {b}")
+        q.add_argument("a", help=a)
+        q.add_argument("b", help=b)
+    q.add_argument("--top-k", type=int, default=None,  # f1's alone
                    help="select the k best-scored features instead of mean+sd")
     p.set_defaults(func=_cmd_eval)
 

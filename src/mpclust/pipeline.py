@@ -270,6 +270,13 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
     available.
     """
     _check_run(data, hp)
+    state, *rest = _loop(data, hp, collect_arrays)
+    return RunResult(_final_labels(state, hp), state, *rest)
+
+
+def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tuple:
+    """``run()`` without the final clustering, on settings ``_check_run`` passed: every
+    ``RunResult`` field but ``labels``, in its order. It reads neither ``k`` nor ``final_algo``."""
     n, m = data.n_obs, data.n_features
     n_count, m_count, t_max = hp.n_count(n), hp.m_count(m), hp.resolve_t_max(n)
 
@@ -345,7 +352,6 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
         if len(armed) > STOP_PATIENCE and stop_gap(armed) < 1:
             stop_reason = "early_stop"
             break
-    del scratch, view
 
     if int(state.diag.min()) == 0:
         missing = int((state.diag == 0).sum())
@@ -353,15 +359,8 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
             f"{missing} observation(s) never sampled after {len(trace)} "
             f"iterations; raise t_max above the burn-in length"
         )
-
-    return RunResult(
-        labels=_final_labels(state, hp),
-        consensus=state,
-        feature_scores=importance(feat_hits, feat_draws) if adaptive_feat else None,
-        obs_weights=obs_state.weights.copy(),
-        stop_reason=stop_reason,
-        trace=trace,
-    )
+    scores = importance(feat_hits, feat_draws) if adaptive_feat else None
+    return state, scores, obs_state.weights.copy(), stop_reason, trace
 
 
 def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:
@@ -500,7 +499,7 @@ def tune_minipatch_size(
     Cells are tried in ascending m*n^2 cost order and the search stops at
     the first qualifying cell; if none qualifies, the evaluated cell with
     the smallest max confusion is returned flagged as not converged.
-    Confusion is read from ``result.consensus.confusion_rows / N``: no dense S.
+    Every cell passes ``run()``'s checks first; each then runs ``run()``'s loop alone, no dense S.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -510,10 +509,9 @@ def tune_minipatch_size(
         _check_run(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
     cells: list[tuple[float, float, float, int]] = []
     for m_frac, n_frac in ordered:
-        result = run(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
-        max_conf = float(result.consensus.confusion_rows.max() / data.n_obs)
-        cells.append((m_frac, n_frac, max_conf, result.iterations_run))
+        state, *_, trace = _loop(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
+        max_conf = float(state.confusion_rows.max() / data.n_obs)
+        cells.append((m_frac, n_frac, max_conf, len(trace)))
         if max_conf < 0.01:
             return TuneResult(m_frac, n_frac, max_conf, True, tuple(cells))
-    best = min(cells, key=lambda c: c[2])
-    return TuneResult(best[0], best[1], best[2], False, tuple(cells))
+    return TuneResult(*min(cells, key=lambda c: c[2])[:3], False, tuple(cells))

@@ -597,6 +597,28 @@ class TestTune:
         assert code == 0
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--k 4", "--m-frac 0.1", "--n-frac 0.2", "--final-algo spectral"])
+    def test_a_setting_that_changes_no_cell_is_a_usage_error(self, flag, tmp_path, capsys):
+        # the grid sets m_frac and n_frac; only the final clustering, which tune skips, reads k
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "x.csv", "--m-grid", "0.2", "--n-grid", "0.3", *flag.split(), "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undeclared_variables_and_config_keys_are_not_read(
+        self, blob_csv, tmp_path, monkeypatch, no_mpclust_env
+    ):
+        argv = ["tune", str(blob_csv), "--m-grid", "0.2", "--n-grid", "0.3,0.5", "--seed", "4"]
+        assert main([*argv, "--out", str(tmp_path / "clean.csv")]) == 0
+        for name in ("m_frac", "n_frac", "k", "final_algo"):
+            monkeypatch.setenv("MPCLUST_" + name.upper(), "abc")
+        config = tmp_path / "run.cfg"
+        config.write_text("m_frac = 0.5\nn_frac = 0.9\nk = 4\nfinal_algo = spectral\n")
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "set.csv")]) == 0
+        assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "clean.csv").read_bytes()
+
 
 class TestEval:
     def test_ari_identical(self, tmp_path, capsys):
@@ -628,6 +650,17 @@ class TestEval:
         mask.write_text("feature_id,is_signal\nf1,1\n\nf2,0\nf3,0\n")
         assert main(["eval", "f1", str(scores), str(mask), "--top-k", "1"]) == 0
         assert float(capsys.readouterr().out.strip()) == 1.0
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_top_k_is_a_usage_error_for_ari(self, tmp_path, capsys, where):
+        p = tmp_path / "l.csv"
+        p.write_text("id,label\nr1,1\nr2,1\nr3,2\n")
+        files = [str(p), str(p)]
+        argv = ["--top-k", "3", *files] if where == "before" else [*files, "--top-k", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "ari", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --top-k" in capsys.readouterr().err
 
     def _ari(self, tmp_path, capsys, a, b):
         (tmp_path / "a.csv").write_text(a)
@@ -715,6 +748,15 @@ class TestHoeffdingCheck:
         for row in rows[1:]:
             _, _, empirical, bound = row.split(",")
             assert 0 <= float(empirical) <= 1 and 0 < float(bound) <= 1
+
+    def test_rescale_is_a_usage_error(self, tmp_path, capsys):
+        # the experiment min-max rescales its matrix itself
+        out = tmp_path / "h.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["hoeffding-check", "--rescale", "--trials", "200", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rescale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metric_help_names_the_per_feature_contribution(self, no_mpclust_env, capsys):
         for argv, shown, hidden in ((["hoeffding-check"], "per-feature contribution", "per-patch"),

@@ -810,15 +810,45 @@ class TestTuner:
             res = run(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
             assert abs(max_conf - confusion(consensus_of(res.consensus)).max()) <= 1e-12
 
+    def test_a_cell_builds_patch_trees_only_and_matches_run(self, monkeypatch):
+        # log every Ward tree through a pass-through wrapper: a cell runs the loop
+        # alone, so one patch tree per iteration and no N-leaf tree; a cell is
+        # run()'s counters bit for bit, whatever run()'s k
+        rng = np.random.default_rng(0)
+        data = DataMatrix(
+            rng.standard_normal((40, 10)),
+            tuple(f"r{i}" for i in range(40)),
+            tuple(f"c{j}" for j in range(10)),
+        )
+        hp = HyperParams(seed=2, t_max=30, early_stop=False)
+        grid = [(0.5, 0.3), (0.5, 0.5)]
+        shapes = []
+
+        def logged_ward(d):
+            z = ward_linkage(d)
+            shapes.append(z.shape)
+            return z
+
+        monkeypatch.setattr(pipeline, "ward_linkage", logged_ward)
+        result = tune_minipatch_size(data, grid, hp)
+        monkeypatch.undo()
+        assert [c[:2] for c in result.cells] == grid  # neither cell converged
+        assert shapes == [(replace(hp, n_frac=n_frac).n_count(40) - 1, 4)
+                          for _, n_frac, _, iterations in result.cells for _ in range(iterations)]
+        for m_frac, n_frac, max_conf, iterations in result.cells:
+            res = run(data, replace(hp, m_frac=m_frac, n_frac=n_frac, k=3))
+            assert (max_conf, iterations) == (float(res.consensus.confusion_rows.max() / 40),
+                                              res.iterations_run)
+
     def test_every_cell_checked_before_the_first_run(self, monkeypatch):
         calls = []
-        counted = pipeline.run
+        counted = pipeline._loop
 
-        def counting_run(*args, **kwargs):
+        def counting_loop(*args, **kwargs):
             calls.append(args)
             return counted(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "run", counting_run)
+        monkeypatch.setattr(pipeline, "_loop", counting_loop)
         data, _ = _blobs()
         with pytest.raises(ValueError, match=r"n_frac must be in \(0.0, 1.0\], got 1.5"):
             tune_minipatch_size(data, [(0.05, 0.25), (0.05, 1.5)], HyperParams(seed=1))
