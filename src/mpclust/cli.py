@@ -538,8 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hoeffding-check", help="feature-subsampling deviation table")
     p.add_argument("--input", default=None, help="matrix CSV (default: uniform random)")
-    p.add_argument("--n-obs", type=int, default=50)
-    p.add_argument("--n-features", type=int, default=100)
+    p.add_argument("--n-obs", type=_positive_int, default=50)
+    p.add_argument("--n-features", type=_positive_int, default=100)
     p.add_argument("--m-feat", type=_comma_list(int), default=(10,), help="comma list of subsample sizes")
     p.add_argument("--eps", type=_comma_list(float), default=(0.05, 0.1, 0.2, 0.3),
                    help="comma list of deviations")

@@ -63,11 +63,15 @@ def _pair_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 class ConsensusState:
     """Accumulated co-cluster (V) and co-sampling (D) counts, and the S(1-S) row sums."""
 
-    n: int
     pair_same: np.ndarray  # condensed V
     pair_seen: np.ndarray  # condensed D, never above the diag of either observation
     diag: np.ndarray  # per-observation sampling count
     confusion_rows: np.ndarray  # float64 off-diagonal S(1-S) row sums
+
+    @property
+    def n(self) -> int:
+        """The number of observations, read from ``diag``."""
+        return self.diag.size
 
     @staticmethod
     def counter_dtype(max_count: int) -> type[np.unsignedinteger]:
@@ -83,7 +87,6 @@ class ConsensusState:
         npair = n * (n - 1) // 2
         dtype = cls.counter_dtype(max_count)
         return cls(
-            n=n,
             pair_same=np.zeros(npair, dtype=dtype),
             pair_seen=np.zeros(npair, dtype=dtype),
             diag=np.zeros(n, dtype=dtype),

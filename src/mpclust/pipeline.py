@@ -18,7 +18,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.cluster.vq import ClusterError, kmeans2
@@ -39,7 +39,6 @@ from .dataio import DataMatrix
 from .dist import METRICS, pairwise
 from .hclust import cut_k, cut_quantile, ward_linkage
 from .sampling import (
-    EEConfig,
     SamplerState,
     draw_uniform,
     ee_prob_next,
@@ -280,9 +279,8 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
     n, m = data.n_obs, data.n_features
     n_count, m_count, t_max = hp.n_count(n), hp.m_count(m), hp.resolve_t_max(n)
 
-    obs_cfg = EEConfig(draw=n_count, epochs=hp.epochs_e, threshold="quantile", threshold_param=hp.theta)
-    feat_cfg = EEConfig(draw=m_count, epochs=hp.epochs_e, threshold="mean_plus_sd", threshold_param=hp.tau)
-    obs_state, feat_state = SamplerState.uniform(n), SamplerState.uniform(m)
+    obs = SamplerState.uniform(n, n_count, hp.epochs_e, "quantile", hp.theta)
+    feat = SamplerState.uniform(m, m_count, hp.epochs_e, "mean_plus_sd", hp.tau)
     # impacc's features: draws and ANOVA support hits; the observations' draws are state.diag
     feat_draws, feat_hits = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     state = ConsensusState.empty(n, max_count=t_max)
@@ -294,7 +292,7 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
     armed = [0.0]  # the rule's first reference value: no stop before STOP_PATIENCE armed iterations
     adaptive_obs = hp.mode in ("mpacc", "impacc")
     adaptive_feat = hp.mode == "impacc"
-    obs_burn = obs_cfg.burn_in(n)
+    obs_burn = obs.burn_in
 
     trace: list[IterationRecord] = []
     stop_reason = "t_max"
@@ -305,15 +303,16 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
         rng_feat = _stream(hp.seed, _PHASE_FEAT, t)
 
         if adaptive_feat:
-            feat_idx = ee_prob_next(feat_cfg, feat_state, t, rng_feat)
+            feat_idx = ee_prob_next(feat, t, rng_feat)
             feat_draws[feat_idx] += 1
         else:
             feat_idx = draw_uniform(m, m_count, rng_feat)
 
         if adaptive_obs:
             if t > obs_burn:
-                update_obs_weights(obs_state, state.confusion_rows / n, state.diag, t, hp.alpha_i)
-            obs_idx = ee_prob_next(obs_cfg, obs_state, t, rng_obs)
+                obs.weights = update_obs_weights(obs.weights, state.confusion_rows / n, state.diag,
+                                                 t, hp.alpha_i)
+            obs_idx = ee_prob_next(obs, t, rng_obs)
         else:
             obs_idx = draw_uniform(n, n_count, rng_obs)
 
@@ -326,7 +325,7 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
         if adaptive_feat and k_patch >= 2 and obs_idx.size - k_patch >= 1:
             support, _ = score_features(view, labels, hp.eta)
             feat_hits[feat_idx[support]] += 1
-            update_feature_weights(feat_state, importance(feat_hits, feat_draws), hp.alpha_f)
+            feat.weights = update_feature_weights(feat.weights, importance(feat_hits, feat_draws), hp.alpha_f)
 
         update(state, obs_idx, labels, scratch=scratch)
         pct = float(np.percentile(state.confusion_rows / n, STOP_PERCENTILE))
@@ -336,8 +335,8 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
             iteration=t,
             n_clusters=k_patch,
             confusion_pct=pct,
-            high_obs=obs_state.last_high_size,
-            high_feat=feat_state.last_high_size,
+            high_obs=obs.last_high_size,
+            high_feat=feat.last_high_size,
             seconds=time.perf_counter() - started,
         )
         if collect_arrays:
@@ -345,7 +344,7 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
                 record,
                 obs_idx=obs_idx.copy(),
                 labels=labels.copy(),
-                obs_weights=obs_state.weights.copy(),
+                obs_weights=obs.weights.copy(),
                 feature_scores=importance(feat_hits, feat_draws) if adaptive_feat else None,  # a new array
             )
         trace.append(record)
@@ -360,7 +359,7 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
             f"iterations; raise t_max above the burn-in length"
         )
     scores = importance(feat_hits, feat_draws) if adaptive_feat else None
-    return state, scores, obs_state.weights.copy(), stop_reason, trace
+    return state, scores, obs.weights.copy(), stop_reason, trace
 
 
 def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:
@@ -485,7 +484,7 @@ class TuneResult:
     n_frac: float
     max_confusion: float
     converged: bool
-    cells: tuple[tuple[float, float, float, int], ...] = field(default_factory=tuple)
+    cells: tuple[tuple[float, float, float, int], ...]
     # (m_frac, n_frac, max_confusion, iterations_run) per evaluated cell
 
 

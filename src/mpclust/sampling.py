@@ -9,8 +9,10 @@ high-weight set is exploited with weighted draws (a growing fraction gamma
 of it) while the remainder of the minipatch explores the complement
 uniformly.
 
-Both axes keep one ``SamplerState`` of the same shape; what moves its
-weights differs.  Observations follow count-adjusted confusion
+Each axis is one ``SamplerState``: its weights, patch size, schedule,
+high-set rule and burn-in bookkeeping, checked once when built.  The rules
+that move the weights are functions of the weight vector, which return the
+new one.  Observations follow count-adjusted confusion
 (``update_obs_weights``), features their ``importance``, ANOVA support hits
 over draws (``update_feature_weights``).  The caller keeps the counts.
 """
@@ -25,7 +27,6 @@ from scipy.special import fdtrc
 
 __all__ = [
     "SamplerState",
-    "EEConfig",
     "draw_uniform",
     "update_obs_weights",
     "score_features",
@@ -79,70 +80,67 @@ def draw_weighted(weights: np.ndarray, count_draw: int, rng: np.random.Generator
 
 @dataclass
 class SamplerState:
-    """One axis's sampling weights and EE+Prob bookkeeping, alike for observations and
-    features.  In burn-in, ``epoch_order`` is the epoch's permutation wrapped to
-    ceil(total/draw) * draw: its last block wraps to its start.  The draw counts live
-    with the caller: ``ConsensusState.diag`` for observations, ``run()``'s for features."""
+    """One axis's EE+Prob sampler, alike for observations and features: its weights, patch
+    size ``draw``, ``epochs`` burn-in epochs of ``q_blocks`` = ceil(total/draw) iterations,
+    high-set rule and burn-in bookkeeping.  In burn-in, ``epoch_order`` is the epoch's
+    permutation wrapped to ``q_blocks * draw``, its last block wrapping to its start.  The
+    caller keeps the draw counts: ``ConsensusState.diag``, and ``run()``'s for features."""
 
     weights: np.ndarray
-    epoch_order: np.ndarray | None = None
-    last_high_size: int = 0
-
-    @classmethod
-    def uniform(cls, total: int) -> "SamplerState":
-        return cls(weights=np.full(total, 1.0 / total))
-
-
-@dataclass(frozen=True)
-class EEConfig:
-    """Knobs of the EE+Prob scheme for one axis, whose patch size is ``draw``.  Burn-in is
-    ``epochs`` epochs of ceil(total/draw) iterations, each last block wrapping to its start."""
-
     draw: int
     epochs: int
     threshold: str  # "quantile" or "mean_plus_sd"
     threshold_param: float  # theta for quantile, tau for mean_plus_sd
+    epoch_order: np.ndarray | None = None
+    last_high_size: int = 0
 
     def __post_init__(self) -> None:
-        if self.draw < 1:
-            raise ValueError("draw must be >= 1")
+        if not 1 <= self.draw <= self.weights.size:
+            raise ValueError(f"cannot draw {self.draw} of {self.weights.size}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.threshold not in ("quantile", "mean_plus_sd"):
             raise ValueError(f"unknown threshold rule {self.threshold!r}")
 
-    def q_blocks(self, total: int) -> int:
-        return math.ceil(total / self.draw)
+    @classmethod
+    def uniform(
+        cls, total: int, draw: int, epochs: int, threshold: str, threshold_param: float
+    ) -> "SamplerState":
+        return cls(np.full(total, 1.0 / total), draw, epochs, threshold, threshold_param)
 
-    def burn_in(self, total: int) -> int:
-        return self.epochs * self.q_blocks(total)
+    @property
+    def q_blocks(self) -> int:
+        return math.ceil(self.weights.size / self.draw)
 
-    def gamma_at(self, t: int, total: int) -> float:
+    @property
+    def burn_in(self) -> int:
+        return self.epochs * self.q_blocks
+
+    def gamma_at(self, t: int) -> float:
         """Exploitation fraction in [0.5, 1], nondecreasing in t."""
         # linear ramp from 0.5 at the first adaptive iteration to 1.0
         # over the following burn_in-many iterations (burn_in >= 1)
-        burn = self.burn_in(total)
-        return min(1.0, 0.5 + 0.5 * (t - burn - 1) / burn)
+        return min(1.0, 0.5 + 0.5 * (t - self.burn_in - 1) / self.burn_in)
 
 
 def update_obs_weights(
-    state: SamplerState, conf: np.ndarray, counts: np.ndarray, t: int, alpha_i: float
-) -> None:
-    """Blend observation weights toward count-adjusted confusion.
+    weights: np.ndarray, conf: np.ndarray, counts: np.ndarray, t: int, alpha_i: float
+) -> np.ndarray:
+    """Observation weights blended toward count-adjusted confusion, as a new vector.
 
     ``conf`` is the confusion vector (1/N) sum_j S_ij (1 - S_ij) of the current
     consensus S, ``counts`` the times each observation was sampled: ``run()``
     passes the consensus state's ``confusion_rows`` / N and ``diag``.
     u_i = conf_i * (t-1)/max(1, counts_i); weights move by
-    w <- alpha w + (1-alpha) u/sum(u).  A zero uncertainty vector leaves
-    the weights untouched.
+    w <- alpha w + (1-alpha) u/sum(u).  An uncertainty vector that sums to 0
+    returns ``weights`` itself; the input is never written.
     """
     if t < 2:
         raise ValueError("observation weights update needs t >= 2")
     conf = np.asarray(conf, dtype=float)
-    if conf.shape != state.weights.shape:
+    if conf.shape != weights.shape:
         raise ValueError(
-            f"confusion must be a vector of length {state.weights.size}, "
+            f"confusion must be a vector of length {weights.size}, "
             f"got shape {conf.shape}"
         )
     if not np.isfinite(conf).all():
@@ -150,8 +148,9 @@ def update_obs_weights(
     u = conf * (t - 1) / np.maximum(1, counts)
     total = u.sum()
     if total > 0:
-        w = alpha_i * state.weights + (1.0 - alpha_i) * u / total
-        state.weights = w / w.sum()  # guard fp drift; analytically already 1
+        w = alpha_i * weights + (1.0 - alpha_i) * u / total
+        return w / w.sum()  # guard fp drift; analytically already 1
+    return weights
 
 
 def score_features(
@@ -223,46 +222,44 @@ def importance(hits: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return hits / np.maximum(1, draws)
 
 
-def update_feature_weights(state: SamplerState, scores: np.ndarray, alpha_f: float) -> None:
-    """Blend the feature weights toward the ``importance`` scores and renormalise:
-    w <- alpha w + (1-alpha) scores, divided by its sum unless that is 0."""
-    w = alpha_f * state.weights + (1.0 - alpha_f) * scores
+def update_feature_weights(weights: np.ndarray, scores: np.ndarray, alpha_f: float) -> np.ndarray:
+    """Feature weights blended toward the ``importance`` scores and renormalised, as a new
+    vector: w <- alpha w + (1-alpha) scores, divided by its sum; ``weights`` itself unless that
+    is positive.  The input is never written."""
+    w = alpha_f * weights + (1.0 - alpha_f) * scores
     total = w.sum()
     if total > 0:
-        state.weights = w / total  # renormalized for sampling; raw scores reported
+        return w / total  # renormalized for sampling; raw scores reported
+    return weights
 
 
-def _high_set(weights: np.ndarray, config: EEConfig) -> np.ndarray:
-    if config.threshold == "quantile":
-        cut = float(np.quantile(weights, config.threshold_param))
+def _high_set(state: SamplerState) -> np.ndarray:
+    if state.threshold == "quantile":
+        cut = float(np.quantile(state.weights, state.threshold_param))
     else:
-        cut = float(weights.mean() + config.threshold_param * weights.std())
-    return np.flatnonzero(weights > cut)
+        cut = float(state.weights.mean() + state.threshold_param * state.weights.std())
+    return np.flatnonzero(state.weights > cut)
 
 
-def ee_prob_next(
-    config: EEConfig, state: SamplerState, t: int, rng: np.random.Generator
-) -> np.ndarray:
+def ee_prob_next(state: SamplerState, t: int, rng: np.random.Generator) -> np.ndarray:
     """Next minipatch index set for iteration t (1-based) on one axis.  Burn-in, epochs *
     ceil(total/draw) iterations, cuts each epoch's permutation into blocks wrapped to its start."""
-    total, draw = state.weights.size, config.draw
-    if draw > total:
-        raise ValueError(f"cannot draw {draw} of {total}")
+    total, draw = state.weights.size, state.draw
 
-    if t <= config.burn_in(total):
-        q = config.q_blocks(total)
+    if t <= state.burn_in:
+        q = state.q_blocks
         pos = (t - 1) % q
         if pos == 0 or state.epoch_order is None:
             state.epoch_order = np.resize(rng.permutation(total), q * draw)
         state.last_high_size = 0
         return np.sort(state.epoch_order[pos * draw : (pos + 1) * draw])
 
-    high = _high_set(state.weights, config)
+    high = _high_set(state)
     state.last_high_size = int(high.size)
     if high.size == 0:
         return draw_uniform(total, draw, rng)
 
-    gamma = config.gamma_at(t, total)
+    gamma = state.gamma_at(t)
     # half rounds up, so gamma >= 0.5 exploits at least one index
     exploit_n = min(draw, int(math.floor(gamma * high.size + 0.5)))
     exploit = high[draw_weighted(state.weights[high], exploit_n, rng)]

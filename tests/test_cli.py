@@ -528,10 +528,13 @@ class TestBenchmark:
     (["tune", "x.csv", "--m-grid", "0.1", "--n-grid", ""], "--n-grid"),
     (["hoeffding-check", "--m-feat", "x"], "--m-feat"),
     (["hoeffding-check", "--eps", "0.1,y"], "--eps"),
+    (["hoeffding-check", "--n-obs", "-3"], "--n-obs"),
+    (["hoeffding-check", "--n-features", "-1"], "--n-features"),
     (["simulate", "--snr", "6", "--cluster-sizes", "1,a"], "--cluster-sizes"),
     (["simulate", "--snr", "6", "--cluster-sizes", " "], "--cluster-sizes"),
 ], ids=["snr-abc", "snr-comma", "reps-0", "reps-x", "methods-foo", "methods-comma", "m-grid",
-        "n-grid-empty", "m-feat", "eps", "cluster-sizes", "cluster-sizes-blank"])
+        "n-grid-empty", "m-feat", "eps", "n-obs-negative", "n-features-negative", "cluster-sizes",
+        "cluster-sizes-blank"])
 def test_malformed_list_flag_is_a_usage_error(argv, flag, no_mpclust_env, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 from unittest import mock
@@ -79,6 +80,19 @@ class TestUpdate:
         assert np.array_equal(a.pair_same, b.pair_same)
         assert np.array_equal(a.pair_seen, b.pair_seen)
         assert np.array_equal(a.diag, b.diag)
+
+
+class TestConsensusState:
+    def test_n_is_read_from_the_arrays(self):
+        names = [f.name for f in dataclasses.fields(ConsensusState)]
+        assert names == ["pair_same", "pair_seen", "diag", "confusion_rows"]
+        assert ConsensusState.empty(5).n == 5
+        # built by hand for 6 observations: pair (1, 4) is condensed slot 7, and 5 is in range
+        state = ConsensusState(np.zeros(15, np.uint8), np.zeros(15, np.uint8),
+                               np.zeros(6, np.uint8), np.zeros(6))
+        assert state.n == state.diag.size == 6
+        update(state, np.array([1, 4, 5]), np.array([0, 0, 1]))
+        assert np.flatnonzero(state.pair_same).tolist() == [7]
 
 
 class TestCounterWidth:
@@ -482,8 +496,8 @@ class TestConsensusCsvWriter:
 
 
 def _as_dtype(state, dtype):
-    return ConsensusState(state.n, *(a.astype(dtype) for a in
-                                     (state.pair_same, state.pair_seen, state.diag)),
+    return ConsensusState(*(a.astype(dtype) for a in
+                            (state.pair_same, state.pair_seen, state.diag)),
                           state.confusion_rows)
 
 
@@ -543,7 +557,7 @@ class TestCounterFedOutputs:
         # pairs (0, 1) .. (0, 5), (1, 2) .. (1, 5), (2, 3) .. (2, 5), (3, 4), (3, 5), (4, 5)
         seen = [0, top, top, top, 0, 7, top, 1, 0, top, 3, 0, top, 0, 0]
         same = [0, top, 0, top - 1, 0, 7, 1, 0, 0, top, 2, 0, top, 0, 0]
-        state = ConsensusState(6, np.array(same, dtype=dtype), np.array(seen, dtype=dtype),
+        state = ConsensusState(np.array(same, dtype=dtype), np.array(seen, dtype=dtype),
                                np.array([top] * 5 + [0], dtype=dtype), np.zeros(6))
         values, _ = consensus._consensus_cells(state)
         assert consensus._TABLE_CODES == 1 << 16

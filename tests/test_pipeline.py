@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -22,7 +23,7 @@ from mpclust.pipeline import (
     run,
     tune_minipatch_size,
 )
-from mpclust.sampling import EEConfig, SamplerState, update_obs_weights
+from mpclust.sampling import SamplerState, update_obs_weights
 from mpclust.synthgen import SynthSpec, generate
 
 from oracles import (
@@ -74,6 +75,39 @@ class TestRun:
         assert np.array_equal(a.labels, b.labels)
         assert a.iterations_run == b.iterations_run
         assert [r.confusion_pct for r in a.trace] == [r.confusion_pct for r in b.trace]
+
+    @pytest.mark.parametrize("mode, digests", [
+        ("mpacc", {
+            "labels": "9ce2c299a80425f7348d58f9a5dbdadacb60cb0aa12cfab3c05f2d52639ab4d0",
+            "obs_weights": "01e107a87738b93d79a2a9796e315839d9e8888b7f87f85f7f99ea6071ffedb9",
+            "feature_scores": None,
+            "trace": "5f04b64e7c8dfcfb4cdc90318ed957b2cfd03913ab09f39491f21767e83fe353",
+        }),
+        ("impacc", {
+            "labels": "e255debca95c76b8055d85dfbcc33db542710c89110836acd08118b8ca35a9ef",
+            "obs_weights": "30acc8ad5eac5bb4ae7eae36cccb026580ba3c0d8ac41af587a933d5d0fad090",
+            "feature_scores": "7aa3262e4b69e1f4bc02b6439539f5160a322318484d5def9415b18bfcb54ae8",
+            "trace": "9362a543a930a546d39f9fe0bfd661722c9f5449f20795040410f2f1105abbdf",
+        }),
+    ])
+    def test_adaptive_draws_are_pinned(self, mode, digests):
+        # sha256 of an adaptive run's outputs, taken from the code as it was when
+        # this test was written: 8 burn-in and 32 adaptive iterations; a change
+        # that moves a draw, a weight or a score moves a digest and must say so
+        spec = SynthSpec(snr=6, n_obs=60, n_features=50, n_signal=5, seed=1,
+                         cluster_sizes=(3, 9, 14, 34))
+        res = run(generate(spec).matrix, HyperParams(mode=mode, seed=1, t_max=40, early_stop=False))
+        trace = [(r.n_clusters, r.confusion_pct, r.high_obs, r.high_feat) for r in res.trace]
+
+        def digest(a, dtype="<f8"):
+            return None if a is None else hashlib.sha256(np.asarray(a, dtype).tobytes()).hexdigest()
+
+        assert {
+            "labels": digest(res.labels, "<i8"),
+            "obs_weights": digest(res.obs_weights),
+            "feature_scores": digest(res.feature_scores),
+            "trace": digest(trace),
+        } == digests
 
     def test_bad_mode(self, monkeypatch):
         def no_patches(*args, **kwargs):
@@ -273,17 +307,17 @@ class TestRun:
         assert len(res.trace) == 40
 
         n = data.n_obs
-        burn = EEConfig(draw=hp.n_count(n), epochs=hp.epochs_e, threshold="quantile",
-                        threshold_param=hp.theta).burn_in(n)
+        burn = SamplerState.uniform(n, hp.n_count(n), hp.epochs_e, "quantile", hp.theta).burn_in
         state = ConsensusState.empty(n)
-        obs = SamplerState.uniform(n)
+        weights = np.full(n, 1.0 / n)
         for t, rec in enumerate(res.trace, start=1):
             if t > burn:
-                update_obs_weights(obs, confusion(consensus_of(state)), state.diag, t, hp.alpha_i)
+                conf = confusion(consensus_of(state))
+                weights = update_obs_weights(weights, conf, state.diag, t, hp.alpha_i)
             update(state, rec.obs_idx, rec.labels)
             assert rec.iteration == t
-            assert np.abs(rec.obs_weights - obs.weights).max() <= 1e-12
-        assert np.ptp(obs.weights) > 0  # the weights did move off uniform
+            assert np.abs(rec.obs_weights - weights).max() <= 1e-12
+        assert np.ptp(weights) > 0  # the weights did move off uniform
 
     def test_feature_scores_match_recount_from_log(self, monkeypatch):
         # log each iteration's feature draw and the features its ANOVA supports
@@ -295,8 +329,8 @@ class TestRun:
         hp = HyperParams(mode="impacc", k=4, seed=2, t_max=60, early_stop=False)
         drawn, supported = [], {}
 
-        def logged_draw(config, state, t, rng):
-            idx = sampling.ee_prob_next(config, state, t, rng)
+        def logged_draw(state, t, rng):
+            idx = sampling.ee_prob_next(state, t, rng)
             if state.weights.size == data.n_features:  # the observations' draw is n = 60
                 drawn.append(idx)
             return idx

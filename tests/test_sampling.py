@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpclust.sampling import (
-    EEConfig,
     SamplerState,
     draw_uniform,
     draw_weighted,
@@ -89,52 +88,55 @@ class TestDrawWeighted:
 
 class TestUpdateObsWeights:
     def test_zero_uncertainty_keeps_weights(self):
-        state = SamplerState.uniform(4)
-        before = state.weights.copy()
-        update_obs_weights(state, confusion(np.eye(4)), np.zeros(4, dtype=int), t=3, alpha_i=0.5)
-        assert np.array_equal(state.weights, before)
+        weights = np.full(4, 0.25)
+        before = weights.copy()
+        counts = np.zeros(4, dtype=int)
+        after = update_obs_weights(weights, confusion(np.eye(4)), counts, t=3, alpha_i=0.5)
+        assert np.array_equal(after, before) and np.array_equal(weights, before)
 
     def test_derived_example(self):
         # confusions (0.2, 0.1), counts (1, 2), t=3 -> u=(0.4, 0.1) -> (0.8, 0.2)
         x = (1 - np.sqrt(0.2)) / 2  # x(1-x) == 0.2 exactly
         s = np.array([[x, x], [x, 1.0]])
         assert np.allclose(confusion(s), [0.2, 0.1])
-        state = SamplerState.uniform(2)
-        update_obs_weights(state, confusion(s), np.array([1, 2], dtype=np.uint16), t=3, alpha_i=0.0)
-        assert np.allclose(state.weights, [0.8, 0.2])
+        counts = np.array([1, 2], dtype=np.uint16)
+        weights = update_obs_weights(np.full(2, 0.5), confusion(s), counts, t=3, alpha_i=0.0)
+        assert np.allclose(weights, [0.8, 0.2])
 
     def test_ema_endpoints(self):
         base = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
-        frozen = SamplerState.uniform(3)
-        w0 = frozen.weights.copy()
-        update_obs_weights(frozen, confusion(base), np.ones(3, dtype=int), t=2, alpha_i=1.0)
-        assert np.allclose(frozen.weights, w0)
+        w0 = np.full(3, 1 / 3)
+        frozen = update_obs_weights(w0, confusion(base), np.ones(3, dtype=int), t=2, alpha_i=1.0)
+        assert np.allclose(frozen, w0)
 
     def test_requires_t_at_least_two(self):
-        state = SamplerState.uniform(3)
         with pytest.raises(ValueError):
-            update_obs_weights(state, np.zeros(3), np.zeros(3, dtype=int), t=1, alpha_i=0.5)
+            update_obs_weights(np.full(3, 1 / 3), np.zeros(3), np.zeros(3, dtype=int), t=1,
+                               alpha_i=0.5)
 
     @pytest.mark.parametrize(
         "conf",
         [np.eye(4), np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.array([0.1, np.nan, 0.1, 0.1])],
     )
     def test_rejects_non_confusion_vector(self, conf):
-        state = SamplerState.uniform(4)
-        before = state.weights.copy()
+        weights = np.full(4, 0.25)
+        before = weights.copy()
         with pytest.raises(ValueError, match="confusion"):
-            update_obs_weights(state, conf, np.zeros(4, dtype=int), t=3, alpha_i=0.5)
-        assert np.array_equal(state.weights, before)
+            update_obs_weights(weights, conf, np.zeros(4, dtype=int), t=3, alpha_i=0.5)
+        assert np.array_equal(weights, before)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(2)
-        state = SamplerState.uniform(10)
+        weights = np.full(10, 0.1)
         counts = rng.integers(1, 5, 10)
         for t in range(2, 30):
             s = rng.random((10, 10))
             s = (s + s.T) / 2
-            update_obs_weights(state, confusion(s), counts, t=t, alpha_i=0.5)
-            assert abs(state.weights.sum() - 1) < 1e-12
+            before = weights.copy()
+            new = update_obs_weights(weights, confusion(s), counts, t=t, alpha_i=0.5)
+            assert np.array_equal(weights, before)  # the input vector is not written
+            weights = new
+            assert abs(weights.sum() - 1) < 1e-12
 
 
 class TestScoreFeatures:
@@ -191,8 +193,9 @@ class TestSamplerState:
     def test_one_shape_for_both_axes(self):
         # the draw counts are the caller's: ConsensusState.diag, run()'s feature counts
         names = [f.name for f in dataclasses.fields(SamplerState)]
-        assert names == ["weights", "epoch_order", "last_high_size"]
-        state = SamplerState.uniform(4)
+        assert names == ["weights", "draw", "epochs", "threshold", "threshold_param",
+                         "epoch_order", "last_high_size"]
+        state = SamplerState.uniform(4, 2, 1, "quantile", 0.95)
         assert state.weights.tolist() == [0.25] * 4
         assert state.epoch_order is None and state.last_high_size == 0
 
@@ -206,91 +209,87 @@ class TestUpdateFeatureWeights:
         assert importance(np.array([5, 0]), np.array([5, 5]))[0] == 1.0
 
     def test_weights_sum_to_one(self):
-        state = SamplerState.uniform(5)
+        weights = np.full(5, 0.2)
         draws, hits = np.zeros(5, dtype=np.int64), np.zeros(5, dtype=np.int64)
         rng = np.random.default_rng(0)
         for _ in range(20):
             sampled = np.sort(rng.choice(5, 3, replace=False))
             draws[sampled] += 1
             hits[sampled[:1]] += 1
-            update_feature_weights(state, importance(hits, draws), alpha_f=0.5)
-            assert abs(state.weights.sum() - 1) < 1e-12
+            before = weights.copy()
+            new = update_feature_weights(weights, importance(hits, draws), alpha_f=0.5)
+            assert np.array_equal(weights, before)  # the input vector is not written
+            weights = new
+            assert abs(weights.sum() - 1) < 1e-12
 
 
 class TestEEProbNext:
     def test_burn_in_full_coverage(self):
-        cfg = EEConfig(draw=3, epochs=2, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(10)
+        state = SamplerState.uniform(10, 3, 2, "quantile", 0.95)
         counts = np.zeros(10, dtype=int)
-        q = cfg.q_blocks(10)
-        for t in range(1, cfg.epochs * q + 1):
-            idx = ee_prob_next(cfg, state, t, np.random.default_rng(t))
+        q = state.q_blocks
+        for t in range(1, state.epochs * q + 1):
+            idx = ee_prob_next(state, t, np.random.default_rng(t))
             counts[idx] += 1
-        assert counts.min() >= cfg.epochs  # wrap-around padding can only add
+        assert counts.min() >= state.epochs  # wrap-around padding can only add
 
     def test_burn_in_epoch_partition(self):
-        cfg = EEConfig(draw=2, epochs=1, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(8)
+        state = SamplerState.uniform(8, 2, 1, "quantile", 0.95)
         seen = []
-        for t in range(1, cfg.q_blocks(8) + 1):
-            seen.extend(ee_prob_next(cfg, state, t, np.random.default_rng(99)).tolist())
+        for t in range(1, state.q_blocks + 1):
+            seen.extend(ee_prob_next(state, t, np.random.default_rng(99)).tolist())
         assert sorted(seen) == list(range(8))
 
     def test_adaptive_uniform_when_no_high_set(self):
-        cfg = EEConfig(draw=3, epochs=1, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(6)
-        t = cfg.burn_in(6) + 1
-        idx = ee_prob_next(cfg, state, t, np.random.default_rng(0))
-        assert idx.size == cfg.draw
+        state = SamplerState.uniform(6, 3, 1, "quantile", 0.95)
+        t = state.burn_in + 1
+        idx = ee_prob_next(state, t, np.random.default_rng(0))
+        assert idx.size == state.draw
         assert state.last_high_size == 0  # equal weights: nothing above quantile
 
     def test_full_exploitation_from_high_set(self):
-        cfg = EEConfig(draw=4, epochs=1, threshold="mean_plus_sd", threshold_param=0.0)
-        state = SamplerState.uniform(8)
+        state = SamplerState.uniform(8, 4, 1, "mean_plus_sd", 0.0)
         state.weights = np.array([0.3, 0.3, 0.3, 0.02, 0.02, 0.02, 0.02, 0.02])
-        t = 2 * cfg.burn_in(8) + 1
-        assert cfg.gamma_at(t, 8) == 1.0
-        idx = ee_prob_next(cfg, state, t, np.random.default_rng(1))
+        t = 2 * state.burn_in + 1
+        assert state.gamma_at(t) == 1.0
+        idx = ee_prob_next(state, t, np.random.default_rng(1))
         # high set is {0,1,2}; gamma=1 exploits min(draw, |H|) = 3 of 4 from it
         assert set(idx) >= {0, 1, 2} or len(set(idx) & {0, 1, 2}) == 3
 
     def test_gamma_one_large_high_set_exploits_only(self):
         # theta=0.5 puts the median cut between the two weight levels, so
         # the high set is the six heavy indices, more than the draw of 3
-        cfg = EEConfig(draw=3, epochs=1, threshold="quantile", threshold_param=0.5)
-        state = SamplerState.uniform(12)
+        state = SamplerState.uniform(12, 3, 1, "quantile", 0.5)
         weights = np.full(12, 0.01)
         weights[:6] = (1 - 0.06) / 6
         state.weights = weights / weights.sum()
-        t = 2 * cfg.burn_in(12) + 1
-        assert cfg.gamma_at(t, 12) == 1.0
-        idx = ee_prob_next(cfg, state, t, np.random.default_rng(2))
+        t = 2 * state.burn_in + 1
+        assert state.gamma_at(t) == 1.0
+        idx = ee_prob_next(state, t, np.random.default_rng(2))
         assert state.last_high_size == 6
         assert set(idx.tolist()) <= set(range(6))
 
     def test_draw_size_always_exact(self):
-        cfg = EEConfig(draw=5, epochs=1, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(11)
+        state = SamplerState.uniform(11, 5, 1, "quantile", 0.95)
         rng = np.random.default_rng(5)
         state.weights = rng.dirichlet(np.ones(11))
         for t in range(1, 40):
-            idx = ee_prob_next(cfg, state, t, rng)
-            assert idx.size == cfg.draw
+            idx = ee_prob_next(state, t, rng)
+            assert idx.size == state.draw
             assert len(set(idx.tolist())) == idx.size
 
     def test_burn_in_min_counts_by_epoch_end(self):
-        cfg = EEConfig(draw=3, epochs=3, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(13)
+        state = SamplerState.uniform(13, 3, 3, "quantile", 0.95)
         counts = np.zeros(13, dtype=int)
-        for t in range(1, cfg.burn_in(13) + 1):
-            idx = ee_prob_next(cfg, state, t, np.random.default_rng(1000 + t))
+        for t in range(1, state.burn_in + 1):
+            idx = ee_prob_next(state, t, np.random.default_rng(1000 + t))
             counts[idx] += 1
-        assert counts.min() >= cfg.epochs - 1
+        assert counts.min() >= state.epochs - 1
 
     def test_gamma_schedule_monotone(self):
-        cfg = EEConfig(draw=25, epochs=2, threshold="quantile", threshold_param=0.95)
-        lo = cfg.burn_in(100) + 1
-        gammas = [cfg.gamma_at(t, 100) for t in range(lo, lo + 3 * cfg.burn_in(100))]
+        state = SamplerState.uniform(100, 25, 2, "quantile", 0.95)
+        lo = state.burn_in + 1
+        gammas = [state.gamma_at(t) for t in range(lo, lo + 3 * state.burn_in)]
         assert gammas[0] == pytest.approx(0.5)
         assert all(b >= a for a, b in zip(gammas, gammas[1:]))
         assert gammas[-1] == 1.0
@@ -298,16 +297,14 @@ class TestEEProbNext:
 
 class TestFeatureWeightEndpoints:
     def test_alpha_one_freezes_weights(self):
-        state = SamplerState.uniform(4)
-        before = state.weights.copy()
-        update_feature_weights(state, np.array([0.5, 0.0, 0.0, 0.0]), alpha_f=1.0)
-        assert np.allclose(state.weights, before)
+        before = np.full(4, 0.25)
+        after = update_feature_weights(before, np.array([0.5, 0.0, 0.0, 0.0]), alpha_f=1.0)
+        assert np.allclose(after, before)
 
     def test_alpha_zero_equals_normalized_importance(self):
-        state = SamplerState.uniform(4)
         imp = importance(np.array([1, 0, 0, 0]), np.array([2, 2, 2, 0]))
-        update_feature_weights(state, imp, alpha_f=0.0)
-        assert np.allclose(state.weights, imp / imp.sum())
+        weights = update_feature_weights(np.full(4, 0.25), imp, alpha_f=0.0)
+        assert np.allclose(weights, imp / imp.sum())
 
 
 def _assert_distinct_in_range(idx: np.ndarray, total: int, size: int) -> None:
@@ -357,13 +354,12 @@ class TestDrawProperties:
     )
     def test_ee_prob_exact_distinct_in_range(self, w, data, epochs, rule, t_offset, seed):
         draw = data.draw(st.integers(1, w.size))
-        cfg = EEConfig(draw=draw, epochs=epochs, threshold=rule[0], threshold_param=rule[1])
-        state = SamplerState.uniform(w.size)
+        state = SamplerState.uniform(w.size, draw, epochs, rule[0], rule[1])
         state.weights = w / w.sum()
         rng = np.random.default_rng(seed)
         # one draw anywhere in burn-in, then one past it, where the weights decide
-        for t in (1 + t_offset % cfg.burn_in(w.size), cfg.burn_in(w.size) + 1 + t_offset):
-            idx = ee_prob_next(cfg, state, t, rng)
+        for t in (1 + t_offset % state.burn_in, state.burn_in + 1 + t_offset):
+            idx = ee_prob_next(state, t, rng)
             _assert_distinct_in_range(idx, w.size, draw)
 
     @settings(max_examples=100, deadline=None)
@@ -377,15 +373,14 @@ class TestDrawProperties:
         """Each epoch covers every index once; its last block's wrap to the
         epoch's start (q * draw - total indices) adds one more visit each."""
         draw = data.draw(st.integers(1, total))
-        cfg = EEConfig(draw=draw, epochs=epochs, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(total)
-        q = cfg.q_blocks(total)
+        state = SamplerState.uniform(total, draw, epochs, "quantile", 0.95)
+        q = state.q_blocks
         rng = np.random.default_rng(seed)
         counts = np.zeros(total, dtype=int)
         for epoch in range(epochs):
             visits = np.zeros(total, dtype=int)
             for t in range(epoch * q + 1, (epoch + 1) * q + 1):
-                np.add.at(visits, ee_prob_next(cfg, state, t, rng), 1)
+                np.add.at(visits, ee_prob_next(state, t, rng), 1)
             assert visits.min() == 1
             assert np.count_nonzero(visits == 2) == q * draw - total
             assert visits.max() <= 2
@@ -403,21 +398,25 @@ class TestDrawProperties:
     def test_burn_in_matches_block_list_oracle(self, total, data, epochs, seed):
         """The wrapped permutation gives the padded block list's patches, bit for bit."""
         draw = data.draw(st.integers(1, total))
-        cfg = EEConfig(draw=draw, epochs=epochs, threshold="quantile", threshold_param=0.95)
-        state = SamplerState.uniform(total)
+        state = SamplerState.uniform(total, draw, epochs, "quantile", 0.95)
         expected = block_list_burn_in(total, draw, epochs, np.random.default_rng(seed))
-        assert len(expected) == cfg.burn_in(total)
+        assert len(expected) == state.burn_in
         rng = np.random.default_rng(seed)
         for t, want in enumerate(expected, start=1):
-            got = ee_prob_next(cfg, state, t, rng)
+            got = ee_prob_next(state, t, rng)
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_draw_validated(self):
-        with pytest.raises(ValueError, match="draw must be >= 1"):
-            EEConfig(draw=0, epochs=1, threshold="quantile", threshold_param=0.95)
-        cfg = EEConfig(draw=5, epochs=1, threshold="quantile", threshold_param=0.95)
-        with pytest.raises(ValueError, match="cannot draw 5 of 4"):
-            ee_prob_next(cfg, SamplerState.uniform(4), 1, np.random.default_rng(0))
+        # checked once, when the sampler is built
+        for draw in (0, 5):
+            with pytest.raises(ValueError, match=f"cannot draw {draw} of 4"):
+                SamplerState.uniform(4, draw, 1, "quantile", 0.95)
+
+    def test_schedule_and_rule_validated(self):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            SamplerState.uniform(4, 2, 0, "quantile", 0.95)
+        with pytest.raises(ValueError, match="unknown threshold rule 'median'"):
+            SamplerState.uniform(4, 2, 1, "median", 0.95)
 
 
 @st.composite
