@@ -339,7 +339,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     timings["write"] = time.perf_counter() - t0
 
     keys = [*_HP, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
-            "consensus_format"]
+            "consensus_format", "weight_trace"]
     _write_manifest(
         out_dir,
         "cluster",
@@ -358,7 +358,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, snr=args.snr, cluster_sizes=args.cluster_sizes, seed=args.seed)
-    spec.validate()  # before --out is made
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -382,27 +381,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_benchmark(args: argparse.Namespace) -> int:
     rows: list[tuple[str, float, int, float, str, float]] = []
-    for snr in args.snr:  # every value, before the first dataset
-        _spec_from_args(args, snr=snr, seed=args.seed).validate()
-    for snr in args.snr:
-        for rep in range(args.reps):
-            seed = args.seed + rep
-            spec = _spec_from_args(args, snr=snr, seed=seed)
-            data = generate(spec)
-            hp = HyperParams(k=len(spec.sizes()), seed=seed)
-            for method in args.methods:
-                t0 = time.perf_counter()
-                f1_text = ""
-                if method == "hclust":
-                    labels = cut_k(ward_linkage(pairwise(data.matrix.values, hp.metric)), hp.k)
-                else:
-                    result = run(data.matrix, dataclasses.replace(hp, mode=method))
-                    labels = result.labels
-                    if result.feature_scores is not None:
-                        mask = select_by_score(result.feature_scores)
-                        f1_text = f"{f1_features(mask, data.signal_mask):.6f}"
-                elapsed = time.perf_counter() - t0
-                rows.append((method, snr, seed, ari(labels, data.labels), f1_text, elapsed))
+    # every spec is built, and so checked, before the first dataset
+    specs = [_spec_from_args(args, snr=snr, seed=args.seed + rep) for snr in args.snr for rep in range(args.reps)]
+    for spec in specs:
+        data = generate(spec)
+        hp = HyperParams(k=len(spec.sizes()), seed=spec.seed)
+        for method in args.methods:
+            t0 = time.perf_counter()
+            f1_text = ""
+            if method == "hclust":
+                labels = cut_k(ward_linkage(pairwise(data.matrix.values, hp.metric)), hp.k)
+            else:
+                result = run(data.matrix, dataclasses.replace(hp, mode=method))
+                labels = result.labels
+                if result.feature_scores is not None:
+                    mask = select_by_score(result.feature_scores)
+                    f1_text = f"{f1_features(mask, data.signal_mask):.6f}"
+            elapsed = time.perf_counter() - t0
+            rows.append((method, spec.snr, spec.seed, ari(labels, data.labels), f1_text, elapsed))
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     out = Path(args.out)
@@ -457,6 +453,8 @@ def _is_number(text: str) -> bool:
 def _cmd_hoeffding(args: argparse.Namespace) -> int:
     if args.input:
         data = _load_input(args)
+    elif args.n_obs < 2:
+        raise ValueError(f"n_obs must be >= 2, got {args.n_obs}")
     else:
         rng = np.random.default_rng(args.seed)
         vals = rng.random((args.n_obs, args.n_features))

@@ -76,7 +76,7 @@ def _stream(seed: int, phase: int, t: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Run configuration: one value fixes a run; defaults are the recommended universal values."""
+    """Run configuration, checked when built: one value fixes a run; defaults are the recommended universal values."""
 
     m_frac: float = 0.1
     n_frac: float = 0.25
@@ -95,7 +95,7 @@ class HyperParams:
     mode: str = "mpcc"  # uniform sampling; "mpacc" and "impacc" adapt it
     early_stop: bool = True  # False runs to t_max; the rule is consensus.stop_gap's
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name, lo, hi in (
@@ -228,12 +228,16 @@ def _peak_bytes(n: int, hp: HyperParams) -> int:
 
 
 def _check_run(data: DataMatrix, hp: HyperParams) -> None:
-    """ValueError, before any minipatch, for a run that could not finish."""
-    hp.validate()  # its fractions in (0, 1] keep every patch within the data
+    """ValueError, before any minipatch, for settings that cannot run on ``data`` (see ``run()``);
+    ``hp``'s fractions in (0, 1] keep every patch within it."""
     n, n_count = data.n_obs, hp.n_count(data.n_obs)
     if n_count < 3:
         raise ValueError(f"n_frac {hp.n_frac} gives minipatches of {n_count} observation(s) "
                          f"for N={n}, infeasible: need at least 3")
+    one_pass, t_max = math.ceil(n / n_count), hp.resolve_t_max(n)
+    if t_max < one_pass:
+        raise ValueError(f"t_max {t_max} is below {one_pass}, the iterations that minipatches "
+                         f"of {n_count} observation(s) take to sample each of N={n} once")
     if hp.k is not None and hp.k > n:
         raise ValueError(f"k {hp.k} exceeds the N={n} observations")
     peak, available = _peak_bytes(n, hp), _available_bytes()
@@ -263,10 +267,10 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
     Ward the condensed 1 - S built from them, the spectral finaliser the
     dense S it builds itself. ``consensus_of(result.consensus)`` builds S.
 
-    Raises ValueError before the first iteration for a setting
-    ``validate`` rejects (an unknown mode among them), patches of fewer
-    than 3 observations, k > N, or an estimated peak above the memory
-    available.
+    Raises ValueError before the first iteration for patches of fewer
+    than 3 observations, t_max < ⌈N / n_count⌉, k > N or a peak above
+    the memory available (``HyperParams`` checks its values when built),
+    and RuntimeError after the loop if an observation was never sampled.
     """
     _check_run(data, hp)
     state, *rest = _loop(data, hp, collect_arrays)
@@ -354,10 +358,8 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
 
     if int(state.diag.min()) == 0:
         missing = int((state.diag == 0).sum())
-        raise RuntimeError(
-            f"{missing} observation(s) never sampled after {len(trace)} "
-            f"iterations; raise t_max above the burn-in length"
-        )
+        raise RuntimeError(f"{missing} observation(s) never sampled after {len(trace)} iterations; "
+                           f"raise t_max above {len(trace)}")
     scores = importance(feat_hits, feat_draws) if adaptive_feat else None
     return state, scores, obs.weights.copy(), stop_reason, trace
 

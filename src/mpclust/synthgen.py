@@ -35,7 +35,7 @@ _ROLE_SHUFFLE = 2
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parameters of one synthetic dataset."""
+    """Parameters of one synthetic dataset, checked when built."""
 
     snr: float
     n_obs: int = 500
@@ -46,10 +46,6 @@ class SynthSpec:
     regime: str = "sparse"
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.n_features is None:
-            object.__setattr__(self, "n_features", 100 if self.regime == "no_sparse" else 5000)
-
     def sizes(self) -> tuple[int, ...]:
         """Resolved cluster sizes (defaults follow the 4/16/24/56% split)."""
         if self.cluster_sizes is not None:
@@ -57,18 +53,20 @@ class SynthSpec:
         raw = [int(round(f * self.n_obs)) for f in _SIZE_FRACTIONS[:-1]]
         return tuple(raw + [self.n_obs - sum(raw)])
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if self.n_features is None:
+            object.__setattr__(self, "n_features", 100 if self.regime == "no_sparse" else 5000)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
         if self.n_obs < 2:
-            raise ValueError("need at least 2 observations")
+            raise ValueError(f"n_obs must be >= 2, got {self.n_obs}")
         sizes = self.sizes()
         if len(sizes) != 4 or any(s <= 0 for s in sizes):
             raise ValueError(f"cluster_sizes {sizes} must be 4 positive counts, one per mean pattern")
         if sum(sizes) != self.n_obs:
             raise ValueError(f"cluster sizes {sizes} must sum to n_obs={self.n_obs}")
-        if self.n_features % _BLOCK != 0:
-            raise ValueError(f"n_features must be a multiple of {_BLOCK}")
+        if self.n_features < _BLOCK or self.n_features % _BLOCK != 0:
+            raise ValueError(f"n_features must be a positive multiple of {_BLOCK}, got {self.n_features}")
         if not 0 < self.n_signal <= self.n_features:
             raise ValueError("n_signal must be in 1..n_features")
         if not 0 <= self.snr < math.inf:
@@ -110,7 +108,6 @@ def cluster_means(spec: SynthSpec) -> np.ndarray:
     (weak_sparse noise means, no_sparse jitter) use a dedicated substream
     of the dataset seed.
     """
-    spec.validate()
     m = spec.n_features
     rng = _rng(spec.seed, _ROLE_MEANS, 0)
     if spec.regime == "no_sparse":
@@ -135,7 +132,6 @@ def generate(spec: SynthSpec) -> SynthData:
     output) and the observation order is shuffled at the end, labels
     traveling with their rows.
     """
-    spec.validate()
     n, m = spec.n_obs, spec.n_features
     sizes = spec.sizes()
     means = cluster_means(spec)

@@ -290,7 +290,7 @@ class TestCluster:
     def test_manifest_reproduces_run(self, blob_csv, tmp_path):
         out1 = tmp_path / "orig"
         main(["cluster", str(blob_csv), "--mode", "impacc", "--k", "2",
-              "--seed", "4", "--n-frac", "0.4", "--out", str(out1)])
+              "--seed", "4", "--n-frac", "0.4", "--weight-trace", "--out", str(out1)])
         config = json.loads((out1 / "manifest.json").read_text())["config"]
         args = ["cluster", str(blob_csv), "--out", str(tmp_path / "redo")]
         for key in ("mode", "m_frac", "n_frac", "h", "eta", "alpha_f", "tau",
@@ -298,9 +298,20 @@ class TestCluster:
                     "seed", "metric"):
             if config[key] is not None:
                 args += [f"--{key.replace('_', '-')}", str(config[key])]
+        if config["weight_trace"]:
+            args.append("--weight-trace")
         assert main(args) == 0
-        for artifact in ("labels.csv", "consensus.csv", "feature_scores.csv"):
+        for artifact in ("labels.csv", "consensus.csv", "feature_scores.csv",
+                         "obs_weight_trace.csv", "feature_score_trace.csv"):
             assert (tmp_path / "redo" / artifact).read_bytes() == (out1 / artifact).read_bytes()
+
+    def test_t_max_below_one_pass_rejected(self, blob_csv, tmp_path, no_mpclust_env, capsys):
+        # 50 rows in minipatches of 13 take 4 iterations to sample each row once
+        out = tmp_path / "out"
+        assert main(["cluster", str(blob_csv), "--t-max", "3", "--k", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_max 3 ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_file_and_env_override(self, blob_csv, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
@@ -553,8 +564,13 @@ def test_malformed_list_flag_is_a_usage_error(argv, flag, no_mpclust_env, capsys
     (["benchmark", "--snr", "nan"], "snr must be a finite number >= 0, got nan"),
     (["benchmark", "--snr", "6,nan"], "snr must be a finite number >= 0, got nan"),
     (["hoeffding-check", "--eps", "0.1,nan"], "eps must be positive, got nan"),
+    (["simulate", "--snr", "6", "--n-obs", "-3"], "n_obs must be >= 2, got -3"),
+    (["benchmark", "--snr", "6", "--n-obs", "1"], "n_obs must be >= 2, got 1"),
+    (["simulate", "--snr", "6", "--n-features", "0"], "n_features must be a positive multiple of 5, got 0"),
+    (["hoeffding-check", "--n-obs", "1"], "n_obs must be >= 2, got 1"),
 ], ids=["trials-50", "m-feat-0", "cluster-sizes-three", "snr-negative", "snr-nan", "snr-inf",
-        "benchmark-snr-nan", "benchmark-snr-6-nan", "eps-nan"])
+        "benchmark-snr-nan", "benchmark-snr-6-nan", "eps-nan", "n-obs-negative", "benchmark-n-obs-1",
+        "n-features-0", "hoeffding-n-obs-1"])
 def test_parsed_value_the_library_rejects_exits_1(argv, setting, tmp_path, no_mpclust_env,
                                                    monkeypatch, capsys):
     calls = []  # the checks come before any dataset is generated or clustered

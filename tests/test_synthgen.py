@@ -101,6 +101,17 @@ class TestValidation:
             generate(SynthSpec(snr=snr, n_obs=20, n_features=10, n_signal=5))
         assert str(err.value) == f"snr must be a finite number >= 0, got {snr}"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_obs", -3, "n_obs must be >= 2, got -3"),
+        ("n_obs", 1, "n_obs must be >= 2, got 1"),
+        ("n_features", 0, "n_features must be a positive multiple of 5, got 0"),
+        ("n_features", -5, "n_features must be a positive multiple of 5, got -5"),
+    ])
+    def test_count_named_when_built(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            SynthSpec(**{"snr": 6, field: value})
+        assert str(err.value) == message
+
     def test_bad_regime(self):
         with pytest.raises(ValueError, match="regime"):
             generate(SynthSpec(snr=1, regime="nope"))
