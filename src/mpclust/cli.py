@@ -26,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .consensus import save_consensus_binary, save_consensus_csv, stop_gap
-from .dataio import DataMatrix, _log2_plus_one, _rescale_unit, load_matrix, write_matrix
+from .dataio import DataMatrix, _log2_plus_one, load_matrix, write_matrix
 from .dist import METRICS, deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
 from .metrics import ari, f1_features, select_by_score
-from .pipeline import FINAL_ALGOS, MODES, HyperParams, _check_run, run, tune_minipatch_size
+from .pipeline import FINAL_ALGOS, MODES, HyperParams, run, tune_minipatch_size
 from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
@@ -286,8 +286,6 @@ def _load_input(args: argparse.Namespace) -> DataMatrix:
     # mmap threshold to its size, and with it the run's peak RSS.
     if args.log2:
         matrix = _log2_plus_one(matrix, out=matrix.values)
-    if getattr(args, "rescale", False):  # hoeffding-check's experiment rescales itself
-        matrix = _rescale_unit(matrix, out=matrix.values)
     return matrix
 
 
@@ -300,14 +298,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     data = _load_input(args)
     timings["load"] = time.perf_counter() - t0
 
-    hp = HyperParams(**_field_values(args, _HP))
-    _check_run(data, hp)  # run()'s own checks, so a rejected setting leaves no --out directory
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    result = run(data, hp, collect_arrays=args.weight_trace)
+    result = run(data, HyperParams(**_field_values(args, _HP)), collect_arrays=args.weight_trace)
     timings["run"] = time.perf_counter() - t0
 
+    out_dir = Path(args.out)  # made only now: a run that fails leaves no --out directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     _write_rows(out_dir / "labels.csv", ["id", "label"], zip(data.row_ids, result.labels.tolist()))
     if args.consensus_format == "csv":
@@ -338,7 +334,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 )
     timings["write"] = time.perf_counter() - t0
 
-    keys = [*_HP, "delimiter", "no_header", "no_ids", "transpose", "log2", "rescale",
+    keys = [*_HP, "delimiter", "no_header", "no_ids", "transpose", "log2",
             "consensus_format", "weight_trace"]
     _write_manifest(
         out_dir,
@@ -358,11 +354,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, snr=args.snr, cluster_sizes=args.cluster_sizes, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     data = generate(spec)
     timings = {"generate": time.perf_counter() - t0}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     write_matrix(data.matrix, out_dir / "matrix.csv")
     _write_rows(out_dir / "labels.csv", ["id", "label"], zip(data.matrix.row_ids, data.labels.tolist()))
@@ -492,7 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write per-iteration weight/score traces")
     _add_hp_flags(p, _HP)
     _add_io_flags(p)
-    p.add_argument("--rescale", action="store_true", help="min-max rescale to [0,1] first")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
@@ -521,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="tune_report.csv")
     _add_hp_flags(p, _TUNE_HP)
     _add_io_flags(p)
-    p.add_argument("--rescale", action="store_true", help="min-max rescale to [0,1] first")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("eval", help="score labels (ARI) or feature scores (F1)")

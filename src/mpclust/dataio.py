@@ -241,7 +241,10 @@ def log2_plus_one(m: DataMatrix) -> DataMatrix:
 
 def rescale_unit(m: DataMatrix) -> DataMatrix:
     """Global min-max rescale into [0, 1]; rejects constant matrices."""
-    return _rescale_unit(m, np.empty_like(m.values))
+    lo, hi = float(m.values.min()), float(m.values.max())
+    if hi == lo:
+        raise ValueError("constant matrix has zero range; cannot rescale")
+    return DataMatrix((m.values - lo) / (hi - lo), m.row_ids, m.col_ids)
 
 
 def _log2_plus_one(m: DataMatrix, out: np.ndarray) -> DataMatrix:
@@ -251,11 +254,3 @@ def _log2_plus_one(m: DataMatrix, out: np.ndarray) -> DataMatrix:
                          f"column {m.col_ids[j]!r}")
     np.add(m.values, 1.0, out=out)
     return DataMatrix(np.log2(out, out=out), m.row_ids, m.col_ids)
-
-
-def _rescale_unit(m: DataMatrix, out: np.ndarray) -> DataMatrix:
-    lo, hi = float(m.values.min()), float(m.values.max())
-    if hi == lo:
-        raise ValueError("constant matrix has zero range; cannot rescale")
-    np.subtract(m.values, lo, out=out)
-    return DataMatrix(np.divide(out, hi - lo, out=out), m.row_ids, m.col_ids)

@@ -12,6 +12,7 @@ Three regimes are supported:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,11 @@ _ROLE_MEANS = 1
 _ROLE_SHUFFLE = 2
 
 
+def _default_sizes(n_obs: int) -> tuple[int, ...]:
+    raw = [int(round(f * n_obs)) for f in _SIZE_FRACTIONS[:-1]]
+    return tuple(raw + [n_obs - sum(raw)])
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of one synthetic dataset, checked when built."""
@@ -50,8 +56,7 @@ class SynthSpec:
         """Resolved cluster sizes (defaults follow the 4/16/24/56% split)."""
         if self.cluster_sizes is not None:
             return tuple(int(s) for s in self.cluster_sizes)
-        raw = [int(round(f * self.n_obs)) for f in _SIZE_FRACTIONS[:-1]]
-        return tuple(raw + [self.n_obs - sum(raw)])
+        return _default_sizes(self.n_obs)
 
     def __post_init__(self) -> None:
         if self.n_features is None:
@@ -61,6 +66,10 @@ class SynthSpec:
         if self.n_obs < 2:
             raise ValueError(f"n_obs must be >= 2, got {self.n_obs}")
         sizes = self.sizes()
+        if self.cluster_sizes is None and min(sizes) <= 0:
+            least = next(n for n in itertools.count(self.n_obs) if min(_default_sizes(n)) > 0)
+            raise ValueError(f"n_obs must be >= {least} for the default 4/16/24/56% cluster split, "
+                             f"got {self.n_obs}")
         if len(sizes) != 4 or any(s <= 0 for s in sizes):
             raise ValueError(f"cluster_sizes {sizes} must be 4 positive counts, one per mean pattern")
         if sum(sizes) != self.n_obs:

@@ -126,17 +126,18 @@ class TestCluster:
 
     def test_memory_ceiling_reported(self, blob_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("mpclust.pipeline._available_bytes", lambda: 1)
-        assert main(["cluster", str(blob_csv), "--out", str(tmp_path)]) == 1
+        assert main(["cluster", str(blob_csv), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: N=50 observations need about ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_k_above_n_reported(self, blob_csv, tmp_path, capsys):
-        assert main(["cluster", str(blob_csv), "--k", "51", "--out", str(tmp_path)]) == 1
+        assert main(["cluster", str(blob_csv), "--k", "51", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: k 51 exceeds the N=50 observations")
         assert "Traceback" not in err
-        assert not (tmp_path / "labels.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_tau_reported(self, blob_csv, tmp_path, capsys):
         assert main(["cluster", str(blob_csv), "--tau", "nan", "--out", str(tmp_path / "out")]) == 1
@@ -144,10 +145,12 @@ class TestCluster:
         assert not (tmp_path / "out").exists()
 
     def test_infeasible_patch_names_n_frac(self, blob_csv, tmp_path, capsys):
-        assert main(["cluster", str(blob_csv), "--n-frac", "0.01", "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert main(["cluster", str(blob_csv), "--n-frac", "0.01", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: n_frac 0.01 gives minipatches of 1 observation(s) "
                               "for N=50, infeasible: need at least 3")
+        assert not out.exists()
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags, stop_reason", [
@@ -259,13 +262,13 @@ class TestCluster:
         err = capsys.readouterr().err
         assert err == "error: delimiter '\"' is the quote character or a line break\n"
 
-    def test_log2_and_rescale_give_the_library_transforms_bits(self, blob_csv, tmp_path):
+    def test_log2_gives_the_library_transform_bits(self, blob_csv, tmp_path):
         source = tmp_path / "nonnegative.csv"  # --log2 rejects negative values
         write_matrix(rescale_unit(load_matrix(blob_csv)), source)
         done = tmp_path / "transformed.csv"
-        write_matrix(rescale_unit(log2_plus_one(load_matrix(source))), done)
+        write_matrix(log2_plus_one(load_matrix(source)), done)
         outputs = []
-        for name, argv in (("flags", [str(source), "--log2", "--rescale"]), ("done", [str(done)])):
+        for name, argv in (("flags", [str(source), "--log2"]), ("done", [str(done)])):
             out = tmp_path / name
             assert main(["cluster", *argv, "--k", "2", "--seed", "3", "--out", str(out)]) == 0
             outputs.append([(out / f).read_bytes() for f in ("labels.csv", "consensus.csv")])
@@ -311,6 +314,19 @@ class TestCluster:
         assert main(["cluster", str(blob_csv), "--t-max", "3", "--k", "2", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: t_max 3 ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_missed_observation_leaves_no_out(self, tmp_path, no_mpclust_env, capsys):
+        # t_max 4 passes the one-pass bound (40 rows in minipatches of 10), but this
+        # seeded mpcc run still never draws 13 rows: the run fails after its loop
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--snr", "6", "--n-obs", "40", "--n-features", "50",
+                     "--seed", "0", "--out", str(sim)]) == 0
+        out = tmp_path / "o7"
+        assert main(["cluster", str(sim / "matrix.csv"), "--t-max", "4", "--k", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "never sampled after 4 iterations" in err
         assert not out.exists()
 
     def test_config_file_and_env_override(self, blob_csv, tmp_path, monkeypatch):
@@ -554,6 +570,10 @@ def test_malformed_list_flag_is_a_usage_error(argv, flag, no_mpclust_env, capsys
     assert f"error: argument {flag}: " in err and "Traceback" not in err
 
 
+# the 4% cluster of 12 rows rounds to 0 rows; of 13, to 1
+_N_OBS_8 = "n_obs must be >= 13 for the default 4/16/24/56% cluster split, got 8"
+
+
 @pytest.mark.parametrize("argv, setting", [
     (["hoeffding-check", "--trials", "50"], "trials"),
     (["hoeffding-check", "--m-feat", "0"], "m_feat"),
@@ -568,9 +588,11 @@ def test_malformed_list_flag_is_a_usage_error(argv, flag, no_mpclust_env, capsys
     (["benchmark", "--snr", "6", "--n-obs", "1"], "n_obs must be >= 2, got 1"),
     (["simulate", "--snr", "6", "--n-features", "0"], "n_features must be a positive multiple of 5, got 0"),
     (["hoeffding-check", "--n-obs", "1"], "n_obs must be >= 2, got 1"),
+    (["simulate", "--snr", "6", "--n-obs", "8"], _N_OBS_8),
+    (["benchmark", "--snr", "6", "--n-obs", "8", "--reps", "1"], _N_OBS_8),
 ], ids=["trials-50", "m-feat-0", "cluster-sizes-three", "snr-negative", "snr-nan", "snr-inf",
         "benchmark-snr-nan", "benchmark-snr-6-nan", "eps-nan", "n-obs-negative", "benchmark-n-obs-1",
-        "n-features-0", "hoeffding-n-obs-1"])
+        "n-features-0", "hoeffding-n-obs-1", "n-obs-8", "benchmark-n-obs-8"])
 def test_parsed_value_the_library_rejects_exits_1(argv, setting, tmp_path, no_mpclust_env,
                                                    monkeypatch, capsys):
     calls = []  # the checks come before any dataset is generated or clustered
@@ -587,6 +609,20 @@ def test_list_flags_parse_to_tuples(no_mpclust_env):
     assert args.snr == (6.0, 8.0) and args.methods == ("hclust", "mpcc") and args.reps == 10
     args = _parsed(["hoeffding-check"])
     assert args.m_feat == (10,) and args.eps == (0.05, 0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("argv", [["cluster", "x.csv"],
+                                  ["tune", "x.csv", "--m-grid", "0.1", "--n-grid", "0.25"],
+                                  ["hoeffding-check", "--trials", "200"]], ids=lambda argv: argv[0])
+def test_rescale_is_a_usage_error(argv, tmp_path, capsys):
+    # one min-max map scales every distance by one constant, which moves no Ward merge,
+    # quantile cut or F statistic; hoeffding-check's experiment rescales its matrix itself
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--rescale", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rescale" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestTune:
@@ -767,15 +803,6 @@ class TestHoeffdingCheck:
         for row in rows[1:]:
             _, _, empirical, bound = row.split(",")
             assert 0 <= float(empirical) <= 1 and 0 < float(bound) <= 1
-
-    def test_rescale_is_a_usage_error(self, tmp_path, capsys):
-        # the experiment min-max rescales its matrix itself
-        out = tmp_path / "h.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["hoeffding-check", "--rescale", "--trials", "200", "--out", str(out)])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --rescale" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_metric_help_names_the_per_feature_contribution(self, no_mpclust_env, capsys):
         for argv, shown, hidden in ((["hoeffding-check"], "per-feature contribution", "per-patch"),

@@ -404,10 +404,6 @@ class TestTransformKernels:
         logged = dataio._log2_plus_one(m, out=m.values)
         assert logged.values is m.values
         assert logged.values.tobytes() == np.log2(1.0 + v).tobytes()
-        v = logged.values.copy()
-        unit = dataio._rescale_unit(logged, out=logged.values)
-        assert unit.values is m.values
-        assert unit.values.tobytes() == ((v - v.min()) / (v.max() - v.min())).tobytes()
 
     def test_public_transforms_leave_their_argument(self):
         m = self._matrix()

@@ -19,7 +19,7 @@ from mpclust.consensus import (
     save_consensus_csv,
     update,
 )
-from mpclust.dataio import DataMatrix, write_matrix
+from mpclust.dataio import DataMatrix, rescale_unit, write_matrix
 from mpclust.hclust import cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 from mpclust.pipeline import (
@@ -142,6 +142,31 @@ class TestRun:
             "consensus_csv": file_digest("consensus.csv"),
             "consensus_bin": file_digest("consensus.bin"),
         } == digests
+
+    @pytest.mark.parametrize("metric", ["manhattan", "sq_euclidean"])
+    @pytest.mark.parametrize("mode", ["mpcc", "mpacc", "impacc"])
+    def test_unit_rescale_changes_no_output(self, mode, metric):
+        # one global min-max map scales every patch distance by one constant, which
+        # moves no Ward merge, quantile cut or ANOVA F statistic: the reason the CLI
+        # has no --rescale. The 60x50 run of test_adaptive_draws_are_pinned
+        spec = SynthSpec(snr=6, n_obs=60, n_features=50, n_signal=5, seed=1,
+                         cluster_sizes=(3, 9, 14, 34))
+        data = generate(spec).matrix
+        hp = HyperParams(mode=mode, metric=metric, seed=1, t_max=40, early_stop=False)
+        a, b = run(data, hp), run(rescale_unit(data), hp)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.consensus.pair_same, b.consensus.pair_same)
+        assert np.array_equal(a.consensus.pair_seen, b.consensus.pair_seen)
+        assert np.array_equal(a.obs_weights, b.obs_weights)
+        if mode == "impacc":
+            assert np.array_equal(a.feature_scores, b.feature_scores)
+        else:
+            assert a.feature_scores is None and b.feature_scores is None
+
+        def trace(res):
+            return [(r.n_clusters, r.confusion_pct, r.high_obs, r.high_feat) for r in res.trace]
+
+        assert trace(a) == trace(b)
 
     def test_bad_mode(self, monkeypatch):
         def no_patches(*args, **kwargs):
