@@ -6,7 +6,7 @@ The namespace holds the README's library; per-layer kernels stay in their module
 __version__ = "0.1.0"
 
 from .consensus import ConsensusState, consensus_of
-from .dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
+from .dataio import DataMatrix, load_matrix, log2_plus_one, write_matrix
 from .metrics import ari, f1_features, select_by_score
 from .pipeline import (
     HyperParams,
@@ -25,7 +25,6 @@ __all__ = [
     "load_matrix",
     "write_matrix",
     "log2_plus_one",
-    "rescale_unit",
     "HyperParams",
     "run",
     "RunResult",

@@ -449,6 +449,8 @@ def _is_number(text: str) -> bool:
 def _cmd_hoeffding(args: argparse.Namespace) -> int:
     if args.input:
         data = _load_input(args)
+        if data.values.min() == data.values.max():  # the experiment's own error names no file
+            raise ValueError(f"{args.input}: constant matrix has zero range; cannot rescale")
     elif args.n_obs < 2:
         raise ValueError(f"n_obs must be >= 2, got {args.n_obs}")
     else:

@@ -17,7 +17,6 @@ __all__ = [
     "load_matrix",
     "write_matrix",
     "log2_plus_one",
-    "rescale_unit",
 ]
 
 
@@ -237,14 +236,6 @@ def _write_table(path: str | Path, row_ids: Sequence[str], col_ids: Sequence[str
 def log2_plus_one(m: DataMatrix) -> DataMatrix:
     """Elementwise x -> log2(1 + x); requires nonnegative values."""
     return _log2_plus_one(m, np.empty_like(m.values))
-
-
-def rescale_unit(m: DataMatrix) -> DataMatrix:
-    """Global min-max rescale into [0, 1]; rejects constant matrices."""
-    lo, hi = float(m.values.min()), float(m.values.max())
-    if hi == lo:
-        raise ValueError("constant matrix has zero range; cannot rescale")
-    return DataMatrix((m.values - lo) / (hi - lo), m.row_ids, m.col_ids)
 
 
 def _log2_plus_one(m: DataMatrix, out: np.ndarray) -> DataMatrix:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .dataio import DataMatrix, rescale_unit
+from .dataio import DataMatrix
 
 __all__ = [
     "METRICS",
@@ -65,11 +65,12 @@ def deviation_experiment(
 ) -> list[tuple[float, float, float]]:
     """Empirical exceedance of |d_hat - d_star| for one random row pair.
 
-    The matrix is min-max rescaled first so each per-feature contribution
-    (and hence the deviation) lies in [0, 1], the regime where
-    hoeffding_bound applies.  d_star is the full-feature mean contribution
-    and d_hat the mean over a uniform subsample of ``m_feat`` features,
-    redrawn ``trials`` times.
+    The pair's rows are min-max rescaled by the whole matrix's range, so
+    each per-feature contribution (and hence the deviation) lies in
+    [0, 1], the regime where hoeffding_bound applies; no other row is
+    copied.  d_star is the full-feature mean contribution and d_hat the
+    mean over a uniform subsample of ``m_feat`` features, redrawn
+    ``trials`` times.
 
     Returns rows of (eps, empirical exceedance, bound).
     """
@@ -77,8 +78,10 @@ def deviation_experiment(
         raise ValueError(f"trials must be at least 100 for a meaningful estimate, got {trials}")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    data = rescale_unit(m).values
-    n, m_total = data.shape
+    lo, hi = float(m.values.min()), float(m.values.max())
+    if hi == lo:
+        raise ValueError("constant matrix has zero range; cannot rescale")
+    n, m_total = m.values.shape
     if not 1 <= m_feat <= m_total:
         raise ValueError(f"need 1 <= m_feat <= M={m_total}, got {m_feat}")
     if not eps_grid:
@@ -87,7 +90,7 @@ def deviation_experiment(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     i, j = rng.choice(n, size=2, replace=False)
-    diff = np.abs(data[i] - data[j])
+    diff = np.abs((m.values[i] - lo) / (hi - lo) - (m.values[j] - lo) / (hi - lo))
     contrib = diff if metric == "manhattan" else diff**2
     d_star = contrib.mean()
 

@@ -9,7 +9,7 @@ import mpclust
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 DOCUMENTED = {
-    "DataMatrix", "load_matrix", "write_matrix", "log2_plus_one", "rescale_unit",
+    "DataMatrix", "load_matrix", "write_matrix", "log2_plus_one",
     "HyperParams", "run", "RunResult", "ConsensusState", "consensus_of",
     "finalize_hierarchical", "finalize_spectral", "tune_minipatch_size", "TuneResult",
     "ari", "f1_features", "select_by_score",

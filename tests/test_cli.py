@@ -8,10 +8,11 @@ import pytest
 
 from mpclust.cli import _HP, _build_parser, _digest, _resolve, _spec_from_args, main
 from mpclust.consensus import consensus_of
-from mpclust.dataio import DataMatrix, load_matrix, log2_plus_one, rescale_unit, write_matrix
+from mpclust.dataio import DataMatrix, load_matrix, log2_plus_one, write_matrix
+from mpclust.dist import hoeffding_bound
 from mpclust.metrics import ari
 from mpclust.pipeline import HyperParams, run
-from mpclust.synthgen import SynthSpec
+from mpclust.synthgen import SynthSpec, generate
 
 
 @pytest.fixture
@@ -264,7 +265,9 @@ class TestCluster:
 
     def test_log2_gives_the_library_transform_bits(self, blob_csv, tmp_path):
         source = tmp_path / "nonnegative.csv"  # --log2 rejects negative values
-        write_matrix(rescale_unit(load_matrix(blob_csv)), source)
+        m = load_matrix(blob_csv)
+        v = m.values
+        write_matrix(DataMatrix((v - v.min()) / (v.max() - v.min()), m.row_ids, m.col_ids), source)
         done = tmp_path / "transformed.csv"
         write_matrix(log2_plus_one(load_matrix(source)), done)
         outputs = []
@@ -616,7 +619,7 @@ def test_list_flags_parse_to_tuples(no_mpclust_env):
                                   ["hoeffding-check", "--trials", "200"]], ids=lambda argv: argv[0])
 def test_rescale_is_a_usage_error(argv, tmp_path, capsys):
     # one min-max map scales every distance by one constant, which moves no Ward merge,
-    # quantile cut or F statistic; hoeffding-check's experiment rescales its matrix itself
+    # quantile cut or F statistic; hoeffding-check's experiment rescales the pair it measures
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--rescale", "--out", str(out)])
@@ -803,6 +806,43 @@ class TestHoeffdingCheck:
         for row in rows[1:]:
             _, _, empirical, bound = row.split(",")
             assert 0 <= float(empirical) <= 1 and 0 < float(bound) <= 1
+
+    @pytest.mark.parametrize("metric, digests", [
+        ("manhattan", {"random": "20c8b1b3be2c0988fcb5ee19271bacd493c64e6db4299a0f538d5f5986fcfad2",
+                       "input": "aba394725f7cf674993ab3b5fdfe0d43fd3dce48a6467daaf663aad0cb215b73"}),
+        ("sq_euclidean", {"random": "e4187224f36e18c5c69bf8e374211c88488709dd9c20a8d47bb8bac2e57cfee4",
+                          "input": "e368af8078d53b2a91e8f8caec6fb0ae10aa42cbb8713c62f6a2f4374ab024e5"}),
+    ])
+    def test_table_is_pinned(self, metric, digests, tmp_path, no_mpclust_env):
+        # sha256 of the m_feat, eps and empirical columns, taken from the code as it
+        # was when this test was written: the empirical values are ratios of counts.
+        # The bound passes through libm's exp, so it is checked against
+        # hoeffding_bound instead of by digest
+        source = tmp_path / "matrix.csv"
+        write_matrix(generate(SynthSpec(snr=6, n_obs=30, n_features=40, n_signal=5, seed=3)).matrix,
+                     source)
+        runs = {"random": (["--n-obs", "20", "--n-features", "50", "--m-feat", "5,10",
+                            "--trials", "500", "--seed", "2"], 50),
+                "input": (["--input", str(source), "--m-feat", "4,10",
+                           "--eps", "0.01,0.02,0.05,0.1", "--trials", "300", "--seed", "7"], 40)}
+        got = {}
+        for name, (argv, m_total) in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(["hoeffding-check", *argv, "--metric", metric, "--out", str(out)]) == 0
+            rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+            for m_feat, eps, _, bound in rows:
+                assert float(bound) == hoeffding_bound(int(m_feat), m_total, float(eps))
+            got[name] = hashlib.sha256("\n".join(",".join(row[:3]) for row in rows).encode()).hexdigest()
+        assert got == digests
+
+    def test_constant_input_names_its_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_matrix(DataMatrix(np.full((40, 10), 3.0), tuple(f"r{i}" for i in range(40)),
+                                tuple(f"c{j}" for j in range(10))), "const.csv")
+        assert main(["hoeffding-check", "--input", "const.csv", "--trials", "100",
+                     "--out", "h.csv"]) == 1
+        assert capsys.readouterr().err.startswith("error: const.csv: ")
+        assert not (tmp_path / "h.csv").exists()
 
     def test_metric_help_names_the_per_feature_contribution(self, no_mpclust_env, capsys):
         for argv, shown, hidden in ((["hoeffding-check"], "per-feature contribution", "per-patch"),

@@ -11,7 +11,6 @@ from mpclust.dataio import (
     DataMatrix,
     load_matrix,
     log2_plus_one,
-    rescale_unit,
     write_matrix,
 )
 
@@ -409,20 +408,5 @@ class TestTransformKernels:
         m = self._matrix()
         v = m.values.copy()
         assert log2_plus_one(m).values.tobytes() == np.log2(1.0 + v).tobytes()
-        assert rescale_unit(m).values.tobytes() == ((v - v.min()) / (v.max() - v.min())).tobytes()
         assert m.values.tobytes() == v.tobytes()
 
-
-class TestRescaleUnit:
-    def test_affine_map(self):
-        m = DataMatrix(np.array([[0.0], [5.0], [10.0]]), ("a", "b", "c"), ("x",))
-        assert np.allclose(rescale_unit(m).values.ravel(), [0, 0.5, 1])
-
-    def test_identity_when_unit_range(self):
-        m = DataMatrix(np.array([[0.0, 0.3], [0.7, 1.0]]), ("a", "b"), ("x", "y"))
-        assert np.array_equal(rescale_unit(m).values, m.values)
-
-    def test_constant_rejected(self):
-        m = DataMatrix(np.full((2, 2), 3.0), ("a", "b"), ("x", "y"))
-        with pytest.raises(ValueError, match="constant"):
-            rescale_unit(m)

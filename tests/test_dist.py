@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,23 @@ class TestDeviationExperiment:
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ValueError, match="eps must be positive, got nan"):
             deviation_experiment(m, "manhattan", 2, 100, [0.1, float("nan")], seed=0)
+
+    def test_constant_matrix_rejected(self):
+        m = DataMatrix(np.full((2, 2), 3.0), ("a", "b"), ("x", "y"))
+        with pytest.raises(ValueError, match="^constant matrix has zero range"):
+            deviation_experiment(m, "manhattan", 1, 100, [0.1], seed=0)
+
+    def test_rescales_only_the_pair(self):
+        # the bound needs the drawn pair's contributions in [0, 1]; a rescaled
+        # copy of the whole matrix would cost one N x M float64 table
+        m = _unit_matrix(5000, 200, seed=1)
+        tracemalloc.start()
+        try:
+            deviation_experiment(m, "manhattan", 10, 100, [0.1], seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.values.nbytes
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError, match="100"):

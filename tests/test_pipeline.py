@@ -19,7 +19,7 @@ from mpclust.consensus import (
     save_consensus_csv,
     update,
 )
-from mpclust.dataio import DataMatrix, rescale_unit, write_matrix
+from mpclust.dataio import DataMatrix, write_matrix
 from mpclust.hclust import cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 from mpclust.pipeline import (
@@ -153,7 +153,9 @@ class TestRun:
                          cluster_sizes=(3, 9, 14, 34))
         data = generate(spec).matrix
         hp = HyperParams(mode=mode, metric=metric, seed=1, t_max=40, early_stop=False)
-        a, b = run(data, hp), run(rescale_unit(data), hp)
+        v = data.values
+        unit = DataMatrix((v - v.min()) / (v.max() - v.min()), data.row_ids, data.col_ids)
+        a, b = run(data, hp), run(unit, hp)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.consensus.pair_same, b.consensus.pair_same)
         assert np.array_equal(a.consensus.pair_seen, b.consensus.pair_seen)
