@@ -14,78 +14,63 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, get_args, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .consensus import save_consensus_binary, save_consensus_csv, stop_gap
 from .dataio import DataMatrix, _log2_plus_one, load_matrix, write_matrix
-from .dist import METRICS, deviation_experiment, pairwise
+from .dist import deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
 from .metrics import ari, f1_features, select_by_score
-from .pipeline import FINAL_ALGOS, MODES, HyperParams, run, tune_minipatch_size
+from .pipeline import MODES, HyperParams, run, tune_minipatch_size
 from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
 _UNSET = object()  # the argparse default of every hyperparameter flag: no flag gave it
 
 
-class _Hyper(NamedTuple):
-    type: type
-    help: str
-    none_ok: bool = False  # "" and "none" in a flag, variable or config file mean None
-    choices: tuple[str, ...] | None = None
-
-
-# The flag --NAME, variable MPCLUST_NAME and config key NAME of each HyperParams
-# field but early_stop, in --help order; the defaults are HyperParams()'s.
-_HP: dict[str, _Hyper] = {
-    "m_frac": _Hyper(float, "minipatch feature fraction"),
-    "n_frac": _Hyper(float, "minipatch observation fraction"),
-    "h": _Hyper(float, "tree-height cut quantile"),
-    "eta": _Hyper(float, "p-value percentile cutoff"),
-    "alpha_f": _Hyper(float, "feature learning rate"),
-    "tau": _Hyper(float, "high-importance cutoff (mean + tau*sd)"),
-    "alpha_i": _Hyper(float, "observation learning rate"),
-    "theta": _Hyper(float, "high-uncertainty weight quantile"),
-    "epochs_e": _Hyper(int, "burn-in epochs per axis"),
-    "t_max": _Hyper(int, "iteration cap (none: automatic)", none_ok=True),
-    "k": _Hyper(int, "final cluster count (omit or none for quantile cut)", none_ok=True),
-    "final_algo": _Hyper(str, "final clustering of the consensus", choices=FINAL_ALGOS),
-    "seed": _Hyper(int, "root seed of every random draw"),
-    "metric": _Hyper(str, "per-patch dissimilarity", choices=METRICS),
-    "mode": _Hyper(str, "uniform (mpcc) or adaptive sampling", choices=MODES),
-}
+# The flag --NAME, variable MPCLUST_NAME and config key NAME of each HyperParams field
+# with help text (all but early_stop), in --help order; the field declares the rest.
+_HP = {f.name: f for f in dataclasses.fields(HyperParams) if "help" in f.metadata}
 _TUNE_HP = tuple(name for name in _HP if name not in ("m_frac", "n_frac", "k", "final_algo"))
 
 
-def _field_values(source: object, names: Iterable[str]) -> dict[str, object]:
-    """``source``'s value of each hyperparameter in ``names``."""
-    return {name: getattr(source, name) for name in names}
+@functools.cache  # get_type_hints evaluates all of cls's annotations on every call
+def _field_type(cls: type, name: str) -> tuple[type, bool]:
+    """The type of ``cls``'s field ``name`` and whether it takes None: ``int | None`` is (int, True)."""
+    hint = get_type_hints(cls)[name]
+    none_ok = type(None) in get_args(hint)
+    if none_ok:
+        (hint,) = (t for t in get_args(hint) if t is not type(None))
+    return hint, none_ok
 
 
-def _parse(hp: _Hyper, raw: str) -> object:
-    """``raw`` as ``hp``'s type; "" and "none" are None where the key takes None."""
-    if hp.none_ok and raw.lower() in ("", "none"):
+def _parse(name: str, raw: str) -> object:
+    """``raw`` as hyperparameter ``name``'s type; "" and "none" are None where it takes None."""
+    typ, none_ok = _field_type(HyperParams, name)
+    if none_ok and raw.lower() in ("", "none"):
         return None
-    return hp.type(raw)
+    return typ(raw)
 
 
 def _coerce(name: str, raw: str, where: str) -> object:
-    hp = _HP[name]
     try:
-        value = _parse(hp, raw)
+        value = _parse(name, raw)
     except ValueError:
-        raise ValueError(f"{where}: {name} must be {hp.type.__name__}, got {raw!r}") from None
-    if hp.choices is not None and value not in hp.choices:
-        raise ValueError(f"{where}: {name} must be one of {', '.join(hp.choices)}, got {raw!r}")
+        typ = _field_type(HyperParams, name)[0]
+        raise ValueError(f"{where}: {name} must be {typ.__name__}, got {raw!r}") from None
+    choices = _HP[name].metadata.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{where}: {name} must be one of {', '.join(choices)}, got {raw!r}")
     return value
 
 
@@ -126,10 +111,6 @@ def _digest(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _digest_config(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, digest: str, timings: dict, extra: dict | None = None) -> None:
@@ -213,14 +194,10 @@ def _numbers(path: Path, ids: list[str], values: list[str]) -> np.ndarray:
 
 def _add_hp_flag(p: argparse.ArgumentParser, name: str, help: str | None = None) -> None:
     """``name``'s flag, under ``help`` where the setting means something else here."""
-    hp = _HP[name]
-
-    def parse(raw: str) -> object:
-        return _parse(hp, raw)
-
-    parse.__name__ = hp.type.__name__  # argparse's "invalid int value" names it
-    p.add_argument("--" + name.replace("_", "-"), type=parse, choices=hp.choices,
-                   default=_UNSET, help=help or hp.help)
+    meta, parse = _HP[name].metadata, functools.partial(_parse, name)
+    parse.__name__ = _field_type(HyperParams, name)[0].__name__  # argparse's "invalid int value" names it
+    p.add_argument("--" + name.replace("_", "-"), type=parse, choices=meta.get("choices"),
+                   default=_UNSET, help=help or meta["help"])
 
 
 def _add_hp_flags(p: argparse.ArgumentParser, names: Iterable[str]) -> None:
@@ -252,13 +229,14 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
-_SYNTH_FLAGS = {"n_obs": int, "n_features": int, "n_signal": int, "rho": float}
+_SYNTH_FLAGS = ("n_obs", "n_features", "n_signal", "rho")
 
 
 def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     spec = {f.name: f.default for f in dataclasses.fields(SynthSpec)}
     p.add_argument("--regime", choices=REGIMES, default=spec["regime"])
-    for name, typ in _SYNTH_FLAGS.items():
+    for name in _SYNTH_FLAGS:
+        typ = _field_type(SynthSpec, name)[0]
         p.add_argument("--" + name.replace("_", "-"), type=typ, default=spec[name])
 
 
@@ -266,12 +244,21 @@ def _spec_from_args(args: argparse.Namespace, **fields: object) -> SynthSpec:
     return SynthSpec(**{name: getattr(args, name) for name in ("regime", *_SYNTH_FLAGS)}, **fields)
 
 
+class _Given(argparse.Action):
+    """Store a flag's value, or True for a flag of ``nargs=0``, and add its dest to ``given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.given = namespace.given | {self.dest}
+
+
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--delimiter", default=",")
-    p.add_argument("--no-header", action="store_true", help="input has no header row")
-    p.add_argument("--no-ids", action="store_true", help="input has no id column")
-    p.add_argument("--transpose", action="store_true", help="input is features x observations")
-    p.add_argument("--log2", action="store_true", help="apply x -> log2(1+x) first")
+    p.set_defaults(given=frozenset())  # the dests of the _Given flags that the command line gave
+    p.add_argument("--delimiter", default=",", action=_Given)
+    p.add_argument("--no-header", action=_Given, nargs=0, default=False, help="input has no header row")
+    p.add_argument("--no-ids", action=_Given, nargs=0, default=False, help="input has no id column")
+    p.add_argument("--transpose", action=_Given, nargs=0, default=False, help="input is features x observations")
+    p.add_argument("--log2", action=_Given, nargs=0, default=False, help="apply x -> log2(1+x) first")
 
 
 def _load_input(args: argparse.Namespace) -> DataMatrix:
@@ -285,7 +272,10 @@ def _load_input(args: argparse.Namespace) -> DataMatrix:
     # Transform in place: freeing the loaded N x M table would raise glibc's
     # mmap threshold to its size, and with it the run's peak RSS.
     if args.log2:
-        matrix = _log2_plus_one(matrix, out=matrix.values)
+        try:
+            matrix = _log2_plus_one(matrix, out=matrix.values)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}: --log2 needs nonnegative values: {exc}") from None
     return matrix
 
 
@@ -299,7 +289,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = run(data, HyperParams(**_field_values(args, _HP)), collect_arrays=args.weight_trace)
+    result = run(data, HyperParams(**{n: getattr(args, n) for n in _HP}), collect_arrays=args.weight_trace)
     timings["run"] = time.perf_counter() - t0
 
     out_dir = Path(args.out)  # made only now: a run that fails leaves no --out directory
@@ -370,7 +360,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     config = {name: getattr(spec, name) for name in ("snr", "regime", *_SYNTH_FLAGS, "seed")}
     config["cluster_sizes"] = list(spec.sizes())
-    _write_manifest(out_dir, "simulate", config, _digest_config(config), timings)
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+    _write_manifest(out_dir, "simulate", config, digest, timings)
     print(f"{spec.regime}: {spec.n_obs}x{spec.n_features} -> {out_dir}")
     return 0
 
@@ -411,7 +402,7 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 def _cmd_tune(args: argparse.Namespace) -> int:
     data = _load_input(args)
     grid = [(mf, nf) for mf in args.m_grid for nf in args.n_grid]
-    result = tune_minipatch_size(data, grid, HyperParams(**_field_values(args, _TUNE_HP)))
+    result = tune_minipatch_size(data, grid, HyperParams(**{n: getattr(args, n) for n in _TUNE_HP}))
 
     _write_rows(
         Path(args.out),
@@ -532,8 +523,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hoeffding-check", help="feature-subsampling deviation table")
     p.add_argument("--input", default=None, help="matrix CSV (default: uniform random)")
-    p.add_argument("--n-obs", type=_positive_int, default=50)
-    p.add_argument("--n-features", type=_positive_int, default=100)
+    p.add_argument("--n-obs", type=_positive_int, default=50, action=_Given)
+    p.add_argument("--n-features", type=_positive_int, default=100, action=_Given)
     p.add_argument("--m-feat", type=_comma_list(int), default=(10,), help="comma list of subsample sizes")
     p.add_argument("--eps", type=_comma_list(float), default=(0.05, 0.1, 0.2, 0.3),
                    help="comma list of deviations")
@@ -548,7 +539,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.cmd == "hoeffding-check":  # a flag that its data source does not read changes no output
+        random_only = {"n_obs", "n_features"}  # the others given are the input's flags
+        unread = sorted(args.given & random_only if args.input else args.given - random_only)
+        if unread:
+            parser.error(f"argument --{unread[0].replace('_', '-')}: not allowed "
+                         f"{'with' if args.input else 'without'} argument --input")
     try:
         _resolve(args)
     except (ValueError, OSError) as exc:  # bad --config file or MPCLUST_* value

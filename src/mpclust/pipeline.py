@@ -18,7 +18,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.cluster.vq import ClusterError, kmeans2
@@ -76,36 +76,40 @@ def _stream(seed: int, phase: int, t: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Run configuration, checked when built: one value fixes a run; defaults are the recommended universal values."""
+    """Run configuration, checked when built: one value fixes a run; defaults are the recommended universal values.
 
-    m_frac: float = 0.1
-    n_frac: float = 0.25
-    h: float = 0.95
-    eta: float = 0.05
-    alpha_f: float = 0.5
-    tau: float = 1.0
-    alpha_i: float = 0.5
-    theta: float = 0.95
-    epochs_e: int = 2
-    t_max: int | None = None  # None: 20 * epochs * ceil(N/n) capped at 5000
-    k: int | None = None  # final cluster count; None: quantile cut on the consensus tree
-    final_algo: str = "hierarchical"
-    seed: int = 0
-    metric: str = "manhattan"
-    mode: str = "mpcc"  # uniform sampling; "mpacc" and "impacc" adapt it
+    Each field but ``early_stop`` is also the CLI's flag --NAME, variable MPCLUST_NAME
+    and config key NAME, which take its type, default, None-policy, choices and help.
+    """
+
+    m_frac: float = field(default=0.1, metadata={"help": "minipatch feature fraction"})
+    n_frac: float = field(default=0.25, metadata={"help": "minipatch observation fraction"})
+    h: float = field(default=0.95, metadata={"help": "tree-height cut quantile"})
+    eta: float = field(default=0.05, metadata={"help": "p-value percentile cutoff"})
+    alpha_f: float = field(default=0.5, metadata={"help": "feature learning rate"})
+    tau: float = field(default=1.0, metadata={"help": "high-importance cutoff (mean + tau*sd)"})
+    alpha_i: float = field(default=0.5, metadata={"help": "observation learning rate"})
+    theta: float = field(default=0.95, metadata={"help": "high-uncertainty weight quantile"})
+    epochs_e: int = field(default=2, metadata={"help": "burn-in epochs per axis"})
+    # None: 20 * epochs * ceil(N/n) capped at 5000
+    t_max: int | None = field(default=None, metadata={"help": "iteration cap (none: automatic)"})
+    k: int | None = field(default=None, metadata={"help": "final cluster count (omit or none for quantile cut)"})
+    final_algo: str = field(default="hierarchical", metadata={
+        "help": "final clustering of the consensus", "choices": FINAL_ALGOS})
+    seed: int = field(default=0, metadata={"help": "root seed of every random draw"})
+    metric: str = field(default="manhattan", metadata={"help": "per-patch dissimilarity", "choices": METRICS})
+    mode: str = field(default="mpcc", metadata={"help": "uniform (mpcc) or adaptive sampling", "choices": MODES})
     early_stop: bool = True  # False runs to t_max; the rule is consensus.stop_gap's
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name, lo, hi in (
-            ("m_frac", 0.0, 1.0),
-            ("n_frac", 0.0, 1.0),
-            ("h", 0.0, 1.0),
-        ):
+        for f in fields(self):
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
+            if choices is not None and value not in choices:
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
+        for name in ("m_frac", "n_frac", "h"):
             v = getattr(self, name)
-            if not lo < v <= hi:
-                raise ValueError(f"{name} must be in ({lo}, {hi}], got {v}")
+            if not 0 < v <= 1:
+                raise ValueError(f"{name} must be in (0.0, 1.0], got {v}")
         for name in ("eta", "alpha_f", "alpha_i", "theta"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
@@ -113,17 +117,13 @@ class HyperParams:
         if not 0 <= self.tau < math.inf:
             raise ValueError(f"tau must be a finite number >= 0, got {self.tau}")
         if self.epochs_e < 1:
-            raise ValueError("epochs_e must be >= 1")
+            raise ValueError(f"epochs_e must be >= 1, got {self.epochs_e}")
         if self.t_max is not None and self.t_max < 1:
-            raise ValueError("t_max must be >= 1 (no iterations possible)")
+            raise ValueError(f"t_max must be >= 1 (no iterations possible), got {self.t_max}")
         if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.final_algo not in FINAL_ALGOS:
-            raise ValueError(f"final_algo must be one of {FINAL_ALGOS}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
+            raise ValueError(f"k must be >= 1, got {self.k}")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def n_count(self, n_obs: int) -> int:
         return math.ceil(self.n_frac * n_obs)

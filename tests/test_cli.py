@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -6,7 +7,16 @@ import os
 import numpy as np
 import pytest
 
-from mpclust.cli import _HP, _build_parser, _digest, _resolve, _spec_from_args, main
+from mpclust.cli import (
+    _HP,
+    _UNSET,
+    _build_parser,
+    _digest,
+    _field_type,
+    _resolve,
+    _spec_from_args,
+    main,
+)
 from mpclust.consensus import consensus_of
 from mpclust.dataio import DataMatrix, load_matrix, log2_plus_one, write_matrix
 from mpclust.dist import hoeffding_bound
@@ -360,6 +370,18 @@ def no_mpclust_env(monkeypatch):
             monkeypatch.delenv(key)
 
 
+@pytest.mark.parametrize("argv", [["cluster", "neg.csv", "--out", "out"],
+                                  ["hoeffding-check", "--input", "neg.csv", "--trials", "100",
+                                   "--out", "out"]], ids=lambda argv: argv[0])
+def test_log2_on_a_negative_cell_names_the_file_and_the_flag(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "neg.csv").write_text("id,a,b\nr1,1,2\nr2,-1,3\nr3,2,2\n")
+    assert main([*argv, "--log2"]) == 1
+    assert capsys.readouterr().err == ("error: neg.csv: --log2 needs nonnegative values: "
+                                       "negative value -1.0 at row 'r2', column 'a'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_the_hyperparameters_are_the_fields_of_hyperparams():
     assert set(_HP) == {f.name for f in dataclasses.fields(HyperParams)} - {"early_stop"}
 
@@ -368,24 +390,24 @@ def test_the_hyperparameters_are_the_fields_of_hyperparams():
 def test_each_hyperparameter_is_a_flag_a_variable_and_a_config_key(
     name, tmp_path, monkeypatch, no_mpclust_env
 ):
-    hp = _HP[name]
-    raw = hp.choices[-1] if hp.choices else {int: "3", float: "0.3"}[hp.type]
+    (typ, none_ok), choices = _field_type(HyperParams, name), _HP[name].metadata.get("choices")
+    raw = choices[-1] if choices else {int: "3", float: "0.3"}[typ]
     base = ["cluster", "x.csv"]
-    assert getattr(_parsed(base), name) != hp.type(raw)  # the value is not the default
-    assert getattr(_parsed([*base, "--" + name.replace("_", "-"), raw]), name) == hp.type(raw)
+    assert getattr(_parsed(base), name) != typ(raw)  # the value is not the default
+    assert getattr(_parsed([*base, "--" + name.replace("_", "-"), raw]), name) == typ(raw)
     config = tmp_path / "run.cfg"
     config.write_text(f"{name} = {raw}\n")
-    assert getattr(_parsed([*base, "--config", str(config)]), name) == hp.type(raw)
+    assert getattr(_parsed([*base, "--config", str(config)]), name) == typ(raw)
     monkeypatch.setenv("MPCLUST_" + name.upper(), raw)
-    assert getattr(_parsed(base), name) == hp.type(raw)
+    assert getattr(_parsed(base), name) == typ(raw)
     monkeypatch.setenv("MPCLUST_" + name.upper(), "abc")  # malformed, but the flag wins unread
-    assert getattr(_parsed([*base, "--" + name.replace("_", "-"), raw]), name) == hp.type(raw)
-    if hp.none_ok:
+    assert getattr(_parsed([*base, "--" + name.replace("_", "-"), raw]), name) == typ(raw)
+    if none_ok:
         monkeypatch.setenv("MPCLUST_" + name.upper(), "none")
         assert getattr(_parsed(base), name) is None
 
 
-@pytest.mark.parametrize("name", [name for name, hp in _HP.items() if hp.none_ok])
+@pytest.mark.parametrize("name", [name for name in _HP if _field_type(HyperParams, name)[1]])
 def test_none_flag_overrides_variable_and_config(name, tmp_path, monkeypatch, no_mpclust_env):
     flag, base = "--" + name.replace("_", "-"), ["cluster", "x.csv"]
     config = tmp_path / "run.cfg"
@@ -396,16 +418,57 @@ def test_none_flag_overrides_variable_and_config(name, tmp_path, monkeypatch, no
     assert getattr(_parsed([*base, flag, "None"]), name) is None
 
 
-@pytest.mark.parametrize("name", [name for name, hp in _HP.items()
-                                  if not hp.none_ok and hp.type is not str])
+@pytest.mark.parametrize("name", [name for name in _HP
+                                  if _field_type(HyperParams, name) in ((int, False), (float, False))])
 def test_none_flag_rejected_where_the_key_takes_no_none(name, no_mpclust_env, capsys):
     flag = "--" + name.replace("_", "-")
     with pytest.raises(SystemExit) as exc:
         _parsed(["cluster", "x.csv", flag, "none"])
     assert exc.value.code == 2
-    assert f"argument {flag}: invalid {_HP[name].type.__name__} value: 'none'" in (
+    assert f"argument {flag}: invalid {_field_type(HyperParams, name)[0].__name__} value: 'none'" in (
         capsys.readouterr().err
     )
+
+
+def _flag_surface(parser: argparse.ArgumentParser, command: str = "mpclust") -> dict[str, list]:
+    """Each option of ``parser`` and of every subcommand under it, by command line."""
+    surface: dict[str, list] = {command: []}
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                surface.update(_flag_surface(sub, f"{command} {name}"))
+            choices = list(choices)
+        surface[command].append({
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "default": "<unset>" if action.default is _UNSET else repr(action.default),
+            "type": getattr(action.type, "__name__", None),
+            "choices": None if choices is None else list(choices),
+            "nargs": action.nargs,
+            "required": action.required,
+            "help": action.help,
+        })
+    return surface
+
+
+def test_flag_surface_is_pinned():
+    # sha256 of each command's options, in declaration order: option strings, dest,
+    # default, type name, choices, nargs, required and help. A flag that is added,
+    # dropped, renamed, retyped or redocumented moves its command's digest
+    got = {command: hashlib.sha256(json.dumps(options).encode()).hexdigest()
+           for command, options in _flag_surface(_build_parser()).items()}
+    assert got == {
+        "mpclust": "fbfadff546833e117724da8f62d4227e52538f437949c3b391d0100a0f7c1caf",
+        "mpclust cluster": "6a78f610084b942324347b6111fad399b6882265aa283c972659fa892e2ebbbc",
+        "mpclust simulate": "f3d1c596d72c4466033fc9141acb605848bd6c69e3b63fa867565e597893487b",
+        "mpclust benchmark": "2c7fbd44368ba3bbdc36f4c5f4f8a4fc21ddeac8fe9346cdb59a1e6783e24120",
+        "mpclust tune": "9dedd2363cd74779ca5a69b39f752f69bb3a9f3a72630fd88eb0cb052410e4ed",
+        "mpclust eval": "1fb0b673955eb9899403689e2c45bf9e0a24817233c277e89ac621b633a64c21",
+        "mpclust eval ari": "38086928ff40180d087b3c7aec27c8624d08a7bca6ddb485650000ce91882951",
+        "mpclust eval f1": "8a0fa800f490e3ccee1e69b897d29e1aeb90355c8a07d58601b8c714f6a9ce9b",
+        "mpclust hoeffding-check": "2099200ca53a5a32e0c8664703f374e63660d0fbf1781c3926a259f3567c9b91",
+    }
 
 
 @pytest.mark.parametrize("argv", [[], ["cluster"], ["simulate"], ["benchmark"], ["tune"], ["eval"],
@@ -807,33 +870,26 @@ class TestHoeffdingCheck:
             _, _, empirical, bound = row.split(",")
             assert 0 <= float(empirical) <= 1 and 0 < float(bound) <= 1
 
-    @pytest.mark.parametrize("metric, digests", [
-        ("manhattan", {"random": "20c8b1b3be2c0988fcb5ee19271bacd493c64e6db4299a0f538d5f5986fcfad2",
-                       "input": "aba394725f7cf674993ab3b5fdfe0d43fd3dce48a6467daaf663aad0cb215b73"}),
-        ("sq_euclidean", {"random": "e4187224f36e18c5c69bf8e374211c88488709dd9c20a8d47bb8bac2e57cfee4",
-                          "input": "e368af8078d53b2a91e8f8caec6fb0ae10aa42cbb8713c62f6a2f4374ab024e5"}),
-    ])
-    def test_table_is_pinned(self, metric, digests, tmp_path, no_mpclust_env):
-        # sha256 of the m_feat, eps and empirical columns, taken from the code as it
-        # was when this test was written: the empirical values are ratios of counts.
-        # The bound passes through libm's exp, so it is checked against
-        # hoeffding_bound instead of by digest
-        source = tmp_path / "matrix.csv"
-        write_matrix(generate(SynthSpec(snr=6, n_obs=30, n_features=40, n_signal=5, seed=3)).matrix,
-                     source)
-        runs = {"random": (["--n-obs", "20", "--n-features", "50", "--m-feat", "5,10",
-                            "--trials", "500", "--seed", "2"], 50),
-                "input": (["--input", str(source), "--m-feat", "4,10",
-                           "--eps", "0.01,0.02,0.05,0.1", "--trials", "300", "--seed", "7"], 40)}
-        got = {}
-        for name, (argv, m_total) in runs.items():
-            out = tmp_path / f"{name}.csv"
-            assert main(["hoeffding-check", *argv, "--metric", metric, "--out", str(out)]) == 0
-            rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
-            for m_feat, eps, _, bound in rows:
-                assert float(bound) == hoeffding_bound(int(m_feat), m_total, float(eps))
-            got[name] = hashlib.sha256("\n".join(",".join(row[:3]) for row in rows).encode()).hexdigest()
-        assert got == digests
+    @pytest.mark.parametrize("argv, flag, where", [
+        (["--input", "missing.csv", "--n-obs", "7"], "--n-obs", "with"),
+        (["--input", "missing.csv", "--n-features", "100"], "--n-features", "with"),  # the default
+        (["--delimiter", ","], "--delimiter", "without"),
+        (["--no-header"], "--no-header", "without"),
+        (["--no-ids"], "--no-ids", "without"),
+        (["--transpose"], "--transpose", "without"),
+        (["--log2", "--trials", "100"], "--log2", "without"),
+    ], ids=["n-obs", "n-features", "delimiter", "no-header", "no-ids", "transpose", "log2"])
+    def test_a_flag_its_data_source_does_not_read_is_a_usage_error(
+        self, argv, flag, where, tmp_path, monkeypatch, no_mpclust_env, capsys
+    ):
+        # --input reads no --n-obs or --n-features; the random matrix reads no input flag
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["hoeffding-check", *argv, "--out", "h.csv"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: not allowed {where} argument --input\n")
+        assert not (tmp_path / "h.csv").exists()
 
     def test_constant_input_names_its_file(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 import warnings
@@ -83,72 +82,12 @@ class TestRun:
         assert a.iterations_run == b.iterations_run
         assert [r.confusion_pct for r in a.trace] == [r.confusion_pct for r in b.trace]
 
-    @pytest.mark.parametrize("mode, digests", [
-        ("mpacc", {
-            "labels": "9ce2c299a80425f7348d58f9a5dbdadacb60cb0aa12cfab3c05f2d52639ab4d0",
-            "labels_k3": "8891a0261d8e5b5d9f62275e0d1fef56b9701a2dd5dadf21fe700ea3fcee0376",
-            "obs_weights": "01e107a87738b93d79a2a9796e315839d9e8888b7f87f85f7f99ea6071ffedb9",
-            "feature_scores": None,
-            "trace": "5f04b64e7c8dfcfb4cdc90318ed957b2cfd03913ab09f39491f21767e83fe353",
-            "consensus_csv": "431659f1b73bf2c12663435f43d218bbf1fb688119710a8a7c8e6328d410403a",
-            "consensus_bin": "34c538980a60ab6abdd559eedb127a4a9b5f1059734e7b0cb8c197e2ab43b72c",
-        }),
-        ("impacc", {
-            "labels": "e255debca95c76b8055d85dfbcc33db542710c89110836acd08118b8ca35a9ef",
-            "labels_k3": "7bb707ae2da536f3b98b2d4cfda97b8c784836cde20b9d4d84b5f799b449fbcc",
-            "obs_weights": "30acc8ad5eac5bb4ae7eae36cccb026580ba3c0d8ac41af587a933d5d0fad090",
-            "feature_scores": "7aa3262e4b69e1f4bc02b6439539f5160a322318484d5def9415b18bfcb54ae8",
-            "trace": "9362a543a930a546d39f9fe0bfd661722c9f5449f20795040410f2f1105abbdf",
-            "consensus_csv": "909fab77d8fa7b35c53a6d1eb830e4fc590f57343c7c674c3a5b6c9c44d33507",
-            "consensus_bin": "f6585a45d5fd6e68888a1bee349a2132e877f8d7787923b6fb6bd49200c00ced",
-        }),
-        ("mpcc", {
-            "labels": "0dd4a488a8490ae404ffe280bbda636ddebac48d102eeea927ab47a9911bbecf",
-            "labels_k3": "e9db02a134e49082e9eec91961fa86420c15914772533d3bcac04822e6c33450",
-            "obs_weights": "e5557c83508eb848f8e7d8a2bc18a7db0de38e1f0141a69c498e65ab8def44ed",
-            "feature_scores": None,
-            "trace": "15926b61d91a6fdd545210c505ff58e8f1533ad4658773d9d2d2b01f335cc27e",
-            "consensus_csv": "519fc8c066044e19d60e97756ac5d417c6d3c649b6bb146199f03043f36c1c74",
-            "consensus_bin": "6752f053886b0092e8e06b241019502bda79ac1c8f4168522c0f928a03b4d607",
-        }),
-    ])
-    def test_adaptive_draws_are_pinned(self, mode, digests, tmp_path):
-        # sha256 of a run's outputs, taken from the code as it was when this test
-        # was written (numpy 2.4, scipy 1.17): in the adaptive modes, 8 burn-in and
-        # 32 adaptive iterations. Labels without k (the quantile cut) and at k = 3,
-        # and both consensus exports, whose values are ratios of pair counts. A
-        # change that moves a draw, a weight, a score or an output byte moves a
-        # digest and must say so
-        spec = SynthSpec(snr=6, n_obs=60, n_features=50, n_signal=5, seed=1,
-                         cluster_sizes=(3, 9, 14, 34))
-        data = generate(spec).matrix
-        res = run(data, HyperParams(mode=mode, seed=1, t_max=40, early_stop=False))
-        trace = [(r.n_clusters, r.confusion_pct, r.high_obs, r.high_feat) for r in res.trace]
-        save_consensus_csv(res.consensus, data.row_ids, tmp_path / "consensus.csv")
-        save_consensus_binary(res.consensus, tmp_path / "consensus.bin")
-
-        def digest(a, dtype="<f8"):
-            return None if a is None else hashlib.sha256(np.asarray(a, dtype).tobytes()).hexdigest()
-
-        def file_digest(name):
-            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-
-        assert {
-            "labels": digest(res.labels, "<i8"),
-            "labels_k3": digest(finalize_hierarchical(res.consensus, 3), "<i8"),
-            "obs_weights": digest(res.obs_weights),
-            "feature_scores": digest(res.feature_scores),
-            "trace": digest(trace),
-            "consensus_csv": file_digest("consensus.csv"),
-            "consensus_bin": file_digest("consensus.bin"),
-        } == digests
-
     @pytest.mark.parametrize("metric", ["manhattan", "sq_euclidean"])
     @pytest.mark.parametrize("mode", ["mpcc", "mpacc", "impacc"])
     def test_unit_rescale_changes_no_output(self, mode, metric):
         # one global min-max map scales every patch distance by one constant, which
         # moves no Ward merge, quantile cut or ANOVA F statistic: the reason the CLI
-        # has no --rescale. The 60x50 run of test_adaptive_draws_are_pinned
+        # has no --rescale. The 60x50 run of test_pins.py::test_adaptive_draws_are_pinned
         spec = SynthSpec(snr=6, n_obs=60, n_features=50, n_signal=5, seed=1,
                          cluster_sizes=(3, 9, 14, 34))
         data = generate(spec).matrix
@@ -180,6 +119,24 @@ class TestRun:
         data, _ = _blobs()
         with pytest.raises(ValueError, match=r"^mode must be one of"):
             run(data, HyperParams(mode="bogus"))
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("epochs_e", 0, "epochs_e must be >= 1, got 0"),
+        ("t_max", 0, "t_max must be >= 1 (no iterations possible), got 0"),
+        ("k", 0, "k must be >= 1, got 0"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
+        ("final_algo", "x", "final_algo must be one of ('hierarchical', 'spectral'), got 'x'"),
+        ("metric", "x", "metric must be one of ('manhattan', 'sq_euclidean'), got 'x'"),
+        ("mode", "x", "mode must be one of ('mpcc', 'mpacc', 'impacc'), got 'x'"),
+    ], ids=["epochs_e", "t_max", "k", "seed", "final_algo", "metric", "mode"])
+    def test_rejection_names_the_value(self, setting, value, message):
+        with pytest.raises(ValueError) as exc:
+            HyperParams(**{setting: value})
+        assert str(exc.value) == message
+
+    def test_choices_are_checked_first(self):
+        with pytest.raises(ValueError, match=r"^final_algo must be one of"):
+            HyperParams(final_algo="x", n_frac=0.0)
 
     def test_infeasible_counts(self):
         data, _ = _blobs(n_half=3)
