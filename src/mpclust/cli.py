@@ -421,11 +421,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     a, b = Path(args.a), Path(args.b)
     if args.what == "ari":
         _, labels_a, labels_b = _aligned(a, b, 1)
-        print(f"{ari(np.array(labels_a), np.array(labels_b)):.17g}")
+        at_fault, score = a, functools.partial(ari, np.array(labels_a), np.array(labels_b))
     else:
         ids, scores, truth = _aligned(a, b, -1)
         mask = select_by_score(_numbers(a, ids, scores), top_k=args.top_k)
-        print(f"{f1_features(mask, _numbers(b, ids, truth).astype(bool)):.17g}")
+        at_fault, score = b, functools.partial(f1_features, mask, _numbers(b, ids, truth).astype(bool))
+    try:
+        value = score()
+    except ValueError as exc:  # fewer than 2 shared ids, or a mask with no positives
+        raise ValueError(f"{at_fault}: {exc}") from None
+    print(f"{value:.17g}")
     return 0
 
 
@@ -438,6 +443,8 @@ def _is_number(text: str) -> bool:
 
 
 def _cmd_hoeffding(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # before the random matrix's draw, whose own error names no setting
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     if args.input:
         data = _load_input(args)
         if data.values.min() == data.values.max():  # the experiment's own error names no file

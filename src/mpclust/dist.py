@@ -78,6 +78,8 @@ def deviation_experiment(
         raise ValueError(f"trials must be at least 100 for a meaningful estimate, got {trials}")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     lo, hi = float(m.values.min()), float(m.values.max())
     if hi == lo:
         raise ValueError("constant matrix has zero range; cannot rescale")

@@ -71,7 +71,7 @@ def select_by_score(scores: np.ndarray, top_k: int | None = None) -> np.ndarray:
         raise ValueError("scores must be nonempty")
     if top_k is not None:
         if not 0 < top_k <= s.size:
-            raise ValueError(f"top_k must be in 1..{s.size}")
+            raise ValueError(f"top_k must be in 1..{s.size}, got {top_k}")
         order = np.argsort(-s, kind="stable")
         mask = np.zeros(s.size, dtype=bool)
         mask[order[:top_k]] = True

@@ -77,13 +77,13 @@ class SynthSpec:
         if self.n_features < _BLOCK or self.n_features % _BLOCK != 0:
             raise ValueError(f"n_features must be a positive multiple of {_BLOCK}, got {self.n_features}")
         if not 0 < self.n_signal <= self.n_features:
-            raise ValueError("n_signal must be in 1..n_features")
+            raise ValueError(f"n_signal must be in 1..{self.n_features}, got {self.n_signal}")
         if not 0 <= self.snr < math.inf:
             raise ValueError(f"snr must be a finite number >= 0, got {self.snr}")
         if not 0 <= self.rho < 1:
-            raise ValueError("rho must be in [0, 1)")
+            raise ValueError(f"rho must be in [0, 1), got {self.rho}")
         if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpclust
 from mpclust.cli import (
     _HP,
     _UNSET,
@@ -17,7 +21,7 @@ from mpclust.cli import (
     _spec_from_args,
     main,
 )
-from mpclust.consensus import consensus_of
+from mpclust.consensus import consensus_of, load_consensus_binary
 from mpclust.dataio import DataMatrix, load_matrix, log2_plus_one, write_matrix
 from mpclust.dist import hoeffding_bound
 from mpclust.metrics import ari
@@ -225,11 +229,15 @@ class TestCluster:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_binary_consensus_format(self, blob_csv, tmp_path):
-        out = tmp_path / "out"
-        main(["cluster", str(blob_csv), "--k", "2", "--out", str(out),
-              "--consensus-format", "binary"])
-        raw = (out / "consensus.bin").read_bytes()
+        for fmt in ("csv", "binary"):
+            assert main(["cluster", str(blob_csv), "--k", "2", "--out", str(tmp_path / fmt),
+                         "--consensus-format", fmt]) == 0
+        raw = (tmp_path / "binary" / "consensus.bin").read_bytes()
         assert raw[:4] == b"MPCS"
+        # both formats hold the same S: the binary is the CSV's float64 values cast to float32
+        text = load_matrix(tmp_path / "csv" / "consensus.csv").values
+        assert np.array_equal(load_consensus_binary(tmp_path / "binary" / "consensus.bin"),
+                              text.astype(np.float32))
 
     def test_consensus_csv_quotes_ids(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -258,6 +266,15 @@ class TestCluster:
         assert main(["cluster", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "header has 3" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cell, problem", [("1_0", "non-numeric cell '1_0'"),
+                                                ("nan", "non-finite value nan")])
+    def test_bad_cell_names_the_file_row_and_column(self, tmp_path, monkeypatch, capsys, cell, problem):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text(f"id,a,b\nr1,1,2\nr2,3,{cell}\nr3,2,2\n")
+        assert main(["cluster", "bad.csv", "--k", "2", "--out", "out"]) == 1
+        assert capsys.readouterr().err == f"error: bad.csv: {problem} at row 'r2', column 'b'\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("delimiter", [";;", ""])
     def test_delimiter_of_other_than_one_character_is_an_error(self, blob_csv, tmp_path, capsys,
@@ -357,17 +374,44 @@ class TestCluster:
         assert json.loads((out2 / "manifest.json").read_text())["seed"] == 8
 
 
+def _outputs(out: Path) -> dict[str, bytes]:
+    """Each file in ``out`` but manifest.json (its timings), trace.csv without its seconds column."""
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    files.pop("manifest.json", None)  # hoeffding-check writes none
+    if "trace.csv" in files:
+        files["trace.csv"] = b"\n".join(line.rsplit(b",", 1)[0] for line in files["trace.csv"].splitlines())
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "{matrix}", "--mode", "impacc", "--k", "2", "--seed", "1", "--weight-trace",
+     "--consensus-format", "csv", "--out", "{out}"],
+    ["cluster", "{matrix}", "--final-algo", "spectral", "--seed", "1", "--consensus-format", "binary",
+     "--out", "{out}"],
+    ["hoeffding-check", "--input", "{matrix}", "--m-feat", "4,10", "--trials", "500", "--seed", "1",
+     "--out", "{out}/hoeffding.csv"],
+], ids=["impacc-weight-trace", "spectral-without-k", "hoeffding-input"])
+def test_reruns_in_fresh_interpreters_write_the_same_bytes(argv, blob_csv, tmp_path, no_mpclust_env):
+    # C9 across processes: each run imports the src/ under test anew, under another
+    # string-hash seed, so no output may depend on set or dict order of str keys
+    env = {**os.environ, "PYTHONPATH": str(Path(mpclust.__file__).resolve().parents[1])}
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "mpclust.cli", *(a.format(matrix=blob_csv, out=out) for a in argv)],
+            env={**env, "PYTHONHASHSEED": hash_seed}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(_outputs(out))
+    assert outputs[0] == outputs[1]
+
+
 def _parsed(argv: list[str]):
     args = _build_parser().parse_args(argv)
     _resolve(args)
     return args
-
-
-@pytest.fixture
-def no_mpclust_env(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("MPCLUST_"):
-            monkeypatch.delenv(key)
 
 
 @pytest.mark.parametrize("argv", [["cluster", "neg.csv", "--out", "out"],
@@ -656,9 +700,17 @@ _N_OBS_8 = "n_obs must be >= 13 for the default 4/16/24/56% cluster split, got 8
     (["hoeffding-check", "--n-obs", "1"], "n_obs must be >= 2, got 1"),
     (["simulate", "--snr", "6", "--n-obs", "8"], _N_OBS_8),
     (["benchmark", "--snr", "6", "--n-obs", "8", "--reps", "1"], _N_OBS_8),
+    (["simulate", "--snr", "6", "--rho", "1.5"], "rho must be in [0, 1), got 1.5"),
+    (["simulate", "--snr", "6", "--n-signal", "0"], "n_signal must be in 1..5000, got 0"),
+    (["benchmark", "--snr", "6", "--n-features", "20", "--n-signal", "21"],
+     "n_signal must be in 1..20, got 21"),
+    (["simulate", "--snr", "6", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["benchmark", "--snr", "6", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["hoeffding-check", "--seed", "-1"], "seed must be nonnegative, got -1"),
 ], ids=["trials-50", "m-feat-0", "cluster-sizes-three", "snr-negative", "snr-nan", "snr-inf",
         "benchmark-snr-nan", "benchmark-snr-6-nan", "eps-nan", "n-obs-negative", "benchmark-n-obs-1",
-        "n-features-0", "hoeffding-n-obs-1", "n-obs-8", "benchmark-n-obs-8"])
+        "n-features-0", "hoeffding-n-obs-1", "n-obs-8", "benchmark-n-obs-8", "rho-1.5", "n-signal-0",
+        "benchmark-n-signal-21", "seed-negative", "benchmark-seed-negative", "hoeffding-seed-negative"])
 def test_parsed_value_the_library_rejects_exits_1(argv, setting, tmp_path, no_mpclust_env,
                                                    monkeypatch, capsys):
     calls = []  # the checks come before any dataset is generated or clustered
@@ -717,6 +769,15 @@ class TestTune:
         )
         assert code == 0
         assert "warning" in capsys.readouterr().err
+
+    def test_a_bad_grid_cell_exits_1_before_the_first_run(self, blob_csv, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr("mpclust.pipeline._loop", lambda *a, **k: runs.append(a))
+        out = tmp_path / "t.csv"
+        assert main(["tune", str(blob_csv), "--m-grid", "0.2", "--n-grid", "0.3,1.5",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n_frac must be in (0.0, 1.0], got 1.5\n"
+        assert runs == [] and not out.exists()
 
     @pytest.mark.parametrize("flag", ["--k 4", "--m-frac 0.1", "--n-frac 0.2", "--final-algo spectral"])
     def test_a_setting_that_changes_no_cell_is_a_usage_error(self, flag, tmp_path, capsys):
@@ -841,6 +902,27 @@ class TestEval:
         paths["mask"].write_text("feature_id,is_signal\n" + mask)
         assert main(["eval", "f1", str(paths["scores"]), str(paths["mask"])]) == 1
         assert capsys.readouterr().err == f"error: {paths[bad]}: non-numeric value 'abc' for id 'f2'\n"
+
+    @pytest.mark.parametrize("top_k", ["0", "7"])
+    def test_top_k_outside_the_features_names_its_value(self, tmp_path, capsys, top_k):
+        scores = tmp_path / "s.csv"
+        scores.write_text("feature_id,score\nf1,1.0\nf2,1.0\nf3,0.0\nf4,0.0\nf5,0.0\nf6,0.0\n")
+        mask = tmp_path / "m.csv"
+        mask.write_text("feature_id,is_signal\nf1,1\nf2,1\nf3,0\nf4,0\nf5,0\nf6,0\n")
+        assert main(["eval", "f1", str(scores), str(mask), "--top-k", top_k]) == 1
+        assert capsys.readouterr().err == f"error: top_k must be in 1..6, got {top_k}\n"
+
+    def test_one_shared_id_names_the_labels_file(self, tmp_path, capsys):
+        code, _, err = self._ari(tmp_path, capsys, "id,label\nr1,1\n", "id,label\nr1,2\n")
+        assert code == 1 and err == f"error: {tmp_path / 'a.csv'}: need at least 2 observations\n"
+
+    def test_mask_without_positives_names_the_mask_file(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("feature_id,score\nf1,1.0\nf2,0.5\nf3,0.0\n")
+        mask = tmp_path / "m.csv"
+        mask.write_text("feature_id,is_signal\nf1,0\nf2,0\nf3,0\n")
+        assert main(["eval", "f1", str(scores), str(mask)]) == 1
+        assert capsys.readouterr().err == f"error: {mask}: truth mask has no positives\n"
 
     @pytest.mark.parametrize("what", ["ari", "f1"])
     @pytest.mark.parametrize("text, line", [

@@ -116,6 +116,15 @@ class TestDeviationExperiment:
         with pytest.raises(ValueError, match="eps must be positive, got nan"):
             deviation_experiment(m, "manhattan", 2, 100, [0.1, float("nan")], seed=0)
 
+    def test_negative_seed_fails_before_the_draws(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the seed")
+
+        m = _unit_matrix(5, 10)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            deviation_experiment(m, "manhattan", 2, 100, [0.1], seed=-1)
+
     def test_constant_matrix_rejected(self):
         m = DataMatrix(np.full((2, 2), 3.0), ("a", "b"), ("x", "y"))
         with pytest.raises(ValueError, match="^constant matrix has zero range"):

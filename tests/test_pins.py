@@ -17,7 +17,6 @@ through the runs on it. ``hoeffding-check``'s bound passes through libm's
 """
 
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -44,13 +43,6 @@ TALL = SynthSpec(snr=6, n_obs=150, n_features=30, n_signal=5, seed=2)
 def _digest(a, dtype="<f8"):
     """sha256 of ``a``: bytes as they are, anything else as an array of ``dtype``."""
     return hashlib.sha256(a if isinstance(a, bytes) else np.asarray(a, dtype).tobytes()).hexdigest()
-
-
-@pytest.fixture
-def no_mpclust_env(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("MPCLUST_"):
-            monkeypatch.delenv(key)
 
 
 def _partition(labels):
