@@ -563,8 +563,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except MemoryError as exc:
         detail = f" ({exc})" if str(exc) else ""
-        print(f"error: out of memory{detail}; the consensus holds N x N pair counts, "
-              "so fewer observations need less", file=sys.stderr)
+        held = {"hoeffding-check": "the experiment holds a --trials x features table, so fewer trials",
+                "simulate": "the matrix holds --n-obs x --n-features values, so fewer of either",
+                "eval": "each file is read whole, so smaller files"}.get(
+            args.cmd, "the consensus holds N x N pair counts, so fewer observations")
+        print(f"error: out of memory{detail}; {held} need less", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,9 @@ is that of scipy's ``nn_chain``:
   the lowest slot;
 - merging slots x < y keeps the merged cluster in slot y and retires x;
 - merges are stably sorted by height, then renumbered so that merge i
-  creates node n + i.
+  creates node n + i;
+- a minipatch's slots are its observations in ascending index (every draw
+  is sorted and the gather keeps its order), so its ties go by that index.
 
 Ties are judged on scipy's floating-point values, which live on the
 square-root scale, so values that are equal in exact arithmetic can

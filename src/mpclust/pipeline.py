@@ -251,9 +251,11 @@ def _check_run(data: DataMatrix, hp: HyperParams) -> None:
 def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunResult:
     """Execute the consensus loop and final clustering.
 
-    Each iteration draws a minipatch, clusters it, scores its features
-    (impacc), folds it into the consensus, checks the stop rule and
-    appends its ``IterationRecord`` to ``RunResult.trace``.
+    Each iteration draws a minipatch (``_draw``; mpcc's from the seed and
+    t alone), labels it (``_label``: Ward on its distances, cut at the
+    ``h`` quantile, from the data, ``hp`` and the patch alone) and folds
+    it: scores its features (impacc), updates the consensus, checks the
+    stop rule and appends its ``IterationRecord`` to ``RunResult.trace``.
     ``collect_arrays`` also keeps each iteration's patch and weights in
     its record.
 
@@ -281,11 +283,10 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
     """``run()`` without the final clustering, on settings ``_check_run`` passed: every
     ``RunResult`` field but ``labels``, in its order. It reads neither ``k`` nor ``final_algo``."""
     n, m = data.n_obs, data.n_features
-    n_count, m_count, t_max = hp.n_count(n), hp.m_count(m), hp.resolve_t_max(n)
-
+    n_count, t_max = hp.n_count(n), hp.resolve_t_max(n)
     obs = SamplerState.uniform(n, n_count, hp.epochs_e, "quantile", hp.theta)
-    feat = SamplerState.uniform(m, m_count, hp.epochs_e, "mean_plus_sd", hp.tau)
-    # impacc's features: draws and ANOVA support hits; the observations' draws are state.diag
+    feat = SamplerState.uniform(m, hp.m_count(m), hp.epochs_e, "mean_plus_sd", hp.tau)
+    # the features' draws and (impacc) ANOVA support hits; the observations' draws are state.diag
     feat_draws, feat_hits = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     state = ConsensusState.empty(n, max_count=t_max)
     scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
@@ -294,64 +295,30 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
     flat_values = values.ravel(order="K")
     obs_step, feat_step = (stride // values.itemsize for stride in values.strides)
     armed = [0.0]  # the rule's first reference value: no stop before STOP_PATIENCE armed iterations
-    adaptive_obs = hp.mode in ("mpacc", "impacc")
-    adaptive_feat = hp.mode == "impacc"
-    obs_burn = obs.burn_in
-
+    adaptive_obs, adaptive_feat = hp.mode in ("mpacc", "impacc"), hp.mode == "impacc"
     trace: list[IterationRecord] = []
     stop_reason = "t_max"
 
     for t in range(1, t_max + 1):
         started = time.perf_counter()
-        rng_obs = _stream(hp.seed, _PHASE_OBS, t)
-        rng_feat = _stream(hp.seed, _PHASE_FEAT, t)
-
-        if adaptive_feat:
-            feat_idx = ee_prob_next(feat, t, rng_feat)
-            feat_draws[feat_idx] += 1
-        else:
-            feat_idx = draw_uniform(m, m_count, rng_feat)
-
-        if adaptive_obs:
-            if t > obs_burn:
-                obs.weights = update_obs_weights(obs.weights, state.confusion_rows / n, state.diag,
-                                                 t, hp.alpha_i)
-            obs_idx = ee_prob_next(obs, t, rng_obs)
-        else:
-            obs_idx = draw_uniform(n, n_count, rng_obs)
-
-        # one take of flat indices: the bytes of data.values[np.ix_(obs_idx, feat_idx)]
-        view = np.take(flat_values, obs_idx[:, None] * obs_step + feat_idx * feat_step)
-        labels = cut_quantile(ward_linkage(pairwise(view, hp.metric, out=scratch.dist)), hp.h)
+        obs_idx, feat_idx = _draw(t, hp, obs, feat, state)
+        feat_draws[feat_idx] += 1
+        view, labels = _label(flat_values, obs_step, feat_step, obs_idx, feat_idx, hp, scratch.dist)
+        # fold; impacc's ANOVA needs two clusters and within-group degrees of
+        # freedom, and a patch without them is sampled but scores no support
         k_patch = int(labels.max()) + 1
-        # ANOVA needs two clusters and within-group degrees of freedom;
-        # a patch without them is sampled but scores no support
         if adaptive_feat and k_patch >= 2 and obs_idx.size - k_patch >= 1:
             support, _ = score_features(view, labels, hp.eta)
             feat_hits[feat_idx[support]] += 1
             feat.weights = update_feature_weights(feat.weights, importance(feat_hits, feat_draws), hp.alpha_f)
-
         update(state, obs_idx, labels, scratch=scratch)
         pct = float(np.percentile(state.confusion_rows / n, STOP_PERCENTILE))
-        if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs_burn):
+        if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs.burn_in):
             armed.append(pct)
-        record = IterationRecord(
-            iteration=t,
-            n_clusters=k_patch,
-            confusion_pct=pct,
-            high_obs=obs.last_high_size,
-            high_feat=feat.last_high_size,
-            seconds=time.perf_counter() - started,
-        )
-        if collect_arrays:
-            record = replace(
-                record,
-                obs_idx=obs_idx.copy(),
-                labels=labels.copy(),
-                obs_weights=obs.weights.copy(),
-                feature_scores=importance(feat_hits, feat_draws) if adaptive_feat else None,  # a new array
-            )
-        trace.append(record)
+        seconds = time.perf_counter() - started
+        arrays = (obs_idx.copy(), labels.copy(), obs.weights.copy(),  # the scores are a new array
+                  importance(feat_hits, feat_draws) if adaptive_feat else None) if collect_arrays else ()
+        trace.append(IterationRecord(t, k_patch, pct, obs.last_high_size, feat.last_high_size, seconds, *arrays))
         if len(armed) > STOP_PATIENCE and stop_gap(armed) < 1:
             stop_reason = "early_stop"
             break
@@ -362,6 +329,32 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
                            f"raise t_max above {len(trace)}")
     scores = importance(feat_hits, feat_draws) if adaptive_feat else None
     return state, scores, obs.weights.copy(), stop_reason, trace
+
+
+def _draw(t: int, hp: HyperParams, obs: SamplerState, feat: SamplerState,
+          state: ConsensusState) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration t's patch, (obs_idx, feat_idx), each sorted: mpcc draws both axes uniformly,
+    from ``hp.seed`` and t alone; the adaptive modes draw EE+Prob on ``obs`` and, in impacc,
+    ``feat``, once past burn-in moving the observation weights by ``state``'s confusion."""
+    rng_obs, rng_feat = _stream(hp.seed, _PHASE_OBS, t), _stream(hp.seed, _PHASE_FEAT, t)
+    if hp.mode == "impacc":
+        feat_idx = ee_prob_next(feat, t, rng_feat)
+    else:
+        feat_idx = draw_uniform(feat.weights.size, feat.draw, rng_feat)
+    if hp.mode == "mpcc":
+        return draw_uniform(obs.weights.size, obs.draw, rng_obs), feat_idx
+    if t > obs.burn_in:
+        obs.weights = update_obs_weights(obs.weights, state.confusion_rows / state.n, state.diag, t, hp.alpha_i)
+    return ee_prob_next(obs, t, rng_obs), feat_idx
+
+
+def _label(flat_values: np.ndarray, obs_step: int, feat_step: int, obs_idx: np.ndarray,
+           feat_idx: np.ndarray, hp: HyperParams, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A patch's values and labels, a function of the table, ``hp`` and the patch alone:
+    Ward on its ``hp.metric`` distances, computed in ``dist``, cut at the ``hp.h`` quantile."""
+    # one take of flat indices: the bytes of data.values[np.ix_(obs_idx, feat_idx)]
+    view = np.take(flat_values, obs_idx[:, None] * obs_step + feat_idx * feat_step)
+    return view, cut_quantile(ward_linkage(pairwise(view, hp.metric, out=dist)), hp.h)
 
 
 def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:
@@ -383,7 +376,7 @@ def finalize_hierarchical(state: ConsensusState, k: int) -> np.ndarray:
     fresh buffer, which receives Ward's square roots.
     """
     if not 1 <= k <= state.n:
-        raise ValueError(f"k must be in 1..{state.n}")
+        raise ValueError(f"k must be in 1..{state.n}, got {k}")
     return cut_k(ward_linkage(dissimilarity_of(state)), k)
 
 
@@ -403,7 +396,7 @@ def finalize_spectral(state: ConsensusState, k: int, seed: int = 0) -> np.ndarra
     raises ``ClusterError`` and is discarded; if all 10 are, ValueError.
     """
     if not 1 <= k <= state.n:
-        raise ValueError(f"k must be in 1..{state.n}")
+        raise ValueError(f"k must be in 1..{state.n}, got {k}")
     return _spectral(consensus_of(state), k, seed)
 
 

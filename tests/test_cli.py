@@ -136,8 +136,8 @@ class TestCluster:
 
         monkeypatch.setattr("mpclust.cli.run", exhausted)
         assert main(["cluster", str(blob_csv), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: out of memory (Unable to allocate 1.07 TiB)")
+        assert capsys.readouterr().err == ("error: out of memory (Unable to allocate 1.07 TiB); the consensus "
+                                           "holds N x N pair counts, so fewer observations need less\n")
 
     def test_memory_ceiling_reported(self, blob_csv, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("mpclust.pipeline._available_bytes", lambda: 1)
@@ -424,6 +424,29 @@ def test_log2_on_a_negative_cell_names_the_file_and_the_flag(argv, tmp_path, mon
     assert capsys.readouterr().err == ("error: neg.csv: --log2 needs nonnegative values: "
                                        "negative value -1.0 at row 'r2', column 'a'\n")
     assert not (tmp_path / "out").exists()
+
+
+_CONSENSUS_HINT = "the consensus holds N x N pair counts, so fewer observations need less"
+
+
+@pytest.mark.parametrize("argv, allocates, hint", [  # cluster's is TestCluster's
+    (["tune", "blobs.csv", "--m-grid", "0.1", "--n-grid", "0.25"], "tune_minipatch_size", _CONSENSUS_HINT),
+    (["benchmark", "--snr", "6"], "generate", _CONSENSUS_HINT),
+    (["hoeffding-check"], "deviation_experiment",
+     "the experiment holds a --trials x features table, so fewer trials need less"),
+    (["simulate", "--snr", "6"], "generate",
+     "the matrix holds --n-obs x --n-features values, so fewer of either need less"),
+    (["eval", "ari", "blobs.csv", "blobs.csv"], "_aligned", "each file is read whole, so smaller files need less"),
+], ids=["tune", "benchmark", "hoeffding-check", "simulate", "eval"])
+def test_out_of_memory_names_what_the_subcommand_allocates(argv, allocates, hint, blob_csv, tmp_path,
+                                                           monkeypatch, no_mpclust_env, capsys):
+    def exhausted(*args, **kwargs):  # numpy's refusal, with no page touched
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(f"mpclust.cli.{allocates}", exhausted)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: out of memory (Unable to allocate 7.28 TiB); {hint}\n"
 
 
 def test_the_hyperparameters_are_the_fields_of_hyperparams():

@@ -152,6 +152,9 @@ class TestRun:
         data, _ = _blobs()
         with pytest.raises(ValueError, match=r"k 61 exceeds the N=60 "):
             run(data, HyperParams(k=61, final_algo=final_algo))
+        finalize = finalize_hierarchical if final_algo == "hierarchical" else finalize_spectral
+        with pytest.raises(ValueError, match=r"^k must be in 1\.\.60, got 61$"):
+            finalize(ConsensusState.empty(60), 61)
 
     def test_isolated_observations_abort(self):
         # 4 patches of 15 could cover all 60 rows; this seed's uniform draws miss 18
@@ -178,6 +181,48 @@ class TestRun:
         patches = [(rec.obs_idx, rec.labels) for rec in res.trace]
         assert len(patches) == res.iterations_run
         assert np.array_equal(brute_consensus(60, patches), consensus_of(res.consensus))
+
+    def test_mpcc_patches_are_a_function_of_the_data_the_settings_and_t(self):
+        # every patch drawn and labelled from (data, hp, t) alone, last t first, with
+        # fresh samplers and no consensus, then folded in patch order: the run, bit for bit
+        data = generate(SynthSpec(snr=6, n_obs=90, n_features=80, n_signal=8, seed=5)).matrix
+        hp = HyperParams(k=3, seed=4)
+        res = run(data, hp, collect_arrays=True)
+        (n, m), n_count = data.values.shape, hp.n_count(data.n_obs)
+        flat = np.ascontiguousarray(data.values).ravel()
+        patches = {}
+        for t in range(res.iterations_run, 0, -1):
+            obs = SamplerState.uniform(n, n_count, hp.epochs_e, "quantile", hp.theta)
+            feat = SamplerState.uniform(m, hp.m_count(m), hp.epochs_e, "mean_plus_sd", hp.tau)
+            obs_idx, feat_idx = pipeline._draw(t, hp, obs, feat, None)
+            dist = np.empty(n_count * (n_count - 1) // 2)
+            patches[t] = obs_idx, pipeline._label(flat, m, 1, obs_idx, feat_idx, hp, dist)[1]
+        state = ConsensusState.empty(n, max_count=hp.resolve_t_max(n))
+        for t, rec in enumerate(res.trace, 1):
+            obs_idx, labels = patches[t]
+            assert obs_idx.tobytes() == rec.obs_idx.tobytes() and labels.tobytes() == rec.labels.tobytes()
+            update(state, obs_idx, labels)
+        for name in ("pair_same", "pair_seen", "diag", "confusion_rows"):
+            assert getattr(state, name).tobytes() == getattr(res.consensus, name).tobytes()
+        assert _final_labels(state, hp).tobytes() == res.labels.tobytes()
+
+    @pytest.mark.parametrize("mode", ["mpcc", "mpacc", "impacc"])
+    def test_ties_inside_a_patch_go_by_ascending_observation_index(self, mode):
+        # row 1 is at Hamming distance 1 from rows 0 and 2, which are 2 apart: Ward's
+        # first merge is a tie, which the patch's rows, gathered in index order, decide
+        binary = np.array([[1, 0], [0, 0], [0, 1]], dtype=float)
+        data = DataMatrix(binary, ("a", "b", "c"), ("x", "y"))
+        hp = HyperParams(n_frac=1.0, m_frac=1.0, t_max=3, h=0.5, k=2, early_stop=False, mode=mode)
+        res = run(data, hp, collect_arrays=True)
+        assert [(rec.obs_idx.tolist(), rec.labels.tolist()) for rec in res.trace] == [([0, 1, 2], [0, 0, 1])] * 3
+        dist = np.empty(3)
+        _, labels = pipeline._label(binary.ravel(), 2, 1, np.array([2, 1, 0]), np.arange(2), hp, dist)
+        assert labels.tolist() == [0, 0, 1]  # gathered the other way round, row 1 joins row 2
+        # so a reordered input file reorders the ties: read bottom up, b joins c
+        flipped = run(DataMatrix(binary[::-1].copy(), ("c", "b", "a"), ("x", "y")), hp, collect_arrays=True)
+        assert flipped.trace[0].labels.tolist() == [0, 0, 1]
+        patches = run(_blobs()[0], HyperParams(k=2, seed=3, t_max=30, mode=mode), collect_arrays=True).trace
+        assert all((np.diff(rec.obs_idx) > 0).all() for rec in patches)
 
     def test_trace_percentile_matches_exact_recompute(self):
         data, _ = _blobs(seed=2)
