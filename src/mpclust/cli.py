@@ -32,6 +32,7 @@ from .dist import deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
 from .metrics import ari, f1_features, select_by_score
 from .pipeline import MODES, HyperParams, run, tune_minipatch_size
+from .sampling import _stream
 from .synthgen import REGIMES, SynthSpec, generate
 
 _ENV_PREFIX = "MPCLUST_"
@@ -443,8 +444,6 @@ def _is_number(text: str) -> bool:
 
 
 def _cmd_hoeffding(args: argparse.Namespace) -> int:
-    if args.seed < 0:  # before the random matrix's draw, whose own error names no setting
-        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     if args.input:
         data = _load_input(args)
         if data.values.min() == data.values.max():  # the experiment's own error names no file
@@ -452,13 +451,9 @@ def _cmd_hoeffding(args: argparse.Namespace) -> int:
     elif args.n_obs < 2:
         raise ValueError(f"n_obs must be >= 2, got {args.n_obs}")
     else:
-        rng = np.random.default_rng(args.seed)
-        vals = rng.random((args.n_obs, args.n_features))
-        data = DataMatrix(
-            vals,
-            tuple(f"obs_{i}" for i in range(args.n_obs)),
-            tuple(f"feat_{j}" for j in range(args.n_features)),
-        )
+        data = DataMatrix(_stream(args.seed).random((args.n_obs, args.n_features)),
+                          tuple(f"obs_{i}" for i in range(args.n_obs)),
+                          tuple(f"feat_{j}" for j in range(args.n_features)))
     rows = []
     for m_feat in args.m_feat:
         table = deviation_experiment(data, args.metric, m_feat, args.trials, list(args.eps), args.seed)

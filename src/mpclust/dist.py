@@ -8,6 +8,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .dataio import DataMatrix
+from .sampling import _stream
 
 __all__ = [
     "METRICS",
@@ -78,8 +79,6 @@ def deviation_experiment(
         raise ValueError(f"trials must be at least 100 for a meaningful estimate, got {trials}")
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     lo, hi = float(m.values.min()), float(m.values.max())
     if hi == lo:
         raise ValueError("constant matrix has zero range; cannot rescale")
@@ -90,7 +89,7 @@ def deviation_experiment(
         raise ValueError("eps_grid must be nonempty")
     bounds = [hoeffding_bound(m_feat, m_total, eps) for eps in eps_grid]  # checks each eps before the draws
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    rng = _stream(seed, 0)
     i, j = rng.choice(n, size=2, replace=False)
     diff = np.abs((m.values[i] - lo) / (hi - lo) - (m.values[j] - lo) / (hi - lo))
     contrib = diff if metric == "manhattan" else diff**2

@@ -40,6 +40,7 @@ from .dist import METRICS, pairwise
 from .hclust import cut_k, cut_quantile, ward_linkage
 from .sampling import (
     SamplerState,
+    _stream,
     draw_uniform,
     ee_prob_next,
     importance,
@@ -68,10 +69,6 @@ _PHASE_FEAT = 1
 _PHASE_FINAL = 2
 
 _T_MAX_CAP = 5000
-
-
-def _stream(seed: int, phase: int, t: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, t)))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,17 @@ __all__ = [
 ]
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The one rule from a seed to a generator, ``SeedSequence(seed, spawn_key=key)``.  Keys:
+    ``()`` hoeffding-check's uniform matrix (``default_rng(seed)``'s bits), ``(0,)`` its
+    ``deviation_experiment``; ``pipeline``'s (0, t) and (1, t) for iteration t's observation and
+    feature draws, (2, 1) the spectral k-means; ``synthgen``'s (0, i) row i's noise, (1, 0) the
+    means, (2, 0) the shuffle.  A run seeded like its data draws patch t < N from row t's state."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
 def draw_uniform(count_total: int, count_draw: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample without replacement via partial Fisher-Yates.
 

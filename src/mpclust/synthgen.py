@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DataMatrix
+from .sampling import _stream
 
 __all__ = ["SynthSpec", "SynthData", "generate", "REGIMES"]
 
@@ -95,10 +96,6 @@ class SynthData:
     signal_mask: np.ndarray  # bool, length M
 
 
-def _rng(seed: int, role: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, index)))
-
-
 def _sign_patterns(amp: float, width: int) -> np.ndarray:
     """Four sign-pattern mean rows of the given width and amplitude."""
     hi = math.ceil(width / 2)
@@ -118,7 +115,7 @@ def cluster_means(spec: SynthSpec) -> np.ndarray:
     of the dataset seed.
     """
     m = spec.n_features
-    rng = _rng(spec.seed, _ROLE_MEANS, 0)
+    rng = _stream(spec.seed, _ROLE_MEANS, 0)
     if spec.regime == "no_sparse":
         # every feature informative; jitter each coordinate around the pattern
         base = _sign_patterns(spec.snr / math.sqrt(m), m)
@@ -135,11 +132,11 @@ def cluster_means(spec: SynthSpec) -> np.ndarray:
 def generate(spec: SynthSpec) -> SynthData:
     """Draw one dataset: rows N(mu_k, Sigma) with 5x5 equicorrelated noise blocks.
 
-    Sigma is block diagonal with unit variance and off-diagonal ``rho``
-    inside each block of 5 consecutive features.  Rows are drawn from
-    per-row substreams of the seed (parallelizable without changing the
-    output) and the observation order is shuffled at the end, labels
-    traveling with their rows.
+    Sigma is block diagonal with unit variance and off-diagonal ``rho`` inside each block of
+    5 consecutive features.  Rows are drawn from per-row substreams of the seed (parallelizable
+    without changing the output) and the observation order is shuffled at the end, labels
+    traveling with their rows.  Each noise value adds its block's five Cholesky products left
+    to right, with no BLAS call, so its bits do not depend on the kernel the CPU selects.
     """
     n, m = spec.n_obs, spec.n_features
     sizes = spec.sizes()
@@ -152,11 +149,11 @@ def generate(spec: SynthSpec) -> SynthData:
     labels = np.repeat(np.arange(1, 5), sizes)
     values = np.empty((n, m))
     for i in range(n):
-        z = _rng(spec.seed, _ROLE_ROW, i).standard_normal(m)
-        noise = (z.reshape(-1, _BLOCK) @ chol.T).ravel()
+        z = _stream(spec.seed, _ROLE_ROW, i).standard_normal(m)
+        noise = np.add.accumulate(z.reshape(-1, 1, _BLOCK) * chol, axis=2)[..., -1].ravel()
         values[i] = means[labels[i] - 1] + noise
 
-    perm = _rng(spec.seed, _ROLE_SHUFFLE, 0).permutation(n)
+    perm = _stream(spec.seed, _ROLE_SHUFFLE, 0).permutation(n)
     values = values[perm]
     labels = labels[perm]
     row_ids = tuple(f"obs_{j:05d}" for j in perm)

@@ -94,9 +94,11 @@ class TestCluster:
              "MPCLUST_MODE: mode must be one of mpcc, mpacc, impacc, got 'bogus'"),
             ({}, "final_algo = x\n", ":1: final_algo must be one of hierarchical, spectral"),
             ({"MPCLUST_METRIC": "none"}, None, "MPCLUST_METRIC: metric must be one of"),
+            ({}, "# comment\n\nseed = 3\nk 4\n", ".cfg:4: expected key=value, got 'k 4'"),
         ],
         ids=["env-not-int", "config-unknown-key", "config-missing", "env-none", "env-empty",
-             "config-none", "env-not-a-choice", "config-not-a-choice", "env-none-choice"],
+             "config-none", "env-not-a-choice", "config-not-a-choice", "env-none-choice",
+             "config-no-equals"],
     )
     def test_config_errors_are_usage_errors(
         self, blob_csv, tmp_path, monkeypatch, capsys, env, config_text, expected
@@ -361,7 +363,7 @@ class TestCluster:
 
     def test_config_file_and_env_override(self, blob_csv, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=5\nn_frac=0.4\n")
+        cfg.write_text("# comment and blank lines are skipped\n\nseed=5\n  # indented\nn_frac=0.4\n")
         out1 = tmp_path / "o1"
         main(["cluster", str(blob_csv), "--k", "2", "--config", str(cfg),
               "--out", str(out1)])
@@ -898,7 +900,8 @@ class TestEval:
         ("id,label\nr1,1\nr2,1\n", "id,label\nr1,1\nr2,1\nr3,2\n", "id 'r3' is in {b} but not in {a}"),
         ("id,label\nr1,1\nr2,1\nr1,2\n", "id,label\nr1,1\nr2,1\n", "{a}: duplicate id 'r1'"),
         ("label\n1\n1\n", "id,label\nr1,1\nr2,1\n", "{a}: need an id column and a value column"),
-    ], ids=["only-in-a", "only-in-b", "duplicate", "no-id-column"])
+        ("id,label\n", "id,label\nr1,1\nr2,1\n", "{a}: no data rows"),
+    ], ids=["only-in-a", "only-in-b", "duplicate", "no-id-column", "header-only"])
     def test_ids_must_match(self, tmp_path, capsys, a, b, message):
         code, _, err = self._ari(tmp_path, capsys, a, b)
         paths = {"a": tmp_path / "a.csv", "b": tmp_path / "b.csv"}

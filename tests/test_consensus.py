@@ -66,6 +66,12 @@ class TestUpdate:
         with pytest.raises(ValueError, match="exactly"):
             update(state, np.array([0, 1]), np.array([1]))
 
+    def test_repeated_index_rejected_with_the_state_unchanged(self):
+        state = ConsensusState.empty(3)
+        with pytest.raises(ValueError, match="^sampled indices must be distinct$"):
+            update(state, np.array([0, 1, 1]), np.array([1, 1, 2]))
+        assert state.diag.sum() == 0 and state.pair_seen.sum() == 0
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
     def test_order_independence(self, seed):
@@ -93,6 +99,11 @@ class TestConsensusState:
         assert state.n == state.diag.size == 6
         update(state, np.array([1, 4, 5]), np.array([0, 0, 1]))
         assert np.flatnonzero(state.pair_same).tolist() == [7]
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_fewer_than_two_observations_rejected(self, n):
+        with pytest.raises(ValueError, match="^need at least 2 observations$"):
+            ConsensusState.empty(n)
 
 
 class TestCounterWidth:

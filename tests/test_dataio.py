@@ -368,6 +368,20 @@ class TestInvariants:
         with pytest.raises(ValueError):
             DataMatrix(np.array([[1.0, 2.0]]), ("a",), ("x", "y"))
 
+    @pytest.mark.parametrize("values, col_ids, message", [
+        (np.array([1.0, 2.0]), ("x", "y"), "values must be a 2-D matrix"),
+        (np.ones((2, 2)), ("x",), "got 1 column ids for 2 columns"),
+        (np.ones((2, 2)), ("x", "y", "z"), "got 3 column ids for 2 columns"),
+    ], ids=["1-d", "too-few-column-ids", "too-many-column-ids"])
+    def test_shape_rejections(self, values, col_ids, message):
+        with pytest.raises(ValueError) as err:
+            DataMatrix(values, ("a", "b"), col_ids)
+        assert str(err.value) == message
+
+    def test_row_error_returns_a_message_it_cannot_place_unchanged(self):
+        exc = ValueError("could not read the file")
+        assert dataio._row_error(exc, iter([]), True, None) is exc
+
 
 class TestLog2PlusOne:
     @pytest.mark.parametrize("value,expected", [(0.0, 0.0), (1.0, 1.0), (7.0, 3.0)])

@@ -30,6 +30,15 @@ class TestPairwise:
         d2 = pairwise(x[perm])
         assert sorted(d1.round(12)) == sorted(d2.round(12))
 
+    @pytest.mark.parametrize("values, metric, message", [
+        (np.ones((3, 2)), "cosine", "unknown metric 'cosine'; choose from ('manhattan', 'sq_euclidean')"),
+        (np.ones((1, 2)), "manhattan", "need a 2-D view with >= 2 rows and >= 1 column"),
+    ], ids=["unknown-metric", "one-row"])
+    def test_rejections(self, values, metric, message):
+        with pytest.raises(ValueError) as err:
+            pairwise(values, metric)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("metric", ["manhattan", "sq_euclidean"])
     def test_out_receives_the_distances(self, metric):
         x = np.random.default_rng(1).random((7, 4))
@@ -145,3 +154,12 @@ class TestDeviationExperiment:
     def test_too_few_trials(self):
         with pytest.raises(ValueError, match="100"):
             deviation_experiment(_unit_matrix(5, 10), "manhattan", 2, 99, [0.1], seed=0)
+
+    @pytest.mark.parametrize("metric, eps_grid, message", [
+        ("cosine", [0.1], "unknown metric 'cosine'; choose from ('manhattan', 'sq_euclidean')"),
+        ("manhattan", [], "eps_grid must be nonempty"),
+    ], ids=["unknown-metric", "empty-eps-grid"])
+    def test_rejections(self, metric, eps_grid, message):
+        with pytest.raises(ValueError) as err:
+            deviation_experiment(_unit_matrix(5, 10), metric, 2, 100, eps_grid, seed=0)
+        assert str(err.value) == message

@@ -84,6 +84,14 @@ class TestF1Features:
         with pytest.raises(ValueError):
             f1_features(np.array([True]), np.array([False]))
 
+    def test_selection_missing_every_signal_feature(self):
+        truth = np.array([True, True, False, False])
+        assert f1_features(np.array([False, False, True, True]), truth) == 0.0
+
+    def test_mask_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^mask lengths differ: 2 vs 3$"):
+            f1_features(np.array([True, False]), np.array([True, False, False]))
+
 
 class TestSelectByScore:
     def test_constant_scores_empty(self):
@@ -104,6 +112,10 @@ class TestSelectByScore:
         scores = np.array([0.1, 0.9, 0.5, 0.7])
         mask = select_by_score(scores, top_k=2)
         assert mask.tolist() == [False, True, False, True]
+
+    def test_no_scores_rejected(self):
+        with pytest.raises(ValueError, match="^scores must be nonempty$"):
+            select_by_score(np.array([]))
 
     def test_population_sd_used(self):
         # threshold mean + population sd = 0.951 admits only the 1.0;

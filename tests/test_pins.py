@@ -9,11 +9,14 @@ of pair counts, and the weights and scores the adaptive modes compute from
 them. Labels that pass through LAPACK's ``eigh`` (the spectral final step)
 are pinned as partitions only, because another build can move an
 eigenvector's last bits. Every synthetic matrix passes through LAPACK's
-``cholesky`` and a BLAS matrix product (``synthgen.generate`` correlates
-the noise in blocks of 5), so each pin below that starts from ``generate``
-reads those bits: ``simulate``'s ``matrix.csv`` directly, the others
-through the runs on it. ``hoeffding-check``'s bound passes through libm's
-``exp`` and is checked against ``hoeffding_bound`` instead of by digest.
+``cholesky`` (``synthgen.generate`` correlates the noise in blocks of 5),
+so each pin below that starts from ``generate`` reads its bits:
+``simulate``'s ``matrix.csv`` directly, the others through the runs on it.
+The factor came out the same under every OpenBLAS kernel tried, and the
+noise adds its products in a fixed order with no BLAS call, so these pins
+hold on FMA and non-FMA kernels alike (CI runs them under both).
+``hoeffding-check``'s bound passes through libm's ``exp`` and is checked
+against ``hoeffding_bound`` instead of by digest.
 """
 
 import hashlib
@@ -195,17 +198,17 @@ def test_hoeffding_table_is_pinned(metric, digests, tmp_path, no_mpclust_env):
     ("sparse", {
         "labels.csv": "2ea5b47383f6529e8bc772e5bee0f86eceb4c5d8614724b1ec8ba24128a74b18",
         "mask.csv": "0e0ad270d1c7b0b9633c52212350b0046e718b24fb5f0267a5285efc77eeb6c8",
-        "matrix.csv": "b1c7d2fbc6ded74a6fb4d6b0820356f34ffa7d4960802e36ccb5d676979bcc60",
+        "matrix.csv": "36c637033df766adf7f7d36a06aacff39cb356185cb0f8078466957f7ee4eeba",
     }),
     ("weak_sparse", {
         "labels.csv": "2ea5b47383f6529e8bc772e5bee0f86eceb4c5d8614724b1ec8ba24128a74b18",
         "mask.csv": "0e0ad270d1c7b0b9633c52212350b0046e718b24fb5f0267a5285efc77eeb6c8",
-        "matrix.csv": "d4500d70a8b42948c3e7176f257f5d4ef49bc79a1b0d1b806e9a9646e531ee9c",
+        "matrix.csv": "02d13fbce9e61b822c13eb06bbb59e22b6d2640cf5f69a003d1e50bbbd4450e2",
     }),
     ("no_sparse", {
         "labels.csv": "2ea5b47383f6529e8bc772e5bee0f86eceb4c5d8614724b1ec8ba24128a74b18",
         "mask.csv": "f36b43c14b510a868ede2ceec00fd572fefb3b11e44ec98c415bc735fc8e829c",
-        "matrix.csv": "0845d6e4341191716350bc8c3728d6ee5edbbd62ca04af90a201a92b3cbc1399",
+        "matrix.csv": "c2c52ab4f155457344822d6a73203a27da28ed91db4d9fac69afa2e03d307b47",
     }),
 ], ids=["sparse", "weak_sparse", "no_sparse"])
 def test_simulate_files_are_pinned(regime, digests, tmp_path, no_mpclust_env):

@@ -60,6 +60,17 @@ class TestDrawWeighted:
         with pytest.raises(ValueError):
             draw_weighted(np.array([0.0, 1.0]), 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("weights, message", [
+        (np.array([]), "weights must be a nonempty vector"),
+        (np.ones((2, 2)), "weights must be a nonempty vector"),
+        (np.array([0.5, -0.1, 1.0]), "weights must be nonnegative with positive total"),
+        (np.zeros(3), "weights must be nonnegative with positive total"),
+    ], ids=["empty", "2-d", "negative", "all-zero"])
+    def test_bad_weights_rejected(self, weights, message):
+        with pytest.raises(ValueError) as err:
+            draw_weighted(weights, 1, np.random.default_rng(0))
+        assert str(err.value) == message
+
     def test_two_to_one_marginal(self):
         rng = np.random.default_rng(7)
         trials = 100_000
@@ -181,6 +192,16 @@ class TestScoreFeatures:
         with pytest.raises(ValueError, match="two clusters"):
             score_features(np.random.rand(4, 2), np.array([1, 1, 1, 1]), eta=0.05)
 
+    @pytest.mark.parametrize("view, labels, message", [
+        (np.arange(4.0), np.array([1, 1, 2, 2]), "view must be 2-D"),
+        (np.ones((4, 2)), np.array([1, 1, 2]), "labels must match the view rows"),
+        (np.ones((2, 2)), np.array([1, 2]), "ANOVA needs within-group degrees of freedom >= 1"),
+    ], ids=["1-d-view", "label-count", "no-within-group-df"])
+    def test_rejections(self, view, labels, message):
+        with pytest.raises(ValueError) as err:
+            score_features(view, labels, eta=0.05)
+        assert str(err.value) == message
+
     def test_floor_of_one_admitted(self):
         rng = np.random.default_rng(3)
         view = rng.random((10, 3))
@@ -269,6 +290,18 @@ class TestEEProbNext:
         assert state.last_high_size == 6
         assert set(idx.tolist()) <= set(range(6))
 
+    def test_high_set_covering_most_fills_the_shortfall_from_it(self):
+        # 10 of 20 weights lie above the median; gamma = 0.5 exploits 5 of them, and the
+        # explore share of 13 finds only the 10 outside, so 3 more come from the high set
+        state = SamplerState.uniform(20, 18, 1, "quantile", 0.5)
+        state.weights = np.r_[np.full(10, 0.01), np.full(10, 0.09)]
+        t = state.burn_in + 1
+        assert state.gamma_at(t) == 0.5
+        idx = ee_prob_next(state, t, np.random.default_rng(4))
+        assert state.last_high_size == 10
+        assert idx.size == 18 and np.all(np.diff(idx) > 0)
+        assert set(range(10)) <= set(idx.tolist())
+
     def test_draw_size_always_exact(self):
         state = SamplerState.uniform(11, 5, 1, "quantile", 0.95)
         rng = np.random.default_rng(5)
@@ -305,6 +338,11 @@ class TestFeatureWeightEndpoints:
         imp = importance(np.array([1, 0, 0, 0]), np.array([2, 2, 2, 0]))
         weights = update_feature_weights(np.full(4, 0.25), imp, alpha_f=0.0)
         assert np.allclose(weights, imp / imp.sum())
+
+    def test_alpha_zero_without_support_keeps_weights(self):
+        # nothing to renormalise: the input vector itself comes back
+        before = np.array([0.1, 0.2, 0.3, 0.4])
+        assert update_feature_weights(before, np.zeros(4), alpha_f=0.0) is before
 
 
 def _assert_distinct_in_range(idx: np.ndarray, total: int, size: int) -> None:

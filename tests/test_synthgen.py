@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mpclust
 from mpclust.synthgen import SynthSpec, cluster_means, generate
 
 from oracles import snr_of
@@ -71,6 +77,41 @@ def test_labels_travel_with_rows():
     signal = data.matrix.values[:, :10].mean(axis=1)
     assert (signal[data.labels == 1] > 0).all()
     assert (signal[data.labels == 4] < 0).all()
+
+
+def _dispatch_targets_found() -> str:
+    """The SIMD dispatch targets this numpy was built with and found on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
+def test_generate_writes_the_same_bytes_on_every_kernel():
+    """Fresh interpreters give the same matrix whichever kernel OpenBLAS or numpy selects.
+
+    OpenBLAS reads ``OPENBLAS_CORETYPE`` and numpy ``NPY_DISABLE_CPU_FEATURES`` at import,
+    so each setting runs in its own interpreter; Prescott has no FMA, so a noise sum left
+    to a BLAS product would round differently there than on Haswell. An OpenBLAS built
+    without ``DYNAMIC_ARCH`` ignores ``OPENBLAS_CORETYPE``, and those runs then pass trivially.
+    """
+    code = ("import hashlib; from mpclust.synthgen import SynthSpec, generate; "
+            "v = generate(SynthSpec(snr=6, n_obs=40, n_features=500, seed=1)).matrix.values; "
+            "print(hashlib.sha256(v.tobytes()).hexdigest())")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = str(Path(mpclust.__file__).resolve().parents[1])
+    settings = {"default": {}, "Haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+                "Prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+                "no dispatch": {"NPY_DISABLE_CPU_FEATURES": _dispatch_targets_found()}}
+    digests = {}
+    for name, extra in settings.items():
+        done = subprocess.run([sys.executable, "-c", code], env={**env, **extra},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests[name] = done.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 class TestSnrOf:
