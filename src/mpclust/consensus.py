@@ -20,9 +20,10 @@ other float. The live pairs keep their ascending order, so every row adds
 the same terms in the same order as it would over all the pairs.
 
 Everything downstream reads the counters. The state also owns the confusion
-row sums (off-diagonal S(1-S)), which ``update`` maintains and the weights,
-the stop rule (``stop_gap``) and the tuner read. The final Ward reads the
-condensed 1 - S of ``dissimilarity_of`` (8 bytes per pair), and both
+row sums (off-diagonal S(1-S)), which ``update`` maintains; the weights,
+the stop rule (``stop_gap``) and the tuner read them divided by N, as its
+``confusion``. The final Ward reads the condensed 1 - S of
+``dissimilarity_of`` (8 bytes per pair), and both
 exports look S up by each pair's (seen, same) code in a per-run table of
 values, indexed through a ``squareform`` matrix. Dense S (8 N^2 bytes),
 exactly symmetric, is built by ``consensus_of`` alone: for the spectral
@@ -72,6 +73,11 @@ class ConsensusState:
     def n(self) -> int:
         """The number of observations, read from ``diag``."""
         return self.diag.size
+
+    @property
+    def confusion(self) -> np.ndarray:
+        """The confusion vector (1/N) sum_j S_ij (1 - S_ij), a new array: ``confusion_rows / n``."""
+        return self.confusion_rows / self.n
 
     @staticmethod
     def counter_dtype(max_count: int) -> type[np.unsignedinteger]:

@@ -25,7 +25,9 @@ class DataMatrix:
     """N observations by M features with unique row/column identifiers.
 
     Values are finite float64, in C or Fortran order; missing cells are
-    rejected at load time rather than imputed.
+    rejected at load time rather than imputed. A float64 table in either
+    order is kept as given, without a copy; one in neither (a strided view
+    such as ``x[:, ::2]``) is copied once, to C order, when the matrix is built.
     """
 
     values: np.ndarray
@@ -34,6 +36,8 @@ class DataMatrix:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
+        if not (v.flags.c_contiguous or v.flags.f_contiguous):
+            v = np.ascontiguousarray(v)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "row_ids", tuple(self.row_ids))
         object.__setattr__(self, "col_ids", tuple(self.col_ids))

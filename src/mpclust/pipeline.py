@@ -167,7 +167,9 @@ class RunResult:
         return len(self.trace)
 
 
-_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+# v2, then v1's memory controller: (mount, limit file, the /proc/self/cgroup line naming the cgroup)
+_CGROUP_LIMITS = (("/sys/fs/cgroup", "memory.max", r"^0::(.*)"),
+                  ("/sys/fs/cgroup/memory", "memory.limit_in_bytes", r"^\d+:(?:[^:]*,)?memory(?:,[^:]*)?:(.*)"))
 
 
 def _read_text(path: str) -> str | None:
@@ -183,19 +185,23 @@ def _available_bytes() -> int | None:
     """Memory a run may use: the smaller of the host's and the cgroup's; None if unknown.
 
     The host's is MemAvailable from /proc/meminfo, else physical memory.
-    The cgroup's is the limit in v2's memory.max (``max``: no limit) or,
-    where that file cannot be read, in v1's memory.limit_in_bytes.
+    The cgroup's is the smallest limit from the mount down to the process's own
+    cgroup (a SLURM job's or a systemd scope's), named in /proc/self/cgroup: in
+    v2's memory.max files (``max``: no limit) or, where none can be read, v1's.
     """
     host = re.search(r"^MemAvailable:\s+(\d+) kB", _read_text("/proc/meminfo") or "", re.M)
     try:
         known = [int(host[1]) * 1024 if host else os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")]
     except (OSError, ValueError, AttributeError):
         known = []
-    for path in _CGROUP_LIMITS:
-        limit = _read_text(path)
-        if limit is not None:
-            if limit.strip().isdigit():  # not v2's "max"
-                known.append(int(limit))
+    own = _read_text("/proc/self/cgroup") or ""
+    for mount, name, line in _CGROUP_LIMITS:
+        found = re.search(line, own, re.M)
+        dirs = [d for d in found[1].split("/") if d] if found else []  # not named: the mount's alone
+        read = [_read_text("/".join([mount, *dirs[:i], name])) for i in range(len(dirs) + 1)]
+        read = [limit.strip() for limit in read if limit is not None]
+        if read:
+            known += [int(limit) for limit in read if limit.isdigit()]  # not v2's "max"
             break
     return min(known, default=None)
 
@@ -254,17 +260,8 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
     it: scores its features (impacc), updates the consensus, checks the
     stop rule and appends its ``IterationRecord`` to ``RunResult.trace``.
     ``collect_arrays`` also keeps each iteration's patch and weights in
-    its record.
-
-    The per-observation confusion that drives the adaptive observation
-    weights and the early-stop percentile is the consensus state's
-    ``confusion_rows``, which ``update`` maintains, divided by N.
-    Every patch has ``n_count`` observations, so the per-pair temporaries
-    of ``pairwise``, ``ward_linkage`` and ``update`` live in one
-    ``PairScratch`` for the whole loop, released with the last minipatch
-    before the final clustering. That clustering reads the counters:
-    Ward the condensed 1 - S built from them, the spectral finaliser the
-    dense S it builds itself. ``consensus_of(result.consensus)`` builds S.
+    its record. The observation weights and the stop percentile read the
+    state's ``confusion``.
 
     Raises ValueError before the first iteration for patches of fewer
     than 3 observations, t_max < ⌈N / n_count⌉, k > N or a peak above
@@ -287,10 +284,6 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
     feat_draws, feat_hits = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     state = ConsensusState.empty(n, max_count=t_max)
     scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
-    # a C- or Fortran-order table is read in place; any other layout is copied to C order once
-    values = data.values if data.values.flags.f_contiguous else np.ascontiguousarray(data.values)
-    flat_values = values.ravel(order="K")
-    obs_step, feat_step = (stride // values.itemsize for stride in values.strides)
     armed = [0.0]  # the rule's first reference value: no stop before STOP_PATIENCE armed iterations
     adaptive_obs, adaptive_feat = hp.mode in ("mpacc", "impacc"), hp.mode == "impacc"
     trace: list[IterationRecord] = []
@@ -300,7 +293,7 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
         started = time.perf_counter()
         obs_idx, feat_idx = _draw(t, hp, obs, feat, state)
         feat_draws[feat_idx] += 1
-        view, labels = _label(flat_values, obs_step, feat_step, obs_idx, feat_idx, hp, scratch.dist)
+        view, labels = _label(data.values, obs_idx, feat_idx, hp, scratch.dist)
         # fold; impacc's ANOVA needs two clusters and within-group degrees of
         # freedom, and a patch without them is sampled but scores no support
         k_patch = int(labels.max()) + 1
@@ -309,7 +302,7 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
             feat_hits[feat_idx[support]] += 1
             feat.weights = update_feature_weights(feat.weights, importance(feat_hits, feat_draws), hp.alpha_f)
         update(state, obs_idx, labels, scratch=scratch)
-        pct = float(np.percentile(state.confusion_rows / n, STOP_PERCENTILE))
+        pct = float(np.percentile(state.confusion, STOP_PERCENTILE))
         if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs.burn_in):
             armed.append(pct)
         seconds = time.perf_counter() - started
@@ -341,16 +334,18 @@ def _draw(t: int, hp: HyperParams, obs: SamplerState, feat: SamplerState,
     if hp.mode == "mpcc":
         return draw_uniform(obs.weights.size, obs.draw, rng_obs), feat_idx
     if t > obs.burn_in:
-        obs.weights = update_obs_weights(obs.weights, state.confusion_rows / state.n, state.diag, t, hp.alpha_i)
+        obs.weights = update_obs_weights(obs.weights, state.confusion, state.diag, t, hp.alpha_i)
     return ee_prob_next(obs, t, rng_obs), feat_idx
 
 
-def _label(flat_values: np.ndarray, obs_step: int, feat_step: int, obs_idx: np.ndarray,
-           feat_idx: np.ndarray, hp: HyperParams, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A patch's values and labels, a function of the table, ``hp`` and the patch alone:
-    Ward on its ``hp.metric`` distances, computed in ``dist``, cut at the ``hp.h`` quantile."""
-    # one take of flat indices: the bytes of data.values[np.ix_(obs_idx, feat_idx)]
-    view = np.take(flat_values, obs_idx[:, None] * obs_step + feat_idx * feat_step)
+def _label(values: np.ndarray, obs_idx: np.ndarray, feat_idx: np.ndarray, hp: HyperParams,
+           dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A patch's values and labels, a function of the table (C or Fortran order, as ``DataMatrix``
+    holds it), ``hp`` and the patch alone: Ward on its ``hp.metric`` distances, computed in
+    ``dist``, cut at the ``hp.h`` quantile."""
+    # one take of flat indices, in place: the bytes of values[np.ix_(obs_idx, feat_idx)]
+    obs_step, feat_step = (stride // values.itemsize for stride in values.strides)
+    view = np.take(values.ravel(order="K"), obs_idx[:, None] * obs_step + feat_idx * feat_step)
     return view, cut_quantile(ward_linkage(pairwise(view, hp.metric, out=dist)), hp.h)
 
 
@@ -501,7 +496,7 @@ def tune_minipatch_size(
     cells: list[tuple[float, float, float, int]] = []
     for m_frac, n_frac in ordered:
         state, *_, trace = _loop(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
-        max_conf = float(state.confusion_rows.max() / data.n_obs)
+        max_conf = float(state.confusion.max())
         cells.append((m_frac, n_frac, max_conf, len(trace)))
         if max_conf < 0.01:
             return TuneResult(m_frac, n_frac, max_conf, True, tuple(cells))

@@ -141,7 +141,7 @@ def update_obs_weights(
 
     ``conf`` is the confusion vector (1/N) sum_j S_ij (1 - S_ij) of the current
     consensus S, ``counts`` the times each observation was sampled: ``run()``
-    passes the consensus state's ``confusion_rows`` / N and ``diag``.
+    passes the consensus state's ``confusion`` and ``diag``.
     u_i = conf_i * (t-1)/max(1, counts_i); weights move by
     w <- alpha w + (1-alpha) u/sum(u).  An uncertainty vector that sums to 0
     returns ``weights`` itself; the input is never written.

@@ -747,6 +747,34 @@ def test_parsed_value_the_library_rejects_exits_1(argv, setting, tmp_path, no_mp
     assert calls == [] and not list(tmp_path.iterdir())  # no file, no --out directory
 
 
+_CLUSTER_NUMBERS = ("m_frac", "n_frac", "h", "eta", "alpha_f", "tau", "alpha_i", "theta",
+                    "epochs_e", "t_max", "k", "seed")
+_IN_RANGE = {("eta", "0"), ("alpha_f", "0"), ("tau", "0"), ("alpha_i", "0"), ("theta", "0"), ("seed", "0")}
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in _CLUSTER_NUMBERS for value in ("0", "-1", "nan")),
+    ("k", "51"),  # N + 1
+    ("t_max", "3"),  # 50 rows in minipatches of 13 take 4 iterations to sample each once
+], ids=lambda v: v)
+def test_each_numeric_cluster_flag_at_its_limits(name, value, blob_csv, tmp_path, no_mpclust_env, capsys):
+    # impacc reads every setting; a value in range runs, any other is rejected by name before any --out
+    flag, out = "--" + name.replace("_", "-"), tmp_path / "out"
+    try:
+        code = main(["cluster", str(blob_csv), "--mode", "impacc", flag, value, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    if (name, value) in _IN_RANGE:
+        assert code == 0 and out.is_dir(), err
+        return
+    assert "Traceback" not in err and not out.exists()
+    if code == 2:
+        assert f"error: argument {flag}: invalid int value: {value!r}" in err
+    else:
+        assert code == 1 and err.startswith(f"error: {name} ")
+
+
 def test_list_flags_parse_to_tuples(no_mpclust_env):
     args = _parsed(["benchmark", "--snr", "6, 8,", "--methods", " hclust ,mpcc"])
     assert args.snr == (6.0, 8.0) and args.methods == ("hclust", "mpcc") and args.reps == 10

@@ -100,6 +100,13 @@ class TestConsensusState:
         update(state, np.array([1, 4, 5]), np.array([0, 0, 1]))
         assert np.flatnonzero(state.pair_same).tolist() == [7]
 
+    def test_confusion_is_the_row_sums_over_n(self):
+        state = ConsensusState.empty(25)
+        for idx, labels in _random_log(25, 40, 8, seed=3):
+            update(state, idx, labels)
+        assert state.confusion.tobytes() == (state.confusion_rows / state.n).tobytes()
+        assert state.confusion is not state.confusion_rows
+
     @pytest.mark.parametrize("n", [1, 0])
     def test_fewer_than_two_observations_rejected(self, n):
         with pytest.raises(ValueError, match="^need at least 2 observations$"):

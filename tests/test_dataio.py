@@ -378,6 +378,18 @@ class TestInvariants:
             DataMatrix(values, ("a", "b"), col_ids)
         assert str(err.value) == message
 
+    def test_a_table_in_neither_order_is_copied_to_c_order(self):
+        x = np.arange(24.0).reshape(4, 6)
+        m = DataMatrix(x[:, ::2], ("a", "b", "c", "d"), ("x", "y", "z"))
+        assert m.values.flags.c_contiguous and not np.shares_memory(m.values, x)
+        assert np.array_equal(m.values, x[:, ::2])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_c_and_fortran_tables_are_kept_without_a_copy(self, order):
+        x = np.asarray(np.arange(24.0).reshape(4, 6), order=order)
+        m = DataMatrix(x, ("a", "b", "c", "d"), tuple("uvwxyz"))
+        assert m.values is x and np.shares_memory(m.values, x)
+
     def test_row_error_returns_a_message_it_cannot_place_unchanged(self):
         exc = ValueError("could not read the file")
         assert dataio._row_error(exc, iter([]), True, None) is exc

@@ -189,14 +189,13 @@ class TestRun:
         hp = HyperParams(k=3, seed=4)
         res = run(data, hp, collect_arrays=True)
         (n, m), n_count = data.values.shape, hp.n_count(data.n_obs)
-        flat = np.ascontiguousarray(data.values).ravel()
         patches = {}
         for t in range(res.iterations_run, 0, -1):
             obs = SamplerState.uniform(n, n_count, hp.epochs_e, "quantile", hp.theta)
             feat = SamplerState.uniform(m, hp.m_count(m), hp.epochs_e, "mean_plus_sd", hp.tau)
             obs_idx, feat_idx = pipeline._draw(t, hp, obs, feat, None)
             dist = np.empty(n_count * (n_count - 1) // 2)
-            patches[t] = obs_idx, pipeline._label(flat, m, 1, obs_idx, feat_idx, hp, dist)[1]
+            patches[t] = obs_idx, pipeline._label(data.values, obs_idx, feat_idx, hp, dist)[1]
         state = ConsensusState.empty(n, max_count=hp.resolve_t_max(n))
         for t, rec in enumerate(res.trace, 1):
             obs_idx, labels = patches[t]
@@ -216,7 +215,7 @@ class TestRun:
         res = run(data, hp, collect_arrays=True)
         assert [(rec.obs_idx.tolist(), rec.labels.tolist()) for rec in res.trace] == [([0, 1, 2], [0, 0, 1])] * 3
         dist = np.empty(3)
-        _, labels = pipeline._label(binary.ravel(), 2, 1, np.array([2, 1, 0]), np.arange(2), hp, dist)
+        _, labels = pipeline._label(binary, np.array([2, 1, 0]), np.arange(2), hp, dist)
         assert labels.tolist() == [0, 0, 1]  # gathered the other way round, row 1 joins row 2
         # so a reordered input file reorders the ties: read bottom up, b joins c
         flipped = run(DataMatrix(binary[::-1].copy(), ("c", "b", "a"), ("x", "y")), hp, collect_arrays=True)
@@ -489,6 +488,20 @@ class TestRun:
             assert all(np.array_equal(a, b) for a, b in zip(out[1], counters))
             assert np.array_equal(out[2], scores)
             assert out[3] == trace
+
+    @pytest.mark.parametrize("mode", pipeline.MODES)
+    def test_a_strided_view_runs_as_its_contiguous_copy(self, mode):
+        # the view is copied to C order once, when the DataMatrix is built
+        x = generate(SynthSpec(snr=6, n_obs=60, n_features=100, n_signal=10, seed=2)).matrix.values
+        ids = tuple(f"r{i}" for i in range(60)), tuple(f"c{j}" for j in range(50))
+        hp = HyperParams(k=3, seed=5, t_max=30, mode=mode)
+        view, copy = (run(DataMatrix(v, *ids), hp) for v in (x[:, ::2], x[:, ::2].copy()))
+        assert view.labels.tobytes() == copy.labels.tobytes()
+        for name in ("pair_same", "pair_seen", "diag", "confusion_rows"):
+            assert getattr(view.consensus, name).tobytes() == getattr(copy.consensus, name).tobytes()
+        assert view.obs_weights.tobytes() == copy.obs_weights.tobytes()
+        assert np.array_equal(view.feature_scores, copy.feature_scores)  # None outside impacc
+        assert [replace(r, seconds=0.0) for r in view.trace] == [replace(r, seconds=0.0) for r in copy.trace]
 
 
 class TestFinalize:
@@ -852,6 +865,18 @@ class TestMemoryCeiling:
           "/sys/fs/cgroup/memory/memory.limit_in_bytes": "1\n"}, 4_096_000),
         ({"/sys/fs/cgroup/memory.max": "8192000000\n"}, 4_096_000),  # above MemAvailable
         ({}, 4_096_000),  # neither file can be read
+        # the run's own cgroup, named in /proc/self/cgroup: the smallest limit from the mount down
+        ({"/proc/self/cgroup": "0::/system.slice/run-7.scope\n",  # a systemd-run -p MemoryMax scope
+          "/sys/fs/cgroup/system.slice/memory.max": "max\n",
+          "/sys/fs/cgroup/system.slice/run-7.scope/memory.max": "1048576\n"}, 1_048_576),
+        ({"/proc/self/cgroup": "0::/a/b\n",  # the parent's limit binds the child
+          "/sys/fs/cgroup/a/memory.max": "2097152\n", "/sys/fs/cgroup/a/b/memory.max": "max\n"}, 2_097_152),
+        ({"/proc/self/cgroup": "5:cpu:/\n4:memory:/slurm/uid_1/job_7\n0::/\n",  # a v1 SLURM job
+          "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n",
+          "/sys/fs/cgroup/memory/slurm/memory.limit_in_bytes": "9223372036854771712\n",
+          "/sys/fs/cgroup/memory/slurm/uid_1/job_7/memory.limit_in_bytes": "3145728\n"}, 3_145_728),
+        ({"/proc/self/cgroup": "0::/\n", "/sys/fs/cgroup/memory.max": "1048576\n"}, 1_048_576),  # the mount's
+        ({"/proc/self/cgroup": "4:memory:/job\n0::/job\n"}, 4_096_000),  # no limit file can be read
     ])
     def test_available_bytes_takes_the_cgroup_limit(self, monkeypatch, files, want):
         files = {"/proc/meminfo": "MemTotal:  8000 kB\nMemAvailable:  4000 kB\n", **files}
