@@ -31,7 +31,7 @@ from .dataio import DataMatrix, _log2_plus_one, load_matrix, write_matrix
 from .dist import deviation_experiment, pairwise
 from .hclust import cut_k, ward_linkage
 from .metrics import ari, f1_features, select_by_score
-from .pipeline import MODES, HyperParams, run, tune_minipatch_size
+from .pipeline import MODES, HyperParams, IterationRecord, run, tune_minipatch_size
 from .sampling import _stream
 from .synthgen import REGIMES, SynthSpec, generate
 
@@ -43,6 +43,9 @@ _UNSET = object()  # the argparse default of every hyperparameter flag: no flag 
 # with help text (all but early_stop), in --help order; the field declares the rest.
 _HP = {f.name: f for f in dataclasses.fields(HyperParams) if "help" in f.metadata}
 _TUNE_HP = tuple(name for name in _HP if name not in ("m_frac", "n_frac", "k", "final_algo"))
+_TRACE = tuple(f for f in dataclasses.fields(IterationRecord) if "format" in f.metadata)  # trace.csv's columns
+# a cluster manifest's config: every option but the paths, --config (recorded as resolved), argparse's own
+_NOT_CONFIG = frozenset({"input", "out", "config", "cmd", "func", "given"})
 
 
 @functools.cache  # get_type_hints evaluates all of cls's annotations on every call
@@ -307,12 +310,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             ["feature_id", "score"],
             ((name, f"{score:.17g}") for name, score in zip(data.col_ids, result.feature_scores)),
         )
-    _write_rows(
-        out_dir / "trace.csv",
-        ["iteration", "n_clusters", "confusion_pct", "high_obs", "high_feat", "seconds"],
-        ((rec.iteration, rec.n_clusters, f"{rec.confusion_pct:.17g}", rec.high_obs, rec.high_feat,
-          f"{rec.seconds:.6f}") for rec in result.trace),
-    )
+    _write_rows(out_dir / "trace.csv", [f.name for f in _TRACE],
+                ([f.metadata["format"] % getattr(rec, f.name) for f in _TRACE] for rec in result.trace))
     if args.weight_trace:
         for name, attr in (("obs_weight_trace.csv", "obs_weights"),
                            ("feature_score_trace.csv", "feature_scores")):
@@ -325,12 +324,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 )
     timings["write"] = time.perf_counter() - t0
 
-    keys = [*_HP, "delimiter", "no_header", "no_ids", "transpose", "log2",
-            "consensus_format", "weight_trace"]
     _write_manifest(
         out_dir,
         "cluster",
-        {key: getattr(args, key) for key in keys},
+        {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG},
         _digest(Path(args.input)),
         timings,
         {"iterations_run": result.iterations_run, "stop_reason": result.stop_reason,
@@ -359,8 +356,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         zip(data.matrix.col_ids, data.signal_mask.astype(int).tolist()),
     )
 
-    config = {name: getattr(spec, name) for name in ("snr", "regime", *_SYNTH_FLAGS, "seed")}
-    config["cluster_sizes"] = list(spec.sizes())
+    config = {**dataclasses.asdict(spec), "cluster_sizes": list(spec.sizes())}
     digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     _write_manifest(out_dir, "simulate", config, digest, timings)
     print(f"{spec.regime}: {spec.n_obs}x{spec.n_features} -> {out_dir}")

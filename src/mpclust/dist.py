@@ -84,7 +84,7 @@ def deviation_experiment(
         raise ValueError("constant matrix has zero range; cannot rescale")
     n, m_total = m.values.shape
     if not 1 <= m_feat <= m_total:
-        raise ValueError(f"need 1 <= m_feat <= M={m_total}, got {m_feat}")
+        raise ValueError(f"m_feat must be in 1..{m_total}, got {m_feat}")
     if not eps_grid:
         raise ValueError("eps_grid must be nonempty")
     bounds = [hoeffding_bound(m_feat, m_total, eps) for eps in eps_grid]  # checks each eps before the draws

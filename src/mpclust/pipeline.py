@@ -137,16 +137,16 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One iteration's diagnostics and, with ``run(..., collect_arrays=True)``, its own
-    copies of its patch I_t, its labels, and the observation weights and (impacc)
-    feature scores after it; None otherwise."""
+    """One iteration's diagnostics, each field with a format a column of the CLI's trace.csv, and,
+    with ``run(..., collect_arrays=True)``, its own copies of its patch I_t, its labels, and the
+    observation weights and (impacc) feature scores after it; None otherwise."""
 
-    iteration: int
-    n_clusters: int
-    confusion_pct: float
-    high_obs: int
-    high_feat: int
-    seconds: float
+    iteration: int = field(metadata={"format": "%d"})
+    n_clusters: int = field(metadata={"format": "%d"})
+    confusion_pct: float = field(metadata={"format": "%.17g"})
+    high_obs: int = field(metadata={"format": "%d"})
+    high_feat: int = field(metadata={"format": "%d"})
+    seconds: float = field(metadata={"format": "%.6f"})
     obs_idx: np.ndarray | None = None
     labels: np.ndarray | None = None
     obs_weights: np.ndarray | None = None
@@ -206,8 +206,8 @@ def _available_bytes() -> int | None:
     return min(known, default=None)
 
 
-def _peak_bytes(n: int, hp: HyperParams) -> int:
-    """Estimated peak of a run's N^2, N x k and patch^2 buffers.
+def _peak_bytes(n: int, hp: HyperParams, final: bool = True) -> int:
+    """Estimated peak of a run's N^2, N x k and patch^2 buffers; with ``final`` False, of its loop alone.
 
     The counters (two per pair, ``ConsensusState.counter_dtype(t_max)``
     wide: 1 byte each up to 255 minipatches) live throughout. The loop's
@@ -224,15 +224,15 @@ def _peak_bytes(n: int, hp: HyperParams) -> int:
     dtype = np.dtype(ConsensusState.counter_dtype(hp.resolve_t_max(n)))
     if hp.final_algo == "spectral":
         k = hp.k if hp.k is not None else n - math.floor(hp.h * (n - 2)) - 1
-        final = max(12 * n * n, 24 * (n * k + k * k))
+        last = max(12 * n * n, 24 * (n * k + k * k))
     else:
-        final = 16 * npair
-    return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(hp.n_count(n), dtype), final)
+        last = 16 * npair
+    return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(hp.n_count(n), dtype), last if final else 0)
 
 
-def _check_run(data: DataMatrix, hp: HyperParams) -> None:
+def _check_run(data: DataMatrix, hp: HyperParams, final: bool = True) -> None:
     """ValueError, before any minipatch, for settings that cannot run on ``data`` (see ``run()``);
-    ``hp``'s fractions in (0, 1] keep every patch within it."""
+    ``hp``'s fractions in (0, 1] keep every patch within it. ``final``: count the final step's memory."""
     n, n_count = data.n_obs, hp.n_count(data.n_obs)
     if n_count < 3:
         raise ValueError(f"n_frac {hp.n_frac} gives minipatches of {n_count} observation(s) "
@@ -243,7 +243,7 @@ def _check_run(data: DataMatrix, hp: HyperParams) -> None:
                          f"of {n_count} observation(s) take to sample each of N={n} once")
     if hp.k is not None and hp.k > n:
         raise ValueError(f"k {hp.k} exceeds the N={n} observations")
-    peak, available = _peak_bytes(n, hp), _available_bytes()
+    peak, available = _peak_bytes(n, hp, final), _available_bytes()
     if available is not None and peak > available:
         raise ValueError(
             f"N={n} observations need about {peak / 1e6:,.1f} MB at the run's peak, "
@@ -485,14 +485,14 @@ def tune_minipatch_size(
     Cells are tried in ascending m*n^2 cost order and the search stops at
     the first qualifying cell; if none qualifies, the evaluated cell with
     the smallest max confusion is returned flagged as not converged.
-    Every cell passes ``run()``'s checks first; each then runs ``run()``'s loop alone, no dense S.
+    Every cell passes ``run()``'s checks first, but for the final step's memory; each then runs the loop alone.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
     hp = hp or HyperParams()
     ordered = sorted(grid, key=lambda mn: (mn[0] * mn[1] ** 2, mn))
     for m_frac, n_frac in ordered:  # every cell, before the first run
-        _check_run(data, replace(hp, m_frac=m_frac, n_frac=n_frac))
+        _check_run(data, replace(hp, m_frac=m_frac, n_frac=n_frac), final=False)
     cells: list[tuple[float, float, float, int]] = []
     for m_frac, n_frac in ordered:
         state, *_, trace = _loop(data, replace(hp, m_frac=m_frac, n_frac=n_frac))

@@ -25,7 +25,7 @@ from mpclust.consensus import consensus_of, load_consensus_binary
 from mpclust.dataio import DataMatrix, load_matrix, log2_plus_one, write_matrix
 from mpclust.dist import hoeffding_bound
 from mpclust.metrics import ari
-from mpclust.pipeline import HyperParams, run
+from mpclust.pipeline import HyperParams, IterationRecord, run
 from mpclust.synthgen import SynthSpec, generate
 
 
@@ -339,6 +339,43 @@ class TestCluster:
         for artifact in ("labels.csv", "consensus.csv", "feature_scores.csv",
                          "obs_weight_trace.csv", "feature_score_trace.csv"):
             assert (tmp_path / "redo" / artifact).read_bytes() == (out1 / artifact).read_bytes()
+
+    def test_trace_columns_are_the_formatted_fields_of_iterationrecord(self, blob_csv, tmp_path, monkeypatch):
+        results = []
+
+        def kept_run(*args, **kwargs):
+            results.append(run(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr("mpclust.cli.run", kept_run)
+        out = tmp_path / "out"
+        assert main(["cluster", str(blob_csv), "--mode", "impacc", "--seed", "2", "--out", str(out)]) == 0
+        header, *rows = (line.split(",") for line in (out / "trace.csv").read_text().splitlines())
+        columns = [f for f in dataclasses.fields(IterationRecord) if "format" in f.metadata]
+        assert header == [f.name for f in columns]
+        assert len(rows) == len(results[0].trace)
+        for row, rec in zip(rows, results[0].trace):
+            for cell, f in zip(row, columns, strict=True):
+                value = getattr(rec, f.name)
+                if f.metadata["format"] == "%d":
+                    assert int(cell) == value, f.name
+                elif f.metadata["format"] == "%.17g":  # round-trips every float
+                    assert float(cell) == value, f.name
+                else:  # seconds, to the microsecond
+                    assert f.metadata["format"] == "%.6f" and float(cell) == round(value, 6), f.name
+
+    def test_manifest_config_holds_every_option_of_cluster(self, blob_csv, tmp_path, no_mpclust_env):
+        # read off the parser, so a flag added to cluster is recorded without a list to extend
+        (cluster,) = (a.choices["cluster"] for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in cluster._actions} - {"help", "input", "out", "config"}
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("seed = 6\n")
+        out = tmp_path / "out"
+        assert main(["cluster", str(blob_csv), "--config", str(config_file), "--k", "2", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == dests
+        assert config["seed"] == 6  # --config is recorded as the values it resolved to
 
     def test_t_max_below_one_pass_rejected(self, blob_csv, tmp_path, no_mpclust_env, capsys):
         # 50 rows in minipatches of 13 take 4 iterations to sample each row once
@@ -773,6 +810,61 @@ def test_each_numeric_cluster_flag_at_its_limits(name, value, blob_csv, tmp_path
         assert f"error: argument {flag}: invalid int value: {value!r}" in err
     else:
         assert code == 1 and err.startswith(f"error: {name} ")
+
+
+# Each other subcommand's arguments for a small run, and its numeric flags by dest
+_NUMERIC_FLAGS = {
+    "tune": (["tune", "{matrix}", "--mode", "impacc", "--m-grid", "0.2", "--n-grid", "0.3"],
+             ("m_grid", "n_grid", "h", "eta", "alpha_f", "tau", "alpha_i", "theta", "epochs_e", "t_max", "seed")),
+    "simulate": (["simulate", "--snr", "6", "--n-obs", "40", "--n-features", "50"],
+                 ("snr", "n_obs", "n_features", "n_signal", "rho", "cluster_sizes", "seed")),
+    "benchmark": (["benchmark", "--snr", "6", "--n-obs", "40", "--n-features", "50", "--reps", "1",
+                   "--methods", "hclust"], ("snr", "reps", "n_obs", "n_features", "n_signal", "rho", "seed")),
+    "hoeffding-check": (["hoeffding-check", "--trials", "100"],
+                        ("n_obs", "n_features", "m_feat", "eps", "trials", "seed")),
+    "eval": (["eval", "f1", "{scores}", "{mask}"], ("top_k",)),
+}
+_CHECKED_AS = {"m_grid": "m_frac", "n_grid": "n_frac"}  # tune's grid values are its cells' settings
+_IN_RANGE_ELSEWHERE = {
+    *(("tune", name, "0") for name in ("eta", "alpha_f", "tau", "alpha_i", "theta", "seed")),
+    ("tune", "tau", "1e9"),
+    *((cmd, name, value) for cmd in ("simulate", "benchmark")
+      for name, value in (("snr", "0"), ("snr", "1e9"), ("rho", "0"), ("seed", "0"))),
+    ("hoeffding-check", "eps", "1e9"), ("hoeffding-check", "seed", "0"),
+}
+
+
+@pytest.mark.parametrize("cmd, name, value", [
+    *((cmd, name, value) for cmd, (_, flags) in _NUMERIC_FLAGS.items() for name in flags
+      for value in ("0", "-1", "nan", "1e9")),
+    ("tune", "t_max", "3"),  # 50 rows in minipatches of 15 take 4 iterations to sample each once
+    ("simulate", "n_signal", "51"),  # M + 1
+    ("benchmark", "n_signal", "51"),
+    ("hoeffding-check", "m_feat", "101"),  # the random matrix's M is 100
+    ("eval", "top_k", "7"),  # 6 features
+], ids=lambda v: v)
+def test_each_numeric_flag_of_the_other_subcommands_at_its_limits(cmd, name, value, blob_csv, tmp_path,
+                                                                   no_mpclust_env, capsys):
+    # a value in range runs; any other exits 2, or exits 1 naming its setting before any --out
+    scores, mask = tmp_path / "scores.csv", tmp_path / "mask.csv"
+    rows = "".join(f"f{j},{j % 2}\n" for j in range(6))  # 6 features, 3 of them signal
+    scores.write_text("feature_id,score\n" + rows)
+    mask.write_text("feature_id,is_signal\n" + rows)
+    flag, out = "--" + name.replace("_", "-"), tmp_path / "out"
+    argv = [a.format(matrix=blob_csv, scores=scores, mask=mask) for a in _NUMERIC_FLAGS[cmd][0]] + [flag, value]
+    try:
+        code = main(argv if cmd == "eval" else [*argv, "--out", str(out)])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    if (cmd, name, value) in _IN_RANGE_ELSEWHERE:
+        assert code == 0 and out.exists(), err
+        return
+    assert "Traceback" not in err and not out.exists()
+    if code == 2:
+        assert f"error: argument {flag}: " in err
+    else:
+        assert code == 1 and err.startswith(f"error: {_CHECKED_AS.get(name, name)} "), err
 
 
 def test_list_flags_parse_to_tuples(no_mpclust_env):

@@ -812,6 +812,8 @@ class TestMemoryCeiling:
         # a patch of every observation: the loop's scratch outweighs the final step
         assert pipeline._peak_bytes(n, replace(hp, n_frac=1.0)) == (
             4 * npair + PairScratch.nbytes(n, np.uint16))
+        # the loop alone, as tune runs it: the counters and the scratch
+        assert pipeline._peak_bytes(n, hp, final=False) == 4 * npair + PairScratch.nbytes(2_500, np.uint16)
 
     def test_spectral_step_from_the_counters_stays_within_the_estimate(self):
         # the estimate counts dense S and the condensed S it is built from;
@@ -843,6 +845,17 @@ class TestMemoryCeiling:
         monkeypatch.undo()
         monkeypatch.setattr(pipeline, "_available_bytes", lambda: need)
         assert run(data, hp).labels.size == 60
+
+    def test_tune_counts_the_loop_alone(self, monkeypatch):
+        # tune runs no final step, so memory between the loop's peak and the run's is enough for it
+        data, _ = _blobs()
+        hp = HyperParams(seed=1, t_max=30)
+        loop = pipeline._peak_bytes(60, hp, final=False)
+        assert loop < pipeline._peak_bytes(60, hp)
+        monkeypatch.setattr(pipeline, "_available_bytes", lambda: loop)
+        assert len(tune_minipatch_size(data, [(hp.m_frac, hp.n_frac)], hp).cells) == 1
+        with pytest.raises(ValueError, match="at the run's peak"):
+            run(data, hp)
 
     def test_unknown_available_memory_skips_the_check(self, monkeypatch):
         data, _ = _blobs()
