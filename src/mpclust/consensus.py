@@ -109,7 +109,10 @@ class PairScratch:
     by ``pairwise`` (then Ward's square roots, in place), the others by
     ``update``, whose live-pair values fill prefixes of them. A run that
     keeps one scratch maps these pages once instead of allocating and
-    returning each temporary in every iteration.
+    returning each temporary in every iteration. ``dist_ahead``, built
+    with ``ahead``, is a second distance buffer, which a loop that
+    computes the next patch's distances while it folds this one fills by
+    turns with ``dist``; it is empty otherwise.
     """
 
     ii: np.ndarray
@@ -124,9 +127,10 @@ class PairScratch:
     s_new: np.ndarray
     delta: np.ndarray
     dist: np.ndarray
+    dist_ahead: np.ndarray
 
     @classmethod
-    def empty(cls, size: int, counter_dtype: np.dtype) -> "PairScratch":
+    def empty(cls, size: int, counter_dtype: np.dtype, ahead: bool = False) -> "PairScratch":
         ii, jj = np.triu_indices(size, k=1)
         npair = ii.size
         return cls(
@@ -141,12 +145,13 @@ class PairScratch:
             s_new=np.empty(npair),
             delta=np.empty(npair),
             dist=np.empty(npair),
+            dist_ahead=np.empty(npair if ahead else 0),
         )
 
     @classmethod
-    def nbytes(cls, size: int, counter_dtype: np.dtype) -> int:
-        """Bytes that ``empty(size, counter_dtype)`` would allocate."""
-        one_pair = cls.empty(2, counter_dtype)
+    def nbytes(cls, size: int, counter_dtype: np.dtype, ahead: bool = False) -> int:
+        """Bytes that ``empty(size, counter_dtype, ahead)`` would allocate."""
+        one_pair = cls.empty(2, counter_dtype, ahead)
         per_pair = sum(getattr(one_pair, f.name).nbytes for f in fields(cls))
         return per_pair * (size * (size - 1) // 2)
 

@@ -18,6 +18,8 @@ import math
 import os
 import re
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from scipy.cluster.vq import ClusterError, kmeans2
 from scipy.linalg import eigh
 from scipy.spatial.distance import cdist
 
+from . import dist
 from .consensus import (
     STOP_PATIENCE,
     STOP_PERCENTILE,
@@ -69,6 +72,14 @@ _PHASE_FEAT = 1
 _PHASE_FINAL = 2
 
 _T_MAX_CAP = 5000
+
+# mpcc computes the next patch's distances on a helper thread from a patch's pairs times its
+# features of 3e6 (see _looks_ahead). Measured on a 2-vCPU Xeon as the median time of 160-patch
+# loops with the helper over without it, in 7-9 alternating pairs at the default fractions:
+# 0.54-0.75 from 4.8e6 (1250 x 1000 to 3000 x 500); at 3.1e6, 0.83 (2000 x 250) and 1.00-1.03
+# (1000 x 1000); below, 1.04-1.07 from 5.6e5 to 1.6e6 and 1.13 at 1.2e4 (200 x 100), where the
+# handoff, about 70-100 us a patch, hides less than it costs
+_AHEAD_MIN_WORK = 3 * 10**6
 
 
 @dataclass(frozen=True)
@@ -139,7 +150,9 @@ class HyperParams:
 class IterationRecord:
     """One iteration's diagnostics, each field with a format a column of the CLI's trace.csv, and,
     with ``run(..., collect_arrays=True)``, its own copies of its patch I_t, its labels, and the
-    observation weights and (impacc) feature scores after it; None otherwise."""
+    observation weights and (impacc) feature scores after it; None otherwise. ``seconds`` is the
+    calling thread's wall time for the iteration, its wait for the patch's distances included
+    where a helper thread computes them (see ``run()``)."""
 
     iteration: int = field(metadata={"format": "%d"})
     n_clusters: int = field(metadata={"format": "%d"})
@@ -206,12 +219,14 @@ def _available_bytes() -> int | None:
     return min(known, default=None)
 
 
-def _peak_bytes(n: int, hp: HyperParams, final: bool = True) -> int:
-    """Estimated peak of a run's N^2, N x k and patch^2 buffers; with ``final`` False, of its loop alone.
+def _peak_bytes(n: int, m: int, hp: HyperParams, final: bool = True) -> int:
+    """Estimated peak of a run's N^2, N x k and patch^2 buffers on N=``n`` observations of ``m``
+    features; with ``final`` False, of its loop alone.
 
     The counters (two per pair, ``ConsensusState.counter_dtype(t_max)``
     wide: 1 byte each up to 255 minipatches) live throughout. The loop's
-    ``PairScratch`` is released before the final clustering. Ward holds
+    ``PairScratch``, with a second distance buffer where the loop looks
+    ahead, is released before the final clustering. Ward holds
     the condensed 1 - S and scipy's working copy of it (16 bytes per
     pair). The spectral finaliser holds dense S and, while
     ``consensus_of`` builds it, the condensed S: 12 N^2 bytes. S is freed
@@ -227,7 +242,8 @@ def _peak_bytes(n: int, hp: HyperParams, final: bool = True) -> int:
         last = max(12 * n * n, 24 * (n * k + k * k))
     else:
         last = 16 * npair
-    return 2 * dtype.itemsize * npair + max(PairScratch.nbytes(hp.n_count(n), dtype), last if final else 0)
+    scratch = PairScratch.nbytes(hp.n_count(n), dtype, _looks_ahead(hp, n, m))
+    return 2 * dtype.itemsize * npair + max(scratch, last if final else 0)
 
 
 def _check_run(data: DataMatrix, hp: HyperParams, final: bool = True) -> None:
@@ -243,7 +259,7 @@ def _check_run(data: DataMatrix, hp: HyperParams, final: bool = True) -> None:
                          f"of {n_count} observation(s) take to sample each of N={n} once")
     if hp.k is not None and hp.k > n:
         raise ValueError(f"k {hp.k} exceeds the N={n} observations")
-    peak, available = _peak_bytes(n, hp, final), _available_bytes()
+    peak, available = _peak_bytes(n, data.n_features, hp, final), _available_bytes()
     if available is not None and peak > available:
         raise ValueError(
             f"N={n} observations need about {peak / 1e6:,.1f} MB at the run's peak, "
@@ -255,13 +271,22 @@ def run(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> RunR
     """Execute the consensus loop and final clustering.
 
     Each iteration draws a minipatch (``_draw``; mpcc's from the seed and
-    t alone), labels it (``_label``: Ward on its distances, cut at the
-    ``h`` quantile, from the data, ``hp`` and the patch alone) and folds
-    it: scores its features (impacc), updates the consensus, checks the
-    stop rule and appends its ``IterationRecord`` to ``RunResult.trace``.
-    ``collect_arrays`` also keeps each iteration's patch and weights in
-    its record. The observation weights and the stop percentile read the
-    state's ``confusion``.
+    t alone), labels it (Ward on the ``hp.metric`` distances of its
+    values, ``_gather``'s, cut at the ``h`` quantile: from the data,
+    ``hp`` and the patch alone) and folds it: scores its features
+    (impacc), updates the consensus, checks the stop rule and appends its
+    ``IterationRecord`` to ``RunResult.trace``. ``collect_arrays`` also
+    keeps each iteration's patch and weights in its record. The
+    observation weights and the stop percentile read the state's
+    ``confusion``.
+
+    In mpcc, where a patch's pairs times its features reach 3e6
+    (``_looks_ahead``), one helper thread, joined before ``run()`` returns
+    or raises, computes patch t + 1's distances into a second buffer while
+    the calling thread labels and folds patch t; every output is the
+    sequential loop's, bit for bit. Nothing sets it: the adaptive modes,
+    whose draws read the state each update leaves, and smaller patches
+    run on the calling thread alone.
 
     Raises ValueError before the first iteration for patches of fewer
     than 3 observations, t_max < ⌈N / n_count⌉, k > N or a peak above
@@ -283,35 +308,51 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
     # the features' draws and (impacc) ANOVA support hits; the observations' draws are state.diag
     feat_draws, feat_hits = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     state = ConsensusState.empty(n, max_count=t_max)
-    scratch = PairScratch.empty(n_count, state.pair_seen.dtype)
+    ahead = _looks_ahead(hp, n, m)
+    scratch = PairScratch.empty(n_count, state.pair_seen.dtype, ahead)
     armed = [0.0]  # the rule's first reference value: no stop before STOP_PATIENCE armed iterations
     adaptive_obs, adaptive_feat = hp.mode in ("mpacc", "impacc"), hp.mode == "impacc"
     trace: list[IterationRecord] = []
     stop_reason = "t_max"
 
-    for t in range(1, t_max + 1):
-        started = time.perf_counter()
-        obs_idx, feat_idx = _draw(t, hp, obs, feat, state)
-        feat_draws[feat_idx] += 1
-        view, labels = _label(data.values, obs_idx, feat_idx, hp, scratch.dist)
-        # fold; impacc's ANOVA needs two clusters and within-group degrees of
-        # freedom, and a patch without them is sampled but scores no support
-        k_patch = int(labels.max()) + 1
-        if adaptive_feat and k_patch >= 2 and obs_idx.size - k_patch >= 1:
-            support, _ = score_features(view, labels, hp.eta)
-            feat_hits[feat_idx[support]] += 1
-            feat.weights = update_feature_weights(feat.weights, importance(feat_hits, feat_draws), hp.alpha_f)
-        update(state, obs_idx, labels, scratch=scratch)
-        pct = float(np.percentile(state.confusion, STOP_PERCENTILE))
-        if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs.burn_in):
-            armed.append(pct)
-        seconds = time.perf_counter() - started
-        arrays = (obs_idx.copy(), labels.copy(), obs.weights.copy(),  # the scores are a new array
-                  importance(feat_hits, feat_draws) if adaptive_feat else None) if collect_arrays else ()
-        trace.append(IterationRecord(t, k_patch, pct, obs.last_high_size, feat.last_high_size, seconds, *arrays))
-        if len(armed) > STOP_PATIENCE and stop_gap(armed) < 1:
-            stop_reason = "early_stop"
-            break
+    with ThreadPoolExecutor(1) if ahead else nullcontext() as helper:  # joined on every exit
+
+        def staged(t: int) -> tuple:
+            """Patch t drawn and gathered, and a callable that returns its distances: the helper
+            thread's, into the buffer that patch t - 1's are not in, when there is one; else
+            computed when called."""
+            obs_idx, feat_idx = _draw(t, hp, obs, feat, state)
+            view = _gather(data.values, obs_idx, feat_idx)
+            if helper is None:
+                return obs_idx, feat_idx, view, lambda: pairwise(view, hp.metric, out=scratch.dist)
+            out = (scratch.dist, scratch.dist_ahead)[t % 2]
+            return obs_idx, feat_idx, view, helper.submit(dist.pairwise, view, hp.metric, out=out).result
+
+        following = None
+        for t in range(1, t_max + 1):
+            started = time.perf_counter()
+            obs_idx, feat_idx, view, distances = following or staged(t)
+            following = staged(t + 1) if ahead and t < t_max else None
+            feat_draws[feat_idx] += 1
+            labels = cut_quantile(ward_linkage(distances()), hp.h)  # Ward overwrites the distances
+            # fold; impacc's ANOVA needs two clusters and within-group degrees of
+            # freedom, and a patch without them is sampled but scores no support
+            k_patch = int(labels.max()) + 1
+            if adaptive_feat and k_patch >= 2 and obs_idx.size - k_patch >= 1:
+                support, _ = score_features(view, labels, hp.eta)
+                feat_hits[feat_idx[support]] += 1
+                feat.weights = update_feature_weights(feat.weights, importance(feat_hits, feat_draws), hp.alpha_f)
+            update(state, obs_idx, labels, scratch=scratch)
+            pct = float(np.percentile(state.confusion, STOP_PERCENTILE))
+            if hp.early_stop and state.diag.min() > 0 and (not adaptive_obs or t > obs.burn_in):
+                armed.append(pct)
+            seconds = time.perf_counter() - started
+            arrays = (obs_idx.copy(), labels.copy(), obs.weights.copy(),  # the scores are a new array
+                      importance(feat_hits, feat_draws) if adaptive_feat else None) if collect_arrays else ()
+            trace.append(IterationRecord(t, k_patch, pct, obs.last_high_size, feat.last_high_size, seconds, *arrays))
+            if len(armed) > STOP_PATIENCE and stop_gap(armed) < 1:
+                stop_reason = "early_stop"
+                break  # patch t + 1's distances, if staged, go unread, as the sequential loop never computes them
 
     if int(state.diag.min()) == 0:
         missing = int((state.diag == 0).sum())
@@ -319,6 +360,14 @@ def _loop(data: DataMatrix, hp: HyperParams, collect_arrays: bool = False) -> tu
                            f"raise t_max above {len(trace)}")
     scores = importance(feat_hits, feat_draws) if adaptive_feat else None
     return state, scores, obs.weights.copy(), stop_reason, trace
+
+
+def _looks_ahead(hp: HyperParams, n: int, m: int) -> bool:
+    """Whether ``_loop`` computes patch t + 1's distances on a helper thread while it labels and
+    folds patch t, for N=``n`` observations of ``m`` features: in mpcc alone, whose patches the
+    seed and t fix, and only for patches whose pairs times features reach ``_AHEAD_MIN_WORK``."""
+    n_count = hp.n_count(n)
+    return hp.mode == "mpcc" and n_count * (n_count - 1) // 2 * hp.m_count(m) >= _AHEAD_MIN_WORK
 
 
 def _draw(t: int, hp: HyperParams, obs: SamplerState, feat: SamplerState,
@@ -338,15 +387,12 @@ def _draw(t: int, hp: HyperParams, obs: SamplerState, feat: SamplerState,
     return ee_prob_next(obs, t, rng_obs), feat_idx
 
 
-def _label(values: np.ndarray, obs_idx: np.ndarray, feat_idx: np.ndarray, hp: HyperParams,
-           dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A patch's values and labels, a function of the table (C or Fortran order, as ``DataMatrix``
-    holds it), ``hp`` and the patch alone: Ward on its ``hp.metric`` distances, computed in
-    ``dist``, cut at the ``hp.h`` quantile."""
-    # one take of flat indices, in place: the bytes of values[np.ix_(obs_idx, feat_idx)]
+def _gather(values: np.ndarray, obs_idx: np.ndarray, feat_idx: np.ndarray) -> np.ndarray:
+    """A patch's values, whose distances its labels are read from: one take of flat indices from the
+    table in place (C or Fortran order, as ``DataMatrix`` holds it), the bytes of
+    ``values[np.ix_(obs_idx, feat_idx)]``."""
     obs_step, feat_step = (stride // values.itemsize for stride in values.strides)
-    view = np.take(values.ravel(order="K"), obs_idx[:, None] * obs_step + feat_idx * feat_step)
-    return view, cut_quantile(ward_linkage(pairwise(view, hp.metric, out=dist)), hp.h)
+    return np.take(values.ravel(order="K"), obs_idx[:, None] * obs_step + feat_idx * feat_step)
 
 
 def _final_labels(state: ConsensusState, hp: HyperParams) -> np.ndarray:

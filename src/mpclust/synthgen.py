@@ -136,7 +136,8 @@ def generate(spec: SynthSpec) -> SynthData:
     5 consecutive features.  Rows are drawn from per-row substreams of the seed (parallelizable
     without changing the output) and the observation order is shuffled at the end, labels
     traveling with their rows.  Each noise value adds its block's five Cholesky products left
-    to right, with no BLAS call, so its bits do not depend on the kernel the CPU selects.
+    to right (four adds, ``np.add.accumulate``'s order), with no BLAS call, so its bits do not
+    depend on the kernel the CPU selects.
     """
     n, m = spec.n_obs, spec.n_features
     sizes = spec.sizes()
@@ -149,9 +150,11 @@ def generate(spec: SynthSpec) -> SynthData:
     labels = np.repeat(np.arange(1, 5), sizes)
     values = np.empty((n, m))
     for i in range(n):
-        z = _stream(spec.seed, _ROLE_ROW, i).standard_normal(m)
-        noise = np.add.accumulate(z.reshape(-1, 1, _BLOCK) * chol, axis=2)[..., -1].ravel()
-        values[i] = means[labels[i] - 1] + noise
+        blocks = _stream(spec.seed, _ROLE_ROW, i).standard_normal(m).reshape(-1, _BLOCK)
+        noise = blocks[:, :1] * chol[:, 0]  # each block's five values, one Cholesky column at a time
+        for c in range(1, _BLOCK):  # the upper triangle's zero terms too, so signed zeros stay
+            noise += blocks[:, c:c + 1] * chol[:, c]
+        values[i] = means[labels[i] - 1] + noise.ravel()
 
     perm = _stream(spec.seed, _ROLE_SHUFFLE, 0).permutation(n)
     values = values[perm]

@@ -12,7 +12,9 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
 from scipy.integrate import quad
+from scipy.spatial.distance import pdist
 from scipy.special import fdtrc
 
 
@@ -355,6 +357,50 @@ def dense_update(pair_seen, pair_same, diag, rows, n: int, sampled, labels) -> N
     for a, i in enumerate(obs):
         rows[i] += as_first[a] + as_second[a]
         diag[i] += 1
+
+
+def sequential_mpcc(values: np.ndarray, n_frac: float, m_frac: float, t_max: int, seed: int,
+                    h: float = 0.95, metric: str = "manhattan", early_stop: bool = True):
+    """mpcc's consensus loop on one thread, one patch after the other, from plain pieces.
+
+    Iteration t draws its observations and features by ``array_fisher_yates`` from
+    ``SeedSequence(seed, spawn_key=(0, t))`` and ``(1, t)``, gathers the patch by
+    ``np.ix_``, takes scipy's ``pdist``, runs scipy's Ward on its square roots and
+    squares the heights back, performs the merges at or below the type-7 ``h``
+    quantile of the heights (``labels_from_performed``), folds the patch by
+    ``dense_update`` and takes the 90th percentile of the confusion rows over N.
+    Once every observation was sampled, a run of 5 percentile changes below 1e-5
+    in a row, the first against 0.0, stops it. Returns (pair_same, pair_seen,
+    diag, rows, trace, patches): trace rows are (t, clusters, percentile), and
+    patches (obs_idx, labels) per iteration.
+    """
+    n, m = values.shape
+    n_count, m_count = math.ceil(n_frac * n), math.ceil(m_frac * m)
+    dtype = np.min_scalar_type(t_max)
+    pair_same = np.zeros(n * (n - 1) // 2, dtype=dtype)
+    pair_seen = np.zeros(n * (n - 1) // 2, dtype=dtype)
+    diag, rows = np.zeros(n, dtype=dtype), np.zeros(n)
+    trace, patches = [], []
+    prev, below = 0.0, 0
+    for t in range(1, t_max + 1):
+        streams = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(phase, t))) for phase in (0, 1)]
+        obs_idx = array_fisher_yates(n, n_count, streams[0])
+        feat_idx = array_fisher_yates(m, m_count, streams[1])
+        d = pdist(values[np.ix_(obs_idx, feat_idx)], {"manhattan": "cityblock", "sq_euclidean": "sqeuclidean"}[metric])
+        z = linkage(np.sqrt(d), "ward")
+        heights = z[:, 2] ** 2
+        performed = np.flatnonzero(heights <= np.quantile(heights, h))
+        labels = labels_from_performed(z, performed)
+        dense_update(pair_seen, pair_same, diag, rows, n, obs_idx, labels)
+        pct = float(np.percentile(rows / n, 90.0))
+        trace.append((t, int(labels.max()) + 1, pct))
+        patches.append((obs_idx, labels))
+        if early_stop and diag.min() > 0:
+            below = below + 1 if abs(pct - prev) < 1e-5 else 0
+            prev = pct
+            if below >= 5:
+                break
+    return pair_same, pair_seen, diag, rows, trace, patches
 
 
 def snr_of(mu: np.ndarray) -> float:

@@ -1,14 +1,16 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.cluster.vq import ClusterError, kmeans2
 
-from mpclust import pipeline, sampling
+from mpclust import dist, pipeline, sampling
 from mpclust.cli import main
 from mpclust.consensus import (
     ConsensusState,
@@ -19,6 +21,7 @@ from mpclust.consensus import (
     update,
 )
 from mpclust.dataio import DataMatrix, write_matrix
+from mpclust.dist import pairwise
 from mpclust.hclust import cut_k, cut_quantile, ward_linkage
 from mpclust.metrics import ari
 from mpclust.pipeline import (
@@ -39,6 +42,7 @@ from oracles import (
     confusion,
     dense_index_dissimilarity,
     dense_laplacian_embedding,
+    sequential_mpcc,
 )
 
 
@@ -194,8 +198,8 @@ class TestRun:
             obs = SamplerState.uniform(n, n_count, hp.epochs_e, "quantile", hp.theta)
             feat = SamplerState.uniform(m, hp.m_count(m), hp.epochs_e, "mean_plus_sd", hp.tau)
             obs_idx, feat_idx = pipeline._draw(t, hp, obs, feat, None)
-            dist = np.empty(n_count * (n_count - 1) // 2)
-            patches[t] = obs_idx, pipeline._label(data.values, obs_idx, feat_idx, hp, dist)[1]
+            view = pipeline._gather(data.values, obs_idx, feat_idx)
+            patches[t] = obs_idx, cut_quantile(ward_linkage(pairwise(view, hp.metric)), hp.h)
         state = ConsensusState.empty(n, max_count=hp.resolve_t_max(n))
         for t, rec in enumerate(res.trace, 1):
             obs_idx, labels = patches[t]
@@ -214,8 +218,8 @@ class TestRun:
         hp = HyperParams(n_frac=1.0, m_frac=1.0, t_max=3, h=0.5, k=2, early_stop=False, mode=mode)
         res = run(data, hp, collect_arrays=True)
         assert [(rec.obs_idx.tolist(), rec.labels.tolist()) for rec in res.trace] == [([0, 1, 2], [0, 0, 1])] * 3
-        dist = np.empty(3)
-        _, labels = pipeline._label(binary, np.array([2, 1, 0]), np.arange(2), hp, dist)
+        view = pipeline._gather(binary, np.array([2, 1, 0]), np.arange(2))
+        labels = cut_quantile(ward_linkage(pairwise(view, hp.metric)), hp.h)
         assert labels.tolist() == [0, 0, 1]  # gathered the other way round, row 1 joins row 2
         # so a reordered input file reorders the ties: read bottom up, b joins c
         flipped = run(DataMatrix(binary[::-1].copy(), ("c", "b", "a"), ("x", "y")), hp, collect_arrays=True)
@@ -504,6 +508,141 @@ class TestRun:
         assert [replace(r, seconds=0.0) for r in view.trace] == [replace(r, seconds=0.0) for r in copy.trace]
 
 
+def _wide_for_look_ahead(n=200, seed=7):
+    """Two blobs of N=``n`` whose mpcc patches, at ``_look_ahead_hp``, just reach the look-ahead rule."""
+    hp = _look_ahead_hp()
+    n_count = hp.n_count(n)
+    m = -(-pipeline._AHEAD_MIN_WORK // (n_count * (n_count - 1) // 2))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (n, m))
+    x[n // 2:, : m // 10] += 1.5
+    return DataMatrix(x, tuple(f"r{i}" for i in range(n)), tuple(f"c{j}" for j in range(m)))
+
+
+def _look_ahead_hp(**kw):
+    return HyperParams(**{"n_frac": 0.25, "m_frac": 1.0, "k": 2, "seed": 3, "t_max": 24, "early_stop": False, **kw})
+
+
+def _same_as_sequential(data, hp, res):
+    """``res`` against ``oracles.sequential_mpcc``, bit for bit: counters, patches, trace but
+    ``seconds``, and the final labels, which the counters decide."""
+    same, seen, diag, rows, trace, patches = sequential_mpcc(
+        data.values, hp.n_frac, hp.m_frac, hp.resolve_t_max(data.n_obs), hp.seed, hp.h, hp.metric, hp.early_stop)
+    for name, want in zip(("pair_same", "pair_seen", "diag", "confusion_rows"), (same, seen, diag, rows)):
+        got = getattr(res.consensus, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert [(r.iteration, r.n_clusters, r.confusion_pct, r.high_obs, r.high_feat) for r in res.trace] == [
+        (*row, 0, 0) for row in trace]
+    for rec, (obs_idx, labels) in zip(res.trace, patches, strict=True):
+        assert rec.obs_idx.tolist() == obs_idx.tolist() and rec.labels.tolist() == labels.tolist()
+    state = ConsensusState(same, seen, diag, rows)
+    assert res.labels.tobytes() == _final_labels(state, hp).tobytes()
+
+
+class TestLookAhead:
+    """mpcc computes patch t + 1's distances on a helper thread while it labels and folds
+    patch t, where ``_looks_ahead`` says so; every output is the sequential loop's."""
+
+    def test_above_the_rule_matches_the_sequential_loop(self):
+        data, hp = _wide_for_look_ahead(), _look_ahead_hp()
+        assert pipeline._looks_ahead(hp, data.n_obs, data.n_features)
+        assert not pipeline._looks_ahead(replace(hp, m_frac=0.9), data.n_obs, data.n_features)
+        _same_as_sequential(data, hp, run(data, hp, collect_arrays=True))
+
+    def test_below_the_rule_matches_the_sequential_loop(self):
+        data, _ = _blobs()
+        hp = HyperParams(k=2, seed=2, t_max=30, early_stop=False)
+        assert not pipeline._looks_ahead(hp, data.n_obs, data.n_features)
+        _same_as_sequential(data, hp, run(data, hp, collect_arrays=True))
+
+    def test_an_early_stop_throws_the_patch_ahead_away(self, monkeypatch):
+        # C7's blobs, with every patch looked ahead: the stop leaves patch t + 1's distances unread
+        data, _ = _blobs(40, 30, 9.0, seed=1)
+        hp = HyperParams(k=2, seed=3)
+        monkeypatch.setattr(pipeline, "_AHEAD_MIN_WORK", 0)
+        computed = []
+        real = dist.pairwise
+        monkeypatch.setattr(dist, "pairwise", lambda *a, **kw: computed.append(1) or real(*a, **kw))
+        res = run(data, hp, collect_arrays=True)
+        assert res.stop_reason == "early_stop" and len(computed) == res.iterations_run + 1
+        _same_as_sequential(data, hp, res)
+
+    def test_only_the_distances_leave_the_main_thread(self, monkeypatch):
+        # the hooked layers (pipeline's attributes) run on the caller's thread; the helper
+        # reads the distance kernel from the dist module alone
+        data, hp = _wide_for_look_ahead(), _look_ahead_hp()
+        threads = {}
+        for module, name in [(pipeline, "draw_uniform"), (pipeline, "pairwise"), (pipeline, "ward_linkage"),
+                             (pipeline, "cut_quantile"), (pipeline, "update"), (dist, "pairwise")]:
+            def logged(*a, _fn=getattr(module, name), _key=f"{module.__name__}.{name}", **kw):
+                threads.setdefault(_key, set()).add(threading.get_ident())
+                return _fn(*a, **kw)
+            monkeypatch.setattr(module, name, logged)
+        run(data, hp)
+        main = {threading.get_ident()}
+        assert {key: ids for key, ids in threads.items() if key != "mpclust.dist.pairwise"} == {
+            "mpclust.pipeline.draw_uniform": main, "mpclust.pipeline.ward_linkage": main,
+            "mpclust.pipeline.cut_quantile": main, "mpclust.pipeline.update": main}
+        assert len(threads["mpclust.dist.pairwise"]) == 1 and threads["mpclust.dist.pairwise"] != main
+
+    def test_concurrent_runs_under_fast_thread_switches_match_the_sequential_loop(self):
+        # three look-ahead runs at once, six threads on the machine's cores, switching every
+        # microsecond: a distance buffer read before the helper filled it would show here
+        data, hp = _wide_for_look_ahead(), _look_ahead_hp()
+        results = [None] * 3
+        threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, run(data, hp, collect_arrays=True)))
+                   for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for res in results:
+            _same_as_sequential(data, hp, res)
+
+    def test_no_thread_outlives_a_return_or_an_early_stop(self, monkeypatch):
+        before = threading.active_count()
+        assert run(_wide_for_look_ahead(), _look_ahead_hp()).stop_reason == "t_max"
+        assert threading.active_count() == before
+        monkeypatch.setattr(pipeline, "_AHEAD_MIN_WORK", 0)
+        assert run(_blobs(40, 30, 9.0, seed=1)[0], HyperParams(k=2, seed=3)).stop_reason == "early_stop"
+        assert threading.active_count() == before
+
+    def test_an_exception_on_the_main_thread_reaches_the_caller(self, monkeypatch):
+        boom, calls = RuntimeError("update failed"), []
+
+        def failing(*a, **kw):
+            calls.append(1)
+            if len(calls) == 3:
+                raise boom
+            return update(*a, **kw)
+
+        monkeypatch.setattr(pipeline, "update", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            run(_wide_for_look_ahead(), _look_ahead_hp())
+        assert raised.value is boom and len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_an_exception_on_the_helper_reaches_the_caller(self, monkeypatch):
+        boom = MemoryError("no room for the distances")
+
+        def failing(*a, **kw):
+            raise boom
+
+        monkeypatch.setattr(dist, "pairwise", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as raised:
+            run(_wide_for_look_ahead(), _look_ahead_hp())
+        assert raised.value is boom
+        assert threading.active_count() == before
+
+
 class TestFinalize:
     def test_hierarchical_perfect_blocks(self):
         truth = [0, 0, 1, 1, 1, 1, 2, 2, 2]
@@ -753,21 +892,25 @@ class TestCondensedFinal:
         assert calls == [res.consensus]  # the finaliser's own S
         assert len(trees) == (0 if k else 1)  # only the quantile cut needs the tree
 
-    def test_run_allocates_less_than_one_dense_s(self):
-        # N=1000: the counters (2 MB) with the loop's scratch (2.4 MB), or
-        # with the final clustering's 1 - S (4 MB), stay below dense S
-        # (8 MB); scipy's working copy inside linkage is not traced.
+    def test_run_allocates_less_than_one_dense_s(self, monkeypatch):
+        # N=1000: the counters (1 MB) with the loop's scratch (2.1 MB, 2.3 MB with the
+        # look-ahead's second distance buffer), or with the final clustering's 1 - S (4 MB),
+        # stay below dense S (8 MB); scipy's working copy inside linkage is not traced.
         rng = np.random.default_rng(1)
         n = 1000
         data = DataMatrix(rng.random((n, 4)), tuple(map(str, range(n))), ("a", "b", "c", "d"))
         hp = HyperParams(k=3, seed=1, t_max=60, early_stop=False)
-        tracemalloc.start()
-        try:
-            run(data, hp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * n
+        for ahead in (False, True):
+            if ahead:
+                monkeypatch.setattr(pipeline, "_AHEAD_MIN_WORK", 0)
+            assert pipeline._looks_ahead(hp, n, 4) == ahead
+            tracemalloc.start()
+            try:
+                run(data, hp)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n
 
 
 def _spectral_step_peak(n: int, k: int) -> tuple[int, int]:
@@ -781,7 +924,7 @@ def _spectral_step_peak(n: int, k: int) -> tuple[int, int]:
         idx = rng.choice(n, n // 4, replace=False)
         update(state, idx, rng.integers(0, 4, idx.size))
     hp = HyperParams(n_frac=3 / n, t_max=t_max, k=k, final_algo="spectral")
-    final = pipeline._peak_bytes(n, hp) - 2 * state.pair_seen.nbytes
+    final = pipeline._peak_bytes(n, 1, hp) - 2 * state.pair_seen.nbytes
     tracemalloc.start()
     try:
         finalize_spectral(state, k, seed=1)
@@ -793,27 +936,49 @@ def _spectral_step_peak(n: int, k: int) -> tuple[int, int]:
 
 class TestMemoryCeiling:
     def test_estimate(self):
-        n, npair = 10_000, 10_000 * 9_999 // 2
+        n, m, npair = 10_000, 500, 10_000 * 9_999 // 2
         hp = HyperParams(t_max=5_000)  # patches of 2,500
         spectral = replace(hp, final_algo="spectral")
-        assert pipeline._peak_bytes(n, hp) == 4 * npair + 16 * npair
-        assert pipeline._peak_bytes(n, replace(hp, t_max=70_000)) == 8 * npair + 16 * npair
+        assert pipeline._peak_bytes(n, m, hp) == 4 * npair + 16 * npair
+        assert pipeline._peak_bytes(n, m, replace(hp, t_max=70_000)) == 8 * npair + 16 * npair
         # a default run (160 minipatches) keeps 1-byte counters: 100 MB for both at N = 10,000
-        assert pipeline._peak_bytes(n, HyperParams()) == 2 * npair + 16 * npair
+        assert pipeline._peak_bytes(n, m, HyperParams()) == 2 * npair + 16 * npair
         # the quantile cut leaves at most 501 clusters: dense S and the condensed S
-        assert pipeline._peak_bytes(n, spectral) == 4 * npair + 12 * n * n
-        assert pipeline._peak_bytes(n, replace(spectral, k=3_000)) == 4 * npair + 12 * n * n
+        assert pipeline._peak_bytes(n, m, spectral) == 4 * npair + 12 * n * n
+        assert pipeline._peak_bytes(n, m, replace(spectral, k=3_000)) == 4 * npair + 12 * n * n
         # past k = 0.37 N the N x k and k x k arrays outweigh S
         for k in (5_000, n):
-            assert pipeline._peak_bytes(n, replace(spectral, k=k)) == (
+            assert pipeline._peak_bytes(n, m, replace(spectral, k=k)) == (
                 4 * npair + 24 * (n * k + k * k))
-        assert pipeline._peak_bytes(n, replace(spectral, h=0.1)) == (  # k <= 10,000 - 999 - 1
+        assert pipeline._peak_bytes(n, m, replace(spectral, h=0.1)) == (  # k <= 10,000 - 999 - 1
             4 * npair + 24 * (n * 9_000 + 9_000**2))
         # a patch of every observation: the loop's scratch outweighs the final step
-        assert pipeline._peak_bytes(n, replace(hp, n_frac=1.0)) == (
-            4 * npair + PairScratch.nbytes(n, np.uint16))
-        # the loop alone, as tune runs it: the counters and the scratch
-        assert pipeline._peak_bytes(n, hp, final=False) == 4 * npair + PairScratch.nbytes(2_500, np.uint16)
+        assert pipeline._peak_bytes(n, m, replace(hp, n_frac=1.0)) == (
+            4 * npair + PairScratch.nbytes(n, np.uint16, ahead=True))
+        # the loop alone, as tune runs it: the counters and the scratch, whose
+        # second distance buffer (8 bytes a patch pair) only mpcc's look-ahead holds
+        ahead = pipeline._peak_bytes(n, m, hp, final=False)
+        assert ahead == 4 * npair + PairScratch.nbytes(2_500, np.uint16, ahead=True)
+        for inline in (replace(hp, mode="mpacc"), replace(hp, mode="impacc")):
+            assert pipeline._peak_bytes(n, m, inline, final=False) == ahead - 8 * (2_500 * 2_499 // 2)
+
+    @pytest.mark.parametrize("ahead", [False, True])
+    def test_the_loop_estimate_is_what_the_loop_allocates(self, monkeypatch, ahead):
+        # the pair counters and the patch scratch, which holds a second distance
+        # buffer (8 bytes a patch pair) only where the loop looks ahead
+        rng = np.random.default_rng(2)
+        data = DataMatrix(rng.random((400, 40)), tuple(map(str, range(400))), tuple(map(str, range(40))))
+        hp = HyperParams(m_frac=1.0, seed=1, t_max=40, early_stop=False)
+        monkeypatch.setattr(pipeline, "_AHEAD_MIN_WORK", 0 if ahead else pipeline._AHEAD_MIN_WORK)
+        assert pipeline._looks_ahead(hp, 400, 40) == ahead
+        built, real = [], PairScratch.empty
+        monkeypatch.setattr(PairScratch, "empty", staticmethod(lambda *a: built.append(real(*a)) or built[-1]))
+        state, *_ = pipeline._loop(data, hp)
+        (scratch,) = built
+        assert scratch.dist_ahead.nbytes == (8 * (100 * 99 // 2) if ahead else 0)
+        allocated = state.pair_same.nbytes + state.pair_seen.nbytes + sum(
+            getattr(scratch, f.name).nbytes for f in fields(PairScratch))
+        assert pipeline._peak_bytes(400, 40, hp, final=False) == allocated
 
     def test_spectral_step_from_the_counters_stays_within_the_estimate(self):
         # the estimate counts dense S and the condensed S it is built from;
@@ -833,7 +998,7 @@ class TestMemoryCeiling:
     def test_raises_before_the_first_iteration(self, monkeypatch):
         data, _ = _blobs()
         hp = HyperParams(k=2, seed=1, t_max=30)
-        need = pipeline._peak_bytes(60, hp)
+        need = pipeline._peak_bytes(60, 20, hp)
 
         def no_iteration(*args, **kwargs):
             raise AssertionError("iterated")
@@ -850,8 +1015,8 @@ class TestMemoryCeiling:
         # tune runs no final step, so memory between the loop's peak and the run's is enough for it
         data, _ = _blobs()
         hp = HyperParams(seed=1, t_max=30)
-        loop = pipeline._peak_bytes(60, hp, final=False)
-        assert loop < pipeline._peak_bytes(60, hp)
+        loop = pipeline._peak_bytes(60, 20, hp, final=False)
+        assert loop < pipeline._peak_bytes(60, 20, hp)
         monkeypatch.setattr(pipeline, "_available_bytes", lambda: loop)
         assert len(tune_minipatch_size(data, [(hp.m_frac, hp.n_frac)], hp).cells) == 1
         with pytest.raises(ValueError, match="at the run's peak"):
